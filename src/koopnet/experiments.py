@@ -87,12 +87,34 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.dynamics not in (BIOCHEMICAL, REGULATORY):
             raise ValueError(f"unknown dynamics kind {self.dynamics!r}")
+        if not self.n_values:
+            raise ValueError("need at least one node count")
         if any(n < 1 for n in self.n_values):
             raise ValueError("node counts must be positive")
+        if not 0.0 <= self.er_probability <= 1.0:
+            raise ValueError("er_probability must lie in [0, 1]")
+        if self.training_trajectories < 1 or self.test_trajectories < 1:
+            raise ValueError("need at least one training and one test trajectory")
+        if self.training_ticks < 2 or self.sampling_ticks < 2:
+            raise ValueError("a trajectory needs at least two ticks")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
+        if not self.sampling_rates:
+            raise ValueError("need at least one sampling rate")
         if any(not 0.0 < r <= 1.0 for r in self.sampling_rates):
             raise ValueError("sampling rates must lie in (0, 1]")
+        if self.gamma is not None and self.gamma < 1.0:
+            raise ValueError("gamma is a singular-value quotient; it cannot be < 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.refine_trajectories < 0:
+            raise ValueError("refine_trajectories must be nonnegative")
+        if self.recovery_max_iterations < 1:
+            raise ValueError("recovery_max_iterations must be at least 1")
+        if self.recovery_gradient_tol <= 0:
+            raise ValueError("recovery_gradient_tol must be positive")
+        if self.recovery_multistarts < 0:
+            raise ValueError("recovery_multistarts must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for name in self.baselines:
@@ -151,6 +173,9 @@ class TrialRecord:
     nrmse: float | None
     converged: bool | None
     error: str | None
+    # Wall-clock seconds, JSON only.  Work a sampling trial shares across its
+    # rates (greedy selection, the gramian node order) is charged to the
+    # first rate's record.
     runtime_s: float | None = None
 
     def sort_key(self):
@@ -199,6 +224,19 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _budget(rate: float, n: int) -> int:
+    return min(n, max(1, math.ceil(rate * n)))
+
+
+def _failed(experiment: str, n: int, method: str, size: int | None,
+            rate: float | None, trial: int, seed: int, exc: Exception,
+            runtime_s: float | None = None) -> TrialRecord:
+    """The record of a cell whose work raised ``exc``."""
+    budget = None if rate is None else _budget(rate, n)
+    return TrialRecord(experiment, n, method, size, rate, budget, trial, seed,
+                       None, None, f"{type(exc).__name__}: {exc}", runtime_s)
+
+
 # ---------------------------------------------------------------------------
 # Linearization sweep
 
@@ -224,9 +262,8 @@ def _run_linearization_cell(config, n, graph, params, train_trajs, test_trajs,
                            0, seed, err, True, None,
                            time.perf_counter() - start)
     except Exception as exc:  # per-cell failures must not kill the sweep
-        return TrialRecord("linearization", n, method, spec.size, None, None,
-                           0, seed, None, None, f"{type(exc).__name__}: {exc}",
-                           time.perf_counter() - start)
+        return _failed("linearization", n, method, spec.size, None, 0, seed,
+                       exc, time.perf_counter() - start)
 
 
 def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
@@ -247,9 +284,8 @@ def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
         test_trajs = simulate_ensemble(graph, params, test_x1,
                                        config.training_ticks)
     except Exception as exc:  # e.g. divergence while generating the data
-        reason = f"{type(exc).__name__}: {exc}"
-        return [TrialRecord("linearization", n, method, spec.size, None, None,
-                            0, test_seed, None, None, reason, None)
+        return [_failed("linearization", n, method, spec.size, None, 0,
+                        test_seed, exc)
                 for method, spec in cells]
     return [_run_linearization_cell(config, n, graph, params, train_trajs,
                                     test_trajs, method, spec, test_seed)
@@ -268,22 +304,48 @@ def run_linearization_sweep(config: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # Sampling-rate sweep
 
-def _budget(rate: float, n: int) -> int:
-    return min(n, max(1, math.ceil(rate * n)))
-
-
 def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialRecord]:
     truth_seed = _child_seed(config.seed, n, trial, 3)
     try:
         return _sampling_trial_records(config, n, trial)
     except Exception as exc:  # setup failures: graph, training data, base fit
-        reason = f"{type(exc).__name__}: {exc}"
         methods = [PROPOSED] + [b for b in (POLY_GRAMIAN, LINEAR_GFT)
                                 if b in config.baselines]
-        return [TrialRecord("sampling", n, method, None, rate,
-                            _budget(rate, n), trial, truth_seed, None, None,
-                            reason, None)
+        return [_failed("sampling", n, method, None, rate, trial, truth_seed,
+                        exc)
                 for method in methods for rate in config.sampling_rates]
+
+
+def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
+                  method: str, size: int | None, prepare,
+                  solve) -> list[TrialRecord]:
+    """One method's records, one per sampling rate.
+
+    ``prepare(max_budget)`` runs once, at the largest budget of the sweep, and
+    its result serves every rate: ``solve(shared, budget)`` returns that
+    rate's ``(nrmse, converged)``.  Should ``prepare`` raise, every rate
+    records its error.  Its time is charged to the first rate's record.
+    """
+    budgets = [_budget(rate, n) for rate in config.sampling_rates]
+    start = time.perf_counter()
+    try:
+        shared = prepare(max(budgets))
+    except Exception as exc:
+        return [_failed("sampling", n, method, size, rate, trial, seed, exc,
+                        time.perf_counter() - start if i == 0 else 0.0)
+                for i, rate in enumerate(config.sampling_rates)]
+    records = []
+    for rate, budget in zip(config.sampling_rates, budgets):
+        try:
+            err, converged = solve(shared, budget)
+            records.append(TrialRecord("sampling", n, method, size, rate,
+                                       budget, trial, seed, err, converged,
+                                       None, time.perf_counter() - start))
+        except Exception as exc:
+            records.append(_failed("sampling", n, method, size, rate, trial,
+                                   seed, exc, time.perf_counter() - start))
+        start = time.perf_counter()
+    return records
 
 
 def _sampling_trial_records(config: ExperimentConfig, n: int,
@@ -306,45 +368,38 @@ def _sampling_trial_records(config: ExperimentConfig, n: int,
                      random_initial_state(n, low, high, truth_seed), tau,
                      seed=truth_seed)
 
-    records: list[TrialRecord] = []
-
     spec = log_spec(n, scale=config.scale, powers=config.log_powers)
     training = assemble_training(train_trajs, spec)
     model = fit(training, ridge=config.ridge)
     theta = build_theta(model, tau)
-    for rate in config.sampling_rates:
-        budget = _budget(rate, n)
-        start = time.perf_counter()
-        try:
-            plan = greedy_select(theta, spec,
-                                 SelectionConfig(gamma=config.gamma,
-                                                 max_nodes=budget))
-            samples = take_samples(truth, spec, plan)
-            recover_theta = theta
-            if config.refine_trajectories > 0:
-                refined, _ = refine_with_samples(
-                    model, training, plan.nodes,
-                    truth.states[list(plan.nodes), 0], graph, params, tau,
-                    low, high, config.refine_trajectories, seed=refine_seed,
-                    ridge=config.ridge)
-                recover_theta = build_theta(refined, tau)
-            opt = OptimizerConfig(
-                max_iterations=config.recovery_max_iterations,
-                gradient_tol=config.recovery_gradient_tol,
-                multistarts=config.recovery_multistarts,
-                fill_value=0.5 * (low + high), seed=opt_seed)
-            result = recover_initial_state(samples, recover_theta, spec, opt)
-            err = nrmse(result.trajectory, truth.states)
-            records.append(TrialRecord("sampling", n, PROPOSED, spec.size, rate,
-                                       budget, trial, truth_seed, err,
-                                       result.converged, None,
-                                       time.perf_counter() - start))
-        except Exception as exc:
-            records.append(TrialRecord("sampling", n, PROPOSED, spec.size, rate,
-                                       budget, trial, truth_seed, None, None,
-                                       f"{type(exc).__name__}: {exc}",
-                                       time.perf_counter() - start))
+    opt = OptimizerConfig(max_iterations=config.recovery_max_iterations,
+                          gradient_tol=config.recovery_gradient_tol,
+                          multistarts=config.recovery_multistarts,
+                          fill_value=0.5 * (low + high), seed=opt_seed)
 
+    def select(max_budget):
+        # greedy picks never depend on the budget, which only stops the loop
+        # (and so does gamma): each rate's set is a prefix of this one
+        return greedy_select(theta, spec,
+                             SelectionConfig(gamma=config.gamma,
+                                             max_nodes=max_budget)).nodes
+
+    def recover(order, budget):
+        plan = gamma_map(order[:budget], spec, tau)
+        samples = take_samples(truth, spec, plan)
+        recover_theta = theta
+        if config.refine_trajectories > 0:
+            refined, _ = refine_with_samples(
+                model, training, plan.nodes,
+                truth.states[list(plan.nodes), 0], graph, params, tau,
+                low, high, config.refine_trajectories, seed=refine_seed,
+                ridge=config.ridge)
+            recover_theta = build_theta(refined, tau)
+        result = recover_initial_state(samples, recover_theta, spec, opt)
+        return nrmse(result.trajectory, truth.states), result.converged
+
+    records = _rate_records(config, n, trial, truth_seed, PROPOSED, spec.size,
+                            select, recover)
     if POLY_GRAMIAN in config.baselines:
         records.extend(_poly_gramian_records(config, n, trial, truth_seed,
                                              train_trajs, truth))
@@ -355,58 +410,42 @@ def _sampling_trial_records(config: ExperimentConfig, n: int,
 
 
 def _poly_gramian_records(config, n, trial, truth_seed, train_trajs, truth):
-    records = []
     tau = config.sampling_ticks
     try:
         pspec = poly_spec(n, max_power=config.poly_max_power)
         pmodel = fit(assemble_training(train_trajs, pspec), ridge=config.ridge)
         ptheta = build_theta(pmodel, tau)
     except Exception as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        return [TrialRecord("sampling", n, POLY_GRAMIAN, None, rate,
-                            _budget(rate, n), trial, truth_seed, None, None,
-                            reason, None)
+        return [_failed("sampling", n, POLY_GRAMIAN, None, rate, trial,
+                        truth_seed, exc)
                 for rate in config.sampling_rates]
-    for rate in config.sampling_rates:
-        budget = _budget(rate, n)
-        start = time.perf_counter()
-        try:
-            nodes, _ = gramian_nodes_for_budget(pmodel, budget)
-            plan = gamma_map(nodes, pspec, tau)
-            samples = take_samples(truth, pspec, plan)
-            result = linear_observable_recover(samples, ptheta, pspec)
-            err = nrmse(result.trajectory, truth.states)
-            records.append(TrialRecord("sampling", n, POLY_GRAMIAN, pspec.size,
-                                       rate, budget, trial, truth_seed, err,
-                                       True, None, time.perf_counter() - start))
-        except Exception as exc:
-            records.append(TrialRecord("sampling", n, POLY_GRAMIAN, pspec.size,
-                                       rate, budget, trial, truth_seed, None,
-                                       None, f"{type(exc).__name__}: {exc}",
-                                       time.perf_counter() - start))
-    return records
+
+    def order(max_budget):
+        # Node order only: the selector holds the complex M x M inverse
+        # eigenbasis, which must not outlive this call.  Smaller budgets
+        # stop the same picking loop earlier, so each is a prefix.
+        return gramian_nodes_for_budget(pmodel, max_budget)[0]
+
+    def recover(nodes, budget):
+        plan = gamma_map(nodes[:budget], pspec, tau)
+        samples = take_samples(truth, pspec, plan)
+        result = linear_observable_recover(samples, ptheta, pspec)
+        return nrmse(result.trajectory, truth.states), True
+
+    return _rate_records(config, n, trial, truth_seed, POLY_GRAMIAN,
+                         pspec.size, order, recover)
 
 
 def _linear_gft_records(config, n, trial, truth_seed, graph, truth):
-    records = []
-    for rate in config.sampling_rates:
-        budget = _budget(rate, n)
-        start = time.perf_counter()
-        try:
-            basis = build_laplacian_basis(graph, budget)
-            nodes, reached = linear_gft_select(basis, budget)
-            x_hat = linear_gft_recover_trajectory(
-                nodes, basis, truth.states[list(nodes)])
-            err = nrmse(x_hat, truth.states)
-            records.append(TrialRecord("sampling", n, LINEAR_GFT, None, rate,
-                                       budget, trial, truth_seed, err, reached,
-                                       None, time.perf_counter() - start))
-        except Exception as exc:
-            records.append(TrialRecord("sampling", n, LINEAR_GFT, None, rate,
-                                       budget, trial, truth_seed, None, None,
-                                       f"{type(exc).__name__}: {exc}",
-                                       time.perf_counter() - start))
-    return records
+    def recover(_, budget):
+        basis = build_laplacian_basis(graph, budget)
+        nodes, reached = linear_gft_select(basis, budget)
+        x_hat = linear_gft_recover_trajectory(nodes, basis,
+                                              truth.states[list(nodes)])
+        return nrmse(x_hat, truth.states), reached
+
+    return _rate_records(config, n, trial, truth_seed, LINEAR_GFT, None,
+                         lambda max_budget: None, recover)
 
 
 def run_sampling_sweep(config: ExperimentConfig) -> ExperimentReport:

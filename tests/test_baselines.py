@@ -149,6 +149,21 @@ def test_budget_mapping_returns_exactly_budget_nodes():
         gramian_nodes_for_budget(model, 7)
 
 
+def test_budget_mapping_smaller_budgets_are_prefixes():
+    # the picking loop reads the budget only to stop, so one call at the
+    # largest budget serves every smaller one
+    rng = np.random.default_rng(7)
+    spec = log_spec(6)
+    models = [_model(rng.normal(size=(spec.size, spec.size)) * 0.05
+                     + np.eye(spec.size), spec) for _ in range(3)]
+    models.append(_model(np.diag([5.0, 0.5, 0.4])))    # pads unreached nodes
+    for model in models:
+        n = model.spec.n
+        full, _ = gramian_nodes_for_budget(model, n)
+        for b in range(1, n + 1):
+            assert gramian_nodes_for_budget(model, b)[0] == full[:b]
+
+
 def test_budget_mapping_pads_from_unreached_nodes():
     # an operator whose spectrum only ever touches node 0's observables:
     # identity rows for the rest means every eigenrow weight is equal, but

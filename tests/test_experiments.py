@@ -5,6 +5,7 @@ so the whole file stays in the tens-of-seconds range while still running the
 full select/sample/recover pipeline end to end.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from koopnet import (ExperimentConfig, ExperimentReport, TrialRecord,
                      aggregate, emit, linearization_nrmse, report_from_json,
                      run_linearization_sweep, run_sampling_sweep)
+from koopnet import experiments
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
                               random_initial_state, random_initial_states,
                               simulate, simulate_ensemble)
@@ -58,6 +60,21 @@ def test_config_rejects_unknown_keys():
     {"trials": 0},
     {"workers": 0},
     {"baselines": ("poly-gramian", "kalman")},
+    {"training_trajectories": 0},
+    {"test_trajectories": 0},
+    {"training_ticks": 1},
+    {"sampling_ticks": 1},
+    {"scale": -1.0},
+    {"scale": 0.0},
+    {"refine_trajectories": -1},
+    {"recovery_max_iterations": 0},
+    {"recovery_gradient_tol": 0.0},
+    {"recovery_multistarts": -1},
+    {"er_probability": 1.5},
+    {"er_probability": -0.1},
+    {"gamma": 0.5},
+    {"n_values": ()},
+    {"sampling_rates": ()},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -273,6 +290,53 @@ def test_sampling_sweep_records_setup_failures():
     for rec in report.records:
         assert rec.error is not None and "diverged" in rec.error
         assert rec.budget == _budget(rec.rate, 5)
+
+
+def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    cfg = ExperimentConfig(n_values=(5,), seed=2, trials=1,
+                           training_trajectories=20, training_ticks=20,
+                           sampling_ticks=8, sampling_rates=(0.4, 0.8, 1.0),
+                           refine_trajectories=0)
+    for name, method in (("greedy_select", PROPOSED),
+                         ("gramian_nodes_for_budget", POLY_GRAMIAN)):
+        with monkeypatch.context() as m:
+            m.setattr(experiments, name, boom)
+            report = run_sampling_sweep(cfg)
+        failed = [r for r in report.records if r.method == method]
+        assert [r.rate for r in failed] == list(cfg.sampling_rates)
+        for rec in failed:
+            assert rec.error == "RuntimeError: boom"
+            assert rec.nrmse is None and rec.converged is None
+            assert rec.budget == _budget(rec.rate, 5)
+        # the shared step's time is charged to the first rate alone
+        assert failed[0].runtime_s > 0
+        assert all(r.runtime_s == 0.0 for r in failed[1:])
+        others = [r for r in report.records if r.method != method]
+        assert len(others) == 2 * 3
+        assert all(r.error is None for r in others)
+
+
+@pytest.mark.parametrize("gamma", [None, 5000.0])
+def test_multi_rate_sweep_matches_single_rate_sweeps(gamma, tmp_path):
+    # one selection per trial, sliced per rate, must give each rate the
+    # rows a sweep over that rate alone gives; gamma=5000 stops this trial's
+    # selection at three of its six nodes, inside the two larger budgets
+    cfg = ExperimentConfig(n_values=(6,), seed=8, trials=1,
+                           training_trajectories=25, training_ticks=25,
+                           sampling_ticks=10, sampling_rates=(0.3, 0.6, 1.0),
+                           refine_trajectories=4, gamma=gamma)
+    (joint,) = emit(run_sampling_sweep(cfg), tmp_path / "joint",
+                    formats=("csv",))
+    singles = [rec for rate in cfg.sampling_rates
+               for rec in run_sampling_sweep(
+                   dataclasses.replace(cfg, sampling_rates=(rate,))).records]
+    merged = ExperimentReport("sampling", cfg.to_dict(),
+                              tuple(sorted(singles, key=TrialRecord.sort_key)))
+    (apart,) = emit(merged, tmp_path / "apart", formats=("csv",))
+    assert joint.read_bytes() == apart.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,28 @@ def test_greedy_trace_tracks_the_running_score():
             assert prefix_score == math.inf
 
 
+@pytest.mark.parametrize("gamma", [None, 5.0])
+def test_smaller_budgets_select_prefixes_of_the_largest(gamma):
+    # the budget (and gamma) only stop the loop, never change a pick, so the
+    # sampling sweep runs one selection per trial and slices it per rate
+    rng = np.random.default_rng(6)
+    n = 6
+    spec = identity_spec(n)
+    stopped_early = False
+    for _ in range(4):
+        theta = _stack(rng.normal(size=(n, n)) * 0.6, tau=3)
+        full = greedy_select(theta, spec,
+                             SelectionConfig(gamma=gamma, max_nodes=n))
+        stopped_early |= len(full.nodes) < n
+        for b in range(1, n + 1):
+            plan = greedy_select(theta, spec,
+                                 SelectionConfig(gamma=gamma, max_nodes=b))
+            assert plan.nodes == full.nodes[:b]
+            assert plan.score_trace == full.score_trace[:b]
+    # a finite gamma must cut some run short, or it tests nothing extra
+    assert stopped_early == (gamma is not None)
+
+
 def test_sigma_n_never_drops_as_nodes_are_added():
     rng = np.random.default_rng(3)
     op = rng.normal(size=(5, 5)) * 0.6
