@@ -23,19 +23,16 @@ from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord,
                           run_linearization_sweep, run_sampling_sweep)
 from .koopman import (EvolutionStack, KoopmanModel, TrainingSet,
                       assemble_training, build_theta, fit, linearization_nrmse,
-                      load_model, predict, refine_with_samples, rollout,
-                      save_model)
+                      load_model, refine_with_samples, rollout, save_model)
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (IDENTITY, LOG, POLY, ObservableSpec, ObservableTerm,
                           build_spec, check_scale, identity_spec, lift,
                           lift_jacobian, lift_trajectory, log_spec, poly_spec,
-                          spec_from_json, spec_to_json, unlift,
-                          unlift_trajectory)
+                          spec_from_json, spec_to_json, unlift_trajectory)
 from .optimize import MinimizeResult, dfp_update, minimize_dfp
 from .recovery import (OptimizerConfig, RecoveryResult, SampleMatrix,
-                       initial_guess, recover_initial_state,
-                       reconstruct_trajectory, result_to_dict, save_result,
-                       take_samples)
+                       initial_guess, recover_initial_state, result_to_dict,
+                       save_result, take_samples)
 from .sampling import (SamplingPlan, SelectionConfig, gamma_map, greedy_select,
                        load_plan, save_plan, selected_rows, selection_score,
                        sigma_quotient, verify_rank)

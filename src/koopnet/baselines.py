@@ -19,9 +19,9 @@ import numpy as np
 
 from .dynamics import Graph
 from .koopman import EvolutionStack, KoopmanModel
-from .observables import ObservableSpec, unlift
+from .observables import ObservableSpec, unlift_trajectory
 from .recovery import RecoveryResult, SampleMatrix
-from .sampling import RANK_TOL, sigma_quotient
+from .sampling import numerical_rank, sigma_quotient
 
 _COND_LIMIT = 1e12
 
@@ -150,11 +150,8 @@ def linear_observable_recover(samples: SampleMatrix, theta: EvolutionStack,
     a = theta.theta[samples.plan.row_indices]
     z1, *_ = np.linalg.lstsq(a, samples.values, rcond=rcond)
     residual = a @ z1 - samples.values
-    x1 = unlift(spec, z1)
-    out = np.empty((spec.n, theta.tau))
-    out[:, 0] = x1
-    for t in range(1, theta.tau):
-        out[:, t] = unlift(spec, theta.block(t) @ z1)
+    out = unlift_trajectory(spec, theta.evolve(z1))
+    x1 = out[:, 0]
     objective = float(residual @ residual)
     return RecoveryResult(x1=x1, trajectory=out, objective=objective,
                           iterations=0, converged=True,
@@ -210,10 +207,7 @@ def linear_gft_select(basis: LinearGFTBasis,
                 best_key, best_node = key, cand
         selected.append(best_node)
         if len(selected) >= r:
-            sub = basis.u[selected]
-            svals = np.linalg.svd(sub, compute_uv=False)
-            reached = svals[0] > 0 and \
-                int((svals > RANK_TOL * svals[0]).sum()) == r
+            reached = numerical_rank(basis.u[selected]) == r
     return tuple(selected), reached
 
 
@@ -224,9 +218,7 @@ def linear_gft_recover(nodes, basis: LinearGFTBasis, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if y.shape[0] != rows.shape[0]:
         raise ValueError("one sample per selected node is required")
-    svals = np.linalg.svd(rows, compute_uv=False)
-    if svals.size < basis.r or svals[0] <= 0 or \
-            int((svals > RANK_TOL * svals[0]).sum()) < basis.r:
+    if numerical_rank(rows) < basis.r:
         raise RuntimeError("sampled basis rows are rank-deficient; "
                            "recovery is not identifiable")
     coef, *_ = np.linalg.lstsq(rows, y, rcond=rcond)

@@ -21,7 +21,7 @@ from .dynamics import (default_initial_range, generate_er_graph,
                        random_initial_state, random_initial_states, save_bundle,
                        simulate, simulate_ensemble, trajectory_from_csv,
                        trajectory_to_csv)
-from .experiments import (ExperimentConfig, _budget, _child_seed, emit,
+from .experiments import (ExperimentConfig, _budget, _trial_seeds, emit,
                           run_linearization_sweep, run_sampling_sweep)
 from .koopman import (assemble_training, build_theta, fit, load_model,
                       save_model)
@@ -44,22 +44,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _pipeline_seeds(config: ExperimentConfig, n: int) -> dict:
-    # Single-shot commands share the sampling sweep's trial-0 derivations so
-    # simulate/fit/select/recover compose into one coherent pipeline.
-    return {
-        "graph": _child_seed(config.seed, n, 0, 1),
-        "train": _child_seed(config.seed, n, 0, 2),
-        "truth": _child_seed(config.seed, n, 0, 3),
-        "opt": _child_seed(config.seed, n, 0, 5),
-    }
-
-
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     n = config.n_values[0]
-    seeds = _pipeline_seeds(config, n)
+    seeds = _trial_seeds(config, n, 0)
     params = config.params()
     low, high = default_initial_range(params.kind)
     graph = generate_er_graph(n, config.er_probability, seeds["graph"])
@@ -80,7 +69,7 @@ def _cmd_fit(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     n = config.n_values[0]
-    seeds = _pipeline_seeds(config, n)
+    seeds = _trial_seeds(config, n, 0)
     params = config.params()
     low, high = default_initial_range(params.kind)
     graph = generate_er_graph(n, config.er_probability, seeds["graph"])
@@ -126,7 +115,7 @@ def _cmd_recover(args) -> int:
                           gradient_tol=config.recovery_gradient_tol,
                           multistarts=config.recovery_multistarts,
                           fill_value=0.5 * (low + high),
-                          seed=_pipeline_seeds(config, n)["opt"])
+                          seed=_trial_seeds(config, n, 0)["opt"])
     result = recover_initial_state(samples, theta, model.spec, opt)
     path = save_result(result, out / "recovery.json", truth=trajectory.states)
     payload = json.loads(path.read_text())

@@ -23,14 +23,13 @@ import numpy as np
 from .baselines import (build_laplacian_basis, gramian_nodes_for_budget,
                         linear_gft_recover_trajectory, linear_gft_select,
                         linear_observable_recover)
-from .dynamics import (BIOCHEMICAL, REGULATORY, DynamicsParams,
-                       default_initial_range, generate_er_graph,
-                       random_initial_state, random_initial_states, simulate,
-                       simulate_ensemble)
+from .dynamics import (BIOCHEMICAL, DynamicsParams, default_initial_range,
+                       generate_er_graph, random_initial_state,
+                       random_initial_states, simulate, simulate_ensemble)
 from .koopman import (assemble_training, build_theta, fit, linearization_nrmse,
                       refine_with_samples)
 from .metrics import nrmse
-from .observables import identity_spec, log_spec, poly_spec
+from .observables import IDENTITY, LOG, POLY, identity_spec, log_spec, poly_spec
 from .recovery import OptimizerConfig, recover_initial_state, take_samples
 from .sampling import SelectionConfig, gamma_map, greedy_select
 
@@ -85,8 +84,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.dynamics not in (BIOCHEMICAL, REGULATORY):
-            raise ValueError(f"unknown dynamics kind {self.dynamics!r}")
+        # the dynamics and dictionary constructors hold their own checks
+        self.params()
+        log_spec(1, scale=self.scale, powers=self.log_powers)
+        poly_spec(1, max_power=self.poly_max_power)
+        for powers in self.log_power_grid:
+            log_spec(1, scale=self.scale, powers=tuple(powers))
+        for max_power in self.poly_power_grid:
+            poly_spec(1, max_power=int(max_power))
+        if self.ridge < 0:
+            raise ValueError("ridge must be nonnegative")
+        if self.dictionary not in (LOG, POLY, IDENTITY):
+            raise ValueError(f"unknown dictionary kind {self.dictionary!r}")
         if not self.n_values:
             raise ValueError("need at least one node count")
         if any(n < 1 for n in self.n_values):
@@ -97,12 +106,13 @@ class ExperimentConfig:
             raise ValueError("need at least one training and one test trajectory")
         if self.training_ticks < 2 or self.sampling_ticks < 2:
             raise ValueError("a trajectory needs at least two ticks")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if not self.sampling_rates:
             raise ValueError("need at least one sampling rate")
         if any(not 0.0 < r <= 1.0 for r in self.sampling_rates):
             raise ValueError("sampling rates must lie in (0, 1]")
+        if self.selection_rate is not None and \
+                not 0.0 < self.selection_rate <= 1.0:
+            raise ValueError("selection_rate must lie in (0, 1]")
         if self.gamma is not None and self.gamma < 1.0:
             raise ValueError("gamma is a singular-value quotient; it cannot be < 1")
         if self.trials < 1:
@@ -224,6 +234,14 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _trial_seeds(config: ExperimentConfig, n: int, trial: int) -> dict[str, int]:
+    """The seeds of one sampling trial.  The single-shot CLI commands use
+    trial 0's, so simulate/fit/select/recover compose with the sweep."""
+    return {name: _child_seed(config.seed, n, trial, phase)
+            for phase, name in enumerate(("graph", "train", "truth", "refine",
+                                          "opt"), start=1)}
+
+
 def _budget(rate: float, n: int) -> int:
     return min(n, max(1, math.ceil(rate * n)))
 
@@ -305,14 +323,14 @@ def run_linearization_sweep(config: ExperimentConfig) -> ExperimentReport:
 # Sampling-rate sweep
 
 def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialRecord]:
-    truth_seed = _child_seed(config.seed, n, trial, 3)
+    seeds = _trial_seeds(config, n, trial)
     try:
-        return _sampling_trial_records(config, n, trial)
+        return _sampling_trial_records(config, n, trial, seeds)
     except Exception as exc:  # setup failures: graph, training data, base fit
         methods = [PROPOSED] + [b for b in (POLY_GRAMIAN, LINEAR_GFT)
                                 if b in config.baselines]
-        return [_failed("sampling", n, method, None, rate, trial, truth_seed,
-                        exc)
+        return [_failed("sampling", n, method, None, rate, trial,
+                        seeds["truth"], exc)
                 for method in methods for rate in config.sampling_rates]
 
 
@@ -348,20 +366,16 @@ def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
     return records
 
 
-def _sampling_trial_records(config: ExperimentConfig, n: int,
-                            trial: int) -> list[TrialRecord]:
+def _sampling_trial_records(config: ExperimentConfig, n: int, trial: int,
+                            seeds: dict[str, int]) -> list[TrialRecord]:
     params = config.params()
     low, high = default_initial_range(params.kind)
     tau = config.sampling_ticks
-    graph_seed = _child_seed(config.seed, n, trial, 1)
-    train_seed = _child_seed(config.seed, n, trial, 2)
-    truth_seed = _child_seed(config.seed, n, trial, 3)
-    refine_seed = _child_seed(config.seed, n, trial, 4)
-    opt_seed = _child_seed(config.seed, n, trial, 5)
+    truth_seed = seeds["truth"]
 
-    graph = generate_er_graph(n, config.er_probability, graph_seed)
+    graph = generate_er_graph(n, config.er_probability, seeds["graph"])
     train_x1 = random_initial_states(n, config.training_trajectories, low, high,
-                                     train_seed)
+                                     seeds["train"])
     train_trajs = simulate_ensemble(graph, params, train_x1,
                                     config.training_ticks)
     truth = simulate(graph, params,
@@ -375,7 +389,7 @@ def _sampling_trial_records(config: ExperimentConfig, n: int,
     opt = OptimizerConfig(max_iterations=config.recovery_max_iterations,
                           gradient_tol=config.recovery_gradient_tol,
                           multistarts=config.recovery_multistarts,
-                          fill_value=0.5 * (low + high), seed=opt_seed)
+                          fill_value=0.5 * (low + high), seed=seeds["opt"])
 
     def select(max_budget):
         # greedy picks never depend on the budget, which only stops the loop
@@ -392,7 +406,7 @@ def _sampling_trial_records(config: ExperimentConfig, n: int,
             refined, _ = refine_with_samples(
                 model, training, plan.nodes,
                 truth.states[list(plan.nodes), 0], graph, params, tau,
-                low, high, config.refine_trajectories, seed=refine_seed,
+                low, high, config.refine_trajectories, seed=seeds["refine"],
                 ridge=config.ridge)
             recover_theta = build_theta(refined, tau)
         result = recover_initial_state(samples, recover_theta, spec, opt)

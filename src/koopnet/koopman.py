@@ -69,6 +69,15 @@ class EvolutionStack:
             raise IndexError(f"block {t} outside 0..{self.tau - 1}")
         return self.theta[t * self.m:(t + 1) * self.m]
 
+    def evolve(self, z1: np.ndarray) -> np.ndarray:
+        """The lifted path ``K**t z1`` for t = 0..tau-1, as M x tau columns.
+
+        One matrix-vector product per block, as ``block(t) @ z1`` computes it;
+        column 0 is ``z1`` itself.  The flat ``theta @ z1`` is not
+        bit-identical to that.
+        """
+        return (self.theta.reshape(self.tau, self.m, self.m) @ z1).T
+
 
 def assemble_training(trajectories: list[Trajectory],
                       spec: ObservableSpec) -> TrainingSet:
@@ -106,20 +115,12 @@ def fit(training: TrainingSet, ridge: float = 0.0,
     return KoopmanModel(operator=k, spec=training.spec, residual=residual)
 
 
-def predict(model: KoopmanModel, z1: np.ndarray, t: int) -> np.ndarray:
-    """Lifted state after ``t - 1`` ticks (t is 1-based; t=1 returns ``z1``)."""
-    if t < 1:
-        raise ValueError("t counts ticks from 1")
-    z = np.asarray(z1, dtype=float)
-    if z.shape != (model.size,):
-        raise ValueError(f"z1 must have shape ({model.size},)")
-    for _ in range(t - 1):
-        z = model.operator @ z
-    return z
-
-
 def rollout(model: KoopmanModel, z1: np.ndarray, tau: int) -> np.ndarray:
-    """All lifted states ``K**(t-1) z1`` for t = 1..tau, as M x tau columns."""
+    """All lifted states ``K**(t-1) z1`` for t = 1..tau, as M x tau columns.
+
+    The model-path forward map: it needs only K, where ``EvolutionStack.evolve``
+    needs the tau x M x M stack of its powers.
+    """
     if tau < 1:
         raise ValueError("tau must be at least 1")
     z = np.asarray(z1, dtype=float)

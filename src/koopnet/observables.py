@@ -229,7 +229,8 @@ def lift(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
 
 
 def unlift_trajectory(spec: ObservableSpec, z: np.ndarray) -> np.ndarray:
-    """Read the node states back out of lifted columns (M x T -> n x T)."""
+    """Read the node states back out of lifted columns (M x T -> n x T); a
+    single lifted vector gives a single state vector."""
     z = np.asarray(z, dtype=float)
     squeeze = z.ndim == 1
     if squeeze:
@@ -238,10 +239,6 @@ def unlift_trajectory(spec: ObservableSpec, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"lifted columns have {z.shape[0]} rows, expected {spec.size}")
     x = z[spec.linear_indices] * spec.scale
     return x[:, 0] if squeeze else x
-
-
-def unlift(spec: ObservableSpec, z: np.ndarray) -> np.ndarray:
-    return unlift_trajectory(spec, z)
 
 
 def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import EvolutionStack, KoopmanModel, rollout
-from .metrics import nrmse, per_tick_nrmse  # noqa: F401  (re-exported API)
+from .koopman import EvolutionStack
+from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, lift, lift_jacobian,
-                          lift_trajectory, unlift, unlift_trajectory)
+                          lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
 from .sampling import SamplingPlan
 
@@ -169,7 +169,8 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
     if best is None:
         raise RuntimeError("every recovery start failed: " + "; ".join(failures))
 
-    trajectory = _forward(best.x, theta, spec)
+    trajectory = unlift_trajectory(spec, theta.evolve(lift(spec, best.x)))
+    trajectory[:, 0] = best.x
     return RecoveryResult(x1=best.x, trajectory=trajectory, objective=best.fun,
                           iterations=best.iterations, converged=best.converged,
                           objective_trace=tuple(best.objective_trace))
@@ -191,27 +192,7 @@ def _linear_warm_start(a: np.ndarray, y: np.ndarray,
         z1, *_ = np.linalg.lstsq(a, y, rcond=1e-10)
     except np.linalg.LinAlgError:
         return None
-    return np.clip(unlift(spec, z1), 0.0, None)
-
-
-def _forward(x1: np.ndarray, theta: EvolutionStack, spec: ObservableSpec) -> np.ndarray:
-    z1 = lift(spec, x1)
-    out = np.empty((spec.n, theta.tau))
-    out[:, 0] = x1
-    for t in range(1, theta.tau):
-        out[:, t] = unlift(spec, theta.block(t) @ z1)
-    return out
-
-
-def reconstruct_trajectory(x1: np.ndarray, model: KoopmanModel, tau: int) -> np.ndarray:
-    """Roll an initial-state estimate forward into node states (first column exact)."""
-    if tau < 1:
-        raise ValueError("tau must be at least 1")
-    x1 = np.asarray(x1, dtype=float)
-    z = rollout(model, lift(model.spec, x1), tau)
-    out = unlift_trajectory(model.spec, z)
-    out[:, 0] = x1
-    return out
+    return np.clip(unlift_trajectory(spec, z1), 0.0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,18 @@ def sigma_quotient(matrix: np.ndarray, k: int,
     return float(svals[0] / sk), sk
 
 
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Count of singular values above ``RANK_TOL`` times the largest.
+
+    0 for an empty or all-zero matrix; a NaN entry makes the SVD raise
+    ``LinAlgError``.
+    """
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    if svals.size == 0 or svals[0] <= 0.0:
+        return 0
+    return int((svals > RANK_TOL * svals[0]).sum())
+
+
 def selection_score(nodes, theta: EvolutionStack, spec: ObservableSpec) -> float:
     """Conditioning score of a node set: sigma_1/sigma_N of its sampled rows."""
     plan = gamma_map(nodes, spec, theta.tau)
@@ -165,12 +177,9 @@ def verify_rank(plan: SamplingPlan, theta: EvolutionStack,
     """
     if plan.row_indices.size < spec.n:
         return False
-    svals = np.linalg.svd(selected_rows(plan, theta), compute_uv=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return False
     # rank at least N determines the state; with M > N observables the rows
     # routinely carry more than N independent directions, which is harmless
-    return int((svals > RANK_TOL * svals[0]).sum()) >= spec.n
+    return numerical_rank(selected_rows(plan, theta)) >= spec.n
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,20 @@ configuration and the tests pick the artifacts apart; errors, argparse exits,
 and the sweep commands get their own small runs.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import koopnet
 from koopnet.cli import main
+from koopnet.dynamics import (default_initial_range, generate_er_graph,
+                              load_bundle, random_initial_state, simulate)
+from koopnet.experiments import (ExperimentConfig, _child_seed,
+                                 run_sampling_sweep)
 from koopnet.koopman import load_model
 from koopnet.sampling import load_plan
 
@@ -59,6 +65,28 @@ def test_simulate_artifacts(chain):
     assert bundle["params"]["kind"] == "biochemical"
     assert bundle["graph"]["n"] == 6
     assert len(bundle["graph"]["adjacency"]) == 6
+
+
+def test_simulate_writes_the_sweeps_trial_0_truth(chain):
+    cfg = ExperimentConfig.from_json(chain["config"])
+    n = cfg.n_values[0]
+    params = cfg.params()
+    low, high = default_initial_range(params.kind)
+    truth_seed = _child_seed(cfg.seed, n, 0, 3)
+    graph = generate_er_graph(n, cfg.er_probability,
+                              _child_seed(cfg.seed, n, 0, 1))
+    truth = simulate(graph, params,
+                     random_initial_state(n, low, high, truth_seed),
+                     cfg.sampling_ticks, seed=truth_seed)
+    saved_graph, _, saved = load_bundle(chain["out"] / "trajectory.json")
+    assert saved.seed == truth_seed
+    assert np.array_equal(saved_graph.adjacency, graph.adjacency)
+    assert np.array_equal(saved.states, truth.states)
+    # the sweep's trial-0 records are scored against the truth of that seed
+    report = run_sampling_sweep(dataclasses.replace(
+        cfg, trials=1, sampling_rates=(1.0,), baselines=()))
+    assert [rec.seed for rec in report.records] == [truth_seed]
+    assert report.records[0].error is None
 
 
 def test_fit_artifact(chain):

@@ -75,6 +75,18 @@ def test_config_rejects_unknown_keys():
     {"gamma": 0.5},
     {"n_values": ()},
     {"sampling_rates": ()},
+    {"decay": 0.0},
+    {"dt": -1.0},
+    {"steps_per_sample": 0},
+    {"coupling": -1.0},
+    {"ridge": -1.0},
+    {"log_powers": ()},
+    {"poly_max_power": 0},
+    {"log_power_grid": ((0,),)},
+    {"poly_power_grid": (0,)},
+    {"selection_rate": 2.0},
+    {"selection_rate": 0.0},
+    {"dictionary": "nope"},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Operator fitting, prediction, the stacked evolution matrix, refinement.
+"""Operator fitting, rollouts, the stacked evolution matrix, refinement.
 
 The least-squares fit has clean closed-form behaviour on linear systems, so
 most oracles here are either hand-computed (scalars, permutations) or checked
@@ -23,7 +23,7 @@ from koopnet import (
     linearization_nrmse,
     load_model,
     log_spec,
-    predict,
+    poly_spec,
     random_initial_state,
     random_initial_states,
     refine_with_samples,
@@ -165,10 +165,10 @@ def _scalar_model(k):
 def test_predict_first_tick_is_the_input():
     model = _scalar_model(0.5)
     z = np.array([3.0])
-    assert predict(model, z, 1) == pytest.approx([3.0])
-    assert predict(model, z, 4) == pytest.approx([3.0 * 0.125])
+    assert rollout(model, z, 1)[:, 0] == pytest.approx([3.0])
+    assert rollout(model, z, 4)[:, 3] == pytest.approx([3.0 * 0.125])
     with pytest.raises(ValueError):
-        predict(model, z, 0)
+        rollout(model, z, 0)
 
 
 def test_predict_semigroup_property():
@@ -176,8 +176,9 @@ def test_predict_semigroup_property():
     op = rng.normal(size=(5, 5)) * 0.4
     model = KoopmanModel(operator=op, spec=identity_spec(5), residual=0.0)
     z = rng.normal(size=5)
-    via_six = predict(model, z, 6)
-    stacked = predict(model, predict(model, z, 4), 3)   # (4-1) + (3-1) ticks
+    via_six = rollout(model, z, 6)[:, 5]
+    # (4-1) + (3-1) ticks
+    stacked = rollout(model, rollout(model, z, 4)[:, 3], 3)[:, 2]
     assert np.allclose(via_six, stacked, atol=1e-12)
 
 
@@ -206,6 +207,25 @@ def test_build_theta_identity_and_powers():
     assert np.array_equal(doubling.block(0), np.eye(1))
     with pytest.raises(IndexError):
         doubling.block(4)
+
+
+@pytest.mark.parametrize("spec", [log_spec(6), poly_spec(6)],
+                         ids=["log", "poly"])
+def test_evolve_is_blockwise_bit_for_bit(spec):
+    """One product per block: the flat ``theta @ z1`` rounds differently."""
+    graph = generate_er_graph(6, 0.5, seed=31)
+    x1s = random_initial_states(6, 40, 0.0, 1.0, seed=32)
+    model = fit(assemble_training(
+        simulate_ensemble(graph, DynamicsParams.biochemical(), x1s, 12), spec))
+    theta = build_theta(model, 12)
+    rng = np.random.default_rng(33)
+    for _ in range(5):
+        z1 = lift(spec, rng.uniform(0.0, 1.0, 6))
+        path = theta.evolve(z1)
+        assert path.shape == (spec.size, 12)
+        assert np.array_equal(path[:, 0], z1)
+        for t in range(12):
+            assert np.array_equal(path[:, t], theta.block(t) @ z1)
 
 
 # =========================================================================

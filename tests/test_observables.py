@@ -25,7 +25,6 @@ from koopnet import (
     poly_spec,
     spec_from_json,
     spec_to_json,
-    unlift,
     unlift_trajectory,
 )
 from koopnet.observables import spec_from_dict, spec_to_dict
@@ -143,7 +142,7 @@ def test_unlift_reads_the_scaled_linear_entries():
     spec = log_spec(3, scale=500.0, powers=(1, 2))
     z = np.ones(spec.size)
     z[spec.linear_indices] = [0.2, 0.4, 0.6]
-    assert np.allclose(unlift(spec, z), [100.0, 200.0, 300.0])
+    assert np.allclose(unlift_trajectory(spec, z), [100.0, 200.0, 300.0])
 
 
 def test_poly_lift_matches_direct_monomials():

@@ -31,13 +31,13 @@ from koopnet import (
     per_tick_nrmse,
     random_initial_state,
     random_initial_states,
-    reconstruct_trajectory,
     recover_initial_state,
     result_to_dict,
     save_result,
     simulate,
     simulate_ensemble,
     take_samples,
+    unlift_trajectory,
 )
 from koopnet.recovery import SampleMatrix, _linear_warm_start, _objective_pair
 
@@ -301,11 +301,17 @@ def test_optimizer_config_validation():
 # Trajectory reconstruction
 # =========================================================================
 
+def _reconstruct(x1, model, tau):
+    """The stack path recovery reports: lift, evolve, unlift."""
+    theta = build_theta(model, tau)
+    return unlift_trajectory(model.spec, theta.evolve(lift(model.spec, x1)))
+
+
 def test_reconstruct_static_model_repeats_the_state():
     spec = identity_spec(3)
     model = KoopmanModel(operator=np.eye(3), spec=spec, residual=0.0)
     x1 = np.array([1.0, 2.0, 3.0])
-    out = reconstruct_trajectory(x1, model, 4)
+    out = _reconstruct(x1, model, 4)
     assert out.shape == (3, 4)
     for t in range(4):
         assert np.array_equal(out[:, t], x1)
@@ -314,10 +320,10 @@ def test_reconstruct_static_model_repeats_the_state():
 def test_reconstruct_single_tick_and_validation():
     spec = identity_spec(2)
     model = KoopmanModel(operator=0.5 * np.eye(2), spec=spec, residual=0.0)
-    out = reconstruct_trajectory(np.array([4.0, 8.0]), model, 1)
+    out = _reconstruct(np.array([4.0, 8.0]), model, 1)
     assert np.array_equal(out, [[4.0], [8.0]])
     with pytest.raises(ValueError):
-        reconstruct_trajectory(np.array([1.0, 1.0]), model, 0)
+        _reconstruct(np.array([1.0, 1.0]), model, 0)
 
 
 def test_reconstruct_matches_exact_linear_truth():
@@ -328,9 +334,9 @@ def test_reconstruct_matches_exact_linear_truth():
     x1 = rng.uniform(0.5, 1.5, 3)
     truth = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                              for t in range(6)])
-    out = reconstruct_trajectory(x1, model, 6)
+    out = _reconstruct(x1, model, 6)
     assert np.allclose(out, truth, atol=1e-8)
-    assert np.array_equal(out[:, 0], x1)     # first column is pinned exactly
+    assert np.array_equal(out[:, 0], x1)     # the K**0 = I block is exact
 
 
 # =========================================================================

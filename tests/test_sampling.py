@@ -27,7 +27,8 @@ from koopnet import (
     sigma_quotient,
     verify_rank,
 )
-from koopnet.sampling import plan_from_dict, plan_to_dict, selected_rows
+from koopnet.sampling import (numerical_rank, plan_from_dict, plan_to_dict,
+                              selected_rows)
 
 
 def _stack(op, tau):
@@ -273,6 +274,19 @@ def test_verify_rank_rejects_an_empty_plan():
     spec = identity_spec(3)
     plan = gamma_map([], spec, 2)
     assert not verify_rank(plan, theta, spec)
+
+
+@pytest.mark.parametrize("matrix, outcome", [
+    (np.empty((0, 3)), 0),
+    (np.zeros((4, 3)), 0),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.linalg.LinAlgError),
+], ids=["empty", "zero", "nan"])
+def test_numerical_rank_degenerate_inputs(matrix, outcome):
+    if isinstance(outcome, int):
+        assert numerical_rank(matrix) == outcome
+    else:
+        with pytest.raises(outcome):
+            numerical_rank(matrix)
 
 
 def test_selection_config_validation():
