@@ -10,8 +10,8 @@ nodes with a quasi-Newton solve through the lift.
 
 from .baselines import (GramianSelector, LinearGFTBasis, build_laplacian_basis,
                         gramian_nodes_for_budget, gramian_select,
-                        linear_gft_recover, linear_gft_recover_trajectory,
-                        linear_gft_select, linear_observable_recover)
+                        linear_gft_recover_trajectory, linear_gft_select,
+                        linear_observable_recover)
 from .dynamics import (BIOCHEMICAL, REGULATORY, DynamicsParams, Graph,
                        Trajectory, default_initial_range, derivative,
                        generate_er_graph, load_bundle, random_initial_state,
@@ -28,7 +28,7 @@ from .metrics import nrmse, per_tick_nrmse
 from .observables import (IDENTITY, LOG, POLY, ObservableSpec, ObservableTerm,
                           build_spec, check_scale, identity_spec, lift,
                           lift_jacobian, lift_trajectory, log_spec, poly_spec,
-                          spec_from_json, spec_to_json, unlift_trajectory)
+                          unlift_trajectory)
 from .optimize import MinimizeResult, dfp_update, minimize_dfp
 from .recovery import (OptimizerConfig, RecoveryResult, SampleMatrix,
                        initial_guess, recover_initial_state, result_to_dict,

@@ -211,25 +211,17 @@ def linear_gft_select(basis: LinearGFTBasis,
     return tuple(selected), reached
 
 
-def linear_gft_recover(nodes, basis: LinearGFTBasis, y: np.ndarray,
-                       rcond: float = 1e-10) -> np.ndarray:
-    """Least-squares bandlimited recovery of one snapshot from node samples."""
-    rows = basis.u[list(nodes)]
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != rows.shape[0]:
-        raise ValueError("one sample per selected node is required")
-    if numerical_rank(rows) < basis.r:
-        raise RuntimeError("sampled basis rows are rank-deficient; "
-                           "recovery is not identifiable")
-    coef, *_ = np.linalg.lstsq(rows, y, rcond=rcond)
-    return basis.u @ coef
-
-
 def linear_gft_recover_trajectory(nodes, basis: LinearGFTBasis,
                                   sampled_states: np.ndarray,
                                   rcond: float = 1e-10) -> np.ndarray:
-    """Column-by-column bandlimited recovery of a full trajectory."""
+    """Least-squares bandlimited recovery of a trajectory, one column per
+    tick, from its node samples (one row per node of ``nodes``)."""
+    rows = basis.u[list(nodes)]
     sampled_states = np.asarray(sampled_states, dtype=float)
-    if sampled_states.ndim != 2 or sampled_states.shape[0] != len(tuple(nodes)):
+    if sampled_states.ndim != 2 or sampled_states.shape[0] != rows.shape[0]:
         raise ValueError("sampled_states must be (len(nodes), tau)")
-    return linear_gft_recover(nodes, basis, sampled_states, rcond=rcond)
+    if numerical_rank(rows) < basis.r:
+        raise RuntimeError("sampled basis rows are rank-deficient; "
+                           "recovery is not identifiable")
+    coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=rcond)
+    return basis.u @ coef

@@ -17,17 +17,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dynamics import (default_initial_range, generate_er_graph,
-                       random_initial_state, random_initial_states, save_bundle,
-                       simulate, simulate_ensemble, trajectory_from_csv,
-                       trajectory_to_csv)
-from .experiments import (ExperimentConfig, _budget, _trial_seeds, emit,
-                          run_linearization_sweep, run_sampling_sweep)
+from .dynamics import save_bundle, trajectory_from_csv, trajectory_to_csv
+from .experiments import (ExperimentConfig, _budget, _trial_data, _trial_seeds,
+                          emit, run_linearization_sweep, run_sampling_sweep)
 from .koopman import (assemble_training, build_theta, fit, load_model,
                       save_model)
 from .observables import build_spec
-from .recovery import (OptimizerConfig, recover_initial_state, save_result,
-                       take_samples)
+from .recovery import recover_initial_state, save_result, take_samples
 from .sampling import SelectionConfig, greedy_select, load_plan, save_plan
 
 
@@ -44,23 +40,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _trial_0(config: ExperimentConfig):
+    """The sweep's first trial at the first node count: graph, training
+    ensemble and ground truth."""
+    n = config.n_values[0]
+    return _trial_data(config, n, _trial_seeds(config, n, 0))
+
+
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    n = config.n_values[0]
-    seeds = _trial_seeds(config, n, 0)
-    params = config.params()
-    low, high = default_initial_range(params.kind)
-    graph = generate_er_graph(n, config.er_probability, seeds["graph"])
-    x1 = random_initial_state(n, low, high, seeds["truth"])
-    trajectory = simulate(graph, params, x1, config.sampling_ticks,
-                          seed=seeds["truth"])
+    graph, _, truth = _trial_0(config)
     paths = []
     if args.format in (None, "csv"):
-        paths.append(trajectory_to_csv(trajectory, out / "trajectory.csv"))
+        paths.append(trajectory_to_csv(truth, out / "trajectory.csv"))
     if args.format in (None, "json"):
-        paths.append(save_bundle(out / "trajectory.json", graph, params,
-                                 trajectory, seed=seeds["truth"]))
+        paths.append(save_bundle(out / "trajectory.json", graph, truth.params,
+                                 truth))
     print("wrote " + ", ".join(str(p) for p in paths))
     return 0
 
@@ -68,15 +64,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    n = config.n_values[0]
-    seeds = _trial_seeds(config, n, 0)
-    params = config.params()
-    low, high = default_initial_range(params.kind)
-    graph = generate_er_graph(n, config.er_probability, seeds["graph"])
-    x1s = random_initial_states(n, config.training_trajectories, low, high,
-                                seeds["train"])
-    trajectories = simulate_ensemble(graph, params, x1s, config.training_ticks)
-    spec = build_spec(config.dictionary, n, scale=config.scale,
+    _, trajectories, _ = _trial_0(config)
+    spec = build_spec(config.dictionary, config.n_values[0], scale=config.scale,
                       powers=config.log_powers, max_power=config.poly_max_power)
     model = fit(assemble_training(trajectories, spec), ridge=config.ridge)
     path = save_model(model, out / "model.json")
@@ -109,13 +98,7 @@ def _cmd_recover(args) -> int:
     trajectory = trajectory_from_csv(args.trajectory)
     theta = build_theta(model, plan.tau)
     samples = take_samples(trajectory, model.spec, plan)
-    low, high = default_initial_range(config.dynamics)
-    n = model.spec.n
-    opt = OptimizerConfig(max_iterations=config.recovery_max_iterations,
-                          gradient_tol=config.recovery_gradient_tol,
-                          multistarts=config.recovery_multistarts,
-                          fill_value=0.5 * (low + high),
-                          seed=_trial_seeds(config, n, 0)["opt"])
+    opt = config.optimizer(_trial_seeds(config, model.spec.n, 0)["opt"])
     result = recover_initial_state(samples, theta, model.spec, opt)
     path = save_result(result, out / "recovery.json", truth=trajectory.states)
     payload = json.loads(path.read_text())

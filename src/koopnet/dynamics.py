@@ -96,6 +96,8 @@ class DynamicsParams:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
+        if self.flow_in < 0:
+            raise ValueError("flow_in must be nonnegative")
         if self.decay <= 0:
             raise ValueError("decay rate must be positive")
         if self.coupling < 0:

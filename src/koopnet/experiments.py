@@ -84,8 +84,11 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # the dynamics and dictionary constructors hold their own checks
+        # the dynamics, dictionary, solver and selection constructors hold
+        # their own checks
         self.params()
+        self.optimizer(0)
+        SelectionConfig(gamma=self.gamma)
         log_spec(1, scale=self.scale, powers=self.log_powers)
         poly_spec(1, max_power=self.poly_max_power)
         for powers in self.log_power_grid:
@@ -113,18 +116,10 @@ class ExperimentConfig:
         if self.selection_rate is not None and \
                 not 0.0 < self.selection_rate <= 1.0:
             raise ValueError("selection_rate must lie in (0, 1]")
-        if self.gamma is not None and self.gamma < 1.0:
-            raise ValueError("gamma is a singular-value quotient; it cannot be < 1")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.refine_trajectories < 0:
             raise ValueError("refine_trajectories must be nonnegative")
-        if self.recovery_max_iterations < 1:
-            raise ValueError("recovery_max_iterations must be at least 1")
-        if self.recovery_gradient_tol <= 0:
-            raise ValueError("recovery_gradient_tol must be positive")
-        if self.recovery_multistarts < 0:
-            raise ValueError("recovery_multistarts must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         for name in self.baselines:
@@ -139,6 +134,15 @@ class ExperimentConfig:
                               coupling=self.coupling, dt=self.dt,
                               steps_per_sample=self.steps_per_sample,
                               adjacency_coupling=self.adjacency_coupling)
+
+    def optimizer(self, seed: int) -> OptimizerConfig:
+        """Recovery solver settings; unsampled nodes start at the midpoint of
+        the dynamics' initial-state range."""
+        low, high = default_initial_range(self.dynamics)
+        return OptimizerConfig(max_iterations=self.recovery_max_iterations,
+                               gradient_tol=self.recovery_gradient_tol,
+                               multistarts=self.recovery_multistarts,
+                               fill_value=0.5 * (low + high), seed=seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -240,6 +244,22 @@ def _trial_seeds(config: ExperimentConfig, n: int, trial: int) -> dict[str, int]
     return {name: _child_seed(config.seed, n, trial, phase)
             for phase, name in enumerate(("graph", "train", "truth", "refine",
                                           "opt"), start=1)}
+
+
+def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int]):
+    """The graph, training ensemble and ground truth of one sampling trial.
+    The single-shot CLI commands use trial 0's."""
+    params = config.params()
+    low, high = default_initial_range(params.kind)
+    graph = generate_er_graph(n, config.er_probability, seeds["graph"])
+    train_x1 = random_initial_states(n, config.training_trajectories, low, high,
+                                     seeds["train"])
+    train_trajs = simulate_ensemble(graph, params, train_x1,
+                                    config.training_ticks)
+    truth = simulate(graph, params,
+                     random_initial_state(n, low, high, seeds["truth"]),
+                     config.sampling_ticks, seed=seeds["truth"])
+    return graph, train_trajs, truth
 
 
 def _budget(rate: float, n: int) -> int:
@@ -372,24 +392,13 @@ def _sampling_trial_records(config: ExperimentConfig, n: int, trial: int,
     low, high = default_initial_range(params.kind)
     tau = config.sampling_ticks
     truth_seed = seeds["truth"]
-
-    graph = generate_er_graph(n, config.er_probability, seeds["graph"])
-    train_x1 = random_initial_states(n, config.training_trajectories, low, high,
-                                     seeds["train"])
-    train_trajs = simulate_ensemble(graph, params, train_x1,
-                                    config.training_ticks)
-    truth = simulate(graph, params,
-                     random_initial_state(n, low, high, truth_seed), tau,
-                     seed=truth_seed)
+    graph, train_trajs, truth = _trial_data(config, n, seeds)
 
     spec = log_spec(n, scale=config.scale, powers=config.log_powers)
     training = assemble_training(train_trajs, spec)
     model = fit(training, ridge=config.ridge)
     theta = build_theta(model, tau)
-    opt = OptimizerConfig(max_iterations=config.recovery_max_iterations,
-                          gradient_tol=config.recovery_gradient_tol,
-                          multistarts=config.recovery_multistarts,
-                          fill_value=0.5 * (low + high), seed=seeds["opt"])
+    opt = config.optimizer(seeds["opt"])
 
     def select(max_budget):
         # greedy picks never depend on the budget, which only stops the loop

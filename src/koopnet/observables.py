@@ -16,7 +16,6 @@ coordinates are observable.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,16 +40,6 @@ class ObservableTerm:
     owners: tuple[int, ...]
     power: int = 0                              # log exponent
     exponents: tuple[tuple[int, int], ...] = () # monomial (node, exponent) pairs
-
-    def to_list(self) -> list:
-        return [self.form, list(self.owners), self.power,
-                [list(e) for e in self.exponents]]
-
-    @classmethod
-    def from_list(cls, row: list) -> "ObservableTerm":
-        form, owners, power, exps = row
-        return cls(form=form, owners=tuple(owners), power=int(power),
-                   exponents=tuple((int(i), int(e)) for i, e in exps))
 
 
 @dataclass(frozen=True)
@@ -295,26 +284,17 @@ def check_scale(spec: ObservableSpec, states: np.ndarray,
 # Serialization
 
 def spec_to_dict(spec: ObservableSpec) -> dict:
+    """The parameters that rebuild ``spec``; its terms follow from them."""
     return {
         "kind": spec.kind, "n": spec.n, "scale": spec.scale,
         "log_powers": list(spec.log_powers),
         "poly_max_power": spec.poly_max_power,
-        "terms": [t.to_list() for t in spec.terms],
     }
 
 
 def spec_from_dict(d: dict) -> ObservableSpec:
-    return ObservableSpec(
-        kind=d["kind"], n=int(d["n"]), scale=float(d["scale"]),
-        log_powers=tuple(int(p) for p in d["log_powers"]),
-        poly_max_power=int(d["poly_max_power"]),
-        terms=tuple(ObservableTerm.from_list(row) for row in d["terms"]),
-    )
-
-
-def spec_to_json(spec: ObservableSpec) -> str:
-    return json.dumps(spec_to_dict(spec))
-
-
-def spec_from_json(text: str) -> ObservableSpec:
-    return spec_from_dict(json.loads(text))
+    """Rebuild a spec from its parameters; a ``terms`` list, which older
+    files carry, is ignored."""
+    return build_spec(d["kind"], int(d["n"]), scale=float(d["scale"]),
+                      powers=tuple(int(p) for p in d["log_powers"]),
+                      max_power=int(d["poly_max_power"]))

@@ -26,6 +26,10 @@ from .optimize import MinimizeResult, minimize_dfp
 from .sampling import SamplingPlan
 
 
+# Standard deviation of the multistart jitter, relative to max(|fill|, 1).
+JITTER_SCALE = 0.5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Recovery solver settings.
@@ -34,23 +38,19 @@ class OptimizerConfig:
     the midpoint of the dynamics' initial-state range); sampled nodes always
     start from their observed first-tick values.  ``multistarts`` extra runs
     perturb the unsampled entries with Gaussian jitter of standard deviation
-    ``jitter_scale * max(|fill_value|, 1)``, and one further deterministic
+    ``JITTER_SCALE * max(|fill_value|, 1)``, and one further deterministic
     start unlifts the min-norm least-squares solution of the sampled linear
-    system; the run with the lowest final objective wins.
+    system; the run with the lowest final objective wins.  The DFP line
+    search keeps ``minimize_dfp``'s Wolfe constants.
     """
 
     max_iterations: int = 500
     gradient_tol: float = 1e-8
-    c1: float = 1e-4
-    c2: float = 0.9
     multistarts: int = 3
     fill_value: float = 0.5
-    jitter_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.gradient_tol <= 0.0:
@@ -142,7 +142,7 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
     base = initial_guess(samples, spec, config.fill_value)
     rng = np.random.default_rng(config.seed)
     free = np.array([i not in set(plan.nodes) for i in range(spec.n)])
-    sigma = config.jitter_scale * max(abs(config.fill_value), 1.0)
+    sigma = JITTER_SCALE * max(abs(config.fill_value), 1.0)
 
     starts = [base]
     for _ in range(config.multistarts):
@@ -159,8 +159,7 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
         try:
             run = minimize_dfp(objective, gradient, x0,
                                gradient_tol=config.gradient_tol,
-                               max_iterations=config.max_iterations,
-                               c1=config.c1, c2=config.c2)
+                               max_iterations=config.max_iterations)
         except ValueError as exc:  # infeasible start
             failures.append(str(exc))
             continue

@@ -19,7 +19,6 @@ from koopnet import (
     gramian_nodes_for_budget,
     gramian_select,
     identity_spec,
-    linear_gft_recover,
     linear_gft_recover_trajectory,
     linear_gft_select,
     linear_observable_recover,
@@ -256,8 +255,8 @@ def test_bandlimited_signals_recover_exactly():
     nodes, reached = linear_gft_select(basis, budget=4)
     assert reached
     assert len(nodes) == 4
-    xhat = linear_gft_recover(nodes, basis, x[list(nodes)])
-    assert np.abs(xhat - x).max() < 1e-10
+    xhat = linear_gft_recover_trajectory(nodes, basis, x[list(nodes)][:, None])
+    assert np.abs(xhat[:, 0] - x).max() < 1e-10
 
 
 def test_out_of_band_energy_projects_away():
@@ -269,12 +268,13 @@ def test_out_of_band_energy_projects_away():
     raw = rng.normal(size=8)
     ortho = raw - basis.u @ (basis.u.T @ raw)
     nodes = tuple(range(8))
-    xhat = linear_gft_recover(nodes, basis, ortho)
-    assert np.abs(xhat).max() < 1e-10
+    xhat = linear_gft_recover_trajectory(nodes, basis, ortho[:, None])
+    assert np.abs(xhat[:, 0]).max() < 1e-10
     # and a general signal returns exactly its projection
     xproj = basis.u @ (basis.u.T @ raw)
-    assert np.allclose(linear_gft_recover(nodes, basis, raw), xproj,
-                       atol=1e-10)
+    assert np.allclose(linear_gft_recover_trajectory(nodes, basis,
+                                                     raw[:, None])[:, 0],
+                       xproj, atol=1e-10)
 
 
 def test_full_rank_basis_recovers_everything():
@@ -294,9 +294,9 @@ def test_rank_deficient_sampling_is_rejected():
     basis = build_laplacian_basis(g, r=3)
     # one node cannot support a rank-3 recovery
     with pytest.raises(RuntimeError, match="rank-deficient"):
-        linear_gft_recover((0,), basis, np.array([1.0]))
+        linear_gft_recover_trajectory((0,), basis, np.array([[1.0]]))
     with pytest.raises(ValueError):
-        linear_gft_recover((0, 1), basis, np.array([1.0]))
+        linear_gft_recover_trajectory((0, 1), basis, np.array([[1.0]]))
     with pytest.raises(ValueError):
         linear_gft_recover_trajectory((0, 1), basis, np.ones(3))
 

@@ -89,6 +89,26 @@ def test_simulate_writes_the_sweeps_trial_0_truth(chain):
     assert report.records[0].error is None
 
 
+@pytest.mark.parametrize("dynamics", ["biochemical", "regulatory"])
+def test_cli_chain_is_the_sweeps_trial_0(tmp_path, dynamics):
+    cfg = _write_config(tmp_path, dynamics=dynamics, n_values=[8], seed=3,
+                        trials=1, sampling_rates=[CONFIG["selection_rate"]],
+                        baselines=[])
+    out = tmp_path / "out"
+    base = ["--config", str(cfg), "--out-dir", str(out)]
+    assert main(["simulate"] + base) == 0
+    assert main(["fit"] + base) == 0
+    assert main(["select", "--model", str(out / "model.json")] + base) == 0
+    assert main(["recover", "--model", str(out / "model.json"),
+                 "--plan", str(out / "plan.json"),
+                 "--trajectory", str(out / "trajectory.csv")] + base) == 0
+    report = run_sampling_sweep(ExperimentConfig.from_json(cfg))
+    [record] = report.records
+    assert record.method == "log-koopman" and record.error is None
+    payload = json.loads((out / "recovery.json").read_text())
+    assert payload["nrmse"] == record.nrmse
+
+
 def test_fit_artifact(chain):
     model = load_model(chain["out"] / "model.json")
     assert model.spec.n == 6

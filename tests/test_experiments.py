@@ -87,6 +87,7 @@ def test_config_rejects_unknown_keys():
     {"selection_rate": 2.0},
     {"selection_rate": 0.0},
     {"dictionary": "nope"},
+    {"flow_in": -5.0},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -276,7 +277,7 @@ def test_sampling_record_fields(samp_report):
 
 
 def test_linearization_sweep_records_setup_failures():
-    cfg = ExperimentConfig(n_values=(5,), flow_in=-1e6, seed=1,
+    cfg = ExperimentConfig(n_values=(5,), flow_in=1e6, seed=1,
                            training_trajectories=3, test_trajectories=2,
                            training_ticks=5, log_power_grid=((1, 2),),
                            poly_power_grid=(1,))
@@ -290,7 +291,7 @@ def test_linearization_sweep_records_setup_failures():
 
 
 def test_sampling_sweep_records_setup_failures():
-    cfg = ExperimentConfig(n_values=(5,), flow_in=-1e6, seed=1, trials=2,
+    cfg = ExperimentConfig(n_values=(5,), flow_in=1e6, seed=1, trials=2,
                            training_trajectories=3, training_ticks=5,
                            sampling_ticks=5, sampling_rates=(0.5, 1.0),
                            refine_trajectories=0)

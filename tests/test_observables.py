@@ -23,8 +23,6 @@ from koopnet import (
     lift_trajectory,
     log_spec,
     poly_spec,
-    spec_from_json,
-    spec_to_json,
     unlift_trajectory,
 )
 from koopnet.observables import spec_from_dict, spec_to_dict
@@ -260,10 +258,17 @@ def test_spec_json_round_trip():
     for spec in (log_spec(4, scale=250.0, powers=(1, 3)),
                  poly_spec(3, max_power=2),
                  identity_spec(5)):
-        back = spec_from_json(spec_to_json(spec))
+        back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert back == spec
         assert back.size == spec.size
         # dict form is plain JSON data
         d = spec_to_dict(spec)
         assert json.loads(json.dumps(d)) == d
         assert spec_from_dict(d) == spec
+        # the dict holds the parameters only; older files also list the
+        # terms, which loading ignores
+        assert "terms" not in d
+        old = {**d, "terms": [[t.form, list(t.owners), t.power,
+                               [list(e) for e in t.exponents]]
+                              for t in spec.terms]}
+        assert spec_from_dict(json.loads(json.dumps(old))) == spec

@@ -288,8 +288,6 @@ def test_recovery_raises_when_every_start_is_infeasible():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(c1=0.5, c2=0.2)
-    with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerConfig(gradient_tol=0.0)
