@@ -191,6 +191,10 @@ class TrialRecord:
     # rates (greedy selection, the gramian node order) is charged to the
     # first rate's record.
     runtime_s: float | None = None
+    # Where a failed record's work raised, JSON only: "setup" (the trial's
+    # data or a method's model), "prepare" (the step a method runs once per
+    # trial) or "solve" (one rate's, or one linearization cell's, work).
+    stage: str | None = None
 
     def sort_key(self):
         return (self.experiment, self.n, self.trial, self.method,
@@ -268,11 +272,12 @@ def _budget(rate: float, n: int) -> int:
 
 def _failed(experiment: str, n: int, method: str, size: int | None,
             rate: float | None, trial: int, seed: int, exc: Exception,
-            runtime_s: float | None = None) -> TrialRecord:
-    """The record of a cell whose work raised ``exc``."""
+            stage: str, runtime_s: float | None = None) -> TrialRecord:
+    """The record of a cell whose work raised ``exc`` in ``stage``."""
     budget = None if rate is None else _budget(rate, n)
     return TrialRecord(experiment, n, method, size, rate, budget, trial, seed,
-                       None, None, f"{type(exc).__name__}: {exc}", runtime_s)
+                       None, None, f"{type(exc).__name__}: {exc}", runtime_s,
+                       stage)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +306,7 @@ def _run_linearization_cell(config, n, graph, params, train_trajs, test_trajs,
                            time.perf_counter() - start)
     except Exception as exc:  # per-cell failures must not kill the sweep
         return _failed("linearization", n, method, spec.size, None, 0, seed,
-                       exc, time.perf_counter() - start)
+                       exc, "solve", time.perf_counter() - start)
 
 
 def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
@@ -323,7 +328,7 @@ def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
                                        config.training_ticks)
     except Exception as exc:  # e.g. divergence while generating the data
         return [_failed("linearization", n, method, spec.size, None, 0,
-                        test_seed, exc)
+                        test_seed, exc, "setup")
                 for method, spec in cells]
     return [_run_linearization_cell(config, n, graph, params, train_trajs,
                                     test_trajs, method, spec, test_seed)
@@ -350,7 +355,7 @@ def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialR
         methods = [PROPOSED] + [b for b in (POLY_GRAMIAN, LINEAR_GFT)
                                 if b in config.baselines]
         return [_failed("sampling", n, method, None, rate, trial,
-                        seeds["truth"], exc)
+                        seeds["truth"], exc, "setup")
                 for method in methods for rate in config.sampling_rates]
 
 
@@ -370,6 +375,7 @@ def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
         shared = prepare(max(budgets))
     except Exception as exc:
         return [_failed("sampling", n, method, size, rate, trial, seed, exc,
+                        "prepare",
                         time.perf_counter() - start if i == 0 else 0.0)
                 for i, rate in enumerate(config.sampling_rates)]
     records = []
@@ -381,7 +387,8 @@ def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
                                        None, time.perf_counter() - start))
         except Exception as exc:
             records.append(_failed("sampling", n, method, size, rate, trial,
-                                   seed, exc, time.perf_counter() - start))
+                                   seed, exc, "solve",
+                                   time.perf_counter() - start))
         start = time.perf_counter()
     return records
 
@@ -440,7 +447,7 @@ def _poly_gramian_records(config, n, trial, truth_seed, train_trajs, truth):
         ptheta = build_theta(pmodel, tau)
     except Exception as exc:
         return [_failed("sampling", n, POLY_GRAMIAN, None, rate, trial,
-                        truth_seed, exc)
+                        truth_seed, exc, "setup")
                 for rate in config.sampling_rates]
 
     def order(max_budget):

@@ -112,18 +112,26 @@ def initial_guess(samples: SampleMatrix, spec: ObservableSpec,
 
 
 def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
+    # The line search asks for the gradient at the point whose objective it
+    # has just evaluated, so the objective keeps that point's residual.
+    last: dict[str, np.ndarray] = {}
+
     def objective(x):
         try:
             psi = lift(spec, x)
         except ValueError:
             return math.inf
         r = a @ psi - y
+        last["x"], last["r"] = np.array(x, dtype=float), r
         return float(r @ r)
 
     def gradient(x):
-        psi = lift(spec, x)
+        if last and np.array_equal(x, last["x"]):
+            r = last["r"]
+        else:
+            r = a @ lift(spec, x) - y
         jac = lift_jacobian(spec, x)
-        return 2.0 * (jac.T @ (a.T @ (a @ psi - y)))
+        return 2.0 * (jac.T @ (a.T @ r))
 
     return objective, gradient
 

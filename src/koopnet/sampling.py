@@ -140,11 +140,23 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
     Stops when the score reaches ``config.gamma`` or the node budget is hit.
     The returned plan is flagged ``rank_deficient`` when no finite score was
     reached within the budget.
+
+    The rows already selected are carried as their triangular QR factor
+    (at most M x M), which has the same singular values, so each candidate
+    is scored on that factor plus only the rows it adds.  Scores agree with
+    scoring the full row stack up to rounding.
     """
     config = config or SelectionConfig()
     n = spec.n
     budget = min(config.max_nodes or n, n)
+    blocks = theta.theta.reshape(theta.tau, theta.m, theta.m)
+
+    def rows_of(obs: np.ndarray) -> np.ndarray:
+        return blocks[:, obs].reshape(-1, theta.m)
+
     selected: list[int] = []
+    obs = gamma_map(selected, spec, theta.tau).observable_indices
+    r_s = np.linalg.qr(rows_of(obs), mode="r")
     trace: list[float] = []
     current_score = math.inf
     while len(selected) < budget:
@@ -153,12 +165,17 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
         for cand in range(n):
             if cand in selected:
                 continue
-            plan = gamma_map(selected + [cand], spec, theta.tau)
-            score, sigma_n = sigma_quotient(selected_rows(plan, theta), n)
+            cand_obs = gamma_map(selected + [cand], spec,
+                                 theta.tau).observable_indices
+            new_rows = rows_of(np.setdiff1d(cand_obs, obs, assume_unique=True))
+            score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows]), n)
             key = (score, -sigma_n, cand)
             if best_key is None or key < best_key:
                 best_key, best_node = key, cand
+                best_obs, best_rows = cand_obs, new_rows
         selected.append(best_node)
+        obs = best_obs
+        r_s = np.linalg.qr(np.vstack([r_s, best_rows]), mode="r")
         current_score = best_key[0]
         trace.append(current_score)
         if config.gamma is not None and current_score <= config.gamma:

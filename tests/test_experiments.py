@@ -210,6 +210,12 @@ def test_report_round_trip_through_json(lin_report, tmp_path):
     assert again.records == report.records
     assert again.aggregates == report.aggregates
     assert again.config == report.config
+    # a report written before records carried a stage still loads
+    payload = json.loads(json_path.read_text())
+    for rec in payload["records"]:
+        del rec["stage"]
+    json_path.write_text(json.dumps(payload))
+    assert report_from_json(json_path).records == report.records
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +292,7 @@ def test_linearization_sweep_records_setup_failures():
     for rec in report.records:
         assert rec.nrmse is None and rec.converged is None
         assert "diverged" in rec.error
+        assert rec.stage == "setup"
     # failures show up in the aggregates rather than vanishing
     assert all(row["failures"] == row["trials"] for row in report.aggregates)
 
@@ -303,6 +310,7 @@ def test_sampling_sweep_records_setup_failures():
     for rec in report.records:
         assert rec.error is not None and "diverged" in rec.error
         assert rec.budget == _budget(rec.rate, 5)
+        assert rec.stage == "setup"
 
 
 def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
@@ -324,12 +332,20 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
             assert rec.error == "RuntimeError: boom"
             assert rec.nrmse is None and rec.converged is None
             assert rec.budget == _budget(rec.rate, 5)
+            assert rec.stage == "prepare"
         # the shared step's time is charged to the first rate alone
         assert failed[0].runtime_s > 0
         assert all(r.runtime_s == 0.0 for r in failed[1:])
         others = [r for r in report.records if r.method != method]
         assert len(others) == 2 * 3
-        assert all(r.error is None for r in others)
+        assert all(r.error is None and r.stage is None for r in others)
+    # a per-rate failure names the solve step; the selection still ran
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "recover_initial_state", boom)
+        report = run_sampling_sweep(cfg)
+    failed = [r for r in report.records if r.method == PROPOSED]
+    assert [(r.error, r.stage) for r in failed] == \
+        [("RuntimeError: boom", "solve")] * len(cfg.sampling_rates)
 
 
 @pytest.mark.parametrize("gamma", [None, 5000.0])

@@ -208,6 +208,24 @@ def test_gradient_matches_central_differences():
         assert np.linalg.norm(g - fd) / denom < 1e-5
 
 
+def test_gradient_reuses_the_objectives_residual_bit_for_bit():
+    # the gradient reuses the residual of the point the objective has just
+    # evaluated and recomputes it anywhere else; either way it must equal a
+    # fresh pair's gradient exactly
+    rng = np.random.default_rng(9)
+    spec = log_spec(5)
+    a = rng.normal(size=(12, spec.size))
+    y = rng.normal(size=12)
+    objective, gradient = _objective_pair(a, y, spec)
+    for _ in range(5):
+        x = rng.uniform(0.5, 90.0, 5)
+        other = rng.uniform(0.5, 90.0, 5)
+        objective(x)
+        for point in (x, other, x):
+            _, fresh_gradient = _objective_pair(a, y, spec)
+            assert np.array_equal(gradient(point), fresh_gradient(point))
+
+
 # =========================================================================
 # Recovery on exact linear systems
 # =========================================================================

@@ -22,6 +22,7 @@ from koopnet import (
     identity_spec,
     load_plan,
     log_spec,
+    poly_spec,
     save_plan,
     selection_score,
     sigma_quotient,
@@ -217,6 +218,59 @@ def test_smaller_budgets_select_prefixes_of_the_largest(gamma):
             assert plan.score_trace == full.score_trace[:b]
     # a finite gamma must cut some run short, or it tests nothing extra
     assert stopped_early == (gamma is not None)
+
+
+def _full_stack_greedy(theta, spec, gamma, budget):
+    """Reference greedy: score every candidate on its whole row stack."""
+    selected, trace = [], []
+    while len(selected) < budget:
+        best = None
+        for cand in range(spec.n):
+            if cand in selected:
+                continue
+            rows = selected_rows(gamma_map(selected + [cand], spec, theta.tau),
+                                 theta)
+            score, sigma_n = sigma_quotient(rows, spec.n)
+            if best is None or (score, -sigma_n, cand) < best:
+                best = (score, -sigma_n, cand)
+        selected.append(best[2])
+        trace.append(best[0])
+        if gamma is not None and best[0] <= gamma:
+            break
+    return tuple(selected), trace
+
+
+# (spec, tau): each is short enough that a single node's rows are too few,
+# so every trace starts infinite; poly's pair monomials enter the stack only
+# once both owners are selected
+@pytest.mark.parametrize("spec, tau", [(identity_spec(6), 3),
+                                       (log_spec(10, powers=(1, 2)), 2),
+                                       (poly_spec(10, max_power=1), 2)],
+                         ids=["identity", "log", "poly"])
+@pytest.mark.parametrize("finite_gamma", [False, True])
+def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        op = rng.normal(size=(spec.size, spec.size))
+        op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+        theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0),
+                            tau)
+        nodes, trace = _full_stack_greedy(theta, spec, None, spec.n)
+        gamma = None
+        if finite_gamma:
+            # stop halfway down the finite part of the full run's trace
+            finite = [s for s in trace if math.isfinite(s)]
+            gamma = finite[len(finite) // 2] * (1.0 + 1e-6)
+            nodes, trace = _full_stack_greedy(theta, spec, gamma, spec.n)
+            assert len(nodes) < spec.n
+        plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma))
+        assert plan.nodes == nodes
+        assert [math.isfinite(s) for s in plan.score_trace] == \
+            [math.isfinite(s) for s in trace]
+        assert not math.isfinite(trace[0]) and math.isfinite(trace[-1])
+        for got, want in zip(plan.score_trace, trace):
+            if math.isfinite(want):
+                assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_sigma_n_never_drops_as_nodes_are_added():
