@@ -21,9 +21,11 @@ from .dynamics import Graph
 from .koopman import EvolutionStack, KoopmanModel
 from .observables import ObservableSpec, unlift_trajectory
 from .recovery import RecoveryResult, SampleMatrix
-from .sampling import numerical_rank, sigma_quotient
+from .sampling import numerical_rank, selected_rows, sigma_quotient
 
-_COND_LIMIT = 1e12
+_COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
+_WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
+_RCOND = 1e-10         # lstsq cutoff of both baseline recoveries
 
 
 @dataclass(frozen=True)
@@ -37,13 +39,23 @@ class GramianSelector:
 
 
 def _sorted_eigensystem(operator: np.ndarray):
+    """Eigenvalues by descending modulus and the matching rows of V^-1.
+
+    The spectrum is rejected as defective when V is singular or when
+    ||V||_1 ||V^-1||_1 exceeds ``_COND_LIMIT``.
+    """
     lam, v = np.linalg.eig(operator)
-    cond = np.linalg.cond(v)
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    else:
+        cond = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise RuntimeError(
             f"defective spectrum: eigenvector condition number {cond:.3g}")
     order = np.argsort(-np.abs(lam), kind="stable")
-    return lam[order], np.linalg.inv(v)[order]
+    return lam[order], v_inv[order]
 
 
 def _is_complex(value: complex) -> bool:
@@ -76,79 +88,62 @@ def _real_report_rows(lam: np.ndarray, v_inv: np.ndarray, k: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def gramian_select(model: KoopmanModel, k: int,
-                   weight_tol: float = 1e-8) -> tuple[list[int], GramianSelector]:
+def _node_weights(spec: ObservableSpec, row: np.ndarray) -> dict[int, float]:
+    """Each node's largest |weight| in one eigen-row among the observables it
+    owns, counting only weights above ``_WEIGHT_TOL``."""
+    w = np.abs(row)
+    weights: dict[int, float] = {}
+    for m in np.flatnonzero(w > _WEIGHT_TOL):
+        for node in spec.terms[m].owners:
+            weights[node] = max(weights.get(node, 0.0), float(w[m]))
+    return weights
+
+
+def gramian_select(model: KoopmanModel, k: int) -> tuple[list[int], GramianSelector]:
     """Nodes owning any observable with significant weight in the k leading
     eigenrows of the lifted operator."""
     if not 1 <= k <= model.size:
         raise ValueError(f"k must lie in 1..{model.size}")
     lam, v_inv = _sorted_eigensystem(model.operator)
     k = _extend_past_pair(lam, k)
-    weights = np.abs(v_inv[:k])
     nodes: set[int] = set()
-    for m in range(model.size):
-        if weights[:, m].max() > weight_tol:
-            nodes.update(model.spec.terms[m].owners)
+    for row in v_inv[:k]:
+        nodes.update(_node_weights(model.spec, row))
     selector = GramianSelector(k=k, w_h=_real_report_rows(lam, v_inv, k),
                                eigenvalues=lam, v_inv=v_inv)
     return sorted(nodes), selector
 
 
-def gramian_nodes_for_budget(model: KoopmanModel, budget: int,
-                             weight_tol: float = 1e-8) -> tuple[list[int], GramianSelector]:
-    """Sweep k upward, collecting nodes in eigen-energy order, until exactly
-    ``budget`` sensors are picked.
+def gramian_nodes_for_budget(model: KoopmanModel, budget: int) -> list[int]:
+    """The first ``budget`` sensors in eigen-energy order.
 
-    Rows are visited in descending |eigenvalue| order; within a row, nodes
-    enter by the largest weight among the observables they own.  Should the
-    spectrum leave some nodes untouched, the remaining slots are filled in
-    node order.
+    Rows of V^-1 are visited in descending |eigenvalue| order; within a row,
+    nodes enter by the largest weight among the observables they own (ties
+    to the lower index).  Should the spectrum leave some nodes untouched, the
+    remaining slots are filled in node order.
     """
     n = model.spec.n
     if not 1 <= budget <= n:
         raise ValueError(f"budget must lie in 1..{n}")
-    lam, v_inv = _sorted_eigensystem(model.operator)
-    picked: list[int] = []
-    seen: set[int] = set()
-    rows_used = 0
-    for r in range(v_inv.shape[0]):
-        if len(picked) >= budget:
+    _, v_inv = _sorted_eigensystem(model.operator)
+    order: dict[int, None] = {}    # insertion-ordered set of picked nodes
+    for row in v_inv:
+        if len(order) >= budget:
             break
-        rows_used = r + 1
-        w = np.abs(v_inv[r])
-        node_weight: dict[int, float] = {}
-        for m, term in enumerate(model.spec.terms):
-            if w[m] <= weight_tol:
-                continue
-            for node in term.owners:
-                node_weight[node] = max(node_weight.get(node, 0.0), float(w[m]))
-        for node in sorted(node_weight, key=lambda v: (-node_weight[v], v)):
-            if node not in seen:
-                seen.add(node)
-                picked.append(node)
-                if len(picked) >= budget:
-                    break
-    for node in range(n):
-        if len(picked) >= budget:
-            break
-        if node not in seen:
-            seen.add(node)
-            picked.append(node)
-    rows_used = _extend_past_pair(lam, max(rows_used, 1))
-    selector = GramianSelector(k=rows_used,
-                               w_h=_real_report_rows(lam, v_inv, rows_used),
-                               eigenvalues=lam, v_inv=v_inv)
-    return picked, selector
+        weights = _node_weights(model.spec, row)
+        order.update(dict.fromkeys(sorted(weights,
+                                          key=lambda v: (-weights[v], v))))
+    order.update(dict.fromkeys(range(n)))
+    return list(order)[:budget]
 
 
 def linear_observable_recover(samples: SampleMatrix, theta: EvolutionStack,
-                              spec: ObservableSpec,
-                              rcond: float = 1e-10) -> RecoveryResult:
+                              spec: ObservableSpec) -> RecoveryResult:
     """Recover the initial lifted vector as a free M-vector by least squares,
     then unlift and roll forward.  No lift structure is enforced, which is
     what makes this a baseline rather than the proposed recovery."""
-    a = theta.theta[samples.plan.row_indices]
-    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=rcond)
+    a = selected_rows(samples.plan, theta)
+    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=_RCOND)
     residual = a @ z1 - samples.values
     out = unlift_trajectory(spec, theta.evolve(z1))
     x1 = out[:, 0]
@@ -212,8 +207,7 @@ def linear_gft_select(basis: LinearGFTBasis,
 
 
 def linear_gft_recover_trajectory(nodes, basis: LinearGFTBasis,
-                                  sampled_states: np.ndarray,
-                                  rcond: float = 1e-10) -> np.ndarray:
+                                  sampled_states: np.ndarray) -> np.ndarray:
     """Least-squares bandlimited recovery of a trajectory, one column per
     tick, from its node samples (one row per node of ``nodes``)."""
     rows = basis.u[list(nodes)]
@@ -223,5 +217,5 @@ def linear_gft_recover_trajectory(nodes, basis: LinearGFTBasis,
     if numerical_rank(rows) < basis.r:
         raise RuntimeError("sampled basis rows are rank-deficient; "
                            "recovery is not identifiable")
-    coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=rcond)
+    coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=_RCOND)
     return basis.u @ coef

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,12 +120,7 @@ class DynamicsParams:
                    coupling=coupling, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "flow_in": self.flow_in, "decay": self.decay,
-            "coupling": self.coupling, "dt": self.dt,
-            "steps_per_sample": self.steps_per_sample,
-            "adjacency_coupling": self.adjacency_coupling,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DynamicsParams":

@@ -451,10 +451,9 @@ def _poly_gramian_records(config, n, trial, truth_seed, train_trajs, truth):
                 for rate in config.sampling_rates]
 
     def order(max_budget):
-        # Node order only: the selector holds the complex M x M inverse
-        # eigenbasis, which must not outlive this call.  Smaller budgets
-        # stop the same picking loop earlier, so each is a prefix.
-        return gramian_nodes_for_budget(pmodel, max_budget)[0]
+        # Smaller budgets stop the same picking loop earlier, so each is a
+        # prefix.
+        return gramian_nodes_for_budget(pmodel, max_budget)
 
     def recover(nodes, budget):
         plan = gamma_map(nodes[:budget], pspec, tau)

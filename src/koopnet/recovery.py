@@ -23,7 +23,7 @@ from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, lift, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
-from .sampling import SamplingPlan
+from .sampling import SamplingPlan, selected_rows
 
 
 # Standard deviation of the multistart jitter, relative to max(|fill|, 1).
@@ -144,12 +144,13 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
     plan = samples.plan
     if theta.m != spec.size:
         raise ValueError("evolution stack and dictionary disagree on size")
-    a = theta.theta[plan.row_indices]
+    a = selected_rows(plan, theta)
     objective, gradient = _objective_pair(a, samples.values, spec)
 
     base = initial_guess(samples, spec, config.fill_value)
     rng = np.random.default_rng(config.seed)
-    free = np.array([i not in set(plan.nodes) for i in range(spec.n)])
+    free = np.ones(spec.n, dtype=bool)
+    free[list(plan.nodes)] = False
     sigma = JITTER_SCALE * max(abs(config.fill_value), 1.0)
 
     starts = [base]

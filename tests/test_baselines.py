@@ -23,8 +23,10 @@ from koopnet import (
     linear_gft_select,
     linear_observable_recover,
     log_spec,
+    poly_spec,
     take_samples,
 )
+from koopnet import baselines
 from koopnet.recovery import SampleMatrix
 
 
@@ -137,10 +139,10 @@ def test_budget_mapping_returns_exactly_budget_nodes():
     op = rng.normal(size=(spec.size, spec.size)) * 0.05 + np.eye(spec.size)
     model = _model(op, spec)
     for budget in (1, 3, 6):
-        nodes, sel = gramian_nodes_for_budget(model, budget)
+        nodes = gramian_nodes_for_budget(model, budget)
         assert len(nodes) == budget
         assert len(set(nodes)) == budget
-        again, _ = gramian_nodes_for_budget(model, budget)
+        again = gramian_nodes_for_budget(model, budget)
         assert nodes == again
     with pytest.raises(ValueError):
         gramian_nodes_for_budget(model, 0)
@@ -155,12 +157,12 @@ def test_budget_mapping_smaller_budgets_are_prefixes():
     spec = log_spec(6)
     models = [_model(rng.normal(size=(spec.size, spec.size)) * 0.05
                      + np.eye(spec.size), spec) for _ in range(3)]
-    models.append(_model(np.diag([5.0, 0.5, 0.4])))    # pads unreached nodes
+    models.append(_model(np.diag([5.0, 0.5, 0.4])))    # one node per row
     for model in models:
         n = model.spec.n
-        full, _ = gramian_nodes_for_budget(model, n)
+        full = gramian_nodes_for_budget(model, n)
         for b in range(1, n + 1):
-            assert gramian_nodes_for_budget(model, b)[0] == full[:b]
+            assert gramian_nodes_for_budget(model, b) == full[:b]
 
 
 def test_budget_mapping_pads_from_unreached_nodes():
@@ -168,9 +170,81 @@ def test_budget_mapping_pads_from_unreached_nodes():
     # identity rows for the rest means every eigenrow weight is equal, but
     # with a diagonal operator each eigenrow touches one observable
     model = _model(np.diag([5.0, 0.5, 0.4]))
-    nodes, _ = gramian_nodes_for_budget(model, 2)
+    nodes = gramian_nodes_for_budget(model, 2)
     assert nodes[0] == 0            # leading eigenvalue owns node 0
     assert len(nodes) == 2
+
+
+def _reference_nodes_for_budget(model, budget, weight_tol):
+    """The eigen-row walk written out term by term.  Returns the node order
+    and whether it had to pad."""
+    lam, v = np.linalg.eig(model.operator)
+    v_inv = np.linalg.inv(v)[np.argsort(-np.abs(lam), kind="stable")]
+    picked, seen = [], set()
+    for r in range(v_inv.shape[0]):
+        if len(picked) >= budget:
+            break
+        w = np.abs(v_inv[r])
+        node_weight = {}
+        for m, term in enumerate(model.spec.terms):
+            if w[m] <= weight_tol:
+                continue
+            for node in term.owners:
+                node_weight[node] = max(node_weight.get(node, 0.0), float(w[m]))
+        for node in sorted(node_weight, key=lambda v: (-node_weight[v], v)):
+            if node not in seen:
+                seen.add(node)
+                picked.append(node)
+                if len(picked) >= budget:
+                    break
+    padded = len(picked) < budget
+    for node in range(model.spec.n):
+        if len(picked) >= budget:
+            break
+        if node not in seen:
+            seen.add(node)
+            picked.append(node)
+    return picked, padded
+
+
+def _reference_operators():
+    rng = np.random.default_rng(14)
+    for spec in (identity_spec(6), log_spec(4), poly_spec(3, max_power=2)):
+        m = spec.size
+        v = rng.normal(size=(m, m)) + 2.0 * np.eye(m)
+        real = v @ np.diag(rng.uniform(-0.9, 0.9, m)) @ np.linalg.inv(v)
+        general = rng.normal(size=(m, m)) * 0.3
+        assert np.iscomplexobj(np.linalg.eigvals(general))   # conjugate pairs
+        zero_cols = rng.normal(size=(m, m)) * 0.3
+        zero_cols[:, [0, m - 1]] = 0.0   # their observables sit in the last rows
+        for op in (real, general, zero_cols):
+            yield _model(op, spec)
+
+
+@pytest.mark.parametrize("weight_tol", [1e-8, 3.0])
+def test_budget_mapping_matches_the_reference_loop(monkeypatch, weight_tol):
+    # At the module's tolerance every node is reached before the rows run
+    # out: each column of V^-1 has an entry of at least 1/M.  A raised
+    # tolerance leaves nodes unreached, so the padding is checked too.
+    monkeypatch.setattr(baselines, "_WEIGHT_TOL", weight_tol)
+    padded_any = False
+    for model in _reference_operators():
+        for budget in range(1, model.spec.n + 1):
+            expected, padded = _reference_nodes_for_budget(model, budget,
+                                                           weight_tol)
+            assert gramian_nodes_for_budget(model, budget) == expected
+            padded_any |= padded
+    assert padded_any == (weight_tol > 1e-8)
+
+
+def test_singular_eigenvectors_are_rejected(monkeypatch):
+    monkeypatch.setattr(baselines.np.linalg, "eig",
+                        lambda op: (np.array([1.0, 0.5]), np.ones((2, 2))))
+    model = _model(np.diag([1.0, 0.5]))
+    with pytest.raises(RuntimeError, match="defective spectrum"):
+        gramian_nodes_for_budget(model, 1)
+    with pytest.raises(RuntimeError, match="defective spectrum"):
+        gramian_select(model, k=1)
 
 
 # =========================================================================
@@ -212,6 +286,18 @@ def test_linear_observable_recovery_minimizes_the_residual():
     for _ in range(10):
         z = rng.normal(size=3)
         assert float(np.sum((a @ z - values) ** 2)) >= result.objective - 1e-12
+
+
+@pytest.mark.parametrize("plan_tau", [3, 6])
+def test_linear_observable_recovery_rejects_another_tau(plan_tau):
+    # a longer plan would index past the stack, a shorter one would solve
+    # against the wrong horizon
+    spec = identity_spec(3)
+    theta = build_theta(_model(np.eye(3) * 0.5), 4)
+    plan = gamma_map([0, 1], spec, plan_tau)
+    samples = SampleMatrix(values=np.ones(plan.sample_count), plan=plan)
+    with pytest.raises(ValueError, match="disagree on tau"):
+        linear_observable_recover(samples, theta, spec)
 
 
 # =========================================================================

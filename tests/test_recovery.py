@@ -263,6 +263,17 @@ def test_recovery_starts_at_truth_when_every_node_is_sampled():
     assert result.objective < 1e-18
 
 
+@pytest.mark.parametrize("plan_tau", [3, 8])
+def test_recovery_rejects_a_stack_of_another_tau(plan_tau):
+    # a longer plan would index past the stack, a shorter one would recover
+    # against the wrong horizon
+    theta = _exact_linear_setup()[1]                    # tau = 6
+    spec, *_, samples = _exact_linear_setup(tau=plan_tau)
+    with pytest.raises(ValueError, match="disagree on tau"):
+        recover_initial_state(samples, theta, spec,
+                              OptimizerConfig(fill_value=1.0, seed=0))
+
+
 def test_warm_start_lands_on_the_truth_for_exact_data():
     spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     a = theta.theta[plan.row_indices]
