@@ -186,12 +186,12 @@ def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
         return x.copy()
 
     if spec.kind == LOG:
-        stride = 1 + len(spec.log_powers)
         z = np.empty((spec.size, t))
         z[0] = 1.0
         u = x / spec.scale
-        lin_rows = 1 + stride * np.arange(spec.n)
-        z[lin_rows] = u
+        # rows 1.. hold one block per node: its scaled state, then its logs
+        blocks = z[1:].reshape(spec.n, 1 + len(spec.log_powers), t)
+        blocks[:, 0] = u
         for k, p in enumerate(spec.log_powers):
             base = 1.0 + u ** p
             if (base <= 0.0).any():
@@ -199,7 +199,7 @@ def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
                 raise ValueError(
                     f"log entry undefined: 1 + (x/{spec.scale:g})**{p} <= 0 "
                     f"at node {node}")
-            z[lin_rows + 1 + k] = np.log(base)
+            blocks[:, 1 + k] = np.log(base)
         return z
 
     i_idx, i_pow, j_idx, j_pow = spec._poly_factors
@@ -243,18 +243,23 @@ def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
 
     jac = np.zeros((spec.size, spec.n))
     if spec.kind == LOG:
-        stride = 1 + len(spec.log_powers)
         u = x / spec.scale
-        for i in range(spec.n):
-            row = 1 + stride * i
-            jac[row, i] = 1.0 / spec.scale
-            for k, p in enumerate(spec.log_powers):
-                base = 1.0 + u[i] ** p
-                if base <= 0.0:
-                    raise ValueError(
-                        f"log entry undefined: 1 + (x/{spec.scale:g})**{p} <= 0 "
-                        f"at node {i}")
-                jac[row + 1 + k, i] = p * u[i] ** (p - 1) / (spec.scale * base)
+        bases = np.array([1.0 + u ** p for p in spec.log_powers])
+        bad = bases <= 0.0
+        if bad.any():
+            node = int(np.flatnonzero(bad.any(axis=0))[0])
+            p = spec.log_powers[int(np.flatnonzero(bad[:, node])[0])]
+            raise ValueError(
+                f"log entry undefined: 1 + (x/{spec.scale:g})**{p} <= 0 "
+                f"at node {node}")
+        # node i's partials: its scaled state, then one per power
+        partials = np.empty((spec.n, 1 + len(spec.log_powers)))
+        partials[:, 0] = 1.0 / spec.scale
+        for k, p in enumerate(spec.log_powers):
+            partials[:, 1 + k] = p * u ** (p - 1) / (spec.scale * bases[k])
+        # rows 1.. hold node i's entries as block i; column i reads only it
+        nodes = np.arange(spec.n)
+        jac[1:].reshape(spec.n, -1, spec.n)[nodes, :, nodes] = partials
         return jac
 
     for m, term in enumerate(spec.terms):

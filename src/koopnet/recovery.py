@@ -5,8 +5,10 @@ every tick of one trajectory.  The unknown initial state enters those samples
 through the lift followed by the stacked linear evolution, so recovery
 minimizes the squared sample mismatch over the initial state with an analytic
 gradient (chain rule through the lift Jacobian) and a DFP quasi-Newton
-search.  The recovered initial state is then rolled forward through the
-operator powers and unlifted into a full trajectory estimate.
+search.  The search runs on the triangular QR factor of ``[A | y]``, a
+system of at most M + 1 rows with the same objective value at every state.
+The recovered initial state is then rolled forward through the operator
+powers and unlifted into a full trajectory estimate.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class RecoveryResult:
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...] = ()
+    gradient_norm: float = math.nan   # the winning DFP run's final gradient norm
+    resets: int = 0                   # its steepest-descent restarts
 
 
 def take_samples(trajectory, spec: ObservableSpec, plan: SamplingPlan) -> SampleMatrix:
@@ -144,8 +148,12 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
     plan = samples.plan
     if theta.m != spec.size:
         raise ValueError("evolution stack and dictionary disagree on size")
-    a = selected_rows(plan, theta)
-    objective, gradient = _objective_pair(a, samples.values, spec)
+    # [A | y] = QR, so ||A psi - y|| = ||R[:, :M] psi - R[:, M]|| for every
+    # psi; the last row of R keeps the residual that no psi can remove.
+    r = np.linalg.qr(np.column_stack([selected_rows(plan, theta),
+                                      samples.values]), mode="r")
+    r_a, r_y = r[:, :spec.size], r[:, spec.size]
+    objective, gradient = _objective_pair(r_a, r_y, spec)
 
     base = initial_guess(samples, spec, config.fill_value)
     rng = np.random.default_rng(config.seed)
@@ -158,7 +166,7 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
         x0 = base.copy()
         x0[free] += rng.normal(0.0, sigma, int(free.sum()))
         starts.append(x0)
-    warm = _linear_warm_start(a, samples.values, spec)
+    warm = _linear_warm_start(r_a, r_y, spec)
     if warm is not None:
         starts.append(warm)
 
@@ -181,7 +189,8 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
     trajectory[:, 0] = best.x
     return RecoveryResult(x1=best.x, trajectory=trajectory, objective=best.fun,
                           iterations=best.iterations, converged=best.converged,
-                          objective_trace=tuple(best.objective_trace))
+                          objective_trace=tuple(best.objective_trace),
+                          gradient_norm=best.gradient_norm, resets=best.resets)
 
 
 def _linear_warm_start(a: np.ndarray, y: np.ndarray,
@@ -214,6 +223,8 @@ def result_to_dict(result: RecoveryResult, truth: np.ndarray | None = None) -> d
         "iterations": result.iterations,
         "converged": result.converged,
         "objective_trace": list(result.objective_trace),
+        "gradient_norm": result.gradient_norm,
+        "resets": result.resets,
     }
     if truth is not None:
         truth = truth.states if hasattr(truth, "states") else np.asarray(truth)

@@ -237,6 +237,18 @@ def test_budget_mapping_matches_the_reference_loop(monkeypatch, weight_tol):
     assert padded_any == (weight_tol > 1e-8)
 
 
+def test_budget_mapping_pads_in_node_order_past_the_reached_nodes(monkeypatch):
+    # K = [[1, 10, 0], [0, 0.5, 0], [0, 0, 0.2]]: the two leading rows of
+    # V^-1 weigh node 1 by about 20 and every other entry by at most 1, so
+    # at tolerance 3 only node 1 is reached and nodes 0 and 2 are padded
+    monkeypatch.setattr(baselines, "_WEIGHT_TOL", 3.0)
+    model = _model([[1.0, 10.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.2]])
+    expected, padded = _reference_nodes_for_budget(model, 3, weight_tol=3.0)
+    assert padded
+    assert expected == [1, 0, 2]
+    assert gramian_nodes_for_budget(model, 3) == expected
+
+
 def test_singular_eigenvectors_are_rejected(monkeypatch):
     monkeypatch.setattr(baselines.np.linalg, "eig",
                         lambda op: (np.array([1.0, 0.5]), np.ones((2, 2))))

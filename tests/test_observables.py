@@ -227,6 +227,42 @@ def test_jacobian_matches_central_differences(factory, low, high):
         assert np.abs(jac - fd).max() < 1e-5 * max(scale, 1.0)
 
 
+def _loop_log_jacobian(spec, x):
+    """The log Jacobian filled node by node, one power at a time."""
+    jac = np.zeros((spec.size, spec.n))
+    stride = 1 + len(spec.log_powers)
+    u = x / spec.scale
+    for i in range(spec.n):
+        row = 1 + stride * i
+        jac[row, i] = 1.0 / spec.scale
+        for k, p in enumerate(spec.log_powers):
+            base = 1.0 + u[i] ** p
+            jac[row + 1 + k, i] = p * u[i] ** (p - 1) / (spec.scale * base)
+    return jac
+
+
+@pytest.mark.parametrize("powers", [(1,), (1, 2), (1, 2, 3)])
+def test_log_jacobian_matches_the_node_loop(powers):
+    # equal up to the last bits: an array power may round differently from
+    # a scalar one
+    rng = np.random.default_rng(len(powers))
+    spec = log_spec(7, scale=50.0, powers=powers)
+    for _ in range(200):
+        x = rng.uniform(-40.0, 200.0, spec.n)
+        expected = _loop_log_jacobian(spec, x)
+        np.testing.assert_allclose(lift_jacobian(spec, x), expected,
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_log_jacobian_names_the_lowest_node_out_of_domain():
+    spec = log_spec(4, scale=1.0, powers=(2, 1, 3))
+    x = np.array([0.5, 0.5, -3.0, -2.0])   # nodes 2 and 3 fail at p = 1, 3
+    with pytest.raises(ValueError) as err:
+        lift_jacobian(spec, x)
+    assert "at node 2" in str(err.value)
+    assert "**1 " in str(err.value)        # its first failing power
+
+
 def test_jacobian_rejects_bad_state():
     spec = log_spec(3)
     with pytest.raises(ValueError):

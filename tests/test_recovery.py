@@ -39,6 +39,7 @@ from koopnet import (
     take_samples,
     unlift_trajectory,
 )
+from koopnet import recovery
 from koopnet.recovery import SampleMatrix, _linear_warm_start, _objective_pair
 
 
@@ -315,6 +316,66 @@ def test_recovery_raises_when_every_start_is_infeasible():
                               OptimizerConfig(multistarts=2, seed=0))
 
 
+def test_recovery_keeps_the_winning_runs_diagnostics(monkeypatch):
+    runs = []
+    real = recovery.minimize_dfp
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(recovery, "minimize_dfp", recording)
+    spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
+    result = recover_initial_state(samples, theta, spec,
+                                   OptimizerConfig(fill_value=1.0, seed=5))
+    best = min(runs, key=lambda run: run.fun)   # the first of equals wins
+    assert len(runs) == 5
+    assert result.gradient_norm == best.gradient_norm
+    assert result.resets == best.resets
+    assert result.iterations == best.iterations
+
+
+@pytest.mark.parametrize("rows", [40, 8])   # M = 13: tall, and short of M
+def test_compressed_system_keeps_objective_gradient_and_warm_start(rows):
+    rng = np.random.default_rng(rows)
+    spec = log_spec(4)
+    a = rng.normal(size=(rows, spec.size))
+    y = rng.normal(size=rows)
+    # the system recover_initial_state minimizes: the R factor of [A | y]
+    r = np.linalg.qr(np.column_stack([a, y]), mode="r")
+    r_a, r_y = r[:, :spec.size], r[:, spec.size]
+    assert r_a.shape == (min(rows, spec.size + 1), spec.size)
+    objective, gradient = _objective_pair(a, y, spec)
+    small_objective, small_gradient = _objective_pair(r_a, r_y, spec)
+    for _ in range(20):
+        x = rng.uniform(0.5, 90.0, spec.n)
+        residual = a @ lift(spec, x) - y
+        f = float(residual @ residual)
+        assert abs(small_objective(x) - f) <= 1e-12 * f
+        g = gradient(x)
+        assert (np.linalg.norm(small_gradient(x) - g)
+                <= 1e-10 * np.linalg.norm(g))
+    warm = _linear_warm_start(a, y, spec)
+    small_warm = _linear_warm_start(r_a, r_y, spec)
+    assert np.abs(warm).max() > 0.0
+    assert np.abs(small_warm - warm).max() <= 1e-10 * np.abs(warm).max()
+
+
+def test_recovery_raises_on_a_non_finite_sample():
+    # QR passes the NaN through to R without raising; the objective is then
+    # NaN at every start and the least-squares start is skipped
+    spec = log_spec(2, scale=1.0)
+    plan = gamma_map([0], spec, tau=3)
+    stack = build_theta(KoopmanModel(operator=0.9 * np.eye(spec.size),
+                                     spec=spec, residual=0.0), 3)
+    values = np.full(plan.row_indices.size, 0.5)
+    values[-1] = np.nan
+    samples = SampleMatrix(values=values, plan=plan)
+    with pytest.raises(RuntimeError, match="every recovery start failed"):
+        recover_initial_state(samples, stack, spec,
+                              OptimizerConfig(multistarts=2, seed=0))
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
@@ -397,6 +458,21 @@ def test_nonlinear_recovery_smoke(small_pipeline):
     assert result.objective < 1e-4
 
 
+def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
+    # the search runs on the R factor of [A | y], whose last row keeps the
+    # residual no state removes, so the objective is still ||A psi - y||^2
+    spec, model, theta, truth = small_pipeline
+    plan = gamma_map([0, 2, 4], spec, 15)
+    samples = take_samples(truth, spec, plan)
+    result = recover_initial_state(samples, theta, spec,
+                                   OptimizerConfig(fill_value=0.5, seed=23))
+    residual = (theta.theta[plan.row_indices] @ lift(spec, result.x1)
+                - samples.values)
+    assert result.objective > 0.0
+    assert result.objective == pytest.approx(float(residual @ residual),
+                                              rel=1e-9)
+
+
 def test_result_serialization(tmp_path, small_pipeline):
     spec, model, theta, truth = small_pipeline
     plan = gamma_map(list(range(6)), spec, 15)
@@ -405,7 +481,10 @@ def test_result_serialization(tmp_path, small_pipeline):
                                    OptimizerConfig(fill_value=0.5, seed=24))
     d = result_to_dict(result, truth=truth)
     assert set(d) >= {"x1", "trajectory", "objective", "iterations",
-                      "converged", "nrmse", "per_tick_nrmse"}
+                      "converged", "gradient_norm", "resets", "nrmse",
+                      "per_tick_nrmse"}
+    assert d["gradient_norm"] == result.gradient_norm >= 0.0
+    assert d["resets"] == result.resets >= 0
     path = save_result(result, tmp_path / "result.json", truth=truth.states)
     loaded = json.loads(path.read_text())
     assert loaded["nrmse"] == pytest.approx(d["nrmse"])
