@@ -177,14 +177,13 @@ def build_laplacian_basis(graph: Graph, r: int) -> LinearGFTBasis:
 
 
 def linear_gft_select(basis: LinearGFTBasis,
-                      budget: int | None = None) -> tuple[tuple[int, ...], bool]:
+                      budget: int) -> tuple[tuple[int, ...], bool]:
     """Greedy node-row selection on the basis until its sampled rows reach
     numerical rank r (or the budget runs out).
 
     Returns the chosen rows and whether full rank was reached.
     """
     n, r = basis.n, basis.r
-    budget = n if budget is None else budget
     if not 1 <= budget <= n:
         raise ValueError(f"budget must lie in 1..{n}")
     selected: list[int] = []

@@ -4,8 +4,10 @@ Subcommands mirror the pipeline stages: ``simulate`` writes one ground-truth
 trajectory, ``fit`` trains an operator, ``select`` picks sensor nodes,
 ``recover`` reconstructs a trajectory from samples, and the two ``sweep-*``
 commands run the batch experiments.  Every command reads a JSON config (see
-the README schema); ``--seed`` overrides the config seed.  Failures exit
-nonzero after printing a one-line JSON error object to stderr.
+the README schema); ``--seed`` overrides the config seed wherever the output
+depends on it, and ``--format`` keeps one of the two outputs of ``simulate``
+and the sweeps.  Failures exit nonzero after printing a one-line JSON error
+object to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .koopman import (assemble_training, build_theta, fit, load_model,
                       save_model)
 from .observables import build_spec
 from .recovery import recover_initial_state, save_result, take_samples
-from .sampling import SelectionConfig, greedy_select, load_plan, save_plan
+from .sampling import (SelectionConfig, gamma_map, greedy_select, load_plan,
+                       save_plan)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -75,13 +78,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    config = _load_config(args)
+    config = ExperimentConfig.from_json(args.config)
     out = _out_dir(args)
     model = load_model(args.model)
     theta = build_theta(model, config.sampling_ticks)
-    max_nodes = None
-    if config.selection_rate is not None:
-        max_nodes = _budget(config.selection_rate, model.spec.n)
+    max_nodes = _budget(config.selection_rate, model.spec.n)
     plan = greedy_select(theta, model.spec,
                          SelectionConfig(gamma=config.gamma, max_nodes=max_nodes))
     path = save_plan(plan, out / "plan.json")
@@ -90,11 +91,23 @@ def _cmd_select(args) -> int:
     return 0
 
 
+def _check_plan(plan, spec) -> None:
+    """Reject a plan selected on another dictionary than ``spec``."""
+    obs, rows = plan.observable_indices, plan.row_indices
+    expected = gamma_map(plan.nodes, spec, plan.tau).observable_indices
+    if expected.tolist() != obs.tolist():
+        # time-major rows: tick 1 starts one dictionary size past tick 0
+        size = rows[obs.size] - rows[0] if plan.tau > 1 else "unknown"
+        raise ValueError(f"plan was selected on a dictionary of size {size}, "
+                         f"the model's dictionary has size {spec.size}")
+
+
 def _cmd_recover(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
     model = load_model(args.model)
     plan = load_plan(args.plan)
+    _check_plan(plan, model.spec)
     trajectory = trajectory_from_csv(args.trajectory)
     theta = build_theta(model, plan.tau)
     samples = take_samples(trajectory, model.spec, plan)
@@ -130,44 +143,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def subcommand(name, handler, summary, seed=True, formats=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
         p.add_argument("--out-dir", default="results", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="restrict output to one format (default: both)")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default=None,
+                           help="restrict output to one format (default: both)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("simulate", help="simulate one ground-truth trajectory")
-    common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("fit", help="train the lifted operator on simulated data")
-    common(p)
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("select", help="greedily choose sensor nodes")
-    common(p)
+    subcommand("simulate", _cmd_simulate, "simulate one ground-truth trajectory",
+               formats=True)
+    subcommand("fit", _cmd_fit, "train the lifted operator on simulated data")
+    p = subcommand("select", _cmd_select, "greedily choose sensor nodes",
+                   seed=False)
     p.add_argument("--model", required=True, help="model.json from 'fit'")
-    p.set_defaults(handler=_cmd_select)
-
-    p = sub.add_parser("recover", help="recover a trajectory from node samples")
-    common(p)
+    p = subcommand("recover", _cmd_recover,
+                   "recover a trajectory from node samples")
     p.add_argument("--model", required=True, help="model.json from 'fit'")
     p.add_argument("--plan", required=True, help="plan.json from 'select'")
     p.add_argument("--trajectory", required=True,
                    help="trajectory.csv to sample (also serves as ground truth)")
-    p.set_defaults(handler=_cmd_recover)
-
-    p = sub.add_parser("sweep-linearization",
-                       help="dictionary-size sweep of rollout accuracy")
-    common(p)
-    p.set_defaults(handler=_cmd_sweep(run_linearization_sweep))
-
-    p = sub.add_parser("sweep-sampling",
-                       help="sampling-rate sweep of recovery accuracy")
-    common(p)
-    p.set_defaults(handler=_cmd_sweep(run_sampling_sweep))
+    subcommand("sweep-linearization", _cmd_sweep(run_linearization_sweep),
+               "dictionary-size sweep of rollout accuracy", formats=True)
+    subcommand("sweep-sampling", _cmd_sweep(run_sampling_sweep),
+               "sampling-rate sweep of recovery accuracy", formats=True)
     return parser
 
 

@@ -230,7 +230,7 @@ def simulate(graph: Graph, params: DynamicsParams, x1: np.ndarray,
 
 
 def simulate_ensemble(graph: Graph, params: DynamicsParams, x1s: np.ndarray,
-                      num_steps: int, seed: int | None = None) -> list[Trajectory]:
+                      num_steps: int) -> list[Trajectory]:
     """Integrate a batch of initial states (columns of ``x1s``) in one sweep."""
     x1s = np.asarray(x1s, dtype=float)
     if x1s.ndim != 2 or x1s.shape[0] != graph.n:
@@ -238,7 +238,7 @@ def simulate_ensemble(graph: Graph, params: DynamicsParams, x1s: np.ndarray,
     if num_steps < 2:
         raise ValueError("num_steps must be at least 2")
     paths = _integrate(graph, params, x1s, num_steps)
-    return [Trajectory(states=paths[:, :, d], params=params, seed=seed)
+    return [Trajectory(states=paths[:, :, d], params=params)
             for d in range(x1s.shape[1])]
 
 
@@ -278,8 +278,7 @@ def trajectory_to_csv(trajectory: Trajectory, path: str | Path) -> Path:
     return path
 
 
-def trajectory_from_csv(path: str | Path,
-                        params: DynamicsParams | None = None) -> Trajectory:
+def trajectory_from_csv(path: str | Path) -> Trajectory:
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -289,17 +288,17 @@ def trajectory_from_csv(path: str | Path,
         rows = [list(map(float, row[1:])) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Trajectory(states=np.asarray(rows).T, params=params)
+    return Trajectory(states=np.asarray(rows).T)
 
 
 def save_bundle(path: str | Path, graph: Graph, params: DynamicsParams,
-                trajectory: Trajectory, seed: int | None = None) -> Path:
+                trajectory: Trajectory) -> Path:
     """JSON bundle carrying the graph, the rates, and the sampled states."""
     path = Path(path)
     payload = {
         "graph": graph.to_dict(),
         "params": params.to_dict(),
-        "seed": seed if seed is not None else trajectory.seed,
+        "seed": trajectory.seed,
         "states": trajectory.states.tolist(),
     }
     path.write_text(json.dumps(payload))

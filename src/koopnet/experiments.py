@@ -73,7 +73,7 @@ class ExperimentConfig:
     # sampling sweep
     sampling_rates: tuple[float, ...] = (0.25, 0.5, 0.75)
     gamma: float | None = None            # None: run every budget to its cap
-    selection_rate: float | None = 0.5    # single-shot selection budget (CLI)
+    selection_rate: float = 0.5           # single-shot selection budget (CLI)
     dictionary: str = "log"               # single-shot fit dictionary (CLI)
     trials: int = 20
     refine_trajectories: int = 50
@@ -113,8 +113,7 @@ class ExperimentConfig:
             raise ValueError("need at least one sampling rate")
         if any(not 0.0 < r <= 1.0 for r in self.sampling_rates):
             raise ValueError("sampling rates must lie in (0, 1]")
-        if self.selection_rate is not None and \
-                not 0.0 < self.selection_rate <= 1.0:
+        if self.selection_rate is None or not 0.0 < self.selection_rate <= 1.0:
             raise ValueError("selection_rate must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -145,14 +144,8 @@ class ExperimentConfig:
                                fill_value=0.5 * (low + high), seed=seed)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["n_values"] = list(self.n_values)
-        d["log_powers"] = list(self.log_powers)
-        d["log_power_grid"] = [list(p) for p in self.log_power_grid]
-        d["poly_power_grid"] = list(self.poly_power_grid)
-        d["sampling_rates"] = list(self.sampling_rates)
-        d["baselines"] = list(self.baselines)
-        return d
+        """The JSON form: every tuple becomes a list."""
+        return json.loads(json.dumps(asdict(self)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -160,18 +153,16 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("n_values", "log_powers", "poly_power_grid",
-                    "sampling_rates", "baselines"):
-            if key in d:
-                d[key] = tuple(d[key])
-        if "log_power_grid" in d:
-            d["log_power_grid"] = tuple(tuple(p) for p in d["log_power_grid"])
-        return cls(**d)
+        return cls(**{key: _tuples(value) for key, value in d.items()})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _tuples(value):
+    """JSON lists back into (nested) tuples; other values pass through."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)

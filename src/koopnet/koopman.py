@@ -93,11 +93,10 @@ def assemble_training(trajectories: list[Trajectory],
                        spec=spec)
 
 
-def fit(training: TrainingSet, ridge: float = 0.0,
-        sv_cutoff: float = SV_CUTOFF) -> KoopmanModel:
+def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
     """Solve ``min_K ||Y - K X||_F^2 + ridge * ||K||_F^2``.
 
-    The pseudo-inverse drops singular values below ``sv_cutoff`` times the
+    The pseudo-inverse drops singular values below ``SV_CUTOFF`` times the
     largest one.  All-zero snapshot data is rejected.
     """
     if ridge < 0:
@@ -106,7 +105,7 @@ def fit(training: TrainingSet, ridge: float = 0.0,
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise RuntimeError("degenerate training data: X has no nonzero columns")
-    keep = s > sv_cutoff * s[0]
+    keep = s > SV_CUTOFF * s[0]
     u, s, vt = u[:, keep], s[keep], vt[keep]
     gain = s / (s * s + ridge) if ridge > 0 else 1.0 / s
     k = ((y @ vt.T) * gain) @ u.T

@@ -25,7 +25,6 @@ import numpy as np
 LOG = "log"
 POLY = "poly"
 IDENTITY = "identity"
-_KINDS = (LOG, POLY, IDENTITY)
 
 # Advisory bound on |x|/C before the log entries drift away from their
 # small-argument polynomial behaviour.
@@ -272,16 +271,15 @@ def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def check_scale(spec: ObservableSpec, states: np.ndarray,
-                headroom: float = SCALE_HEADROOM) -> float:
+def check_scale(spec: ObservableSpec, states: np.ndarray) -> float:
     """Warn when data pushes |x|/C past the advisory headroom; returns the ratio."""
     if spec.kind != LOG:
         return 0.0
     ratio = float(np.abs(np.asarray(states, dtype=float)).max() / spec.scale)
-    if ratio >= headroom:
+    if ratio >= SCALE_HEADROOM:
         warnings.warn(
             f"states reach |x|/C = {ratio:.3g}, beyond the advisory headroom "
-            f"{headroom:g}; consider a larger scale", stacklevel=2)
+            f"{SCALE_HEADROOM:g}; consider a larger scale", stacklevel=2)
     return ratio
 
 

@@ -20,6 +20,7 @@ import numpy as np
 _ALPHA_MAX = 1e3
 _SEARCH_ITERS = 30
 _ZOOM_ITERS = 40
+_MAX_RESETS = 3        # steepest-descent restarts before giving up
 
 
 @dataclass
@@ -56,11 +57,12 @@ def _zoom(fun, grad, x, p, f0, slope0, c1, c2, a_lo, f_lo, a_hi, f_hi):
     """Bisection zoom on a bracketing interval (Armijo holds at ``a_lo``)."""
     for _ in range(_ZOOM_ITERS):
         a = 0.5 * (a_lo + a_hi)
-        fa = float(fun(x + a * p))
+        x_a = x + a * p
+        fa = float(fun(x_a))
         if not np.isfinite(fa) or fa > f0 + c1 * a * slope0 or fa >= f_lo:
             a_hi, f_hi = a, fa
         else:
-            ga = np.asarray(grad(x + a * p), dtype=float)
+            ga = np.asarray(grad(x_a), dtype=float)
             slope_a = float(ga @ p)
             if abs(slope_a) <= -c2 * slope0:
                 return a, fa, ga
@@ -90,11 +92,12 @@ def wolfe_line_search(fun, grad, x, p, f0, g0, c1=1e-4, c2=0.9,
     a_prev, f_prev = 0.0, f0
     a = alpha_init
     for i in range(_SEARCH_ITERS):
-        fa = float(fun(x + a * p))
+        x_a = x + a * p
+        fa = float(fun(x_a))
         if not np.isfinite(fa) or fa > f0 + c1 * a * slope0 or (i > 0 and fa >= f_prev):
             return _zoom(fun, grad, x, p, f0, slope0, c1, c2,
                          a_prev, f_prev, a, fa)
-        ga = np.asarray(grad(x + a * p), dtype=float)
+        ga = np.asarray(grad(x_a), dtype=float)
         slope_a = float(ga @ p)
         if abs(slope_a) <= -c2 * slope0:
             return a, fa, ga
@@ -109,8 +112,8 @@ def wolfe_line_search(fun, grad, x, p, f0, g0, c1=1e-4, c2=0.9,
 
 
 def minimize_dfp(fun, grad, x0, gradient_tol: float = 1e-8,
-                 max_iterations: int = 500, c1: float = 1e-4, c2: float = 0.9,
-                 max_resets: int = 3) -> MinimizeResult:
+                 max_iterations: int = 500, c1: float = 1e-4,
+                 c2: float = 0.9) -> MinimizeResult:
     """Minimize ``fun`` from ``x0`` using DFP updates and Wolfe steps."""
     if not 0.0 < c1 < c2 < 1.0:
         raise ValueError("need 0 < c1 < c2 < 1")
@@ -153,7 +156,7 @@ def minimize_dfp(fun, grad, x0, gradient_tol: float = 1e-8,
         alpha_init = 1.0 if not fresh else 1.0 / max(gnorm, 1e-12)
         step = wolfe_line_search(fun, grad, x, p, f, g, c1, c2, alpha_init)
         if step is None:
-            if just_reset or resets >= max_resets:
+            if just_reset or resets >= _MAX_RESETS:
                 break
             h = np.eye(dim)
             fresh = True
@@ -171,10 +174,10 @@ def minimize_dfp(fun, grad, x0, gradient_tol: float = 1e-8,
             yy = float(y @ y)
             if yy > 0.0:
                 h = (sy / yy) * np.eye(dim)
-        h_raw, applied = dfp_update(h, s, y)
+        h, applied = dfp_update(h, s, y)
         if applied:
-            max_asym = max(max_asym, float(np.abs(h_raw - h_raw.T).max()))
-            h = 0.5 * (h_raw + h_raw.T)
+            # exactly symmetric: each outer product is of a vector with itself
+            max_asym = max(max_asym, float(np.abs(h - h.T).max()))
             fresh = False
         else:
             skips += 1

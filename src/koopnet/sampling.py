@@ -94,12 +94,11 @@ def selected_rows(plan: SamplingPlan, theta: EvolutionStack) -> np.ndarray:
     return theta.theta[plan.row_indices]
 
 
-def sigma_quotient(matrix: np.ndarray, k: int,
-                   tol: float = SCORE_TOL) -> tuple[float, float]:
+def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:
     """Return ``(sigma_1 / sigma_k, sigma_k)`` of ``matrix``.
 
     The quotient is +inf when the matrix has fewer than ``k`` rows or when
-    ``sigma_k`` falls below ``tol * sigma_1``.
+    ``sigma_k`` falls below ``SCORE_TOL * sigma_1``.
     """
     if matrix.shape[0] < k:
         return math.inf, 0.0
@@ -107,7 +106,7 @@ def sigma_quotient(matrix: np.ndarray, k: int,
     if svals.size < k or svals[0] <= 0.0:
         return math.inf, 0.0
     sk = float(svals[k - 1])
-    if sk <= tol * svals[0]:
+    if sk <= SCORE_TOL * svals[0]:
         return math.inf, sk
     return float(svals[0] / sk), sk
 

@@ -216,6 +216,51 @@ def test_missing_config_file_reports_json_error(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "FileNotFoundError"
 
 
+def test_recover_rejects_a_plan_of_another_dictionary(tmp_path, capsys):
+    # one model and one plan per dictionary; crossing them must fail with a
+    # message naming both sizes, not deep inside the sample lookup
+    runs = {}
+    for kind in ("log", "poly"):
+        (tmp_path / kind).mkdir()
+        cfg = _write_config(tmp_path / kind, dictionary=kind)
+        out = tmp_path / kind / "out"
+        base = ["--config", str(cfg), "--out-dir", str(out)]
+        assert main(["simulate"] + base) == 0
+        assert main(["fit"] + base) == 0
+        assert main(["select", "--model", str(out / "model.json")] + base) == 0
+        runs[kind] = (cfg, out, load_model(out / "model.json").size)
+    capsys.readouterr()
+    for model_kind, plan_kind in (("poly", "log"), ("log", "poly")):
+        cfg, out, model_size = runs[model_kind]
+        _, plan_out, plan_size = runs[plan_kind]
+        rc = main(["recover", "--config", str(cfg), "--out-dir", str(out),
+                   "--model", str(out / "model.json"),
+                   "--plan", str(plan_out / "plan.json"),
+                   "--trajectory", str(out / "trajectory.csv")])
+        err = json.loads(capsys.readouterr().err)
+        assert rc == 1 and err["error"] == "ValueError"
+        assert err["message"] == (
+            f"plan was selected on a dictionary of size {plan_size}, "
+            f"the model's dictionary has size {model_size}")
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("fit", ["--format", "csv"]), ("select", ["--format", "json"]),
+    ("recover", ["--format", "json"]), ("select", ["--seed", "5"])],
+    ids=["fit-format", "select-format", "recover-format", "select-seed"])
+def test_flags_without_an_effect_are_rejected(tmp_path, command, flag):
+    # fit, select and recover write one file each; select ignores the seed
+    args = [command, "--config", str(_write_config(tmp_path)),
+            "--out-dir", str(tmp_path / "out")] + flag
+    if command != "fit":
+        args += ["--model", "m"]
+    if command == "recover":
+        args += ["--plan", "p", "--trajectory", "t"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(args)
+    assert excinfo.value.code == 2
+
+
 def test_recover_requires_model_flag(tmp_path):
     cfg = _write_config(tmp_path)
     with pytest.raises(SystemExit) as excinfo:

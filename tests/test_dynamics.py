@@ -280,7 +280,7 @@ def test_trajectory_csv_round_trip(tmp_path):
     params = DynamicsParams.biochemical()
     traj = simulate(g, params, random_initial_state(4, 0.0, 1.0, seed=2), 9)
     path = trajectory_to_csv(traj, tmp_path / "traj.csv")
-    back = trajectory_from_csv(path, params=params)
+    back = trajectory_from_csv(path)
     assert np.array_equal(back.states, traj.states)  # repr() round trips floats
     header = path.read_text().splitlines()[0]
     assert header == "t,x_1,x_2,x_3,x_4"

@@ -14,7 +14,7 @@ import pytest
 from koopnet import (ExperimentConfig, ExperimentReport, TrialRecord,
                      aggregate, emit, linearization_nrmse, report_from_json,
                      run_linearization_sweep, run_sampling_sweep)
-from koopnet import experiments
+from koopnet import experiments, recovery
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
                               random_initial_state, random_initial_states,
                               simulate, simulate_ensemble)
@@ -32,10 +32,18 @@ def test_config_round_trip():
     cfg = ExperimentConfig(dynamics="regulatory", n_values=(8, 16), seed=3,
                            log_power_grid=((1,), (1, 2)), sampling_rates=(0.5,),
                            baselines=("linear-gft",), gamma=1.05)
-    again = ExperimentConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    # to_dict is JSON-clean
-    assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
+    # every tuple-valued field away from its default
+    every_tuple = ExperimentConfig(n_values=(5, 7), log_powers=(1, 3),
+                                   log_power_grid=((2,), (1, 3, 4)),
+                                   poly_power_grid=(1,),
+                                   sampling_rates=(0.2, 1.0),
+                                   baselines=("poly-gramian",))
+    for cfg in (cfg, every_tuple):
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg
+        assert hash(again) == hash(cfg)
+        # to_dict is JSON-clean
+        assert json.loads(json.dumps(cfg.to_dict())) == cfg.to_dict()
 
 
 def test_config_from_json(tmp_path):
@@ -92,6 +100,12 @@ def test_config_rejects_unknown_keys():
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         ExperimentConfig(**bad)
+
+
+def test_config_rejects_a_null_selection_rate():
+    # null once meant "every node", the budget a rate of 1.0 gives
+    with pytest.raises(ValueError, match=r"selection_rate must lie in \(0, 1\]"):
+        ExperimentConfig.from_dict({"selection_rate": None})
 
 
 def test_params_flow_defaults():
@@ -414,3 +428,39 @@ def test_sampling_sweep_csv_is_byte_identical_across_runs(tmp_path):
         for rec in payload["records"]:
             rec["runtime_s"] = None
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("sweep,cfg", [
+    (run_sampling_sweep, ExperimentConfig(
+        dynamics="biochemical", n_values=(6,), trials=3,
+        sampling_rates=(0.5, 1.0), refine_trajectories=5)),
+    (run_sampling_sweep, ExperimentConfig(
+        dynamics="regulatory", n_values=(6,), trials=3,
+        sampling_rates=(0.5, 1.0), refine_trajectories=5)),
+    (run_linearization_sweep, ExperimentConfig(n_values=(5, 6))),
+], ids=["sampling-biochemical", "sampling-regulatory", "linearization"])
+def test_threaded_sweep_writes_the_serial_csv(sweep, cfg, tmp_path):
+    blobs = []
+    for workers in (1, 2):
+        (csv_path,) = emit(sweep(dataclasses.replace(cfg, workers=workers)),
+                           tmp_path / str(workers), formats=("csv",))
+        blobs.append(csv_path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_sweep_dfp_runs_keep_the_inverse_hessian_exactly_symmetric(monkeypatch):
+    runs = []
+    real = recovery.minimize_dfp
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(recovery, "minimize_dfp", recording)
+    for dynamics, rates in (("biochemical", (0.25, 0.5, 0.75)),
+                            ("regulatory", (0.5,))):
+        run_sampling_sweep(ExperimentConfig(dynamics=dynamics, n_values=(20,),
+                                            trials=1, sampling_rates=rates,
+                                            baselines=()))
+    assert len(runs) == 20      # four recoveries, five starts each
+    assert [run.max_asymmetry for run in runs] == [0.0] * 20

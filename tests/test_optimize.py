@@ -158,6 +158,26 @@ def test_accepted_steps_never_raise_the_objective():
     assert res.max_asymmetry < 1e-8             # symmetrization kept H honest
 
 
+def test_inverse_hessian_stays_exactly_symmetric():
+    # every update adds outer products of a vector with itself, so h is
+    # symmetric bit for bit without any symmetrization
+    fun = lambda x: (1 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
+    grad = lambda x: np.array([
+        -2.0 * (1 - x[0]) - 400.0 * x[0] * (x[1] - x[0] ** 2),
+        200.0 * (x[1] - x[0] ** 2)])
+    for c2 in (0.9, 0.1):
+        res = minimize_dfp(fun, grad, np.array([-1.2, 1.0]), c2=c2)
+        assert res.iterations > 0 and res.max_asymmetry == 0.0
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        f = rng.normal(size=(40, 40))
+        q = f @ f.T + np.eye(40)
+        b = rng.normal(size=40)
+        res = minimize_dfp(lambda x: 0.5 * x @ q @ x - b @ x,
+                           lambda x: q @ x - b, np.zeros(40))
+        assert res.iterations > 0 and res.max_asymmetry == 0.0
+
+
 def test_tiny_gradient_scales_are_handled():
     # the classic failure mode: |grad| ~ 1e-8 at distance 1 from the
     # optimum, so unit steps go nowhere and naive expansion caps out
