@@ -34,7 +34,7 @@ from .recovery import (OptimizerConfig, RecoveryResult, SampleMatrix,
                        initial_guess, recover_initial_state, result_to_dict,
                        save_result, take_samples)
 from .sampling import (SamplingPlan, SelectionConfig, gamma_map, greedy_select,
-                       load_plan, save_plan, selected_rows, selection_score,
-                       sigma_quotient, verify_rank)
+                       load_plan, save_plan, selected_rows, sigma_quotient,
+                       verify_rank)
 
 __version__ = "0.1.0"

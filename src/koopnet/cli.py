@@ -93,13 +93,12 @@ def _cmd_select(args) -> int:
 
 def _check_plan(plan, spec) -> None:
     """Reject a plan selected on another dictionary than ``spec``."""
-    obs, rows = plan.observable_indices, plan.row_indices
-    expected = gamma_map(plan.nodes, spec, plan.tau).observable_indices
-    if expected.tolist() != obs.tolist():
-        # time-major rows: tick 1 starts one dictionary size past tick 0
-        size = rows[obs.size] - rows[0] if plan.tau > 1 else "unknown"
-        raise ValueError(f"plan was selected on a dictionary of size {size}, "
-                         f"the model's dictionary has size {spec.size}")
+    if plan.dictionary_size != spec.size or (
+            gamma_map(plan.nodes, spec, plan.tau).observable_indices.tolist()
+            != plan.observable_indices.tolist()):
+        raise ValueError(f"plan was selected on a dictionary of size "
+                         f"{plan.dictionary_size}, the model's dictionary has "
+                         f"size {spec.size}")
 
 
 def _cmd_recover(args) -> int:

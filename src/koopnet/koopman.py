@@ -3,8 +3,8 @@
 Snapshot pairs from simulated trajectories are lifted through an observable
 dictionary; the operator K is the minimizer of ``||Y - K X||_F^2`` (plus an
 optional ridge term), solved through an SVD pseudo-inverse with a relative
-singular-value cutoff.  ``EvolutionStack`` caches the stacked powers
-``[K^0; K^1; ...; K^(tau-1)]`` used by sensor selection and recovery.
+singular-value cutoff.  ``EvolutionStack`` caches the powers
+``K^0 .. K^(tau-1)`` as one tau x M x M array for selection and recovery.
 """
 
 from __future__ import annotations
@@ -54,29 +54,24 @@ class KoopmanModel:
 
 @dataclass(frozen=True)
 class EvolutionStack:
-    """Stacked operator powers: block t (0-based) is ``K**t``; top block is I."""
+    """Operator powers: ``powers[t]`` is ``K**t``, t = 0..tau-1; index 0 is I."""
 
-    theta: np.ndarray         # (tau * M) x M
-    tau: int
+    powers: np.ndarray        # tau x M x M
+
+    @property
+    def tau(self) -> int:
+        return self.powers.shape[0]
 
     @property
     def m(self) -> int:
-        return self.theta.shape[1]
-
-    def block(self, t: int) -> np.ndarray:
-        """The ``K**t`` block, ``0 <= t < tau``."""
-        if not 0 <= t < self.tau:
-            raise IndexError(f"block {t} outside 0..{self.tau - 1}")
-        return self.theta[t * self.m:(t + 1) * self.m]
+        return self.powers.shape[1]
 
     def evolve(self, z1: np.ndarray) -> np.ndarray:
         """The lifted path ``K**t z1`` for t = 0..tau-1, as M x tau columns.
 
-        One matrix-vector product per block, as ``block(t) @ z1`` computes it;
-        column 0 is ``z1`` itself.  The flat ``theta @ z1`` is not
-        bit-identical to that.
+        One matrix-vector product per power; column 0 is ``z1`` itself.
         """
-        return (self.theta.reshape(self.tau, self.m, self.m) @ z1).T
+        return (self.powers @ z1).T
 
 
 def assemble_training(trajectories: list[Trajectory],
@@ -145,15 +140,15 @@ def linearization_nrmse(model: KoopmanModel,
 
 
 def build_theta(model: KoopmanModel, tau: int) -> EvolutionStack:
-    """Stack ``K**0 .. K**(tau-1)`` (computed iteratively) into one matrix."""
+    """Stack ``K**0 .. K**(tau-1)`` (computed iteratively) into one array."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     m = model.size
-    theta = np.empty((tau * m, m))
-    theta[:m] = np.eye(m)
+    powers = np.empty((tau, m, m))
+    powers[0] = np.eye(m)
     for t in range(1, tau):
-        theta[t * m:(t + 1) * m] = model.operator @ theta[(t - 1) * m:t * m]
-    return EvolutionStack(theta=theta, tau=tau)
+        powers[t] = model.operator @ powers[t - 1]
+    return EvolutionStack(powers=powers)
 
 
 def refine_with_samples(model: KoopmanModel, training: TrainingSet,

@@ -70,7 +70,7 @@ class SampleMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.plan.row_indices.size,):
+        if v.shape != (self.plan.sample_count,):
             raise ValueError("sample vector length does not match the plan")
         object.__setattr__(self, "values", v)
 
@@ -88,15 +88,15 @@ class RecoveryResult:
 
 
 def take_samples(trajectory, spec: ObservableSpec, plan: SamplingPlan) -> SampleMatrix:
-    """Read the plan's dictionary entries off a trajectory, tick by tick."""
+    """Read the plan's entries off a trajectory, in ``selected_rows`` order."""
     states = trajectory.states if hasattr(trajectory, "states") else np.asarray(trajectory)
     if states.shape[0] != spec.n:
         raise ValueError("trajectory and dictionary disagree on the node count")
     if states.shape[1] != plan.tau:
         raise ValueError(f"plan expects {plan.tau} ticks, trajectory has {states.shape[1]}")
+    plan.check_dictionary(spec.size)
     z = lift_trajectory(spec, states)
-    stacked = z.T.ravel()  # entry t*M + m holds observable m at tick t
-    return SampleMatrix(values=stacked[plan.row_indices], plan=plan)
+    return SampleMatrix(values=z[plan.observable_indices].T.ravel(), plan=plan)
 
 
 def initial_guess(samples: SampleMatrix, spec: ObservableSpec,

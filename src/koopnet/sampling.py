@@ -2,11 +2,12 @@
 
 Sampling a node set S makes observable exactly the dictionary entries whose
 owner nodes all lie in S (the constant entry is always available).  Those
-entries, read at every tick, select rows of the stacked operator powers; the
-conditioning of that row submatrix - the ratio of its largest singular value
-to its N-th - scores how well the initial state can be recovered from the
-samples.  Nodes are added greedily until the score clears a threshold or a
-sensor budget is exhausted.
+entries, read at every tick t, select the rows of each operator power K**t;
+stacked time-major, they form the row submatrix whose conditioning - the
+ratio of its largest singular value to its N-th - scores how well the
+initial state can be recovered from the samples.  This module is the one
+reader of those rows.  Nodes are added greedily until the score clears a
+threshold or a sensor budget is exhausted.
 """
 
 from __future__ import annotations
@@ -48,27 +49,29 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """A chosen node set and the stacked rows it makes observable."""
+    """A chosen node set and the dictionary entries it makes observable."""
 
     nodes: tuple[int, ...]
     observable_indices: np.ndarray   # sorted dictionary rows readable from nodes
-    row_indices: np.ndarray          # rows of the stacked system, time-major
     tau: int
+    dictionary_size: int             # M of the dictionary it was mapped on
     score: float = math.inf
     rank_deficient: bool = False
     score_trace: tuple[float, ...] = ()
 
     @property
     def sample_count(self) -> int:
-        return int(self.row_indices.size)
+        return self.tau * int(self.observable_indices.size)
+
+    def check_dictionary(self, size: int) -> None:
+        """Reject a dictionary of another size than the plan was mapped on."""
+        if self.dictionary_size != size:
+            raise ValueError(f"plan was mapped on a dictionary of size "
+                             f"{self.dictionary_size}, not {size}")
 
 
 def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
-    """Map a node set to its observable dictionary rows and stacked-row indices.
-
-    Row indices are time-major: all selected entries at tick 1, then tick 2,
-    and so on, each tick's entries in ascending dictionary order.
-    """
+    """Map a node set to the dictionary rows it makes observable."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     node_list = [int(v) for v in nodes]
@@ -80,18 +83,22 @@ def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
     node_set = set(node_list)
     obs = np.array([m for m, term in enumerate(spec.terms)
                     if set(term.owners) <= node_set], dtype=int)
-    m = spec.size
-    rows = (np.arange(tau)[:, None] * m + obs[None, :]).ravel() if obs.size \
-        else np.empty(0, dtype=int)
     return SamplingPlan(nodes=tuple(node_list), observable_indices=obs,
-                        row_indices=rows, tau=tau)
+                        tau=tau, dictionary_size=spec.size)
+
+
+def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Rows ``obs`` of each power, time-major, as one C-contiguous gather."""
+    return np.take(powers, obs, axis=1).reshape(-1, powers.shape[2])
 
 
 def selected_rows(plan: SamplingPlan, theta: EvolutionStack) -> np.ndarray:
-    """The row submatrix of the stacked operator powers that the plan samples."""
+    """The plan's rows of the operator powers: every sampled entry at tick 1,
+    then at tick 2, and so on, each tick in ascending dictionary order."""
     if plan.tau != theta.tau:
         raise ValueError("plan and evolution stack disagree on tau")
-    return theta.theta[plan.row_indices]
+    plan.check_dictionary(theta.m)
+    return _rows(theta.powers, plan.observable_indices)
 
 
 def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:
@@ -123,13 +130,6 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return int((svals > RANK_TOL * svals[0]).sum())
 
 
-def selection_score(nodes, theta: EvolutionStack, spec: ObservableSpec) -> float:
-    """Conditioning score of a node set: sigma_1/sigma_N of its sampled rows."""
-    plan = gamma_map(nodes, spec, theta.tau)
-    score, _ = sigma_quotient(selected_rows(plan, theta), spec.n)
-    return score
-
-
 def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
                   config: SelectionConfig | None = None) -> SamplingPlan:
     """Grow a node set one node at a time, always taking the candidate with the
@@ -148,14 +148,9 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
     config = config or SelectionConfig()
     n = spec.n
     budget = min(config.max_nodes or n, n)
-    blocks = theta.theta.reshape(theta.tau, theta.m, theta.m)
-
-    def rows_of(obs: np.ndarray) -> np.ndarray:
-        return blocks[:, obs].reshape(-1, theta.m)
-
     selected: list[int] = []
     obs = gamma_map(selected, spec, theta.tau).observable_indices
-    r_s = np.linalg.qr(rows_of(obs), mode="r")
+    r_s = np.linalg.qr(_rows(theta.powers, obs), mode="r")
     trace: list[float] = []
     current_score = math.inf
     while len(selected) < budget:
@@ -166,7 +161,8 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
                 continue
             cand_obs = gamma_map(selected + [cand], spec,
                                  theta.tau).observable_indices
-            new_rows = rows_of(np.setdiff1d(cand_obs, obs, assume_unique=True))
+            new_rows = _rows(theta.powers,
+                             np.setdiff1d(cand_obs, obs, assume_unique=True))
             score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows]), n)
             key = (score, -sigma_n, cand)
             if best_key is None or key < best_key:
@@ -191,7 +187,7 @@ def verify_rank(plan: SamplingPlan, theta: EvolutionStack,
 
     The row-count necessary condition is checked before any factorization.
     """
-    if plan.row_indices.size < spec.n:
+    if plan.sample_count < spec.n:
         return False
     # rank at least N determines the state; with M > N observables the rows
     # routinely carry more than N independent directions, which is harmless
@@ -205,7 +201,7 @@ def plan_to_dict(plan: SamplingPlan) -> dict:
     return {
         "nodes": list(plan.nodes),
         "observable_indices": plan.observable_indices.tolist(),
-        "row_indices": plan.row_indices.tolist(),
+        "dictionary_size": plan.dictionary_size,
         "tau": plan.tau,
         "score": plan.score if math.isfinite(plan.score) else None,
         "rank_deficient": plan.rank_deficient,
@@ -217,11 +213,19 @@ def plan_from_dict(d: dict) -> SamplingPlan:
     def _restore(v):
         return math.inf if v is None else float(v)
 
+    if "dictionary_size" in d:
+        size = d["dictionary_size"]
+    else:  # older files list the rows t*M + m: tick 1 starts M past tick 0
+        rows, count = d.get("row_indices", ()), len(d["observable_indices"])
+        if len(rows) <= count:
+            raise ValueError("plan file has neither dictionary_size nor rows "
+                             "over two ticks to take it from")
+        size = rows[count] - rows[0]
     return SamplingPlan(
         nodes=tuple(int(v) for v in d["nodes"]),
         observable_indices=np.asarray(d["observable_indices"], dtype=int),
-        row_indices=np.asarray(d["row_indices"], dtype=int),
         tau=int(d["tau"]),
+        dictionary_size=int(size),
         score=_restore(d["score"]),
         rank_deficient=bool(d["rank_deficient"]),
         score_trace=tuple(_restore(s) for s in d["score_trace"]),

@@ -24,6 +24,7 @@ from koopnet import (
     linear_observable_recover,
     log_spec,
     poly_spec,
+    selected_rows,
     take_samples,
 )
 from koopnet import baselines
@@ -276,7 +277,7 @@ def test_linear_observable_recovery_is_exact_on_linear_dynamics():
                               for t in range(tau)])
     plan = gamma_map([0, 1], spec, tau)
     samples = take_samples(states, spec, plan)
-    assert np.linalg.matrix_rank(theta.theta[plan.row_indices]) == n
+    assert np.linalg.matrix_rank(selected_rows(plan, theta)) == n
     result = linear_observable_recover(samples, theta, spec)
     assert result.converged and result.iterations == 0
     assert result.objective < 1e-18
@@ -294,7 +295,7 @@ def test_linear_observable_recovery_minimizes_the_residual():
     values = rng.normal(size=plan.sample_count)
     samples = SampleMatrix(values=values, plan=plan)
     result = linear_observable_recover(samples, theta, spec)
-    a = theta.theta[plan.row_indices]
+    a = selected_rows(plan, theta)
     for _ in range(10):
         z = rng.normal(size=3)
         assert float(np.sum((a @ z - values) ** 2)) >= result.objective - 1e-12

@@ -194,25 +194,26 @@ def test_build_theta_identity_and_powers():
     model = KoopmanModel(operator=np.eye(3), spec=identity_spec(3),
                          residual=0.0)
     stack = build_theta(model, 3)
-    assert stack.theta.shape == (9, 3)
+    assert stack.powers.shape == (3, 3, 3)
+    assert (stack.tau, stack.m) == (3, 3)
     for t in range(3):
-        assert np.array_equal(stack.block(t), np.eye(3))
+        assert np.array_equal(stack.powers[t], np.eye(3))
 
     single = build_theta(model, 1)
-    assert np.array_equal(single.theta, np.eye(3))
+    assert np.array_equal(single.powers, np.eye(3)[None])
 
     doubling = build_theta(_scalar_model(2.0), 4)
-    assert np.allclose(doubling.theta, [[1.0], [2.0], [4.0], [8.0]])
-    # the top block is exactly the identity, no rounding
-    assert np.array_equal(doubling.block(0), np.eye(1))
+    assert np.allclose(doubling.powers, [[[1.0]], [[2.0]], [[4.0]], [[8.0]]])
+    # the power at index 0 is exactly the identity, no rounding
+    assert np.array_equal(doubling.powers[0], np.eye(1))
     with pytest.raises(IndexError):
-        doubling.block(4)
+        doubling.powers[4]
 
 
 @pytest.mark.parametrize("spec", [log_spec(6), poly_spec(6)],
                          ids=["log", "poly"])
 def test_evolve_is_blockwise_bit_for_bit(spec):
-    """One product per block: the flat ``theta @ z1`` rounds differently."""
+    """Column t is ``powers[t] @ z1``, bit for bit."""
     graph = generate_er_graph(6, 0.5, seed=31)
     x1s = random_initial_states(6, 40, 0.0, 1.0, seed=32)
     model = fit(assemble_training(
@@ -225,7 +226,7 @@ def test_evolve_is_blockwise_bit_for_bit(spec):
         assert path.shape == (spec.size, 12)
         assert np.array_equal(path[:, 0], z1)
         for t in range(12):
-            assert np.array_equal(path[:, t], theta.block(t) @ z1)
+            assert np.array_equal(path[:, t], theta.powers[t] @ z1)
 
 
 # =========================================================================

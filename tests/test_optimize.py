@@ -155,7 +155,9 @@ def test_accepted_steps_never_raise_the_objective():
     res = minimize_dfp(fun, grad, np.array([-1.2, 1.0]))
     trace = np.asarray(res.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12)
-    assert res.max_asymmetry < 1e-8             # symmetrization kept H honest
+    # H stays symmetric: each DFP update adds outer products of a vector
+    # with itself
+    assert res.max_asymmetry < 1e-8
 
 
 def test_inverse_hessian_stays_exactly_symmetric():

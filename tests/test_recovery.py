@@ -29,11 +29,13 @@ from koopnet import (
     log_spec,
     nrmse,
     per_tick_nrmse,
+    poly_spec,
     random_initial_state,
     random_initial_states,
     recover_initial_state,
     result_to_dict,
     save_result,
+    selected_rows,
     simulate,
     simulate_ensemble,
     take_samples,
@@ -114,7 +116,7 @@ def test_samples_match_the_stacked_system_rows():
                               for t in range(tau)])
     plan = gamma_map([0, 2], spec, tau)
     samples = take_samples(states, spec, plan)
-    stacked = theta.theta[plan.row_indices] @ x1
+    stacked = selected_rows(plan, theta) @ x1
     assert np.allclose(samples.values, stacked, atol=1e-10)
 
 
@@ -127,6 +129,16 @@ def test_take_samples_validation():
         take_samples(np.ones((3, 5)), spec, plan)   # tick count mismatch
     with pytest.raises(ValueError):
         SampleMatrix(values=np.ones(3), plan=plan)  # wrong sample length
+
+
+def test_take_samples_rejects_a_plan_of_another_dictionary():
+    # a log plan (n = 6, M = 19) read off a trajectory through a poly
+    # dictionary (n = 6, M = 85)
+    log_plan = gamma_map([0, 2, 4], log_spec(6), tau=3)
+    pspec = poly_spec(6, max_power=2)
+    assert (log_plan.dictionary_size, pspec.size) == (19, 85)
+    with pytest.raises(ValueError, match="size 19.*85"):
+        take_samples(np.ones((6, 3)), pspec, log_plan)
 
 
 # =========================================================================
@@ -150,7 +162,7 @@ def test_initial_guess_reads_sampled_nodes_and_fills_the_rest():
 def test_initial_guess_demands_the_linear_entry():
     spec = log_spec(2)
     crooked = SamplingPlan(nodes=(0,), observable_indices=np.array([0]),
-                           row_indices=np.array([0]), tau=1)
+                           tau=1, dictionary_size=spec.size)
     samples = SampleMatrix(values=np.ones(1), plan=crooked)
     with pytest.raises(RuntimeError, match="node 0"):
         initial_guess(samples, spec, fill_value=0.5)
@@ -177,7 +189,7 @@ def _exact_linear_setup(n=4, tau=6, seed=2, nodes=(0, 1)):
 
 def test_objective_vanishes_at_the_truth():
     spec, theta, x1, states, plan, samples = _exact_linear_setup()
-    a = theta.theta[plan.row_indices]
+    a = selected_rows(plan, theta)
     objective, gradient = _objective_pair(a, samples.values, spec)
     assert objective(x1) < 1e-20
     assert np.linalg.norm(gradient(x1)) < 1e-10
@@ -243,7 +255,7 @@ def test_full_sampling_recovers_the_initial_state():
 
 def test_partial_sampling_recovers_when_rank_allows():
     spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
-    score_rows = theta.theta[plan.row_indices]
+    score_rows = selected_rows(plan, theta)
     assert np.linalg.matrix_rank(score_rows, tol=1e-10) == 4  # identifiable
     result = recover_initial_state(samples, theta, spec,
                                    OptimizerConfig(fill_value=1.0, seed=5))
@@ -277,7 +289,7 @@ def test_recovery_rejects_a_stack_of_another_tau(plan_tau):
 
 def test_warm_start_lands_on_the_truth_for_exact_data():
     spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
-    a = theta.theta[plan.row_indices]
+    a = selected_rows(plan, theta)
     warm = _linear_warm_start(a, samples.values, spec)
     assert warm is not None
     assert np.abs(warm - x1).max() < 1e-8
@@ -309,7 +321,7 @@ def test_recovery_raises_when_every_start_is_infeasible():
     stack = build_theta(KoopmanModel(operator=np.full((spec.size, spec.size),
                                                       np.nan),
                                      spec=spec, residual=0.0), 1)
-    stack = type(stack)(theta=np.full_like(stack.theta, np.nan), tau=1)
+    stack = type(stack)(powers=np.full_like(stack.powers, np.nan))
     samples = SampleMatrix(values=np.ones(spec.size), plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
         recover_initial_state(samples, stack, spec,
@@ -368,7 +380,7 @@ def test_recovery_raises_on_a_non_finite_sample():
     plan = gamma_map([0], spec, tau=3)
     stack = build_theta(KoopmanModel(operator=0.9 * np.eye(spec.size),
                                      spec=spec, residual=0.0), 3)
-    values = np.full(plan.row_indices.size, 0.5)
+    values = np.full(plan.sample_count, 0.5)
     values[-1] = np.nan
     samples = SampleMatrix(values=values, plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
@@ -466,7 +478,7 @@ def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
     samples = take_samples(truth, spec, plan)
     result = recover_initial_state(samples, theta, spec,
                                    OptimizerConfig(fill_value=0.5, seed=23))
-    residual = (theta.theta[plan.row_indices] @ lift(spec, result.x1)
+    residual = (selected_rows(plan, theta) @ lift(spec, result.x1)
                 - samples.values)
     assert result.objective > 0.0
     assert result.objective == pytest.approx(float(residual @ residual),

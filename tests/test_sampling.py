@@ -20,12 +20,13 @@ from koopnet import (
     gamma_map,
     greedy_select,
     identity_spec,
+    lift_trajectory,
     load_plan,
     log_spec,
     poly_spec,
     save_plan,
-    selection_score,
     sigma_quotient,
+    take_samples,
     verify_rank,
 )
 from koopnet.sampling import (numerical_rank, plan_from_dict, plan_to_dict,
@@ -36,6 +37,12 @@ def _stack(op, tau):
     model = KoopmanModel(operator=np.asarray(op, dtype=float),
                          spec=identity_spec(op.shape[0]), residual=0.0)
     return build_theta(model, tau)
+
+
+def selection_score(nodes, theta, spec):
+    """Conditioning score of a node set: sigma_1/sigma_N of its sampled rows."""
+    plan = gamma_map(nodes, spec, theta.tau)
+    return sigma_quotient(selected_rows(plan, theta), spec.n)[0]
 
 
 # =========================================================================
@@ -59,13 +66,24 @@ def test_full_node_set_reads_the_whole_dictionary():
 
 
 def test_row_indices_are_time_major():
+    # samples and stacked rows share one time-major order: with the lifted
+    # state of tick t as column 0 of power t, the rows' first column reads
+    # back exactly the samples, tick by tick
     spec = log_spec(3, powers=(1, 2))
     m = spec.size
     plan = gamma_map([2], spec, tau=2)
     assert plan.sample_count == 8                # two ticks of four entries
     obs = plan.observable_indices
-    assert np.array_equal(plan.row_indices,
-                          np.concatenate([obs, obs + m]))
+    states = np.random.default_rng(0).uniform(1.0, 50.0, (3, 2))
+    z = lift_trajectory(spec, states)
+    powers = np.random.default_rng(1).normal(size=(2, m, m))
+    powers[:, :, 0] = z.T
+    rows = selected_rows(plan, EvolutionStack(powers=powers))
+    values = take_samples(states, spec, plan).values
+    assert np.array_equal(rows[:, 0], values)
+    for t in range(2):
+        assert np.array_equal(rows[4 * t:4 * (t + 1)], powers[t][obs])
+        assert np.array_equal(values[4 * t:4 * (t + 1)], z[obs, t])
 
 
 def test_gamma_map_validation():
@@ -361,7 +379,7 @@ def test_plan_json_round_trip():
     back = plan_from_dict(plan_to_dict(plan))
     assert back.nodes == plan.nodes
     assert np.array_equal(back.observable_indices, plan.observable_indices)
-    assert np.array_equal(back.row_indices, plan.row_indices)
+    assert back.dictionary_size == plan.dictionary_size == spec.size
     assert back.tau == plan.tau
     assert back.score == plan.score == math.inf   # inf survives via null
 
@@ -376,3 +394,44 @@ def test_plan_file_round_trip(tmp_path):
     assert back.score == pytest.approx(plan.score)
     assert back.score_trace == pytest.approx(plan.score_trace)
     assert back.rank_deficient == plan.rank_deficient
+
+
+def _old_format(plan, spec):
+    """The plan as files written before ``dictionary_size`` stored it."""
+    d = plan_to_dict(plan)
+    del d["dictionary_size"]
+    ticks = np.arange(plan.tau)[:, None] * spec.size
+    d["row_indices"] = (ticks + plan.observable_indices).ravel().tolist()
+    return d
+
+
+def test_old_plan_file_takes_the_dictionary_size_from_the_row_stride():
+    for spec in (log_spec(4), poly_spec(3, max_power=2), identity_spec(5)):
+        plan = gamma_map([1, 2], spec, tau=3)
+        back = plan_from_dict(_old_format(plan, spec))
+        assert back.dictionary_size == spec.size
+        assert np.array_equal(back.observable_indices, plan.observable_indices)
+        assert (back.nodes, back.tau) == (plan.nodes, plan.tau)
+
+
+def test_old_plan_file_without_two_ticks_is_rejected():
+    spec = log_spec(4)
+    one_tick = _old_format(gamma_map([1, 3], spec, tau=1), spec)
+    no_rows = _old_format(gamma_map([1, 3], spec, tau=4), spec)
+    del no_rows["row_indices"]
+    for d in (one_tick, no_rows):
+        with pytest.raises(ValueError, match="dictionary_size"):
+            plan_from_dict(d)
+
+
+def test_selected_rows_rejects_a_plan_of_another_dictionary():
+    # a log plan (n = 6, M = 19) on a poly stack (n = 6, M = 85)
+    log_plan = gamma_map([0, 2, 4], log_spec(6), tau=3)
+    pspec = poly_spec(6, max_power=2)
+    rng = np.random.default_rng(3)
+    model = KoopmanModel(operator=rng.normal(size=(pspec.size,) * 2) * 0.1,
+                         spec=pspec, residual=0.0)
+    theta = build_theta(model, 3)
+    assert (log_plan.dictionary_size, theta.m) == (19, 85)
+    with pytest.raises(ValueError, match="size 19.*85"):
+        selected_rows(log_plan, theta)
