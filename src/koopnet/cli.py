@@ -93,12 +93,12 @@ def _cmd_select(args) -> int:
 
 def _check_plan(plan, spec) -> None:
     """Reject a plan selected on another dictionary than ``spec``."""
-    if plan.dictionary_size != spec.size or (
-            gamma_map(plan.nodes, spec, plan.tau).observable_indices.tolist()
+    plan.check_dictionary(spec.size)
+    if (gamma_map(plan.nodes, spec, plan.tau).observable_indices.tolist()
             != plan.observable_indices.tolist()):
         raise ValueError(f"plan was selected on a dictionary of size "
-                         f"{plan.dictionary_size}, the model's dictionary has "
-                         f"size {spec.size}")
+                         f"{plan.dictionary_size} with other observables than "
+                         f"the model's")
 
 
 def _cmd_recover(args) -> int:

@@ -66,8 +66,9 @@ class SamplingPlan:
     def check_dictionary(self, size: int) -> None:
         """Reject a dictionary of another size than the plan was mapped on."""
         if self.dictionary_size != size:
-            raise ValueError(f"plan was mapped on a dictionary of size "
-                             f"{self.dictionary_size}, not {size}")
+            raise ValueError(f"plan was selected on a dictionary of size "
+                             f"{self.dictionary_size}, the model's dictionary "
+                             f"has size {size}")
 
 
 def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
@@ -145,6 +146,9 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
     is scored on that factor plus only the rows it adds.  Scores agree with
     scoring the full row stack up to rounding.
     """
+    if theta.m != spec.size:
+        raise ValueError(f"evolution stack has dictionary size {theta.m}, "
+                         f"the spec has size {spec.size}")
     config = config or SelectionConfig()
     n = spec.n
     budget = min(config.max_nodes or n, n)
@@ -213,19 +217,14 @@ def plan_from_dict(d: dict) -> SamplingPlan:
     def _restore(v):
         return math.inf if v is None else float(v)
 
-    if "dictionary_size" in d:
-        size = d["dictionary_size"]
-    else:  # older files list the rows t*M + m: tick 1 starts M past tick 0
-        rows, count = d.get("row_indices", ()), len(d["observable_indices"])
-        if len(rows) <= count:
-            raise ValueError("plan file has neither dictionary_size nor rows "
-                             "over two ticks to take it from")
-        size = rows[count] - rows[0]
+    if "dictionary_size" not in d:
+        raise ValueError("plan file predates dictionary_size; "
+                         "re-run koopnet select")
     return SamplingPlan(
         nodes=tuple(int(v) for v in d["nodes"]),
         observable_indices=np.asarray(d["observable_indices"], dtype=int),
         tau=int(d["tau"]),
-        dictionary_size=int(size),
+        dictionary_size=int(d["dictionary_size"]),
         score=_restore(d["score"]),
         rank_deficient=bool(d["rank_deficient"]),
         score_trace=tuple(_restore(s) for s in d["score_trace"]),

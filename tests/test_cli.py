@@ -132,26 +132,6 @@ def test_recover_artifact(chain):
     assert len(payload["trajectory"][0]) == CONFIG["sampling_ticks"]
 
 
-def test_recover_reads_an_old_format_plan(chain, tmp_path):
-    # files written before dictionary_size listed the stacked rows t*M + m
-    out = chain["out"]
-    plan = json.loads((out / "plan.json").read_text())
-    size = plan.pop("dictionary_size")
-    obs = np.asarray(plan["observable_indices"])
-    rows = (np.arange(plan["tau"])[:, None] * size + obs).ravel().tolist()
-    old = {k: plan[k] for k in ("nodes", "observable_indices")}
-    old["row_indices"] = rows
-    old.update(plan)
-    (tmp_path / "plan.json").write_text(json.dumps(old))
-    assert main(["recover", "--config", str(chain["config"]),
-                 "--out-dir", str(tmp_path / "out"),
-                 "--model", str(out / "model.json"),
-                 "--plan", str(tmp_path / "plan.json"),
-                 "--trajectory", str(out / "trajectory.csv")]) == 0
-    assert ((tmp_path / "out" / "recovery.json").read_bytes()
-            == (out / "recovery.json").read_bytes())
-
-
 def test_select_prints_summary(chain, capsys):
     out2 = chain["tmp"] / "select_again"
     rc = main(["select", "--config", str(chain["config"]),

@@ -396,32 +396,11 @@ def test_plan_file_round_trip(tmp_path):
     assert back.rank_deficient == plan.rank_deficient
 
 
-def _old_format(plan, spec):
-    """The plan as files written before ``dictionary_size`` stored it."""
-    d = plan_to_dict(plan)
+def test_plan_file_without_dictionary_size_is_rejected():
+    d = plan_to_dict(gamma_map([1, 3], log_spec(4), tau=4))
     del d["dictionary_size"]
-    ticks = np.arange(plan.tau)[:, None] * spec.size
-    d["row_indices"] = (ticks + plan.observable_indices).ravel().tolist()
-    return d
-
-
-def test_old_plan_file_takes_the_dictionary_size_from_the_row_stride():
-    for spec in (log_spec(4), poly_spec(3, max_power=2), identity_spec(5)):
-        plan = gamma_map([1, 2], spec, tau=3)
-        back = plan_from_dict(_old_format(plan, spec))
-        assert back.dictionary_size == spec.size
-        assert np.array_equal(back.observable_indices, plan.observable_indices)
-        assert (back.nodes, back.tau) == (plan.nodes, plan.tau)
-
-
-def test_old_plan_file_without_two_ticks_is_rejected():
-    spec = log_spec(4)
-    one_tick = _old_format(gamma_map([1, 3], spec, tau=1), spec)
-    no_rows = _old_format(gamma_map([1, 3], spec, tau=4), spec)
-    del no_rows["row_indices"]
-    for d in (one_tick, no_rows):
-        with pytest.raises(ValueError, match="dictionary_size"):
-            plan_from_dict(d)
+    with pytest.raises(ValueError, match="dictionary_size"):
+        plan_from_dict(d)
 
 
 def test_selected_rows_rejects_a_plan_of_another_dictionary():
@@ -435,3 +414,7 @@ def test_selected_rows_rejects_a_plan_of_another_dictionary():
     assert (log_plan.dictionary_size, theta.m) == (19, 85)
     with pytest.raises(ValueError, match="size 19.*85"):
         selected_rows(log_plan, theta)
+    # the same crossing when selecting: the log spec on the poly stack
+    with pytest.raises(ValueError, match="size 85.*19"):
+        greedy_select(theta, log_spec(6), SelectionConfig(gamma=None,
+                                                          max_nodes=3))
