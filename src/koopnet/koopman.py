@@ -97,45 +97,59 @@ def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     x, y = training.x, training.y
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    # X = ut.T diag(s) v.T.  With more snapshots than observables, X.T is
+    # tall, and LAPACK factors it on its QR path, faster than X's LQ path.
+    v, s, ut = np.linalg.svd(x.T, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise RuntimeError("degenerate training data: X has no nonzero columns")
-    keep = s > SV_CUTOFF * s[0]
-    u, s, vt = u[:, keep], s[keep], vt[keep]
+    r = np.count_nonzero(s > SV_CUTOFF * s[0])
+    v, s, ut = v[:, :r], s[:r], ut[:r]
     gain = s / (s * s + ridge) if ridge > 0 else 1.0 / s
-    k = ((y @ vt.T) * gain) @ u.T
+    yv = y @ v
+    yv *= gain
+    k = yv @ ut
+    # K X = Y V diag(gain * s) V.T: M r P flops, one M x P temporary
+    yv *= s
+    fitted = yv @ v.T
+    fitted -= y
     y_norm = np.linalg.norm(y)
-    residual = float(np.linalg.norm(y - k @ x) / y_norm) if y_norm > 0 else 0.0
+    residual = float(np.linalg.norm(fitted) / y_norm) if y_norm > 0 else 0.0
     return KoopmanModel(operator=k, spec=training.spec, residual=residual)
 
 
 def rollout(model: KoopmanModel, z1: np.ndarray, tau: int) -> np.ndarray:
-    """All lifted states ``K**(t-1) z1`` for t = 1..tau, as M x tau columns.
+    """All lifted states ``K**(t-1) z1`` for t = 1..tau, along a new last axis.
 
-    The model-path forward map: it needs only K, where ``EvolutionStack.evolve``
-    needs the tau x M x M stack of its powers.
+    ``z1`` is one lifted vector (the result is M x tau) or an M x d block of
+    them (M x d x tau), pushed forward together by one ``K @`` product per
+    tick.  The model-path forward map: it needs only K, where
+    ``EvolutionStack.evolve`` needs the tau x M x M stack of its powers.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
     z = np.asarray(z1, dtype=float)
-    out = np.empty((z.size, tau))
-    out[:, 0] = z
+    out = np.empty(z.shape + (tau,))
+    out[..., 0] = z
     for t in range(1, tau):
-        out[:, t] = model.operator @ out[:, t - 1]
+        out[..., t] = model.operator @ out[..., t - 1]
     return out
 
 
 def linearization_nrmse(model: KoopmanModel,
                         trajectories: list[Trajectory]) -> float:
-    """Mean N-RMSE of linear rollouts from each trajectory's initial state."""
+    """Mean N-RMSE of linear rollouts from each trajectory's initial state.
+
+    All initial states are lifted and rolled out as one block, to the
+    longest trajectory; each trajectory reads its own first ``tau`` ticks.
+    """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    errors = []
-    for traj in trajectories:
-        z1 = lift_trajectory(model.spec, traj.states[:, :1])[:, 0]
-        z_hat = rollout(model, z1, traj.tau)
-        x_hat = unlift_trajectory(model.spec, z_hat)
-        errors.append(nrmse(x_hat, traj.states))
+    x1s = np.column_stack([traj.states[:, 0] for traj in trajectories])
+    z_hat = rollout(model, lift_trajectory(model.spec, x1s),
+                    max(traj.tau for traj in trajectories))
+    errors = [nrmse(unlift_trajectory(model.spec, z_hat[:, j, :traj.tau]),
+                    traj.states)
+              for j, traj in enumerate(trajectories)]
     return float(np.mean(errors))
 
 

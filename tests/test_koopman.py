@@ -23,6 +23,7 @@ from koopnet import (
     linearization_nrmse,
     load_model,
     log_spec,
+    nrmse,
     poly_spec,
     random_initial_state,
     random_initial_states,
@@ -31,7 +32,9 @@ from koopnet import (
     save_model,
     simulate,
     simulate_ensemble,
+    unlift_trajectory,
 )
+from koopnet.koopman import SV_CUTOFF
 
 
 def _linear_trajectories(a, x1s, tau):
@@ -146,6 +149,47 @@ def test_fit_is_a_least_squares_minimum():
         assert np.linalg.norm(y - (model.operator + delta) @ x) >= base - 1e-12
 
 
+def _direct_residual(model, training):
+    return (np.linalg.norm(training.y - model.operator @ training.x)
+            / np.linalg.norm(training.y))
+
+
+def _random_training(m, p, seed, repeat_row=False):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, p))
+    if repeat_row:
+        x[-1] = x[0]      # a repeated dictionary row: X loses one rank
+    y = rng.normal(size=(m, p))          # inconsistent data: residual ~ 1
+    return TrainingSet(x=x, y=y, d=1, spec=identity_spec(m))
+
+
+@pytest.mark.parametrize("repeat_row", [False, True],
+                         ids=["full-rank", "rank-deficient"])
+def test_fit_matches_the_pseudo_inverse(repeat_row):
+    training = _random_training(6, 40, seed=40, repeat_row=repeat_row)
+    assert np.linalg.matrix_rank(training.x) == (5 if repeat_row else 6)
+    model = fit(training)
+    reference = training.y @ np.linalg.pinv(training.x, rcond=SV_CUTOFF)
+    np.testing.assert_allclose(model.operator, reference, rtol=1e-10,
+                               atol=1e-10 * np.abs(reference).max())
+    assert model.residual == pytest.approx(_direct_residual(model, training),
+                                           rel=1e-8)
+
+
+@pytest.mark.parametrize("ridge", [0.5, 20.0])
+def test_fit_matches_the_ridge_closed_form(ridge):
+    training = _random_training(5, 30, seed=41)
+    x, y = training.x, training.y
+    assert np.linalg.cond(x) < 10.0
+    model = fit(training, ridge=ridge)
+    # K = Y X^T (X X^T + ridge I)^-1, the Gram matrix being symmetric
+    reference = np.linalg.solve(x @ x.T + ridge * np.eye(5), x @ y.T).T
+    np.testing.assert_allclose(model.operator, reference, rtol=1e-10,
+                               atol=1e-10 * np.abs(reference).max())
+    assert model.residual == pytest.approx(_direct_residual(model, training),
+                                           rel=1e-8)
+
+
 def test_ridge_shrinks_the_operator():
     training = _identity_training(0.9 * np.eye(2), 2, 2, 8, seed=7)
     plain = fit(training)
@@ -188,6 +232,66 @@ def test_rollout_columns_are_operator_powers():
     assert np.allclose(out, [[1.0, 2.0, 4.0, 8.0]])
     with pytest.raises(ValueError):
         rollout(model, np.array([1.0]), 0)
+
+
+def test_vector_rollout_is_the_explicit_operator_loop():
+    rng = np.random.default_rng(42)
+    op = rng.normal(size=(7, 7)) * 0.4
+    model = KoopmanModel(operator=op, spec=identity_spec(7), residual=0.0)
+    z = rng.normal(size=7)
+    expected = np.empty((7, 9))
+    expected[:, 0] = z
+    for t in range(1, 9):
+        expected[:, t] = op @ expected[:, t - 1]
+    assert np.array_equal(rollout(model, z, 9), expected)
+
+
+# At the default scale of 500 the log entries of states in [0, 1] are nearly
+# collinear with the states, K's norm reaches 5e4, and the block and vector
+# products already differ by 1e-10; scale 1 keeps K's norm near 6.
+_ROLLOUT_SPECS = [(log_spec(8, scale=1.0), 8), (poly_spec(6), 6)]
+
+
+def _fitted(spec, n, seed):
+    graph = generate_er_graph(n, 0.5, seed=seed)
+    params = DynamicsParams.biochemical()
+    x1s = random_initial_states(n, 60, 0.0, 1.0, seed=seed + 1)
+    model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 15),
+                                  spec))
+    # held-out trajectories of two lengths
+    held_out = [traj for ticks in (9, 15)
+                for traj in simulate_ensemble(
+                    graph, params,
+                    random_initial_states(n, 3, 0.0, 1.0, seed=seed + ticks),
+                    ticks)]
+    return model, held_out
+
+
+@pytest.mark.parametrize("spec, n", _ROLLOUT_SPECS, ids=["log", "poly"])
+def test_block_rollout_matches_the_per_vector_rollouts(spec, n):
+    model, held_out = _fitted(spec, n, seed=43)
+    z = lift_trajectory(spec,
+                        np.column_stack([t.states[:, 0] for t in held_out]))
+    block = rollout(model, z, 15)
+    assert block.shape == (spec.size, len(held_out), 15)
+    for j in range(len(held_out)):
+        single = rollout(model, z[:, j], 15)
+        np.testing.assert_allclose(block[:, j], single, rtol=1e-12,
+                                   atol=1e-12 * np.abs(single).max())
+
+
+@pytest.mark.parametrize("spec, n", _ROLLOUT_SPECS, ids=["log", "poly"])
+def test_batched_linearization_error_matches_the_per_trajectory_loop(spec, n):
+    model, held_out = _fitted(spec, n, seed=44)
+    assert {t.tau for t in held_out} == {9, 15}
+    errors = []
+    for traj in held_out:
+        z1 = lift_trajectory(model.spec, traj.states[:, :1])[:, 0]
+        z_hat = rollout(model, z1, traj.tau)
+        errors.append(nrmse(unlift_trajectory(model.spec, z_hat),
+                            traj.states))
+    assert linearization_nrmse(model, held_out) == pytest.approx(
+        float(np.mean(errors)), rel=1e-12)
 
 
 def test_build_theta_identity_and_powers():
