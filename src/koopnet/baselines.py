@@ -4,8 +4,10 @@
   operator: eigendecompose K, keep the k modes with the largest eigenvalue
   moduli, and read sensor nodes off the significant entries of the matching
   rows of V^-1.  Recovery then treats the initial lifted vector as a free
-  vector and solves the sampled stacked system by pseudo-inverse, ignoring
-  the nonlinear structure tying lifted entries to states.
+  vector, solves the sampled rows of the operator powers (read off K by
+  their recurrence, without a stack of powers) by pseudo-inverse, and rolls
+  K forward from the solution, ignoring the nonlinear structure tying
+  lifted entries to states.
 * Classic bandlimited graph-signal sampling: an r-dimensional Laplacian
   eigenbasis, greedy row selection until the sampled basis has rank r, and
   per-tick least-squares recovery of the basis coefficients.
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Graph
-from .koopman import EvolutionStack, KoopmanModel
+from .koopman import KoopmanModel, rollout
 from .observables import ObservableSpec, unlift_trajectory
 from .recovery import RecoveryResult, SampleMatrix
-from .sampling import numerical_rank, selected_rows, sigma_quotient
+from .sampling import numerical_rank, operator_rows, sigma_quotient
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
@@ -137,15 +139,16 @@ def gramian_nodes_for_budget(model: KoopmanModel, budget: int) -> list[int]:
     return list(order)[:budget]
 
 
-def linear_observable_recover(samples: SampleMatrix, theta: EvolutionStack,
+def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
                               spec: ObservableSpec) -> RecoveryResult:
     """Recover the initial lifted vector as a free M-vector by least squares,
-    then unlift and roll forward.  No lift structure is enforced, which is
-    what makes this a baseline rather than the proposed recovery."""
-    a = selected_rows(samples.plan, theta)
+    then roll it forward through K and unlift.  No lift structure is
+    enforced, which is what makes this a baseline rather than the proposed
+    recovery."""
+    a = operator_rows(samples.plan, model)
     z1, *_ = np.linalg.lstsq(a, samples.values, rcond=_RCOND)
     residual = a @ z1 - samples.values
-    out = unlift_trajectory(spec, theta.evolve(z1))
+    out = unlift_trajectory(spec, rollout(model, z1, samples.plan.tau))
     x1 = out[:, 0]
     objective = float(residual @ residual)
     return RecoveryResult(x1=x1, trajectory=out, objective=objective,

@@ -435,7 +435,6 @@ def _poly_gramian_records(config, n, trial, truth_seed, train_trajs, truth):
     try:
         pspec = poly_spec(n, max_power=config.poly_max_power)
         pmodel = fit(assemble_training(train_trajs, pspec), ridge=config.ridge)
-        ptheta = build_theta(pmodel, tau)
     except Exception as exc:
         return [_failed("sampling", n, POLY_GRAMIAN, None, rate, trial,
                         truth_seed, exc, "setup")
@@ -449,7 +448,7 @@ def _poly_gramian_records(config, n, trial, truth_seed, train_trajs, truth):
     def recover(nodes, budget):
         plan = gamma_map(nodes[:budget], pspec, tau)
         samples = take_samples(truth, pspec, plan)
-        result = linear_observable_recover(samples, ptheta, pspec)
+        result = linear_observable_recover(samples, pmodel, pspec)
         return nrmse(result.trajectory, truth.states), True
 
     return _rate_records(config, n, trial, truth_seed, POLY_GRAMIAN,

@@ -6,8 +6,9 @@ entries, read at every tick t, select the rows of each operator power K**t;
 stacked time-major, they form the row submatrix whose conditioning - the
 ratio of its largest singular value to its N-th - scores how well the
 initial state can be recovered from the samples.  This module is the one
-reader of those rows.  Nodes are added greedily until the score clears a
-threshold or a sensor budget is exhausted.
+reader of those rows: off the stack of powers, or off K alone.  Nodes are
+added greedily until the score clears a threshold or a sensor budget is
+exhausted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import EvolutionStack
+from .koopman import EvolutionStack, KoopmanModel
 from .observables import ObservableSpec
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
@@ -100,6 +101,24 @@ def selected_rows(plan: SamplingPlan, theta: EvolutionStack) -> np.ndarray:
         raise ValueError("plan and evolution stack disagree on tau")
     plan.check_dictionary(theta.m)
     return _rows(theta.powers, plan.observable_indices)
+
+
+def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> np.ndarray:
+    """The plan's rows of the operator powers, read off K alone.
+
+    The rows E K**t of the plan's observables come from the recurrence
+    ``rows_t = rows_(t-1) @ K``, starting from their identity rows, so no
+    tau x M x M stack is built: the result is tau*|obs| x M.  It equals
+    ``selected_rows(plan, build_theta(model, plan.tau))`` up to rounding,
+    in the same time-major order.
+    """
+    plan.check_dictionary(model.size)
+    obs = plan.observable_indices
+    rows = np.zeros((plan.tau, obs.size, model.size))
+    rows[0, np.arange(obs.size), obs] = 1.0
+    for t in range(1, plan.tau):
+        np.matmul(rows[t - 1], model.operator, out=rows[t])
+    return rows.reshape(-1, model.size)
 
 
 def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:

@@ -26,9 +26,11 @@ from koopnet import (
     poly_spec,
     selected_rows,
     take_samples,
+    unlift_trajectory,
 )
 from koopnet import baselines
 from koopnet.recovery import SampleMatrix
+from koopnet.sampling import operator_rows
 
 
 def _model(op, spec=None):
@@ -271,14 +273,13 @@ def test_linear_observable_recovery_is_exact_on_linear_dynamics():
     op = rng.normal(size=(n, n))
     op *= 0.8 / max(np.abs(np.linalg.eigvals(op)))
     model = _model(op)
-    theta = build_theta(model, tau)
     x1 = rng.uniform(0.5, 2.0, n)
     states = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                               for t in range(tau)])
     plan = gamma_map([0, 1], spec, tau)
     samples = take_samples(states, spec, plan)
-    assert np.linalg.matrix_rank(selected_rows(plan, theta)) == n
-    result = linear_observable_recover(samples, theta, spec)
+    assert np.linalg.matrix_rank(operator_rows(plan, model)) == n
+    result = linear_observable_recover(samples, model, spec)
     assert result.converged and result.iterations == 0
     assert result.objective < 1e-18
     assert np.allclose(result.trajectory, states, atol=1e-8)
@@ -290,27 +291,53 @@ def test_linear_observable_recovery_minimizes_the_residual():
     # of the least-squares solution, which no other z1 can undercut
     rng = np.random.default_rng(5)
     spec = identity_spec(3)
-    theta = build_theta(_model(rng.normal(size=(3, 3)) * 0.5), 4)
+    model = _model(rng.normal(size=(3, 3)) * 0.5)
     plan = gamma_map([0, 1, 2], spec, 4)
     values = rng.normal(size=plan.sample_count)
     samples = SampleMatrix(values=values, plan=plan)
-    result = linear_observable_recover(samples, theta, spec)
-    a = selected_rows(plan, theta)
+    result = linear_observable_recover(samples, model, spec)
+    a = operator_rows(plan, model)
     for _ in range(10):
         z = rng.normal(size=3)
         assert float(np.sum((a @ z - values) ** 2)) >= result.objective - 1e-12
 
 
-@pytest.mark.parametrize("plan_tau", [3, 6])
-def test_linear_observable_recovery_rejects_another_tau(plan_tau):
-    # a longer plan would index past the stack, a shorter one would solve
-    # against the wrong horizon
+def _stack_recover(samples, model, spec):
+    """The recovery on the stack of operator powers: rows and path both
+    read off ``build_theta``."""
+    theta = build_theta(model, samples.plan.tau)
+    a = selected_rows(samples.plan, theta)
+    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=baselines._RCOND)
+    residual = a @ z1 - samples.values
+    return unlift_trajectory(spec, theta.evolve(z1)), float(residual @ residual)
+
+
+@pytest.mark.parametrize("spec, nodes", [
+    (identity_spec(5), [0, 3]),
+    (log_spec(4, powers=(1, 2)), [1, 2]),
+    (poly_spec(3, max_power=2), [0, 2]),
+])
+def test_linear_observable_recovery_matches_the_stack_reference(spec, nodes):
+    rng = np.random.default_rng(6)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+    model = _model(op, spec)
+    plan = gamma_map(nodes, spec, 7)
+    states = rng.uniform(1.0, 2.0, (spec.n, 7))
+    samples = take_samples(states, spec, plan)
+    result = linear_observable_recover(samples, model, spec)
+    trajectory, objective = _stack_recover(samples, model, spec)
+    np.testing.assert_allclose(result.trajectory, trajectory, rtol=1e-9)
+    assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-20)
+
+
+def test_linear_observable_recovery_rejects_another_dictionary():
+    # a plan mapped on a four-node dictionary, solved on a three-node model
     spec = identity_spec(3)
-    theta = build_theta(_model(np.eye(3) * 0.5), 4)
-    plan = gamma_map([0, 1], spec, plan_tau)
+    plan = gamma_map([0, 1], identity_spec(4), 4)
     samples = SampleMatrix(values=np.ones(plan.sample_count), plan=plan)
-    with pytest.raises(ValueError, match="disagree on tau"):
-        linear_observable_recover(samples, theta, spec)
+    with pytest.raises(ValueError, match="size 4.*3"):
+        linear_observable_recover(samples, _model(np.eye(3) * 0.5), spec)
 
 
 # =========================================================================

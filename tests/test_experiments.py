@@ -20,8 +20,9 @@ from koopnet.dynamics import (default_initial_range, generate_er_graph,
                               simulate, simulate_ensemble)
 from koopnet.experiments import (CSV_COLUMNS, LINEAR_GFT, POLY_GRAMIAN,
                                  PROPOSED, _budget, _child_seed)
-from koopnet.koopman import assemble_training, fit, refine_with_samples
-from koopnet.observables import log_spec
+from koopnet.koopman import (assemble_training, build_theta, fit,
+                             refine_with_samples)
+from koopnet.observables import POLY, log_spec
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +361,27 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
     failed = [r for r in report.records if r.method == PROPOSED]
     assert [(r.error, r.stage) for r in failed] == \
         [("RuntimeError: boom", "solve")] * len(cfg.sampling_rates)
+
+
+def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
+    # the baseline reads its rows off K, so only the log model's powers
+    # are ever stacked
+    kinds = []
+
+    def spy(model, tau):
+        kinds.append(model.spec.kind)
+        return build_theta(model, tau)
+
+    monkeypatch.setattr(experiments, "build_theta", spy)
+    cfg = ExperimentConfig(n_values=(5,), seed=2, trials=1,
+                           training_trajectories=20, training_ticks=20,
+                           sampling_ticks=8, sampling_rates=(0.4, 1.0),
+                           refine_trajectories=0,
+                           baselines=(POLY_GRAMIAN,))
+    report = run_sampling_sweep(cfg)
+    poly = [r for r in report.records if r.method == POLY_GRAMIAN]
+    assert len(poly) == 2 and all(r.error is None for r in poly)
+    assert kinds and POLY not in kinds
 
 
 @pytest.mark.parametrize("gamma", [None, 5000.0])

@@ -29,8 +29,8 @@ from koopnet import (
     take_samples,
     verify_rank,
 )
-from koopnet.sampling import (numerical_rank, plan_from_dict, plan_to_dict,
-                              selected_rows)
+from koopnet.sampling import (numerical_rank, operator_rows, plan_from_dict,
+                              plan_to_dict, selected_rows)
 
 
 def _stack(op, tau):
@@ -418,3 +418,33 @@ def test_selected_rows_rejects_a_plan_of_another_dictionary():
     with pytest.raises(ValueError, match="size 85.*19"):
         greedy_select(theta, log_spec(6), SelectionConfig(gamma=None,
                                                           max_nodes=3))
+
+
+@pytest.mark.parametrize("spec", [identity_spec(5), log_spec(4, powers=(1, 2)),
+                                  poly_spec(3, max_power=2)])
+@pytest.mark.parametrize("nodes, tau", [([], 3), ([0], 1), ([0, 2], 6),
+                                        ([2, 1, 0], 9)])
+def test_operator_rows_match_the_stack_rows(spec, nodes, tau):
+    rng = np.random.default_rng(len(nodes) + tau)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.95 / max(np.abs(np.linalg.eigvals(op)))
+    model = KoopmanModel(operator=op, spec=spec, residual=0.0)
+    plan = gamma_map(nodes, spec, tau)
+    rows = operator_rows(plan, model)
+    reference = selected_rows(plan, build_theta(model, tau))
+    assert rows.shape == reference.shape == (plan.sample_count, spec.size)
+    # tick 0 reads the identity rows exactly
+    assert np.array_equal(rows[:plan.observable_indices.size],
+                          reference[:plan.observable_indices.size])
+    # K K**(t-1) and K**(t-1) K round differently; entries far below the
+    # largest are compared at the largest entry's scale
+    np.testing.assert_allclose(rows, reference, rtol=1e-12,
+                               atol=1e-12 * np.abs(reference).max(initial=0.0))
+
+
+def test_operator_rows_reject_a_plan_of_another_dictionary():
+    log_plan = gamma_map([0, 2, 4], log_spec(6), tau=3)
+    pspec = poly_spec(6, max_power=2)
+    model = KoopmanModel(operator=np.eye(pspec.size), spec=pspec, residual=0.0)
+    with pytest.raises(ValueError, match="size 19.*85"):
+        operator_rows(log_plan, model)
