@@ -331,6 +331,24 @@ def test_linear_observable_recovery_matches_the_stack_reference(spec, nodes):
     assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-20)
 
 
+@pytest.mark.parametrize("plan_tau", [3, 6])
+def test_linear_observable_recovery_rejects_another_tau(plan_tau):
+    # the model carries no horizon, so the plan's tau sets both the sampled
+    # rows and the rollout; samples read at tau 4 cannot reach the recovery
+    # under a plan of another tau
+    spec = identity_spec(3)
+    model = _model(np.eye(3) * 0.5)
+    states = np.ones((3, 4))
+    samples = take_samples(states, spec, gamma_map([0, 1], spec, 4))
+    with pytest.raises(ValueError, match="does not match the plan"):
+        linear_observable_recover(
+            SampleMatrix(values=samples.values,
+                         plan=gamma_map([0, 1], spec, plan_tau)),
+            model, spec)
+    result = linear_observable_recover(samples, model, spec)
+    assert result.trajectory.shape == (3, 4)
+
+
 def test_linear_observable_recovery_rejects_another_dictionary():
     # a plan mapped on a four-node dictionary, solved on a three-node model
     spec = identity_spec(3)
