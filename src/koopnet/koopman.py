@@ -25,20 +25,53 @@ SV_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Lifted snapshot pairs: columns of ``y`` follow columns of ``x`` by one tick."""
+    """Trajectories and the dictionary that lifts them into snapshot pairs.
 
-    x: np.ndarray
-    y: np.ndarray
-    d: int  # number of source trajectories
+    ``x`` and ``y`` are lifted on each access, one trajectory at a time, into
+    one M x P array: every column of ``y`` follows the same column of ``x``
+    by one tick.  Nothing lifted is kept, so a caller holds at most the copy
+    it asked for.
+    """
+
+    trajectories: tuple[Trajectory, ...]
     spec: ObservableSpec
 
     def __post_init__(self):
-        if self.x.shape != self.y.shape:
-            raise ValueError("x and y must have matching shapes")
-        if self.x.ndim != 2 or self.x.shape[1] < 1:
-            raise ValueError("need at least one snapshot pair")
-        if self.x.shape[0] != self.spec.size:
-            raise ValueError("snapshot rows do not match the dictionary size")
+        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+        if not self.trajectories:
+            raise ValueError("need at least one trajectory")
+        for traj in self.trajectories:
+            if traj.n != self.spec.n:
+                raise ValueError(f"a trajectory has {traj.n} nodes, the "
+                                 f"dictionary expects {self.spec.n}")
+            if traj.tau < 2:
+                raise ValueError("a trajectory needs at least two ticks")
+
+    @property
+    def d(self) -> int:
+        """Number of source trajectories."""
+        return len(self.trajectories)
+
+    @property
+    def x(self) -> np.ndarray:
+        """Lifted sources: each trajectory's ticks but its last, M x P."""
+        return self._lifted(slice(None, -1))
+
+    @property
+    def y(self) -> np.ndarray:
+        """Lifted targets: each trajectory's ticks but its first, M x P."""
+        return self._lifted(slice(1, None))
+
+    def _lifted(self, ticks: slice) -> np.ndarray:
+        out = np.empty((self.spec.size,
+                        sum(traj.tau - 1 for traj in self.trajectories)))
+        start = 0
+        for traj in self.trajectories:
+            stop = start + traj.tau - 1
+            z = lift_trajectory(self.spec, traj.states)
+            out[:, start:stop] = z[:, ticks]
+            start = stop
+        return out
 
 
 @dataclass(frozen=True)
@@ -76,16 +109,8 @@ class EvolutionStack:
 
 def assemble_training(trajectories: list[Trajectory],
                       spec: ObservableSpec) -> TrainingSet:
-    """Lift every trajectory and collect all consecutive column pairs."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    xs, ys = [], []
-    for traj in trajectories:
-        z = lift_trajectory(spec, traj.states)
-        xs.append(z[:, :-1])
-        ys.append(z[:, 1:])
-    return TrainingSet(x=np.hstack(xs), y=np.hstack(ys), d=len(trajectories),
-                       spec=spec)
+    """Validate the trajectories and wrap them; nothing is lifted yet."""
+    return TrainingSet(trajectories=trajectories, spec=spec)
 
 
 def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
@@ -96,15 +121,17 @@ def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
     """
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    x, y = training.x, training.y
     # X = ut.T diag(s) v.T.  With more snapshots than observables, X.T is
     # tall, and LAPACK factors it on its QR path, faster than X's LQ path.
-    v, s, ut = np.linalg.svd(x.T, full_matrices=False)
+    # X is freed when the SVD returns, before Y is lifted, so only one
+    # lifted M x P array is held beside the factors.
+    v, s, ut = np.linalg.svd(training.x.T, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise RuntimeError("degenerate training data: X has no nonzero columns")
     r = np.count_nonzero(s > SV_CUTOFF * s[0])
     v, s, ut = v[:, :r], s[:r], ut[:r]
     gain = s / (s * s + ridge) if ridge > 0 else 1.0 / s
+    y = training.y
     yv = y @ v
     yv *= gain
     k = yv @ ut
@@ -188,11 +215,9 @@ def refine_with_samples(model: KoopmanModel, training: TrainingSet,
     rng = np.random.default_rng(seed)
     x1s = rng.uniform(init_low, init_high, (graph.n, d_extra))
     x1s[nodes, :] = values[:, None]
-    extra = assemble_training(simulate_ensemble(graph, params, x1s, num_steps),
-                              model.spec)
-    combined = TrainingSet(x=np.hstack([training.x, extra.x]),
-                           y=np.hstack([training.y, extra.y]),
-                           d=training.d + d_extra, spec=model.spec)
+    extra = simulate_ensemble(graph, params, x1s, num_steps)
+    combined = TrainingSet(trajectories=training.trajectories + tuple(extra),
+                           spec=model.spec)
     return fit(combined, ridge=ridge), combined
 
 

@@ -171,6 +171,12 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
     config = config or SelectionConfig()
     n = spec.n
     budget = min(config.max_nodes or n, n)
+    # each node's dictionary entries, ascending; a candidate adds those whose
+    # other owners are all selected already
+    owned: list[list[int]] = [[] for _ in range(n)]
+    for m, term in enumerate(spec.terms):
+        for v in term.owners:
+            owned[v].append(m)
     selected: list[int] = []
     obs = gamma_map(selected, spec, theta.tau).observable_indices
     r_s = np.linalg.qr(_rows(theta.powers, obs), mode="r")
@@ -182,17 +188,15 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
         for cand in range(n):
             if cand in selected:
                 continue
-            cand_obs = gamma_map(selected + [cand], spec,
-                                 theta.tau).observable_indices
-            new_rows = _rows(theta.powers,
-                             np.setdiff1d(cand_obs, obs, assume_unique=True))
+            new_obs = [m for m in owned[cand]
+                       if all(v == cand or v in selected
+                              for v in spec.terms[m].owners)]
+            new_rows = _rows(theta.powers, np.array(new_obs, dtype=int))
             score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows]), n)
             key = (score, -sigma_n, cand)
             if best_key is None or key < best_key:
-                best_key, best_node = key, cand
-                best_obs, best_rows = cand_obs, new_rows
+                best_key, best_node, best_rows = key, cand, new_rows
         selected.append(best_node)
-        obs = best_obs
         r_s = np.linalg.qr(np.vstack([r_s, best_rows]), mode="r")
         current_score = best_key[0]
         trace.append(current_score)

@@ -5,6 +5,8 @@ most oracles here are either hand-computed (scalars, permutations) or checked
 against an independently constructed ground-truth operator.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ def _linear_trajectories(a, x1s, tau):
     return trajs
 
 
+def _pairs_training(x, y):
+    """One 2-tick trajectory per snapshot pair, so the set's ``x`` is ``x``
+    and its ``y`` is ``y``."""
+    trajs = [Trajectory(states=np.column_stack([x[:, j], y[:, j]]))
+             for j in range(x.shape[1])]
+    return TrainingSet(trajectories=trajs, spec=identity_spec(x.shape[0]))
+
+
 def _identity_training(a, n, d, tau, seed):
     rng = np.random.default_rng(seed)
     x1s = rng.uniform(-1.0, 1.0, (n, d))
@@ -82,12 +92,18 @@ def test_snapshot_columns_are_shifted_by_one_tick():
 
 def test_training_set_validation():
     spec = identity_spec(2)
-    with pytest.raises(ValueError):
-        TrainingSet(x=np.ones((2, 3)), y=np.ones((2, 2)), d=1, spec=spec)
-    with pytest.raises(ValueError):
-        TrainingSet(x=np.ones((3, 2)), y=np.ones((3, 2)), d=1, spec=spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        TrainingSet(trajectories=(), spec=spec)
+    with pytest.raises(ValueError, match="at least one trajectory"):
         assemble_training([], spec)
+    with pytest.raises(ValueError, match="3 nodes"):
+        assemble_training([Trajectory(states=np.ones((2, 4))),
+                           Trajectory(states=np.ones((3, 4)))], spec)
+    # Trajectory itself refuses one tick; anything else with ``n``, ``tau``
+    # and ``states`` meets the set's own check
+    one_tick = SimpleNamespace(n=2, tau=1, states=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="two ticks"):
+        TrainingSet(trajectories=(one_tick,), spec=spec)
 
 
 # =========================================================================
@@ -107,8 +123,7 @@ def test_fit_identity_when_targets_equal_sources():
     # data itself it acts as the identity
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 10))
-    spec = identity_spec(4)
-    model = fit(TrainingSet(x=x, y=x.copy(), d=1, spec=spec))
+    model = fit(_pairs_training(x, x))
     assert np.allclose(model.operator @ x, x, atol=1e-10)
 
 
@@ -122,9 +137,7 @@ def test_fit_recovers_a_random_linear_map():
 
 
 def test_fit_rejects_all_zero_snapshots():
-    spec = identity_spec(3)
-    training = TrainingSet(x=np.zeros((3, 4)), y=np.zeros((3, 4)), d=1,
-                           spec=spec)
+    training = _pairs_training(np.zeros((3, 4)), np.zeros((3, 4)))
     with pytest.raises(RuntimeError, match="degenerate training data"):
         fit(training)
 
@@ -138,10 +151,9 @@ def test_fit_rejects_negative_ridge():
 def test_fit_is_a_least_squares_minimum():
     # any perturbation of the operator must not lower the residual
     rng = np.random.default_rng(6)
-    spec = identity_spec(3)
     x = rng.normal(size=(3, 12))
     y = rng.normal(size=(3, 12))        # inconsistent data: nonzero residual
-    model = fit(TrainingSet(x=x, y=y, d=1, spec=spec))
+    model = fit(_pairs_training(x, y))
     base = np.linalg.norm(y - model.operator @ x)
     for _ in range(10):
         delta = rng.normal(size=(3, 3))
@@ -160,7 +172,7 @@ def _random_training(m, p, seed, repeat_row=False):
     if repeat_row:
         x[-1] = x[0]      # a repeated dictionary row: X loses one rank
     y = rng.normal(size=(m, p))          # inconsistent data: residual ~ 1
-    return TrainingSet(x=x, y=y, d=1, spec=identity_spec(m))
+    return _pairs_training(x, y)
 
 
 @pytest.mark.parametrize("repeat_row", [False, True],
@@ -188,6 +200,46 @@ def test_fit_matches_the_ridge_closed_form(ridge):
                                atol=1e-10 * np.abs(reference).max())
     assert model.residual == pytest.approx(_direct_residual(model, training),
                                            rel=1e-8)
+
+
+def _stacked_fit(trajectories, spec, ridge):
+    """The fit on per-trajectory lifts hstacked into X and Y, both held at
+    once: the formula ``fit`` computes, written out."""
+    lifted = [lift_trajectory(spec, traj.states) for traj in trajectories]
+    x = np.hstack([z[:, :-1] for z in lifted])
+    y = np.hstack([z[:, 1:] for z in lifted])
+    v, s, ut = np.linalg.svd(x.T, full_matrices=False)
+    r = np.count_nonzero(s > SV_CUTOFF * s[0])
+    v, s, ut = v[:, :r], s[:r], ut[:r]
+    gain = s / (s * s + ridge) if ridge > 0 else 1.0 / s
+    yv = y @ v
+    yv *= gain
+    k = yv @ ut
+    yv *= s
+    fitted = yv @ v.T
+    fitted -= y
+    return x, y, k, float(np.linalg.norm(fitted) / np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.5])
+@pytest.mark.parametrize("spec", [log_spec(6, scale=1.0), poly_spec(6),
+                                  identity_spec(6)],
+                         ids=["log", "poly", "identity"])
+def test_fit_is_bit_identical_to_the_stacked_reference(spec, ridge):
+    graph = generate_er_graph(6, 0.5, seed=45)
+    # trajectories of two lengths, so the columns of one are not a block
+    # of fixed width
+    trajs = [traj for ticks, seed in ((12, 46), (7, 47))
+             for traj in simulate_ensemble(
+                 graph, DynamicsParams.biochemical(),
+                 random_initial_states(6, 10, 0.0, 1.0, seed=seed), ticks)]
+    training = assemble_training(trajs, spec)
+    x, y, k, residual = _stacked_fit(trajs, spec, ridge)
+    assert np.array_equal(training.x, x)
+    assert np.array_equal(training.y, y)
+    model = fit(training, ridge=ridge)
+    assert np.array_equal(model.operator, k)
+    assert model.residual == residual
 
 
 def test_ridge_shrinks_the_operator():
@@ -411,6 +463,21 @@ def test_refine_pins_sampled_entries_of_new_trajectories():
         assert np.allclose(block, per_traj[0], atol=1e-12)
     assert np.allclose(per_traj[0][:, 0], lift(spec, truth.states[:, 0]),
                        atol=1e-12)
+
+
+def test_refine_combined_set_is_the_stacked_union():
+    graph, params, spec, training, model, truth = _refine_setup()
+    nodes = [0, 2]
+    refined, combined = refine_with_samples(
+        model, training, nodes, truth.states[nodes, 0], graph, params, 15,
+        0.0, 1.0, d_extra=5, seed=41)
+    # the extra trajectories, drawn as refine_with_samples draws them
+    x1s = np.random.default_rng(41).uniform(0.0, 1.0, (6, 5))
+    x1s[nodes, :] = truth.states[nodes, 0][:, None]
+    extra = assemble_training(simulate_ensemble(graph, params, x1s, 15), spec)
+    assert combined.d == training.d + 5
+    assert np.array_equal(combined.x, np.hstack([training.x, extra.x]))
+    assert np.array_equal(combined.y, np.hstack([training.y, extra.y]))
 
 
 def test_refine_equals_a_fresh_fit_on_the_union():
