@@ -201,10 +201,16 @@ def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
             blocks[:, 1 + k] = np.log(base)
         return z
 
+    # each power of each node once, then gathered per term; the exponent is
+    # an integer array, as in a per-term ``x[i] ** a``, so the values match
     i_idx, i_pow, j_idx, j_pow = spec._poly_factors
-    z = x[i_idx] ** i_pow[:, None]
+    top = int(max(i_pow.max(), j_pow.max()))
+    table = np.empty((top + 1,) + x.shape)
+    for e in range(top + 1):
+        np.power(x, np.full((spec.n, 1), e), out=table[e])
+    z = table[i_pow, i_idx]
     pair = j_pow > 0
-    z[pair] *= x[j_idx[pair]] ** j_pow[pair, None]
+    z[pair] *= table[j_pow[pair], j_idx[pair]]
     return z
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -103,22 +104,26 @@ def selected_rows(plan: SamplingPlan, theta: EvolutionStack) -> np.ndarray:
     return _rows(theta.powers, plan.observable_indices)
 
 
-def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> np.ndarray:
-    """The plan's rows of the operator powers, read off K alone.
+def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarray]:
+    """The plan's rows of the operator powers, read off K alone, one tick at
+    a time.
 
-    The rows E K**t of the plan's observables come from the recurrence
-    ``rows_t = rows_(t-1) @ K``, starting from their identity rows, so no
-    tau x M x M stack is built: the result is tau*|obs| x M.  It equals
-    ``selected_rows(plan, build_theta(model, plan.tau))`` up to rounding,
-    in the same time-major order.
+    Yields the |obs| x M block E K**t for t = 0, ..., tau - 1, from the
+    recurrence ``rows_t = rows_(t-1) @ K`` started at the observables'
+    identity rows, so neither the tau x M x M stack nor all tau*|obs| rows
+    at once are built.  Stacked, the blocks equal
+    ``selected_rows(plan, build_theta(model, plan.tau))`` up to rounding, in
+    the same time-major order.  The dictionary check runs on the first
+    ``next``.
     """
     plan.check_dictionary(model.size)
     obs = plan.observable_indices
-    rows = np.zeros((plan.tau, obs.size, model.size))
-    rows[0, np.arange(obs.size), obs] = 1.0
-    for t in range(1, plan.tau):
-        np.matmul(rows[t - 1], model.operator, out=rows[t])
-    return rows.reshape(-1, model.size)
+    rows = np.zeros((obs.size, model.size))
+    rows[np.arange(obs.size), obs] = 1.0
+    yield rows
+    for _ in range(1, plan.tau):
+        rows = rows @ model.operator
+        yield rows
 
 
 def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:

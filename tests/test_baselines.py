@@ -5,6 +5,7 @@ graphs give closed-form Laplacian spectra.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from koopnet import (
     linear_observable_recover,
     log_spec,
     poly_spec,
+    rollout,
     selected_rows,
     take_samples,
     unlift_trajectory,
@@ -266,6 +268,11 @@ def test_singular_eigenvectors_are_rejected(monkeypatch):
 # Min-norm lifted recovery
 # =========================================================================
 
+def _dense_rows(plan, model):
+    """All tau*|obs| x M sampled rows at once, tick after tick."""
+    return np.vstack(list(operator_rows(plan, model)))
+
+
 def test_linear_observable_recovery_is_exact_on_linear_dynamics():
     rng = np.random.default_rng(4)
     n, tau = 4, 6
@@ -278,7 +285,7 @@ def test_linear_observable_recovery_is_exact_on_linear_dynamics():
                               for t in range(tau)])
     plan = gamma_map([0, 1], spec, tau)
     samples = take_samples(states, spec, plan)
-    assert np.linalg.matrix_rank(operator_rows(plan, model)) == n
+    assert np.linalg.matrix_rank(_dense_rows(plan, model)) == n
     result = linear_observable_recover(samples, model, spec)
     assert result.converged and result.iterations == 0
     assert result.objective < 1e-18
@@ -296,7 +303,7 @@ def test_linear_observable_recovery_minimizes_the_residual():
     values = rng.normal(size=plan.sample_count)
     samples = SampleMatrix(values=values, plan=plan)
     result = linear_observable_recover(samples, model, spec)
-    a = operator_rows(plan, model)
+    a = _dense_rows(plan, model)
     for _ in range(10):
         z = rng.normal(size=3)
         assert float(np.sum((a @ z - values) ** 2)) >= result.objective - 1e-12
@@ -329,6 +336,65 @@ def test_linear_observable_recovery_matches_the_stack_reference(spec, nodes):
     trajectory, objective = _stack_recover(samples, model, spec)
     np.testing.assert_allclose(result.trajectory, trajectory, rtol=1e-9)
     assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-20)
+
+
+def _dense_recover(samples, model, spec):
+    """The recovery as one dense least-squares solve on every sampled row."""
+    a = _dense_rows(samples.plan, model)
+    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=baselines._RCOND)
+    residual = a @ z1 - samples.values
+    trajectory = unlift_trajectory(spec, rollout(model, z1, samples.plan.tau))
+    return trajectory, float(residual @ residual)
+
+
+def _fold_case(spec, nodes, tau, seed):
+    rng = np.random.default_rng(seed)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+    model = _model(op, spec)
+    plan = gamma_map(nodes, spec, tau)
+    # states off the model's dynamics, so the samples leave a residual
+    states = rng.uniform(1.0, 2.0, (spec.n, tau))
+    return model, take_samples(states, spec, plan)
+
+
+# wide and rank-deficient (no fold before the last); tau*|obs| = 2,900 rows
+# against M = 145, folded several times; the identity dictionary
+_FOLD_CASES = {
+    "wide": (poly_spec(5, max_power=2), [1, 3], 3),
+    "tall": (poly_spec(8, max_power=2), list(range(8)), 20),
+    "identity": (identity_spec(6), [0, 2, 5], 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_folded_recovery_matches_the_dense_solve(case):
+    spec, nodes, tau = _FOLD_CASES[case]
+    model, samples = _fold_case(spec, nodes, tau, seed=7)
+    rows = samples.plan.sample_count
+    if case == "wide":
+        assert rows < spec.size
+    if case == "tall":
+        assert rows >= 10 * spec.size
+    result = linear_observable_recover(samples, model, spec)
+    trajectory, objective = _dense_recover(samples, model, spec)
+    np.testing.assert_allclose(result.trajectory, trajectory, rtol=1e-9)
+    assert result.objective == pytest.approx(objective, rel=1e-9, abs=1e-20)
+    if case != "wide":
+        assert objective > 1e-6     # the samples are not consistent
+
+
+def test_folded_recovery_never_holds_every_sampled_row():
+    spec, nodes, tau = _FOLD_CASES["tall"]
+    model, samples = _fold_case(spec, nodes, tau, seed=7)
+    dense_bytes = samples.plan.sample_count * spec.size * 8
+    tracemalloc.start()
+    try:
+        linear_observable_recover(samples, model, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
 
 
 @pytest.mark.parametrize("plan_tau", [3, 6])

@@ -155,6 +155,19 @@ def test_poly_lift_matches_direct_monomials():
         assert z[m] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, max_power", [(8, 3), (15, 2), (20, 2), (30, 2)])
+def test_poly_lift_equals_the_per_term_power(n, max_power):
+    # the per-term formula the power table replaced: each gathered row
+    # raised to its own exponent
+    spec = poly_spec(n, max_power=max_power)
+    i_idx, i_pow, j_idx, j_pow = spec._poly_factors
+    x = np.random.default_rng(n).uniform(0.0, 3.0, (n, 40))
+    expected = x[i_idx] ** i_pow[:, None]
+    pair = j_pow > 0
+    expected[pair] *= x[j_idx[pair]] ** j_pow[pair, None]
+    assert np.array_equal(lift_trajectory(spec, x), expected)
+
+
 def test_ownership_is_local():
     # perturbing node j moves only the entries owned by j
     spec = log_spec(6, scale=500.0, powers=(1, 2))

@@ -430,7 +430,11 @@ def test_operator_rows_match_the_stack_rows(spec, nodes, tau):
     op *= 0.95 / max(np.abs(np.linalg.eigvals(op)))
     model = KoopmanModel(operator=op, spec=spec, residual=0.0)
     plan = gamma_map(nodes, spec, tau)
-    rows = operator_rows(plan, model)
+    ticks = list(operator_rows(plan, model))
+    assert len(ticks) == tau
+    assert all(block.shape == (plan.observable_indices.size, spec.size)
+               for block in ticks)
+    rows = np.vstack(ticks)
     reference = selected_rows(plan, build_theta(model, tau))
     assert rows.shape == reference.shape == (plan.sample_count, spec.size)
     # tick 0 reads the identity rows exactly
@@ -447,4 +451,4 @@ def test_operator_rows_reject_a_plan_of_another_dictionary():
     pspec = poly_spec(6, max_power=2)
     model = KoopmanModel(operator=np.eye(pspec.size), spec=pspec, residual=0.0)
     with pytest.raises(ValueError, match="size 19.*85"):
-        operator_rows(log_plan, model)
+        next(operator_rows(log_plan, model))
