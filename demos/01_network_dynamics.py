@@ -25,7 +25,7 @@ print(f"graph: {n} nodes, {graph.adjacency.sum() / 2:.0f} edges, "
 params = DynamicsParams(kind="biochemical", flow_in=10.0)
 low, high = default_initial_range("biochemical")
 x1 = random_initial_state(n, low, high, seed=7)
-traj = simulate(graph, params, x1, 50, seed=7)
+traj = simulate(graph, params, x1, 50)
 print("\nbiochemical, 50 ticks from x(0) ~ U(0, 1):")
 for t in (0, 4, 9, 24, 49):
     row = " ".join(f"{v:7.4f}" for v in traj.states[:4, t])
@@ -41,7 +41,7 @@ print(f"  isolated node settles at {lone.states[0, -1]:.4f} (flow/decay = 10)")
 params = DynamicsParams(kind="regulatory")
 low, high = default_initial_range("regulatory")
 x1 = random_initial_state(n, low, high, seed=7)
-traj = simulate(graph, params, x1, 50, seed=7)
+traj = simulate(graph, params, x1, 50)
 print("\nregulatory, 50 ticks from x(0) ~ U(0, 100):")
 for t in (0, 4, 9, 24, 49):
     row = " ".join(f"{v:8.4f}" for v in traj.states[:4, t])

@@ -28,7 +28,7 @@ graph = generate_er_graph(n, 0.5, seed=21)
 x1s = random_initial_states(n, 100, low, high, seed=22)
 train = simulate_ensemble(graph, params, x1s, 50)
 truth = simulate(graph, params, random_initial_state(n, low, high, seed=23),
-                 tau, seed=23)
+                 tau)
 
 spec = log_spec(n)
 training = assemble_training(train, spec)

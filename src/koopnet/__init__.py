@@ -13,9 +13,8 @@ from .baselines import (GramianSelector, LinearGFTBasis, build_laplacian_basis,
                         linear_gft_recover_trajectory, linear_gft_select,
                         linear_observable_recover)
 from .dynamics import (BIOCHEMICAL, REGULATORY, DynamicsParams, Graph,
-                       Trajectory, default_initial_range, derivative,
-                       generate_er_graph, load_bundle, random_initial_state,
-                       random_initial_states, save_bundle, simulate,
+                       Trajectory, default_initial_range, generate_er_graph,
+                       random_initial_state, random_initial_states, simulate,
                        simulate_ensemble, trajectory_from_csv,
                        trajectory_to_csv)
 from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord,
@@ -26,13 +25,13 @@ from .koopman import (EvolutionStack, KoopmanModel, TrainingSet,
                       load_model, refine_with_samples, rollout, save_model)
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (IDENTITY, LOG, POLY, ObservableSpec, ObservableTerm,
-                          build_spec, check_scale, identity_spec, lift,
-                          lift_jacobian, lift_trajectory, log_spec, poly_spec,
+                          build_spec, identity_spec, lift, lift_jacobian,
+                          lift_trajectory, log_spec, poly_spec,
                           unlift_trajectory)
-from .optimize import MinimizeResult, dfp_update, minimize_dfp
+from .optimize import MinimizeResult, minimize_dfp
 from .recovery import (OptimizerConfig, RecoveryResult, SampleMatrix,
-                       initial_guess, recover_initial_state, result_to_dict,
-                       save_result, take_samples)
+                       recover_initial_state, result_to_dict, save_result,
+                       take_samples)
 from .sampling import (SamplingPlan, SelectionConfig, gamma_map, greedy_select,
                        load_plan, save_plan, selected_rows, sigma_quotient,
                        verify_rank)

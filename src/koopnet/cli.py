@@ -5,9 +5,8 @@ trajectory, ``fit`` trains an operator, ``select`` picks sensor nodes,
 ``recover`` reconstructs a trajectory from samples, and the two ``sweep-*``
 commands run the batch experiments.  Every command reads a JSON config (see
 the README schema); ``--seed`` overrides the config seed wherever the output
-depends on it, and ``--format`` keeps one of the two outputs of ``simulate``
-and the sweeps.  Failures exit nonzero after printing a one-line JSON error
-object to stderr.
+depends on it, and ``--format`` keeps one of the two outputs of a sweep.
+Failures exit nonzero after printing a one-line JSON error object to stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .dynamics import save_bundle, trajectory_from_csv, trajectory_to_csv
+from .dynamics import trajectory_from_csv, trajectory_to_csv
 from .experiments import (ExperimentConfig, _budget, _trial_data, _trial_seeds,
                           emit, run_linearization_sweep, run_sampling_sweep)
 from .koopman import (assemble_training, build_theta, fit, load_model,
@@ -53,14 +52,8 @@ def _trial_0(config: ExperimentConfig):
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     out = _out_dir(args)
-    graph, _, truth = _trial_0(config)
-    paths = []
-    if args.format in (None, "csv"):
-        paths.append(trajectory_to_csv(truth, out / "trajectory.csv"))
-    if args.format in (None, "json"):
-        paths.append(save_bundle(out / "trajectory.json", graph, truth.params,
-                                 truth))
-    print("wrote " + ", ".join(str(p) for p in paths))
+    _, _, truth = _trial_0(config)
+    print(f"wrote {trajectory_to_csv(truth, out / 'trajectory.csv')}")
     return 0
 
 
@@ -155,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    subcommand("simulate", _cmd_simulate, "simulate one ground-truth trajectory",
-               formats=True)
+    subcommand("simulate", _cmd_simulate, "simulate one ground-truth trajectory")
     subcommand("fit", _cmd_fit, "train the lifted operator on simulated data")
     p = subcommand("select", _cmd_select, "greedily choose sensor nodes",
                    seed=False)

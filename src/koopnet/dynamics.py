@@ -11,8 +11,7 @@ units.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +52,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return int(round(self.adjacency.sum())) // 2
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "adjacency": self.adjacency.astype(int).tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Graph":
-        return cls(n=int(d["n"]), adjacency=np.asarray(d["adjacency"], dtype=float))
 
 
 def generate_er_graph(n: int, p: float, seed: int | None = None) -> Graph:
@@ -119,13 +111,6 @@ class DynamicsParams:
         return cls(kind=REGULATORY, flow_in=0.0, decay=decay,
                    coupling=coupling, **kwargs)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DynamicsParams":
-        return cls(**d)
-
 
 def default_initial_range(kind: str) -> tuple[float, float]:
     """Initial-state sampling interval conventionally used with each dynamics."""
@@ -166,8 +151,6 @@ class Trajectory:
     """Sampled states, one column per tick (column 0 is the initial state)."""
 
     states: np.ndarray
-    params: DynamicsParams | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=float)
@@ -212,12 +195,8 @@ def _integrate(graph, params, x0, num_steps):
 
 
 def simulate(graph: Graph, params: DynamicsParams, x1: np.ndarray,
-             num_steps: int, seed: int | None = None) -> Trajectory:
-    """Integrate from initial state ``x1`` for ``num_steps`` ticks.
-
-    ``seed`` is recorded as provenance only (the integration itself is
-    deterministic); pass the seed used to draw ``x1`` when there is one.
-    """
+             num_steps: int) -> Trajectory:
+    """Integrate from initial state ``x1`` for ``num_steps`` ticks."""
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != (graph.n,):
         raise ValueError(f"initial state must have shape ({graph.n},)")
@@ -226,7 +205,7 @@ def simulate(graph: Graph, params: DynamicsParams, x1: np.ndarray,
     if num_steps < 2:
         raise ValueError("num_steps must be at least 2")
     states = _integrate(graph, params, x1, num_steps)
-    return Trajectory(states=states, params=params, seed=seed)
+    return Trajectory(states=states)
 
 
 def simulate_ensemble(graph: Graph, params: DynamicsParams, x1s: np.ndarray,
@@ -238,8 +217,7 @@ def simulate_ensemble(graph: Graph, params: DynamicsParams, x1s: np.ndarray,
     if num_steps < 2:
         raise ValueError("num_steps must be at least 2")
     paths = _integrate(graph, params, x1s, num_steps)
-    return [Trajectory(states=paths[:, :, d], params=params)
-            for d in range(x1s.shape[1])]
+    return [Trajectory(states=paths[:, :, d]) for d in range(x1s.shape[1])]
 
 
 def random_initial_state(n: int, low: float, high: float,
@@ -263,7 +241,7 @@ def random_initial_states(n: int, d: int, low: float, high: float,
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats: flat CSV for states, JSON bundle for full provenance.
+# On-disk format: one CSV row of node states per tick.
 
 def trajectory_to_csv(trajectory: Trajectory, path: str | Path) -> Path:
     """Write ``t,x_1,...,x_N`` rows, one per tick (t counts from 1)."""
@@ -285,30 +263,13 @@ def trajectory_from_csv(path: str | Path) -> Trajectory:
         header = next(reader)
         if not header or header[0] != "t":
             raise ValueError(f"{path}: expected a 't,x_1,...' header")
-        rows = [list(map(float, row[1:])) for row in reader if row]
+        rows = []
+        for row in filter(None, reader):  # skip blank lines
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                                 f"fields, the header has {len(header)}")
+            rows.append(list(map(float, row[1:])))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Trajectory(states=np.asarray(rows).T)
 
-
-def save_bundle(path: str | Path, graph: Graph, params: DynamicsParams,
-                trajectory: Trajectory) -> Path:
-    """JSON bundle carrying the graph, the rates, and the sampled states."""
-    path = Path(path)
-    payload = {
-        "graph": graph.to_dict(),
-        "params": params.to_dict(),
-        "seed": trajectory.seed,
-        "states": trajectory.states.tolist(),
-    }
-    path.write_text(json.dumps(payload))
-    return path
-
-
-def load_bundle(path: str | Path) -> tuple[Graph, DynamicsParams, Trajectory]:
-    payload = json.loads(Path(path).read_text())
-    graph = Graph.from_dict(payload["graph"])
-    params = DynamicsParams.from_dict(payload["params"])
-    trajectory = Trajectory(states=np.asarray(payload["states"], dtype=float),
-                            params=params, seed=payload.get("seed"))
-    return graph, params, trajectory

@@ -253,7 +253,7 @@ def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int]):
                                     config.training_ticks)
     truth = simulate(graph, params,
                      random_initial_state(n, low, high, seeds["truth"]),
-                     config.sampling_ticks, seed=seeds["truth"])
+                     config.sampling_ticks)
     return graph, train_trajs, truth
 
 

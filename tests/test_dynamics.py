@@ -2,7 +2,7 @@
 
 Covers Erdos-Renyi graph generation, the two dynamics families (mass-action
 consumption and saturating activation), RK4 integration accuracy, divergence
-guards, and the CSV/JSON round trips.
+guards, and the CSV round trip.
 """
 
 import math
@@ -15,17 +15,15 @@ from koopnet import (
     Graph,
     Trajectory,
     default_initial_range,
-    derivative,
     generate_er_graph,
-    load_bundle,
     random_initial_state,
     random_initial_states,
-    save_bundle,
     simulate,
     simulate_ensemble,
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from koopnet.dynamics import derivative
 
 
 # =========================================================================
@@ -286,24 +284,17 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert header == "t,x_1,x_2,x_3,x_4"
 
 
-def test_trajectory_csv_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("text,message", [
+    ("a,b\n1,2\n", "header"),
+    ("t,x_1,x_2,x_3\n1,0.5,0.5\n2,0.5,0.5\n", "line 2 has 3 fields"),
+    ("t,x_1,x_2\n1,0.5,0.5\n2,0.5\n", "line 3 has 2 fields")],
+    ids=["no-t-header", "rows-narrower-than-header", "ragged-rows"])
+def test_trajectory_csv_rejects_garbage(tmp_path, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError):
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=message) as excinfo:
         trajectory_from_csv(bad)
-
-
-def test_bundle_round_trip(tmp_path):
-    g = generate_er_graph(5, 0.5, seed=3)
-    params = DynamicsParams.regulatory(coupling=2.0)
-    traj = simulate(g, params, random_initial_state(5, 0.0, 100.0, seed=4), 7,
-                    seed=4)
-    path = save_bundle(tmp_path / "bundle.json", g, params, traj)
-    g2, p2, t2 = load_bundle(path)
-    assert np.array_equal(g2.adjacency, g.adjacency)
-    assert p2 == params
-    assert np.allclose(t2.states, traj.states)
-    assert t2.seed == 4
+    assert str(bad) in str(excinfo.value)
 
 
 def test_trajectory_validation():

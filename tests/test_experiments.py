@@ -266,7 +266,7 @@ def test_full_sampling_recovers_near_model_floor(samp_report):
     truth_seed = _child_seed(cfg.seed, n, trial, 3)
     truth = simulate(graph, params,
                      random_initial_state(n, low, high, truth_seed),
-                     cfg.sampling_ticks, seed=truth_seed)
+                     cfg.sampling_ticks)
     assert rec.seed == truth_seed
 
     spec = log_spec(n, scale=cfg.scale, powers=cfg.log_powers)

@@ -16,7 +16,6 @@ import pytest
 from koopnet import (
     ObservableSpec,
     build_spec,
-    check_scale,
     identity_spec,
     lift,
     lift_jacobian,
@@ -25,7 +24,7 @@ from koopnet import (
     poly_spec,
     unlift_trajectory,
 )
-from koopnet.observables import spec_from_dict, spec_to_dict
+from koopnet.observables import check_scale, spec_from_dict, spec_to_dict
 
 
 # =========================================================================

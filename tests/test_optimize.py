@@ -7,8 +7,8 @@ directions, unbounded objectives, curvature failures) pin the guard rails.
 import numpy as np
 import pytest
 
-from koopnet import dfp_update, minimize_dfp
-from koopnet.optimize import wolfe_line_search
+from koopnet import minimize_dfp
+from koopnet.optimize import dfp_update, wolfe_line_search
 
 
 # =========================================================================

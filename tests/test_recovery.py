@@ -24,7 +24,6 @@ from koopnet import (
     generate_er_graph,
     greedy_select,
     identity_spec,
-    initial_guess,
     lift,
     log_spec,
     nrmse,
@@ -42,7 +41,8 @@ from koopnet import (
     unlift_trajectory,
 )
 from koopnet import recovery
-from koopnet.recovery import SampleMatrix, _linear_warm_start, _objective_pair
+from koopnet.recovery import (SampleMatrix, _linear_warm_start, _objective_pair,
+                              initial_guess)
 
 
 # =========================================================================
