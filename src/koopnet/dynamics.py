@@ -265,10 +265,18 @@ def trajectory_from_csv(path: str | Path) -> Trajectory:
             raise ValueError(f"{path}: expected a 't,x_1,...' header")
         rows = []
         for row in filter(None, reader):  # skip blank lines
+            line = reader.line_num
             if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} "
+                raise ValueError(f"{path}: line {line} has {len(row)} "
                                  f"fields, the header has {len(header)}")
-            rows.append(list(map(float, row[1:])))
+            try:
+                t, *values = map(float, row)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
+            if t != len(rows) + 1:
+                raise ValueError(f"{path}: line {line} has t = {row[0]}, "
+                                 f"expected {len(rows) + 1}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return Trajectory(states=np.asarray(rows).T)

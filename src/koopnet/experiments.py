@@ -178,12 +178,12 @@ class TrialRecord:
     nrmse: float | None
     converged: bool | None
     error: str | None
-    # Wall-clock seconds, JSON only.  Work a sampling trial shares across its
-    # rates (greedy selection, the gramian node order) is charged to the
-    # first rate's record.
+    # Wall-clock seconds, JSON only.  Work a sampling method shares across
+    # its rates (its model fit, greedy selection, the gramian node order) is
+    # charged to the first rate's record.
     runtime_s: float | None = None
     # Where a failed record's work raised, JSON only: "setup" (the trial's
-    # data or a method's model), "prepare" (the step a method runs once per
+    # data), "prepare" (a method's model and the step it runs once per
     # trial) or "solve" (one rate's, or one linearization cell's, work).
     stage: str | None = None
 
@@ -285,8 +285,8 @@ def _linearization_cells(config: ExperimentConfig, n: int):
     return cells
 
 
-def _run_linearization_cell(config, n, graph, params, train_trajs, test_trajs,
-                            method, spec, seed) -> TrialRecord:
+def _run_linearization_cell(config, n, train_trajs, test_trajs, method, spec,
+                            seed) -> TrialRecord:
     start = time.perf_counter()
     try:
         training = assemble_training(train_trajs, spec)
@@ -321,8 +321,8 @@ def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
         return [_failed("linearization", n, method, spec.size, None, 0,
                         test_seed, exc, "setup")
                 for method, spec in cells]
-    return [_run_linearization_cell(config, n, graph, params, train_trajs,
-                                    test_trajs, method, spec, test_seed)
+    return [_run_linearization_cell(config, n, train_trajs, test_trajs,
+                                    method, spec, test_seed)
             for method, spec in cells]
 
 
@@ -340,25 +340,30 @@ def run_linearization_sweep(config: ExperimentConfig) -> ExperimentReport:
 
 def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialRecord]:
     seeds = _trial_seeds(config, n, trial)
+    methods = [m for m in _METHODS if m == PROPOSED or m in config.baselines]
     try:
-        return _sampling_trial_records(config, n, trial, seeds)
-    except Exception as exc:  # setup failures: graph, training data, base fit
-        methods = [PROPOSED] + [b for b in (POLY_GRAMIAN, LINEAR_GFT)
-                                if b in config.baselines]
+        graph, train_trajs, truth = _trial_data(config, n, seeds)
+    except Exception as exc:  # e.g. divergence while simulating the data
         return [_failed("sampling", n, method, None, rate, trial,
                         seeds["truth"], exc, "setup")
                 for method in methods for rate in config.sampling_rates]
+    return [rec for method in methods for rec in _rate_records(
+        config, n, trial, seeds["truth"], truth, method,
+        *_METHODS[method](config, n, seeds, graph, train_trajs, truth))]
 
 
 def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
-                  method: str, size: int | None, prepare,
+                  truth, method: str, size: int | None, prepare,
                   solve) -> list[TrialRecord]:
-    """One method's records, one per sampling rate.
+    """One method's records, one per sampling rate, from the
+    ``(size, prepare, solve)`` that ``_METHODS[method]`` builds.
 
-    ``prepare(max_budget)`` runs once, at the largest budget of the sweep, and
-    its result serves every rate: ``solve(shared, budget)`` returns that
-    rate's ``(nrmse, converged)``.  Should ``prepare`` raise, every rate
-    records its error.  Its time is charged to the first rate's record.
+    ``prepare(max_budget)`` builds the method's model and runs its
+    once-per-trial step at the largest budget of the sweep, and its result
+    serves every rate: ``solve(shared, budget)`` returns that rate's
+    ``(trajectory, converged)``, scored here against ``truth``.  Should
+    ``prepare`` raise, every rate records its error at stage ``"prepare"``.
+    Its time is charged to the first rate's record.
     """
     budgets = [_budget(rate, n) for rate in config.sampling_rates]
     start = time.perf_counter()
@@ -372,9 +377,10 @@ def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
     records = []
     for rate, budget in zip(config.sampling_rates, budgets):
         try:
-            err, converged = solve(shared, budget)
+            x_hat, converged = solve(shared, budget)
             records.append(TrialRecord("sampling", n, method, size, rate,
-                                       budget, trial, seed, err, converged,
+                                       budget, trial, seed,
+                                       nrmse(x_hat, truth.states), converged,
                                        None, time.perf_counter() - start))
         except Exception as exc:
             records.append(_failed("sampling", n, method, size, rate, trial,
@@ -384,87 +390,71 @@ def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
     return records
 
 
-def _sampling_trial_records(config: ExperimentConfig, n: int, trial: int,
-                            seeds: dict[str, int]) -> list[TrialRecord]:
+def _log_koopman(config, n, seeds, graph, train_trajs, truth):
     params = config.params()
     low, high = default_initial_range(params.kind)
     tau = config.sampling_ticks
-    truth_seed = seeds["truth"]
-    graph, train_trajs, truth = _trial_data(config, n, seeds)
-
     spec = log_spec(n, scale=config.scale, powers=config.log_powers)
-    training = assemble_training(train_trajs, spec)
-    model = fit(training, ridge=config.ridge)
-    theta = build_theta(model, tau)
     opt = config.optimizer(seeds["opt"])
 
-    def select(max_budget):
+    def prepare(max_budget):
+        training = assemble_training(train_trajs, spec)
+        model = fit(training, ridge=config.ridge)
+        theta = build_theta(model, tau)
         # greedy picks never depend on the budget, which only stops the loop
         # (and so does gamma): each rate's set is a prefix of this one
-        return greedy_select(theta, spec,
-                             SelectionConfig(gamma=config.gamma,
-                                             max_nodes=max_budget)).nodes
+        order = greedy_select(theta, spec,
+                              SelectionConfig(gamma=config.gamma,
+                                              max_nodes=max_budget)).nodes
+        return training, model, theta, order
 
-    def recover(order, budget):
+    def solve(shared, budget):
+        training, model, theta, order = shared
         plan = gamma_map(order[:budget], spec, tau)
         samples = take_samples(truth, spec, plan)
-        recover_theta = theta
         if config.refine_trajectories > 0:
             refined, _ = refine_with_samples(
                 model, training, plan.nodes,
                 truth.states[list(plan.nodes), 0], graph, params, tau,
                 low, high, config.refine_trajectories, seed=seeds["refine"],
                 ridge=config.ridge)
-            recover_theta = build_theta(refined, tau)
-        result = recover_initial_state(samples, recover_theta, spec, opt)
-        return nrmse(result.trajectory, truth.states), result.converged
+            theta = build_theta(refined, tau)
+        result = recover_initial_state(samples, theta, spec, opt)
+        return result.trajectory, result.converged
 
-    records = _rate_records(config, n, trial, truth_seed, PROPOSED, spec.size,
-                            select, recover)
-    if POLY_GRAMIAN in config.baselines:
-        records.extend(_poly_gramian_records(config, n, trial, truth_seed,
-                                             train_trajs, truth))
-    if LINEAR_GFT in config.baselines:
-        records.extend(_linear_gft_records(config, n, trial, truth_seed, graph,
-                                           truth))
-    return records
+    return spec.size, prepare, solve
 
 
-def _poly_gramian_records(config, n, trial, truth_seed, train_trajs, truth):
+def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
     tau = config.sampling_ticks
-    try:
-        pspec = poly_spec(n, max_power=config.poly_max_power)
-        pmodel = fit(assemble_training(train_trajs, pspec), ridge=config.ridge)
-    except Exception as exc:
-        return [_failed("sampling", n, POLY_GRAMIAN, None, rate, trial,
-                        truth_seed, exc, "setup")
-                for rate in config.sampling_rates]
+    spec = poly_spec(n, max_power=config.poly_max_power)
 
-    def order(max_budget):
-        # Smaller budgets stop the same picking loop earlier, so each is a
-        # prefix.
-        return gramian_nodes_for_budget(pmodel, max_budget)
+    def prepare(max_budget):
+        model = fit(assemble_training(train_trajs, spec), ridge=config.ridge)
+        # smaller budgets stop the same picking loop earlier: each a prefix
+        return model, gramian_nodes_for_budget(model, max_budget)
 
-    def recover(nodes, budget):
-        plan = gamma_map(nodes[:budget], pspec, tau)
-        samples = take_samples(truth, pspec, plan)
-        result = linear_observable_recover(samples, pmodel, pspec)
-        return nrmse(result.trajectory, truth.states), True
+    def solve(shared, budget):
+        model, order = shared
+        plan = gamma_map(order[:budget], spec, tau)
+        samples = take_samples(truth, spec, plan)
+        return linear_observable_recover(samples, model, spec).trajectory, True
 
-    return _rate_records(config, n, trial, truth_seed, POLY_GRAMIAN,
-                         pspec.size, order, recover)
+    return spec.size, prepare, solve
 
 
-def _linear_gft_records(config, n, trial, truth_seed, graph, truth):
-    def recover(_, budget):
+def _linear_gft(config, n, seeds, graph, train_trajs, truth):
+    def solve(_, budget):
         basis = build_laplacian_basis(graph, budget)
         nodes, reached = linear_gft_select(basis, budget)
-        x_hat = linear_gft_recover_trajectory(nodes, basis,
-                                              truth.states[list(nodes)])
-        return nrmse(x_hat, truth.states), reached
+        return linear_gft_recover_trajectory(nodes, basis,
+                                             truth.states[list(nodes)]), reached
 
-    return _rate_records(config, n, trial, truth_seed, LINEAR_GFT, None,
-                         lambda max_budget: None, recover)
+    return None, lambda max_budget: None, solve
+
+
+_METHODS = {PROPOSED: _log_koopman, POLY_GRAMIAN: _poly_gramian,
+            LINEAR_GFT: _linear_gft}
 
 
 def run_sampling_sweep(config: ExperimentConfig) -> ExperimentReport:

@@ -287,8 +287,11 @@ def test_trajectory_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("text,message", [
     ("a,b\n1,2\n", "header"),
     ("t,x_1,x_2,x_3\n1,0.5,0.5\n2,0.5,0.5\n", "line 2 has 3 fields"),
-    ("t,x_1,x_2\n1,0.5,0.5\n2,0.5\n", "line 3 has 2 fields")],
-    ids=["no-t-header", "rows-narrower-than-header", "ragged-rows"])
+    ("t,x_1,x_2\n1,0.5,0.5\n2,0.5\n", "line 3 has 2 fields"),
+    ("t,x_1,x_2\n1,0.5,0.5\n2,0.5,abc\n", "line 3: could not convert"),
+    ("t,x_1,x_2\n7,0.5,0.5\n3,0.5,0.5\n", "line 2 has t = 7, expected 1")],
+    ids=["no-t-header", "rows-narrower-than-header", "ragged-rows",
+         "non-numeric-field", "ticks-out-of-order"])
 def test_trajectory_csv_rejects_garbage(tmp_path, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

@@ -22,7 +22,7 @@ from koopnet.experiments import (CSV_COLUMNS, LINEAR_GFT, POLY_GRAMIAN,
                                  PROPOSED, _budget, _child_seed)
 from koopnet.koopman import (assemble_training, build_theta, fit,
                              refine_with_samples)
-from koopnet.observables import POLY, log_spec
+from koopnet.observables import POLY, log_spec, poly_spec
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +332,25 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
+    def boom_on_poly(training, **kwargs):
+        if training.spec.kind == POLY:
+            boom()
+        return fit(training, **kwargs)
+
     cfg = ExperimentConfig(n_values=(5,), seed=2, trials=1,
                            training_trajectories=20, training_ticks=20,
                            sampling_ticks=8, sampling_rates=(0.4, 0.8, 1.0),
                            refine_trajectories=0)
-    for name, method in (("greedy_select", PROPOSED),
-                         ("gramian_nodes_for_budget", POLY_GRAMIAN)):
+    # a method's model is part of its prepare step: a failed fit or stack of
+    # powers fails that method's rows alone
+    sizes = {PROPOSED: log_spec(5, scale=cfg.scale, powers=cfg.log_powers).size,
+             POLY_GRAMIAN: poly_spec(5, max_power=cfg.poly_max_power).size}
+    for name, fake, method in (("greedy_select", boom, PROPOSED),
+                               ("build_theta", boom, PROPOSED),
+                               ("gramian_nodes_for_budget", boom, POLY_GRAMIAN),
+                               ("fit", boom_on_poly, POLY_GRAMIAN)):
         with monkeypatch.context() as m:
-            m.setattr(experiments, name, boom)
+            m.setattr(experiments, name, fake)
             report = run_sampling_sweep(cfg)
         failed = [r for r in report.records if r.method == method]
         assert [r.rate for r in failed] == list(cfg.sampling_rates)
@@ -347,6 +358,7 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
             assert rec.error == "RuntimeError: boom"
             assert rec.nrmse is None and rec.converged is None
             assert rec.budget == _budget(rec.rate, 5)
+            assert rec.dictionary_size == sizes[method]
             assert rec.stage == "prepare"
         # the shared step's time is charged to the first rate alone
         assert failed[0].runtime_s > 0
