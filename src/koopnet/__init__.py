@@ -20,9 +20,9 @@ from .dynamics import (BIOCHEMICAL, REGULATORY, DynamicsParams, Graph,
 from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord,
                           aggregate, emit, report_from_json,
                           run_linearization_sweep, run_sampling_sweep)
-from .koopman import (EvolutionStack, KoopmanModel, TrainingSet,
-                      assemble_training, build_theta, fit, linearization_nrmse,
-                      load_model, refine_with_samples, rollout, save_model)
+from .koopman import (KoopmanModel, TrainingSet, assemble_training,
+                      build_theta, fit, linearization_nrmse, load_model,
+                      refine_with_samples, rollout, save_model)
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (IDENTITY, LOG, POLY, ObservableSpec, ObservableTerm,
                           build_spec, identity_spec, lift, lift_jacobian,

@@ -22,7 +22,7 @@ import numpy as np
 from .dynamics import Graph
 from .koopman import KoopmanModel, rollout
 from .observables import ObservableSpec, unlift_trajectory
-from .recovery import RecoveryResult, SampleMatrix
+from .recovery import SampleMatrix
 from .sampling import numerical_rank, operator_rows, sigma_quotient
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
@@ -141,11 +141,12 @@ def gramian_nodes_for_budget(model: KoopmanModel, budget: int) -> list[int]:
 
 
 def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
-                              spec: ObservableSpec) -> RecoveryResult:
+                              spec: ObservableSpec) -> tuple[np.ndarray, float]:
     """Recover the initial lifted vector as a free M-vector by least squares,
     then roll it forward through K and unlift.  No lift structure is
     enforced, which is what makes this a baseline rather than the proposed
-    recovery.
+    recovery.  Returns the n x tau trajectory and the least-squares
+    objective ``||A z1 - y||^2``.
 
     The tau*|obs| x M system ``A z1 = y`` is never formed.  Each tick's rows
     and samples, ``[A_t | y_t]``, are written under the triangular factor R
@@ -170,12 +171,8 @@ def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
     r_a, r_y = r[:, :m], r[:, m]
     z1, *_ = np.linalg.lstsq(r_a, r_y, rcond=_RCOND)
     residual = r_a @ z1 - r_y
-    out = unlift_trajectory(spec, rollout(model, z1, plan.tau))
-    x1 = out[:, 0]
-    objective = float(residual @ residual)
-    return RecoveryResult(x1=x1, trajectory=out, objective=objective,
-                          iterations=0, converged=True,
-                          objective_trace=(objective,))
+    trajectory = unlift_trajectory(spec, rollout(model, z1, plan.tau).T)
+    return trajectory, float(residual @ residual)
 
 
 @dataclass(frozen=True)

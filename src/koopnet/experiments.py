@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -438,7 +438,8 @@ def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
         model, order = shared
         plan = gamma_map(order[:budget], spec, tau)
         samples = take_samples(truth, spec, plan)
-        return linear_observable_recover(samples, model, spec).trajectory, True
+        trajectory, _ = linear_observable_recover(samples, model, spec)
+        return trajectory, True
 
     return spec.size, prepare, solve
 

@@ -3,8 +3,10 @@
 Snapshot pairs from simulated trajectories are lifted through an observable
 dictionary; the operator K is the minimizer of ``||Y - K X||_F^2`` (plus an
 optional ridge term), solved through an SVD pseudo-inverse with a relative
-singular-value cutoff.  ``EvolutionStack`` caches the powers
-``K^0 .. K^(tau-1)`` as one tau x M x M array for selection and recovery.
+singular-value cutoff.  ``rollout`` is the one forward recurrence: it pushes
+lifted vectors through K tick by tick, and ``build_theta`` rolls out the
+identity to get the powers ``K^0 .. K^(tau-1)`` as one tau x M x M array
+for selection and recovery.
 """
 
 from __future__ import annotations
@@ -85,28 +87,6 @@ class KoopmanModel:
         return self.operator.shape[0]
 
 
-@dataclass(frozen=True)
-class EvolutionStack:
-    """Operator powers: ``powers[t]`` is ``K**t``, t = 0..tau-1; index 0 is I."""
-
-    powers: np.ndarray        # tau x M x M
-
-    @property
-    def tau(self) -> int:
-        return self.powers.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.powers.shape[1]
-
-    def evolve(self, z1: np.ndarray) -> np.ndarray:
-        """The lifted path ``K**t z1`` for t = 0..tau-1, as M x tau columns.
-
-        One matrix-vector product per power; column 0 is ``z1`` itself.
-        """
-        return (self.powers @ z1).T
-
-
 def assemble_training(trajectories: list[Trajectory],
                       spec: ObservableSpec) -> TrainingSet:
     """Validate the trajectories and wrap them; nothing is lifted yet."""
@@ -145,20 +125,19 @@ def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
 
 
 def rollout(model: KoopmanModel, z1: np.ndarray, tau: int) -> np.ndarray:
-    """All lifted states ``K**(t-1) z1`` for t = 1..tau, along a new last axis.
+    """All lifted states ``K**t z1`` for t = 0..tau-1, time first.
 
-    ``z1`` is one lifted vector (the result is M x tau) or an M x d block of
-    them (M x d x tau), pushed forward together by one ``K @`` product per
-    tick.  The model-path forward map: it needs only K, where
-    ``EvolutionStack.evolve`` needs the tau x M x M stack of its powers.
+    ``z1`` is one lifted vector (the result is tau x M), an M x d block of
+    them (tau x M x d), or the M x M identity (the stack of powers), pushed
+    forward together by one ``K @`` product per tick; index 0 is ``z1``.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
     z = np.asarray(z1, dtype=float)
-    out = np.empty(z.shape + (tau,))
-    out[..., 0] = z
+    out = np.empty((tau,) + z.shape)
+    out[0] = z
     for t in range(1, tau):
-        out[..., t] = model.operator @ out[..., t - 1]
+        out[t] = model.operator @ out[t - 1]
     return out
 
 
@@ -174,22 +153,15 @@ def linearization_nrmse(model: KoopmanModel,
     x1s = np.column_stack([traj.states[:, 0] for traj in trajectories])
     z_hat = rollout(model, lift_trajectory(model.spec, x1s),
                     max(traj.tau for traj in trajectories))
-    errors = [nrmse(unlift_trajectory(model.spec, z_hat[:, j, :traj.tau]),
+    errors = [nrmse(unlift_trajectory(model.spec, z_hat[:traj.tau, :, j].T),
                     traj.states)
               for j, traj in enumerate(trajectories)]
     return float(np.mean(errors))
 
 
-def build_theta(model: KoopmanModel, tau: int) -> EvolutionStack:
-    """Stack ``K**0 .. K**(tau-1)`` (computed iteratively) into one array."""
-    if tau < 1:
-        raise ValueError("tau must be at least 1")
-    m = model.size
-    powers = np.empty((tau, m, m))
-    powers[0] = np.eye(m)
-    for t in range(1, tau):
-        powers[t] = model.operator @ powers[t - 1]
-    return EvolutionStack(powers=powers)
+def build_theta(model: KoopmanModel, tau: int) -> np.ndarray:
+    """The stack of powers, tau x M x M with ``K**t`` at index t; index 0 is I."""
+    return rollout(model, np.eye(model.size), tau)
 
 
 def refine_with_samples(model: KoopmanModel, training: TrainingSet,

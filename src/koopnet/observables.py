@@ -85,9 +85,6 @@ class ObservableSpec:
                 j_idx[m], j_pow[m] = exps[1]
         return i_idx, i_pow, j_idx, j_pow
 
-    def owners(self, m: int) -> tuple[int, ...]:
-        return self.terms[m].owners
-
 
 def log_spec(n: int, scale: float = 500.0, powers: tuple[int, ...] = (1, 2)) -> ObservableSpec:
     """Log dictionary: constant entry, then per node the scaled state and one

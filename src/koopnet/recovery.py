@@ -7,7 +7,7 @@ minimizes the squared sample mismatch over the initial state with an analytic
 gradient (chain rule through the lift Jacobian) and a DFP quasi-Newton
 search.  The search runs on the triangular QR factor of ``[A | y]``, a
 system of at most M + 1 rows with the same objective value at every state.
-The recovered initial state is then rolled forward through the operator
+The recovered initial state is then multiplied by the stack of operator
 powers and unlifted into a full trajectory estimate.
 """
 
@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import EvolutionStack
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, lift, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
@@ -140,13 +139,14 @@ def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
     return objective, gradient
 
 
-def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
+def recover_initial_state(samples: SampleMatrix, theta: np.ndarray,
                           spec: ObservableSpec,
                           config: OptimizerConfig | None = None) -> RecoveryResult:
-    """Estimate the initial state behind ``samples`` and reconstruct the rest."""
+    """Estimate the initial state behind ``samples`` and reconstruct the rest
+    from ``theta``, the tau x M x M stack of powers ``build_theta`` makes."""
     config = config or OptimizerConfig()
     plan = samples.plan
-    if theta.m != spec.size:
+    if theta.shape[1] != spec.size:
         raise ValueError("evolution stack and dictionary disagree on size")
     # [A | y] = QR, so ||A psi - y|| = ||R[:, :M] psi - R[:, M]|| for every
     # psi; the last row of R keeps the residual that no psi can remove.
@@ -185,7 +185,8 @@ def recover_initial_state(samples: SampleMatrix, theta: EvolutionStack,
     if best is None:
         raise RuntimeError("every recovery start failed: " + "; ".join(failures))
 
-    trajectory = unlift_trajectory(spec, theta.evolve(lift(spec, best.x)))
+    # one matrix-vector product per power, K**t @ z1 at index t
+    trajectory = unlift_trajectory(spec, (theta @ lift(spec, best.x)).T)
     trajectory[:, 0] = best.x
     return RecoveryResult(x1=best.x, trajectory=trajectory, objective=best.fun,
                           iterations=best.iterations, converged=best.converged,

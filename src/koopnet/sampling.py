@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import EvolutionStack, KoopmanModel
+from .koopman import KoopmanModel
 from .observables import ObservableSpec
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
@@ -95,26 +95,27 @@ def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
     return np.take(powers, obs, axis=1).reshape(-1, powers.shape[2])
 
 
-def selected_rows(plan: SamplingPlan, theta: EvolutionStack) -> np.ndarray:
-    """The plan's rows of the operator powers: every sampled entry at tick 1,
-    then at tick 2, and so on, each tick in ascending dictionary order."""
-    if plan.tau != theta.tau:
+def selected_rows(plan: SamplingPlan, theta: np.ndarray) -> np.ndarray:
+    """The plan's rows of the tau x M x M stack of powers: every sampled
+    entry at tick 1, then at tick 2, and so on, each tick in ascending
+    dictionary order."""
+    if plan.tau != theta.shape[0]:
         raise ValueError("plan and evolution stack disagree on tau")
-    plan.check_dictionary(theta.m)
-    return _rows(theta.powers, plan.observable_indices)
+    plan.check_dictionary(theta.shape[1])
+    return _rows(theta, plan.observable_indices)
 
 
 def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarray]:
     """The plan's rows of the operator powers, read off K alone, one tick at
     a time.
 
-    Yields the |obs| x M block E K**t for t = 0, ..., tau - 1, from the
-    recurrence ``rows_t = rows_(t-1) @ K`` started at the observables'
-    identity rows, so neither the tau x M x M stack nor all tau*|obs| rows
-    at once are built.  Stacked, the blocks equal
-    ``selected_rows(plan, build_theta(model, plan.tau))`` up to rounding, in
-    the same time-major order.  The dictionary check runs on the first
-    ``next``.
+    Yields the |obs| x M block E K**t for t = 0, ..., tau - 1.  The row
+    recurrence ``rows_t = rows_(t-1) @ K`` runs from the observables'
+    identity rows; it is the left-hand twin of ``rollout``'s ``K @`` and
+    builds neither the stack of powers nor all tau*|obs| rows at once.
+    Stacked, the blocks equal ``selected_rows(plan, build_theta(model,
+    plan.tau))`` up to rounding, in the same time-major order.  The
+    dictionary check runs on the first ``next``.
     """
     plan.check_dictionary(model.size)
     obs = plan.observable_indices
@@ -155,7 +156,7 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return int((svals > RANK_TOL * svals[0]).sum())
 
 
-def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
+def greedy_select(theta: np.ndarray, spec: ObservableSpec,
                   config: SelectionConfig | None = None) -> SamplingPlan:
     """Grow a node set one node at a time, always taking the candidate with the
     best (lowest) score; among candidates with infinite score the one with the
@@ -170,8 +171,9 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
     is scored on that factor plus only the rows it adds.  Scores agree with
     scoring the full row stack up to rounding.
     """
-    if theta.m != spec.size:
-        raise ValueError(f"evolution stack has dictionary size {theta.m}, "
+    tau, size = theta.shape[:2]
+    if size != spec.size:
+        raise ValueError(f"evolution stack has dictionary size {size}, "
                          f"the spec has size {spec.size}")
     config = config or SelectionConfig()
     n = spec.n
@@ -183,8 +185,8 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
         for v in term.owners:
             owned[v].append(m)
     selected: list[int] = []
-    obs = gamma_map(selected, spec, theta.tau).observable_indices
-    r_s = np.linalg.qr(_rows(theta.powers, obs), mode="r")
+    obs = gamma_map(selected, spec, tau).observable_indices
+    r_s = np.linalg.qr(_rows(theta, obs), mode="r")
     trace: list[float] = []
     current_score = math.inf
     while len(selected) < budget:
@@ -196,7 +198,7 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
             new_obs = [m for m in owned[cand]
                        if all(v == cand or v in selected
                               for v in spec.terms[m].owners)]
-            new_rows = _rows(theta.powers, np.array(new_obs, dtype=int))
+            new_rows = _rows(theta, np.array(new_obs, dtype=int))
             score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows]), n)
             key = (score, -sigma_n, cand)
             if best_key is None or key < best_key:
@@ -207,13 +209,13 @@ def greedy_select(theta: EvolutionStack, spec: ObservableSpec,
         trace.append(current_score)
         if config.gamma is not None and current_score <= config.gamma:
             break
-    plan = gamma_map(selected, spec, theta.tau)
+    plan = gamma_map(selected, spec, tau)
     return replace(plan, score=current_score,
                    rank_deficient=not math.isfinite(current_score),
                    score_trace=tuple(trace))
 
 
-def verify_rank(plan: SamplingPlan, theta: EvolutionStack,
+def verify_rank(plan: SamplingPlan, theta: np.ndarray,
                 spec: ObservableSpec) -> bool:
     """True when the sampled rows have numerical rank N.
 

@@ -261,8 +261,8 @@ def _scalar_model(k):
 def test_predict_first_tick_is_the_input():
     model = _scalar_model(0.5)
     z = np.array([3.0])
-    assert rollout(model, z, 1)[:, 0] == pytest.approx([3.0])
-    assert rollout(model, z, 4)[:, 3] == pytest.approx([3.0 * 0.125])
+    assert rollout(model, z, 1)[0] == pytest.approx([3.0])
+    assert rollout(model, z, 4)[3] == pytest.approx([3.0 * 0.125])
     with pytest.raises(ValueError):
         rollout(model, z, 0)
 
@@ -272,16 +272,16 @@ def test_predict_semigroup_property():
     op = rng.normal(size=(5, 5)) * 0.4
     model = KoopmanModel(operator=op, spec=identity_spec(5), residual=0.0)
     z = rng.normal(size=5)
-    via_six = rollout(model, z, 6)[:, 5]
+    via_six = rollout(model, z, 6)[5]
     # (4-1) + (3-1) ticks
-    stacked = rollout(model, rollout(model, z, 4)[:, 3], 3)[:, 2]
+    stacked = rollout(model, rollout(model, z, 4)[3], 3)[2]
     assert np.allclose(via_six, stacked, atol=1e-12)
 
 
-def test_rollout_columns_are_operator_powers():
+def test_rollout_rows_are_operator_powers():
     model = _scalar_model(2.0)
     out = rollout(model, np.array([1.0]), 4)
-    assert np.allclose(out, [[1.0, 2.0, 4.0, 8.0]])
+    assert np.allclose(out, [[1.0], [2.0], [4.0], [8.0]])
     with pytest.raises(ValueError):
         rollout(model, np.array([1.0]), 0)
 
@@ -291,10 +291,10 @@ def test_vector_rollout_is_the_explicit_operator_loop():
     op = rng.normal(size=(7, 7)) * 0.4
     model = KoopmanModel(operator=op, spec=identity_spec(7), residual=0.0)
     z = rng.normal(size=7)
-    expected = np.empty((7, 9))
-    expected[:, 0] = z
+    expected = np.empty((9, 7))
+    expected[0] = z
     for t in range(1, 9):
-        expected[:, t] = op @ expected[:, t - 1]
+        expected[t] = op @ expected[t - 1]
     assert np.array_equal(rollout(model, z, 9), expected)
 
 
@@ -325,10 +325,10 @@ def test_block_rollout_matches_the_per_vector_rollouts(spec, n):
     z = lift_trajectory(spec,
                         np.column_stack([t.states[:, 0] for t in held_out]))
     block = rollout(model, z, 15)
-    assert block.shape == (spec.size, len(held_out), 15)
+    assert block.shape == (15, spec.size, len(held_out))
     for j in range(len(held_out)):
         single = rollout(model, z[:, j], 15)
-        np.testing.assert_allclose(block[:, j], single, rtol=1e-12,
+        np.testing.assert_allclose(block[:, :, j], single, rtol=1e-12,
                                    atol=1e-12 * np.abs(single).max())
 
 
@@ -340,36 +340,82 @@ def test_batched_linearization_error_matches_the_per_trajectory_loop(spec, n):
     for traj in held_out:
         z1 = lift_trajectory(model.spec, traj.states[:, :1])[:, 0]
         z_hat = rollout(model, z1, traj.tau)
-        errors.append(nrmse(unlift_trajectory(model.spec, z_hat),
+        errors.append(nrmse(unlift_trajectory(model.spec, z_hat.T),
                             traj.states))
     assert linearization_nrmse(model, held_out) == pytest.approx(
         float(np.mean(errors)), rel=1e-12)
+
+
+def _rollout_time_last(model, z1, tau):
+    """Reference: the same recurrence with tick t along the last axis."""
+    z = np.asarray(z1, dtype=float)
+    out = np.empty(z.shape + (tau,))
+    out[..., 0] = z
+    for t in range(1, tau):
+        out[..., t] = model.operator @ out[..., t - 1]
+    return out
+
+
+def _powers_loop(model, tau):
+    """Reference: ``powers[t] = K @ powers[t - 1]`` from the identity."""
+    m = model.size
+    powers = np.empty((tau, m, m))
+    powers[0] = np.eye(m)
+    for t in range(1, tau):
+        powers[t] = model.operator @ powers[t - 1]
+    return powers
+
+
+@pytest.mark.parametrize("spec, n", _ROLLOUT_SPECS, ids=["log", "poly"])
+def test_time_first_rollout_is_the_time_last_loop(spec, n):
+    """Index t of the time-first path is tick t of the time-last loop, bit
+    for bit, for one lifted vector and for an M x d block of them."""
+    model, held_out = _fitted(spec, n, seed=45)
+    z = lift_trajectory(spec,
+                        np.column_stack([t.states[:, 0] for t in held_out]))
+    for z1 in (z[:, 0], z):
+        path = rollout(model, z1, 15)
+        assert path.shape == (15,) + z1.shape
+        assert np.array_equal(path,
+                              np.moveaxis(_rollout_time_last(model, z1, 15),
+                                          -1, 0))
+
+
+@pytest.mark.parametrize("spec, n", _ROLLOUT_SPECS, ids=["log", "poly"])
+def test_build_theta_is_the_explicit_power_loop(spec, n):
+    model, _ = _fitted(spec, n, seed=46)
+    for tau in (1, 2, 12):
+        assert np.array_equal(build_theta(model, tau),
+                              _powers_loop(model, tau))
 
 
 def test_build_theta_identity_and_powers():
     model = KoopmanModel(operator=np.eye(3), spec=identity_spec(3),
                          residual=0.0)
     stack = build_theta(model, 3)
-    assert stack.powers.shape == (3, 3, 3)
-    assert (stack.tau, stack.m) == (3, 3)
+    assert stack.shape == (3, 3, 3)
+    assert stack.shape[:2] == (3, 3)
     for t in range(3):
-        assert np.array_equal(stack.powers[t], np.eye(3))
+        assert np.array_equal(stack[t], np.eye(3))
 
     single = build_theta(model, 1)
-    assert np.array_equal(single.powers, np.eye(3)[None])
+    assert np.array_equal(single, np.eye(3)[None])
 
     doubling = build_theta(_scalar_model(2.0), 4)
-    assert np.allclose(doubling.powers, [[[1.0]], [[2.0]], [[4.0]], [[8.0]]])
+    assert np.allclose(doubling, [[[1.0]], [[2.0]], [[4.0]], [[8.0]]])
     # the power at index 0 is exactly the identity, no rounding
-    assert np.array_equal(doubling.powers[0], np.eye(1))
+    assert np.array_equal(doubling[0], np.eye(1))
     with pytest.raises(IndexError):
-        doubling.powers[4]
+        doubling[4]
+    with pytest.raises(ValueError):
+        build_theta(model, 0)
 
 
 @pytest.mark.parametrize("spec", [log_spec(6), poly_spec(6)],
                          ids=["log", "poly"])
-def test_evolve_is_blockwise_bit_for_bit(spec):
-    """Column t is ``powers[t] @ z1``, bit for bit."""
+def test_stack_path_is_blockwise_bit_for_bit(spec):
+    """Index t of the path ``theta @ z1`` that recovery reconstructs from is
+    ``theta[t] @ z1``, bit for bit."""
     graph = generate_er_graph(6, 0.5, seed=31)
     x1s = random_initial_states(6, 40, 0.0, 1.0, seed=32)
     model = fit(assemble_training(
@@ -378,11 +424,11 @@ def test_evolve_is_blockwise_bit_for_bit(spec):
     rng = np.random.default_rng(33)
     for _ in range(5):
         z1 = lift(spec, rng.uniform(0.0, 1.0, 6))
-        path = theta.evolve(z1)
+        path = (theta @ z1).T
         assert path.shape == (spec.size, 12)
         assert np.array_equal(path[:, 0], z1)
         for t in range(12):
-            assert np.array_equal(path[:, t], theta.powers[t] @ z1)
+            assert np.array_equal(path[:, t], theta[t] @ z1)
 
 
 # =========================================================================

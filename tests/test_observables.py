@@ -175,9 +175,9 @@ def test_ownership_is_local():
     x[2] += 1.0
     z1 = lift(spec, x)
     changed = set(np.nonzero(z1 != z0)[0])
-    owned = {m for m in range(spec.size) if spec.owners(m) == (2,)}
+    owned = {m for m in range(spec.size) if spec.terms[m].owners == (2,)}
     assert changed == owned
-    assert all(spec.owners(m) == () for m in (0,))  # the constant has no owner
+    assert all(spec.terms[m].owners == () for m in (0,))  # the constant has no owner
 
 
 def test_lift_domain_violation_names_node_and_power():

@@ -321,7 +321,7 @@ def test_recovery_raises_when_every_start_is_infeasible():
     stack = build_theta(KoopmanModel(operator=np.full((spec.size, spec.size),
                                                       np.nan),
                                      spec=spec, residual=0.0), 1)
-    stack = type(stack)(powers=np.full_like(stack.powers, np.nan))
+    stack = np.full_like(stack, np.nan)
     samples = SampleMatrix(values=np.ones(spec.size), plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
         recover_initial_state(samples, stack, spec,
@@ -402,9 +402,9 @@ def test_optimizer_config_validation():
 # =========================================================================
 
 def _reconstruct(x1, model, tau):
-    """The stack path recovery reports: lift, evolve, unlift."""
+    """The stack path recovery reports: lift, multiply by each power, unlift."""
     theta = build_theta(model, tau)
-    return unlift_trajectory(model.spec, theta.evolve(lift(model.spec, x1)))
+    return unlift_trajectory(model.spec, (theta @ lift(model.spec, x1)).T)
 
 
 def test_reconstruct_static_model_repeats_the_state():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from koopnet import (
-    EvolutionStack,
     KoopmanModel,
     SamplingPlan,
     SelectionConfig,
@@ -41,7 +40,7 @@ def _stack(op, tau):
 
 def selection_score(nodes, theta, spec):
     """Conditioning score of a node set: sigma_1/sigma_N of its sampled rows."""
-    plan = gamma_map(nodes, spec, theta.tau)
+    plan = gamma_map(nodes, spec, theta.shape[0])
     return sigma_quotient(selected_rows(plan, theta), spec.n)[0]
 
 
@@ -56,7 +55,7 @@ def test_observable_set_collects_owned_entries():
     assert plan.observable_indices.size == 4
     assert 0 in plan.observable_indices         # constant belongs to any set
     for m in plan.observable_indices[1:]:
-        assert spec.owners(int(m)) == (2,)
+        assert spec.terms[int(m)].owners == (2,)
 
 
 def test_full_node_set_reads_the_whole_dictionary():
@@ -78,7 +77,7 @@ def test_row_indices_are_time_major():
     z = lift_trajectory(spec, states)
     powers = np.random.default_rng(1).normal(size=(2, m, m))
     powers[:, :, 0] = z.T
-    rows = selected_rows(plan, EvolutionStack(powers=powers))
+    rows = selected_rows(plan, powers)
     values = take_samples(states, spec, plan).values
     assert np.array_equal(rows[:, 0], values)
     for t in range(2):
@@ -246,8 +245,8 @@ def _full_stack_greedy(theta, spec, gamma, budget):
         for cand in range(spec.n):
             if cand in selected:
                 continue
-            rows = selected_rows(gamma_map(selected + [cand], spec, theta.tau),
-                                 theta)
+            rows = selected_rows(gamma_map(selected + [cand], spec,
+                                           theta.shape[0]), theta)
             score, sigma_n = sigma_quotient(rows, spec.n)
             if best is None or (score, -sigma_n, cand) < best:
                 best = (score, -sigma_n, cand)
@@ -411,7 +410,7 @@ def test_selected_rows_rejects_a_plan_of_another_dictionary():
     model = KoopmanModel(operator=rng.normal(size=(pspec.size,) * 2) * 0.1,
                          spec=pspec, residual=0.0)
     theta = build_theta(model, 3)
-    assert (log_plan.dictionary_size, theta.m) == (19, 85)
+    assert (log_plan.dictionary_size, theta.shape[1]) == (19, 85)
     with pytest.raises(ValueError, match="size 19.*85"):
         selected_rows(log_plan, theta)
     # the same crossing when selecting: the log spec on the poly stack
