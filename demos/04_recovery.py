@@ -46,7 +46,7 @@ print(f"sampling nodes {sorted(plan.nodes)}: "
 # refinement: fold short rollouts near the observed cells back into the fit
 refined, _ = refine_with_samples(model, training, plan.nodes,
                                  truth.states[list(plan.nodes), 0], graph,
-                                 params, tau, low, high, 50, seed=24)
+                                 params, tau, 50, seed=24)
 theta = build_theta(refined, tau)
 
 result = recover_initial_state(samples, theta, spec,

@@ -8,15 +8,13 @@ the stacked operator powers, and recover full trajectories from the sampled
 nodes with a quasi-Newton solve through the lift.
 """
 
-from .baselines import (GramianSelector, LinearGFTBasis, build_laplacian_basis,
-                        gramian_nodes_for_budget, gramian_select,
-                        linear_gft_recover_trajectory, linear_gft_select,
-                        linear_observable_recover)
-from .dynamics import (BIOCHEMICAL, REGULATORY, DynamicsParams, Graph,
-                       Trajectory, default_initial_range, generate_er_graph,
-                       random_initial_state, random_initial_states, simulate,
-                       simulate_ensemble, trajectory_from_csv,
-                       trajectory_to_csv)
+from .baselines import (build_laplacian_basis, gramian_nodes_for_budget,
+                        gramian_select, linear_gft_recover_trajectory,
+                        linear_gft_select, linear_observable_recover)
+from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
+                       generate_er_graph, random_initial_state,
+                       random_initial_states, simulate, simulate_ensemble,
+                       trajectory_from_csv, trajectory_to_csv)
 from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord,
                           aggregate, emit, report_from_json,
                           run_linearization_sweep, run_sampling_sweep)
@@ -24,14 +22,12 @@ from .koopman import (KoopmanModel, TrainingSet, assemble_training,
                       build_theta, fit, linearization_nrmse, load_model,
                       refine_with_samples, rollout, save_model)
 from .metrics import nrmse, per_tick_nrmse
-from .observables import (IDENTITY, LOG, POLY, ObservableSpec, ObservableTerm,
-                          build_spec, identity_spec, lift, lift_jacobian,
-                          lift_trajectory, log_spec, poly_spec,
+from .observables import (ObservableSpec, build_spec, identity_spec, lift,
+                          lift_jacobian, lift_trajectory, log_spec, poly_spec,
                           unlift_trajectory)
-from .optimize import MinimizeResult, minimize_dfp
-from .recovery import (OptimizerConfig, RecoveryResult, SampleMatrix,
-                       recover_initial_state, result_to_dict, save_result,
-                       take_samples)
+from .optimize import minimize_dfp
+from .recovery import (OptimizerConfig, recover_initial_state, result_to_dict,
+                       save_result, take_samples)
 from .sampling import (SamplingPlan, SelectionConfig, gamma_map, greedy_select,
                        load_plan, save_plan, selected_rows, sigma_quotient,
                        verify_rank)

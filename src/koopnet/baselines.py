@@ -175,37 +175,25 @@ def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
     return trajectory, float(residual @ residual)
 
 
-@dataclass(frozen=True)
-class LinearGFTBasis:
-    """First r Laplacian eigenvectors (ascending eigenvalue), orthonormal."""
-
-    u: np.ndarray
-    eigenvalues: np.ndarray
-    r: int
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-
-def build_laplacian_basis(graph: Graph, r: int) -> LinearGFTBasis:
-    """Eigenbasis of L = D - A restricted to the r smallest eigenvalues."""
+def build_laplacian_basis(graph: Graph, r: int) -> np.ndarray:
+    """The n x r orthonormal eigenvectors of L = D - A that belong to its r
+    smallest eigenvalues, in ascending order."""
     if not 1 <= r <= graph.n:
         raise ValueError(f"r must lie in 1..{graph.n}")
     degrees = graph.adjacency.sum(axis=1)
     lap = np.diag(degrees) - graph.adjacency
-    w, v = np.linalg.eigh(lap)
-    return LinearGFTBasis(u=v[:, :r], eigenvalues=w[:r], r=r)
+    _, v = np.linalg.eigh(lap)
+    return v[:, :r]
 
 
-def linear_gft_select(basis: LinearGFTBasis,
+def linear_gft_select(basis: np.ndarray,
                       budget: int) -> tuple[tuple[int, ...], bool]:
-    """Greedy node-row selection on the basis until its sampled rows reach
-    numerical rank r (or the budget runs out).
+    """Greedy node-row selection on the n x r basis until its sampled rows
+    reach numerical rank r (or the budget runs out).
 
     Returns the chosen rows and whether full rank was reached.
     """
-    n, r = basis.n, basis.r
+    n, r = basis.shape
     if not 1 <= budget <= n:
         raise ValueError(f"budget must lie in 1..{n}")
     selected: list[int] = []
@@ -216,27 +204,28 @@ def linear_gft_select(basis: LinearGFTBasis,
         for cand in range(n):
             if cand in selected:
                 continue
-            sub = basis.u[selected + [cand]]
+            sub = basis[selected + [cand]]
             score, sigma = sigma_quotient(sub, target)
             key = (score, -sigma, cand)
             if best_key is None or key < best_key:
                 best_key, best_node = key, cand
         selected.append(best_node)
         if len(selected) >= r:
-            reached = numerical_rank(basis.u[selected]) == r
+            reached = numerical_rank(basis[selected]) == r
     return tuple(selected), reached
 
 
-def linear_gft_recover_trajectory(nodes, basis: LinearGFTBasis,
+def linear_gft_recover_trajectory(nodes, basis: np.ndarray,
                                   sampled_states: np.ndarray) -> np.ndarray:
     """Least-squares bandlimited recovery of a trajectory, one column per
-    tick, from its node samples (one row per node of ``nodes``)."""
-    rows = basis.u[list(nodes)]
+    tick, from its node samples (one row per node of ``nodes``) on the
+    n x r basis."""
+    rows = basis[list(nodes)]
     sampled_states = np.asarray(sampled_states, dtype=float)
     if sampled_states.ndim != 2 or sampled_states.shape[0] != rows.shape[0]:
         raise ValueError("sampled_states must be (len(nodes), tau)")
-    if numerical_rank(rows) < basis.r:
+    if numerical_rank(rows) < basis.shape[1]:
         raise RuntimeError("sampled basis rows are rank-deficient; "
                            "recovery is not identifiable")
     coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=_RCOND)
-    return basis.u @ coef
+    return basis @ coef

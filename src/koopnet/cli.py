@@ -46,7 +46,9 @@ def _trial_0(config: ExperimentConfig):
     """The sweep's first trial at the first node count: graph, training
     ensemble and ground truth."""
     n = config.n_values[0]
-    return _trial_data(config, n, _trial_seeds(config, n, 0))
+    graph, trajectories, (truth,) = _trial_data(
+        config, n, _trial_seeds(config, n, 0), 1, config.sampling_ticks)
+    return graph, trajectories, truth
 
 
 def _cmd_simulate(args) -> int:
@@ -63,7 +65,7 @@ def _cmd_fit(args) -> int:
     _, trajectories, _ = _trial_0(config)
     spec = build_spec(config.dictionary, config.n_values[0], scale=config.scale,
                       powers=config.log_powers, max_power=config.poly_max_power)
-    model = fit(assemble_training(trajectories, spec), ridge=config.ridge)
+    model = fit(assemble_training(trajectories, spec))
     path = save_model(model, out / "model.json")
     print(f"wrote {path} (dictionary size {model.size}, "
           f"training residual {model.residual:.3e})")

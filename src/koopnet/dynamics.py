@@ -72,9 +72,7 @@ def generate_er_graph(n: int, p: float, seed: int | None = None) -> Graph:
 class DynamicsParams:
     """Rates and integration settings for one dynamics family.
 
-    ``adjacency_coupling=True`` restricts the interaction sum to graph
-    neighbors; setting it False sums the coupling term over every node
-    (including ``j == i``), which treats the interaction as all-to-all.
+    The coupling term of node i sums over its graph neighbors only.
     """
 
     kind: str
@@ -83,7 +81,6 @@ class DynamicsParams:
     coupling: float = 1.0
     dt: float = 0.01
     steps_per_sample: int = 10
-    adjacency_coupling: bool = True
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -121,19 +118,14 @@ def default_initial_range(kind: str) -> tuple[float, float]:
     raise ValueError(f"unknown dynamics kind {kind!r}")
 
 
-def _coupling_matrix(graph: Graph, params: DynamicsParams) -> np.ndarray:
-    if params.adjacency_coupling:
-        return graph.adjacency
-    return np.ones((graph.n, graph.n))
-
-
-def _rhs(x, graph, params, cmat):
+def _rhs(x, graph, params):
     # x may be a single state (n,) or a batch of columns (n, d)
+    a = graph.adjacency
     if params.kind == BIOCHEMICAL:
-        return params.flow_in - params.decay * x - params.coupling * x * (cmat @ x)
+        return params.flow_in - params.decay * x - params.coupling * x * (a @ x)
     sat = x * x
     sat = sat / (1.0 + sat)
-    return -params.decay * x + params.coupling * (cmat @ sat)
+    return -params.decay * x + params.coupling * (a @ sat)
 
 
 def derivative(x: np.ndarray, graph: Graph, params: DynamicsParams) -> np.ndarray:
@@ -143,7 +135,7 @@ def derivative(x: np.ndarray, graph: Graph, params: DynamicsParams) -> np.ndarra
         raise ValueError(f"state has {x.shape[0]} entries, graph has {graph.n} nodes")
     if not np.isfinite(x).all():
         raise ValueError("state contains non-finite entries")
-    return _rhs(x, graph, params, _coupling_matrix(graph, params))
+    return _rhs(x, graph, params)
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,6 @@ class Trajectory:
 
 def _integrate(graph, params, x0, num_steps):
     """Fixed-step RK4 path for one state vector or a batch of columns."""
-    cmat = _coupling_matrix(graph, params)
     h = params.dt
     out = np.empty((graph.n, num_steps) + x0.shape[1:])
     out[:, 0] = x0
@@ -183,10 +174,10 @@ def _integrate(graph, params, x0, num_steps):
     with np.errstate(over="ignore", invalid="ignore"):
         for tick in range(1, num_steps):
             for _ in range(params.steps_per_sample):
-                k1 = _rhs(x, graph, params, cmat)
-                k2 = _rhs(x + 0.5 * h * k1, graph, params, cmat)
-                k3 = _rhs(x + 0.5 * h * k2, graph, params, cmat)
-                k4 = _rhs(x + h * k3, graph, params, cmat)
+                k1 = _rhs(x, graph, params)
+                k2 = _rhs(x + 0.5 * h * k1, graph, params)
+                k3 = _rhs(x + 0.5 * h * k2, graph, params)
+                k4 = _rhs(x + h * k3, graph, params)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all() or np.abs(x).max() > OVERFLOW_GUARD:
                 raise RuntimeError(f"simulation diverged at tick {tick}")

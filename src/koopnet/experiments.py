@@ -24,8 +24,8 @@ from .baselines import (build_laplacian_basis, gramian_nodes_for_budget,
                         linear_gft_recover_trajectory, linear_gft_select,
                         linear_observable_recover)
 from .dynamics import (BIOCHEMICAL, DynamicsParams, default_initial_range,
-                       generate_er_graph, random_initial_state,
-                       random_initial_states, simulate, simulate_ensemble)
+                       generate_er_graph, random_initial_states,
+                       simulate_ensemble)
 from .koopman import (assemble_training, build_theta, fit, linearization_nrmse,
                       refine_with_samples)
 from .metrics import nrmse
@@ -52,7 +52,6 @@ class ExperimentConfig:
     coupling: float = 1.0
     dt: float = 0.01
     steps_per_sample: int = 10
-    adjacency_coupling: bool = True
     # topology / data
     n_values: tuple[int, ...] = (20,)
     er_probability: float = 0.5
@@ -65,7 +64,6 @@ class ExperimentConfig:
     scale: float = 500.0
     log_powers: tuple[int, ...] = (1, 2)
     poly_max_power: int = 2
-    ridge: float = 0.0
     # linearization sweep grid
     include_dmd: bool = True
     log_power_grid: tuple[tuple[int, ...], ...] = ((1,), (1, 2), (1, 2, 3))
@@ -84,6 +82,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        _check_integers(self)
         # the dynamics, dictionary, solver and selection constructors hold
         # their own checks
         self.params()
@@ -94,9 +93,7 @@ class ExperimentConfig:
         for powers in self.log_power_grid:
             log_spec(1, scale=self.scale, powers=tuple(powers))
         for max_power in self.poly_power_grid:
-            poly_spec(1, max_power=int(max_power))
-        if self.ridge < 0:
-            raise ValueError("ridge must be nonnegative")
+            poly_spec(1, max_power=max_power)
         if self.dictionary not in (LOG, POLY, IDENTITY):
             raise ValueError(f"unknown dictionary kind {self.dictionary!r}")
         if not self.n_values:
@@ -131,8 +128,7 @@ class ExperimentConfig:
             flow = 10.0 if self.dynamics == BIOCHEMICAL else 0.0
         return DynamicsParams(kind=self.dynamics, flow_in=flow, decay=self.decay,
                               coupling=self.coupling, dt=self.dt,
-                              steps_per_sample=self.steps_per_sample,
-                              adjacency_coupling=self.adjacency_coupling)
+                              steps_per_sample=self.steps_per_sample)
 
     def optimizer(self, seed: int) -> OptimizerConfig:
         """Recovery solver settings; unsampled nodes start at the midpoint of
@@ -158,6 +154,21 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _check_integers(config: ExperimentConfig) -> None:
+    """Reject, naming the field, a bool or a value without ``__index__``
+    (what ``operator.index`` needs; 1.5 has none) in an ``int`` field or an
+    entry of an integer tuple."""
+    values = [(f.name, getattr(config, f.name)) for f in fields(config)
+              if f.type == "int"]
+    values += [(name, v) for name in ("n_values", "log_powers", "poly_power_grid")
+               for v in getattr(config, name)]
+    values += [("log_power_grid", v) for powers in config.log_power_grid
+               for v in powers]
+    for name, value in values:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 def _tuples(value):
@@ -233,17 +244,20 @@ def _child_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _trial_seeds(config: ExperimentConfig, n: int, trial: int) -> dict[str, int]:
-    """The seeds of one sampling trial.  The single-shot CLI commands use
-    trial 0's, so simulate/fit/select/recover compose with the sweep."""
-    return {name: _child_seed(config.seed, n, trial, phase)
+def _trial_seeds(config: ExperimentConfig, n: int, *trial: int) -> dict[str, int]:
+    """The seeds of one sampling trial, or with no trial index, of the
+    linearization sweep at ``n`` (whose test ensemble is drawn from
+    ``"truth"``).  The single-shot CLI commands use trial 0's, so
+    simulate/fit/select/recover compose with the sweep."""
+    return {name: _child_seed(config.seed, n, *trial, phase)
             for phase, name in enumerate(("graph", "train", "truth", "refine",
                                           "opt"), start=1)}
 
 
-def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int]):
-    """The graph, training ensemble and ground truth of one sampling trial.
-    The single-shot CLI commands use trial 0's."""
+def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int],
+                truths: int, ticks: int):
+    """The graph, training ensemble and ``truths`` held-out trajectories of
+    ``ticks`` ticks that one set of ``_trial_seeds`` draws."""
     params = config.params()
     low, high = default_initial_range(params.kind)
     graph = generate_er_graph(n, config.er_probability, seeds["graph"])
@@ -251,10 +265,8 @@ def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int]):
                                      seeds["train"])
     train_trajs = simulate_ensemble(graph, params, train_x1,
                                     config.training_ticks)
-    truth = simulate(graph, params,
-                     random_initial_state(n, low, high, seeds["truth"]),
-                     config.sampling_ticks)
-    return graph, train_trajs, truth
+    truth_x1 = random_initial_states(n, truths, low, high, seeds["truth"])
+    return graph, train_trajs, simulate_ensemble(graph, params, truth_x1, ticks)
 
 
 def _budget(rate: float, n: int) -> int:
@@ -281,7 +293,7 @@ def _linearization_cells(config: ExperimentConfig, n: int):
     for powers in config.log_power_grid:
         cells.append(("log", log_spec(n, scale=config.scale, powers=tuple(powers))))
     for max_power in config.poly_power_grid:
-        cells.append(("poly", poly_spec(n, max_power=int(max_power))))
+        cells.append(("poly", poly_spec(n, max_power=max_power)))
     return cells
 
 
@@ -290,7 +302,7 @@ def _run_linearization_cell(config, n, train_trajs, test_trajs, method, spec,
     start = time.perf_counter()
     try:
         training = assemble_training(train_trajs, spec)
-        model = fit(training, ridge=config.ridge)
+        model = fit(training)
         err = linearization_nrmse(model, test_trajs)
         return TrialRecord("linearization", n, method, spec.size, None, None,
                            0, seed, err, True, None,
@@ -302,21 +314,12 @@ def _run_linearization_cell(config, n, train_trajs, test_trajs, method, spec,
 
 def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
     cells = _linearization_cells(config, n)
-    params = config.params()
-    low, high = default_initial_range(params.kind)
-    graph_seed = _child_seed(config.seed, n, 1)
-    train_seed = _child_seed(config.seed, n, 2)
-    test_seed = _child_seed(config.seed, n, 3)
+    seeds = _trial_seeds(config, n)
+    test_seed = seeds["truth"]
     try:
-        graph = generate_er_graph(n, config.er_probability, graph_seed)
-        train_x1 = random_initial_states(n, config.training_trajectories, low,
-                                         high, train_seed)
-        test_x1 = random_initial_states(n, config.test_trajectories, low, high,
-                                        test_seed)
-        train_trajs = simulate_ensemble(graph, params, train_x1,
-                                        config.training_ticks)
-        test_trajs = simulate_ensemble(graph, params, test_x1,
-                                       config.training_ticks)
+        _, train_trajs, test_trajs = _trial_data(config, n, seeds,
+                                                 config.test_trajectories,
+                                                 config.training_ticks)
     except Exception as exc:  # e.g. divergence while generating the data
         return [_failed("linearization", n, method, spec.size, None, 0,
                         test_seed, exc, "setup")
@@ -342,7 +345,8 @@ def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialR
     seeds = _trial_seeds(config, n, trial)
     methods = [m for m in _METHODS if m == PROPOSED or m in config.baselines]
     try:
-        graph, train_trajs, truth = _trial_data(config, n, seeds)
+        graph, train_trajs, (truth,) = _trial_data(config, n, seeds, 1,
+                                                   config.sampling_ticks)
     except Exception as exc:  # e.g. divergence while simulating the data
         return [_failed("sampling", n, method, None, rate, trial,
                         seeds["truth"], exc, "setup")
@@ -392,14 +396,13 @@ def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
 
 def _log_koopman(config, n, seeds, graph, train_trajs, truth):
     params = config.params()
-    low, high = default_initial_range(params.kind)
     tau = config.sampling_ticks
     spec = log_spec(n, scale=config.scale, powers=config.log_powers)
     opt = config.optimizer(seeds["opt"])
 
     def prepare(max_budget):
         training = assemble_training(train_trajs, spec)
-        model = fit(training, ridge=config.ridge)
+        model = fit(training)
         theta = build_theta(model, tau)
         # greedy picks never depend on the budget, which only stops the loop
         # (and so does gamma): each rate's set is a prefix of this one
@@ -416,8 +419,7 @@ def _log_koopman(config, n, seeds, graph, train_trajs, truth):
             refined, _ = refine_with_samples(
                 model, training, plan.nodes,
                 truth.states[list(plan.nodes), 0], graph, params, tau,
-                low, high, config.refine_trajectories, seed=seeds["refine"],
-                ridge=config.ridge)
+                config.refine_trajectories, seed=seeds["refine"])
             theta = build_theta(refined, tau)
         result = recover_initial_state(samples, theta, spec, opt)
         return result.trajectory, result.converged
@@ -430,7 +432,7 @@ def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
     spec = poly_spec(n, max_power=config.poly_max_power)
 
     def prepare(max_budget):
-        model = fit(assemble_training(train_trajs, spec), ridge=config.ridge)
+        model = fit(assemble_training(train_trajs, spec))
         # smaller budgets stop the same picking loop earlier: each a prefix
         return model, gramian_nodes_for_budget(model, max_budget)
 

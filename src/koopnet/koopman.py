@@ -1,12 +1,11 @@
 """Least-squares estimation of the lifted one-tick transition operator.
 
 Snapshot pairs from simulated trajectories are lifted through an observable
-dictionary; the operator K is the minimizer of ``||Y - K X||_F^2`` (plus an
-optional ridge term), solved through an SVD pseudo-inverse with a relative
-singular-value cutoff.  ``rollout`` is the one forward recurrence: it pushes
-lifted vectors through K tick by tick, and ``build_theta`` rolls out the
-identity to get the powers ``K^0 .. K^(tau-1)`` as one tau x M x M array
-for selection and recovery.
+dictionary; the operator K is the minimizer of ``||Y - K X||_F^2``, solved
+through an SVD pseudo-inverse with a relative singular-value cutoff.
+``rollout`` is the one forward recurrence: it pushes lifted vectors through
+K tick by tick, and ``build_theta`` rolls out the identity to get the powers
+``K^0 .. K^(tau-1)`` as one tau x M x M array for selection and recovery.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import DynamicsParams, Graph, Trajectory, simulate_ensemble
+from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
+                       simulate_ensemble)
 from .metrics import nrmse
 from .observables import (ObservableSpec, lift_trajectory, spec_from_dict,
                           spec_to_dict, unlift_trajectory)
@@ -93,14 +93,12 @@ def assemble_training(trajectories: list[Trajectory],
     return TrainingSet(trajectories=trajectories, spec=spec)
 
 
-def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
-    """Solve ``min_K ||Y - K X||_F^2 + ridge * ||K||_F^2``.
+def fit(training: TrainingSet) -> KoopmanModel:
+    """Solve ``min_K ||Y - K X||_F^2`` by pseudo-inverse: ``K = Y X^+``.
 
     The pseudo-inverse drops singular values below ``SV_CUTOFF`` times the
     largest one.  All-zero snapshot data is rejected.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     # X = ut.T diag(s) v.T.  With more snapshots than observables, X.T is
     # tall, and LAPACK factors it on its QR path, faster than X's LQ path.
     # X is freed when the SVD returns, before Y is lifted, so only one
@@ -110,12 +108,11 @@ def fit(training: TrainingSet, ridge: float = 0.0) -> KoopmanModel:
         raise RuntimeError("degenerate training data: X has no nonzero columns")
     r = np.count_nonzero(s > SV_CUTOFF * s[0])
     v, s, ut = v[:, :r], s[:r], ut[:r]
-    gain = s / (s * s + ridge) if ridge > 0 else 1.0 / s
     y = training.y
     yv = y @ v
-    yv *= gain
+    yv *= 1.0 / s
     k = yv @ ut
-    # K X = Y V diag(gain * s) V.T: M r P flops, one M x P temporary
+    # K X = Y V V.T: M r P flops, one M x P temporary
     yv *= s
     fitted = yv @ v.T
     fitted -= y
@@ -167,12 +164,13 @@ def build_theta(model: KoopmanModel, tau: int) -> np.ndarray:
 def refine_with_samples(model: KoopmanModel, training: TrainingSet,
                         sampled_nodes, sampled_x1: np.ndarray,
                         graph: Graph, params: DynamicsParams, num_steps: int,
-                        init_low: float, init_high: float, d_extra: int,
-                        seed: int | None = None, ridge: float = 0.0) -> tuple[KoopmanModel, TrainingSet]:
+                        d_extra: int, seed: int | None = None
+                        ) -> tuple[KoopmanModel, TrainingSet]:
     """Refit K with extra trajectories conditioned on observed initial samples.
 
-    ``d_extra`` new initial states are drawn uniformly, their entries at
-    ``sampled_nodes`` overwritten by the observed values ``sampled_x1``, and
+    ``d_extra`` new initial states are drawn uniformly from the dynamics'
+    ``default_initial_range``, their entries at ``sampled_nodes``
+    overwritten by the observed values ``sampled_x1``, and
     the operator is refit on the union of old and new snapshot pairs.  With
     ``d_extra == 0`` the model is returned unchanged.
     """
@@ -185,12 +183,12 @@ def refine_with_samples(model: KoopmanModel, training: TrainingSet,
     if values.shape != (len(nodes),):
         raise ValueError("one observed value per sampled node is required")
     rng = np.random.default_rng(seed)
-    x1s = rng.uniform(init_low, init_high, (graph.n, d_extra))
+    x1s = rng.uniform(*default_initial_range(params.kind), (graph.n, d_extra))
     x1s[nodes, :] = values[:, None]
     extra = simulate_ensemble(graph, params, x1s, num_steps)
     combined = TrainingSet(trajectories=training.trajectories + tuple(extra),
                            spec=model.spec)
-    return fit(combined, ridge=ridge), combined
+    return fit(combined), combined
 
 
 # ---------------------------------------------------------------------------

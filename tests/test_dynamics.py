@@ -146,19 +146,6 @@ def test_derivative_rejects_bad_state():
         derivative(np.array([1.0, np.nan]), _complete(2), params)
 
 
-def test_all_to_all_coupling_flag():
-    # with adjacency_coupling off, every node feels every other state,
-    # edges or not
-    dense = DynamicsParams.biochemical(adjacency_coupling=False)
-    sparse = DynamicsParams.biochemical()
-    x = np.array([1.0, 2.0, 3.0])
-    g = _isolated(3)
-    r_sparse = derivative(x, g, sparse)
-    r_dense = derivative(x, g, dense)
-    assert np.allclose(r_sparse, 10.0 - x)           # no neighbors at all
-    assert np.allclose(r_dense, 10.0 - x - x * (x.sum() - 0.0 * x))
-
-
 # =========================================================================
 # Integration accuracy
 # =========================================================================

@@ -19,7 +19,8 @@ from koopnet.dynamics import (default_initial_range, generate_er_graph,
                               random_initial_state, random_initial_states,
                               simulate, simulate_ensemble)
 from koopnet.experiments import (CSV_COLUMNS, LINEAR_GFT, POLY_GRAMIAN,
-                                 PROPOSED, _budget, _child_seed)
+                                 PROPOSED, _budget, _child_seed, _trial_data,
+                                 _trial_seeds)
 from koopnet.koopman import (assemble_training, build_theta, fit,
                              refine_with_samples)
 from koopnet.observables import POLY, log_spec, poly_spec
@@ -88,7 +89,6 @@ def test_config_rejects_unknown_keys():
     {"dt": -1.0},
     {"steps_per_sample": 0},
     {"coupling": -1.0},
-    {"ridge": -1.0},
     {"log_powers": ()},
     {"poly_max_power": 0},
     {"log_power_grid": ((0,),)},
@@ -97,6 +97,15 @@ def test_config_rejects_unknown_keys():
     {"selection_rate": 0.0},
     {"dictionary": "nope"},
     {"flow_in": -5.0},
+    # integer settings that are not integers
+    {"n_values": (4.0,)},
+    {"seed": 0.5},
+    {"seed": True},
+    {"trials": 1.5},
+    {"training_ticks": 10.5},
+    {"log_powers": (1, 2.0)},
+    {"log_power_grid": ((1.5,),)},
+    {"poly_power_grid": (1.7,)},
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -135,6 +144,25 @@ def test_child_seed_is_deterministic_and_order_sensitive():
 ])
 def test_budget_ceil(rate, n, expected):
     assert _budget(rate, n) == expected
+
+
+@pytest.mark.parametrize("n", [5, 20, 40])
+@pytest.mark.parametrize("dynamics", ["biochemical", "regulatory"])
+def test_trial_truth_is_the_single_state_simulation(dynamics, n):
+    """A trial's truth, drawn as a one-trajectory ensemble, is bit for bit
+    the path ``simulate`` integrates from ``random_initial_state``."""
+    cfg = ExperimentConfig(dynamics=dynamics, seed=4, training_trajectories=3,
+                           training_ticks=5)
+    low, high = default_initial_range(dynamics)
+    for trial in range(3):
+        seeds = _trial_seeds(cfg, n, trial)
+        _, train, (truth,) = _trial_data(cfg, n, seeds, 1, cfg.sampling_ticks)
+        assert len(train) == 3
+        reference = simulate(
+            generate_er_graph(n, cfg.er_probability, seeds["graph"]),
+            cfg.params(), random_initial_state(n, low, high, seeds["truth"]),
+            cfg.sampling_ticks)
+        assert np.array_equal(truth.states, reference.states)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +299,12 @@ def test_full_sampling_recovers_near_model_floor(samp_report):
 
     spec = log_spec(n, scale=cfg.scale, powers=cfg.log_powers)
     training = assemble_training(train, spec)
-    model = fit(training, ridge=cfg.ridge)
+    model = fit(training)
     refined, _ = refine_with_samples(model, training, tuple(range(n)),
                                      truth.states[:, 0], graph, params,
-                                     cfg.sampling_ticks, low, high,
+                                     cfg.sampling_ticks,
                                      cfg.refine_trajectories,
-                                     seed=_child_seed(cfg.seed, n, trial, 4),
-                                     ridge=cfg.ridge)
+                                     seed=_child_seed(cfg.seed, n, trial, 4))
     floor = linearization_nrmse(refined, [truth])
     print(f"\n    sweep nrmse {rec.nrmse:.3e} vs model floor {floor:.3e}")
     assert rec.nrmse <= 5 * floor

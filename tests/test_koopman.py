@@ -17,6 +17,7 @@ from koopnet import (
     Trajectory,
     assemble_training,
     build_theta,
+    default_initial_range,
     fit,
     generate_er_graph,
     identity_spec,
@@ -142,12 +143,6 @@ def test_fit_rejects_all_zero_snapshots():
         fit(training)
 
 
-def test_fit_rejects_negative_ridge():
-    training = _identity_training(np.eye(2), 2, 1, 3, seed=0)
-    with pytest.raises(ValueError):
-        fit(training, ridge=-1.0)
-
-
 def test_fit_is_a_least_squares_minimum():
     # any perturbation of the operator must not lower the residual
     rng = np.random.default_rng(6)
@@ -188,21 +183,7 @@ def test_fit_matches_the_pseudo_inverse(repeat_row):
                                            rel=1e-8)
 
 
-@pytest.mark.parametrize("ridge", [0.5, 20.0])
-def test_fit_matches_the_ridge_closed_form(ridge):
-    training = _random_training(5, 30, seed=41)
-    x, y = training.x, training.y
-    assert np.linalg.cond(x) < 10.0
-    model = fit(training, ridge=ridge)
-    # K = Y X^T (X X^T + ridge I)^-1, the Gram matrix being symmetric
-    reference = np.linalg.solve(x @ x.T + ridge * np.eye(5), x @ y.T).T
-    np.testing.assert_allclose(model.operator, reference, rtol=1e-10,
-                               atol=1e-10 * np.abs(reference).max())
-    assert model.residual == pytest.approx(_direct_residual(model, training),
-                                           rel=1e-8)
-
-
-def _stacked_fit(trajectories, spec, ridge):
+def _stacked_fit(trajectories, spec):
     """The fit on per-trajectory lifts hstacked into X and Y, both held at
     once: the formula ``fit`` computes, written out."""
     lifted = [lift_trajectory(spec, traj.states) for traj in trajectories]
@@ -211,7 +192,7 @@ def _stacked_fit(trajectories, spec, ridge):
     v, s, ut = np.linalg.svd(x.T, full_matrices=False)
     r = np.count_nonzero(s > SV_CUTOFF * s[0])
     v, s, ut = v[:, :r], s[:r], ut[:r]
-    gain = s / (s * s + ridge) if ridge > 0 else 1.0 / s
+    gain = 1.0 / s
     yv = y @ v
     yv *= gain
     k = yv @ ut
@@ -221,11 +202,10 @@ def _stacked_fit(trajectories, spec, ridge):
     return x, y, k, float(np.linalg.norm(fitted) / np.linalg.norm(y))
 
 
-@pytest.mark.parametrize("ridge", [0.0, 0.5])
 @pytest.mark.parametrize("spec", [log_spec(6, scale=1.0), poly_spec(6),
                                   identity_spec(6)],
                          ids=["log", "poly", "identity"])
-def test_fit_is_bit_identical_to_the_stacked_reference(spec, ridge):
+def test_fit_is_bit_identical_to_the_stacked_reference(spec):
     graph = generate_er_graph(6, 0.5, seed=45)
     # trajectories of two lengths, so the columns of one are not a block
     # of fixed width
@@ -234,19 +214,12 @@ def test_fit_is_bit_identical_to_the_stacked_reference(spec, ridge):
                  graph, DynamicsParams.biochemical(),
                  random_initial_states(6, 10, 0.0, 1.0, seed=seed), ticks)]
     training = assemble_training(trajs, spec)
-    x, y, k, residual = _stacked_fit(trajs, spec, ridge)
+    x, y, k, residual = _stacked_fit(trajs, spec)
     assert np.array_equal(training.x, x)
     assert np.array_equal(training.y, y)
-    model = fit(training, ridge=ridge)
+    model = fit(training)
     assert np.array_equal(model.operator, k)
     assert model.residual == residual
-
-
-def test_ridge_shrinks_the_operator():
-    training = _identity_training(0.9 * np.eye(2), 2, 2, 8, seed=7)
-    plain = fit(training)
-    damped = fit(training, ridge=10.0)
-    assert np.linalg.norm(damped.operator) < np.linalg.norm(plain.operator)
 
 
 # =========================================================================
@@ -472,16 +445,16 @@ def test_log_dictionary_linearizes_the_consumption_network():
 # Refinement
 # =========================================================================
 
-def _refine_setup(seed=14):
+def _refine_setup(seed=14, params=DynamicsParams.biochemical()):
     graph = generate_er_graph(6, 0.5, seed=seed)
-    params = DynamicsParams.biochemical()
+    low, high = default_initial_range(params.kind)
     spec = log_spec(6)
-    x1s = random_initial_states(6, 20, 0.0, 1.0, seed=seed + 1)
+    x1s = random_initial_states(6, 20, low, high, seed=seed + 1)
     training = assemble_training(simulate_ensemble(graph, params, x1s, 15),
                                  spec)
     model = fit(training)
     truth = simulate(graph, params,
-                     random_initial_state(6, 0.0, 1.0, seed=seed + 2), 15)
+                     random_initial_state(6, low, high, seed=seed + 2), 15)
     return graph, params, spec, training, model, truth
 
 
@@ -489,7 +462,7 @@ def test_refine_zero_extra_is_a_noop():
     graph, params, spec, training, model, truth = _refine_setup()
     refined, kept = refine_with_samples(model, training, [0, 1],
                                         truth.states[[0, 1], 0], graph,
-                                        params, 15, 0.0, 1.0, d_extra=0)
+                                        params, 15, d_extra=0)
     assert refined is model
     assert kept is training
 
@@ -499,7 +472,7 @@ def test_refine_pins_sampled_entries_of_new_trajectories():
     nodes = list(range(6))   # sampling every node pins the entire x1
     refined, combined = refine_with_samples(
         model, training, nodes, truth.states[:, 0], graph, params, 15,
-        0.0, 1.0, d_extra=4, seed=99)
+        d_extra=4, seed=99)
     assert combined.d == training.d + 4
     # every extra trajectory starts from the same fully pinned state, so all
     # the new snapshot columns repeat the first extra trajectory's
@@ -512,25 +485,30 @@ def test_refine_pins_sampled_entries_of_new_trajectories():
 
 
 def test_refine_combined_set_is_the_stacked_union():
-    graph, params, spec, training, model, truth = _refine_setup()
-    nodes = [0, 2]
-    refined, combined = refine_with_samples(
-        model, training, nodes, truth.states[nodes, 0], graph, params, 15,
-        0.0, 1.0, d_extra=5, seed=41)
-    # the extra trajectories, drawn as refine_with_samples draws them
-    x1s = np.random.default_rng(41).uniform(0.0, 1.0, (6, 5))
-    x1s[nodes, :] = truth.states[nodes, 0][:, None]
-    extra = assemble_training(simulate_ensemble(graph, params, x1s, 15), spec)
-    assert combined.d == training.d + 5
-    assert np.array_equal(combined.x, np.hstack([training.x, extra.x]))
-    assert np.array_equal(combined.y, np.hstack([training.y, extra.y]))
+    # the extra draws come from each dynamics' initial range
+    for kind_params, high in ((DynamicsParams.biochemical(), 1.0),
+                              (DynamicsParams.regulatory(), 100.0)):
+        graph, params, spec, training, model, truth = _refine_setup(
+            params=kind_params)
+        nodes = [0, 2]
+        refined, combined = refine_with_samples(
+            model, training, nodes, truth.states[nodes, 0], graph, params, 15,
+            d_extra=5, seed=41)
+        # the extra trajectories, drawn as refine_with_samples draws them
+        x1s = np.random.default_rng(41).uniform(0.0, high, (6, 5))
+        x1s[nodes, :] = truth.states[nodes, 0][:, None]
+        extra = assemble_training(simulate_ensemble(graph, params, x1s, 15),
+                                  spec)
+        assert combined.d == training.d + 5
+        assert np.array_equal(combined.x, np.hstack([training.x, extra.x]))
+        assert np.array_equal(combined.y, np.hstack([training.y, extra.y]))
 
 
 def test_refine_equals_a_fresh_fit_on_the_union():
     graph, params, spec, training, model, truth = _refine_setup()
     refined, combined = refine_with_samples(
         model, training, [0, 2], truth.states[[0, 2], 0], graph, params, 15,
-        0.0, 1.0, d_extra=5, seed=41)
+        d_extra=5, seed=41)
     again = fit(combined)
     assert np.allclose(refined.operator, again.operator, atol=1e-12)
     assert refined.residual == pytest.approx(again.residual)
@@ -540,10 +518,10 @@ def test_refine_validates_inputs():
     graph, params, spec, training, model, truth = _refine_setup()
     with pytest.raises(ValueError):
         refine_with_samples(model, training, [0], np.zeros(2), graph, params,
-                            15, 0.0, 1.0, d_extra=3)
+                            15, d_extra=3)
     with pytest.raises(ValueError):
         refine_with_samples(model, training, [0], np.zeros(1), graph, params,
-                            15, 0.0, 1.0, d_extra=-1)
+                            15, d_extra=-1)
 
 
 # =========================================================================
