@@ -5,7 +5,7 @@ trajectory, ``fit`` trains an operator, ``select`` picks sensor nodes,
 ``recover`` reconstructs a trajectory from samples, and the two ``sweep-*``
 commands run the batch experiments.  Every command reads a JSON config (see
 the README schema); ``--seed`` overrides the config seed wherever the output
-depends on it, and ``--format`` keeps one of the two outputs of a sweep.
+depends on it, and a sweep writes both its CSV and its JSON report.
 Failures exit nonzero after printing a one-line JSON error object to stderr.
 """
 
@@ -64,7 +64,7 @@ def _cmd_fit(args) -> int:
     out = _out_dir(args)
     _, trajectories, _ = _trial_0(config)
     spec = build_spec(config.dictionary, config.n_values[0], scale=config.scale,
-                      powers=config.log_powers, max_power=config.poly_max_power)
+                      powers=config.log_powers)
     model = fit(assemble_training(trajectories, spec))
     path = save_model(model, out / "model.json")
     print(f"wrote {path} (dictionary size {model.size}, "
@@ -119,8 +119,7 @@ def _cmd_sweep(runner):
         config = _load_config(args)
         out = _out_dir(args)
         report = runner(config)
-        formats = ("csv", "json") if args.format is None else (args.format,)
-        paths = emit(report, out, formats=formats)
+        paths = emit(report, out)
         failures = sum(rec.error is not None for rec in report.records)
         print(f"wrote {', '.join(str(p) for p in paths)} "
               f"({len(report.records)} records, {failures} failures)")
@@ -137,16 +136,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, handler, summary, seed=True, formats=False):
+    def subcommand(name, handler, summary, seed=True):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="JSON config path")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the config seed")
         p.add_argument("--out-dir", default="results", help="output directory")
-        if formats:
-            p.add_argument("--format", choices=("csv", "json"), default=None,
-                           help="restrict output to one format (default: both)")
         p.set_defaults(handler=handler)
         return p
 
@@ -162,9 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", required=True,
                    help="trajectory.csv to sample (also serves as ground truth)")
     subcommand("sweep-linearization", _cmd_sweep(run_linearization_sweep),
-               "dictionary-size sweep of rollout accuracy", formats=True)
+               "dictionary-size sweep of rollout accuracy")
     subcommand("sweep-sampling", _cmd_sweep(run_sampling_sweep),
-               "sampling-rate sweep of recovery accuracy", formats=True)
+               "sampling-rate sweep of recovery accuracy")
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -48,10 +49,6 @@ class ExperimentConfig:
     # dynamics
     dynamics: str = BIOCHEMICAL
     flow_in: float | None = None          # None = conventional rate for the kind
-    decay: float = 1.0
-    coupling: float = 1.0
-    dt: float = 0.01
-    steps_per_sample: int = 10
     # topology / data
     n_values: tuple[int, ...] = (20,)
     er_probability: float = 0.5
@@ -63,7 +60,6 @@ class ExperimentConfig:
     # dictionaries
     scale: float = 500.0
     log_powers: tuple[int, ...] = (1, 2)
-    poly_max_power: int = 2
     # linearization sweep grid
     include_dmd: bool = True
     log_power_grid: tuple[tuple[int, ...], ...] = ((1,), (1, 2), (1, 2, 3))
@@ -76,20 +72,17 @@ class ExperimentConfig:
     trials: int = 20
     refine_trajectories: int = 50
     baselines: tuple[str, ...] = (POLY_GRAMIAN, LINEAR_GFT)
-    recovery_max_iterations: int = 500
-    recovery_gradient_tol: float = 1e-8
-    recovery_multistarts: int = 3
     workers: int = 1
 
     def __post_init__(self):
-        _check_integers(self)
-        # the dynamics, dictionary, solver and selection constructors hold
-        # their own checks
+        if self.selection_rate is None:  # null once meant "every node"
+            raise ValueError("selection_rate must lie in (0, 1]")
+        _check_numbers(self)
+        # the dynamics, dictionary and selection constructors hold their own
+        # checks
         self.params()
-        self.optimizer(0)
         SelectionConfig(gamma=self.gamma)
         log_spec(1, scale=self.scale, powers=self.log_powers)
-        poly_spec(1, max_power=self.poly_max_power)
         for powers in self.log_power_grid:
             log_spec(1, scale=self.scale, powers=tuple(powers))
         for max_power in self.poly_power_grid:
@@ -110,7 +103,7 @@ class ExperimentConfig:
             raise ValueError("need at least one sampling rate")
         if any(not 0.0 < r <= 1.0 for r in self.sampling_rates):
             raise ValueError("sampling rates must lie in (0, 1]")
-        if self.selection_rate is None or not 0.0 < self.selection_rate <= 1.0:
+        if not 0.0 < self.selection_rate <= 1.0:
             raise ValueError("selection_rate must lie in (0, 1]")
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -126,18 +119,13 @@ class ExperimentConfig:
         flow = self.flow_in
         if flow is None:
             flow = 10.0 if self.dynamics == BIOCHEMICAL else 0.0
-        return DynamicsParams(kind=self.dynamics, flow_in=flow, decay=self.decay,
-                              coupling=self.coupling, dt=self.dt,
-                              steps_per_sample=self.steps_per_sample)
+        return DynamicsParams(kind=self.dynamics, flow_in=flow)
 
     def optimizer(self, seed: int) -> OptimizerConfig:
         """Recovery solver settings; unsampled nodes start at the midpoint of
         the dynamics' initial-state range."""
         low, high = default_initial_range(self.dynamics)
-        return OptimizerConfig(max_iterations=self.recovery_max_iterations,
-                               gradient_tol=self.recovery_gradient_tol,
-                               multistarts=self.recovery_multistarts,
-                               fill_value=0.5 * (low + high), seed=seed)
+        return OptimizerConfig(fill_value=0.5 * (low + high), seed=seed)
 
     def to_dict(self) -> dict:
         """The JSON form: every tuple becomes a list."""
@@ -156,19 +144,28 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _check_integers(config: ExperimentConfig) -> None:
-    """Reject, naming the field, a bool or a value without ``__index__``
-    (what ``operator.index`` needs; 1.5 has none) in an ``int`` field or an
-    entry of an integer tuple."""
-    values = [(f.name, getattr(config, f.name)) for f in fields(config)
-              if f.type == "int"]
-    values += [(name, v) for name in ("n_values", "log_powers", "poly_power_grid")
+def _check_numbers(config: ExperimentConfig) -> None:
+    """Reject, naming the field, a bool in any numeric field or entry, a
+    value without ``__index__`` (what ``operator.index`` needs; 1.5 has none)
+    where an integer belongs and a value that is not ``numbers.Real`` where a
+    float belongs.  ``None`` passes only in the fields that take it."""
+    values = [(f.name, getattr(config, f.name), f.type) for f in fields(config)]
+    values += [(name, v, "int")
+               for name in ("n_values", "log_powers", "poly_power_grid")
                for v in getattr(config, name)]
-    values += [("log_power_grid", v) for powers in config.log_power_grid
+    values += [("log_power_grid", v, "int") for powers in config.log_power_grid
                for v in powers]
-    for name, value in values:
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
+    values += [("sampling_rates", v, "float") for v in config.sampling_rates]
+    for name, value, kind in values:
+        if value is None and kind.endswith(" | None"):
+            continue
+        kind = kind.removesuffix(" | None")
+        if kind == "int" and (isinstance(value, bool)
+                              or not hasattr(value, "__index__")):
             raise ValueError(f"{name}: {value!r} is not an integer")
+        if kind == "float" and (isinstance(value, bool)
+                                or not isinstance(value, numbers.Real)):
+            raise ValueError(f"{name}: {value!r} is not a real number")
 
 
 def _tuples(value):
@@ -429,7 +426,7 @@ def _log_koopman(config, n, seeds, graph, train_trajs, truth):
 
 def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
     tau = config.sampling_ticks
-    spec = poly_spec(n, max_power=config.poly_max_power)
+    spec = poly_spec(n)
 
     def prepare(max_budget):
         model = fit(assemble_training(train_trajs, spec))

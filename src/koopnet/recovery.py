@@ -41,21 +41,16 @@ class OptimizerConfig:
     perturb the unsampled entries with Gaussian jitter of standard deviation
     ``JITTER_SCALE * max(|fill_value|, 1)``, and one further deterministic
     start unlifts the min-norm least-squares solution of the sampled linear
-    system; the run with the lowest final objective wins.  The DFP line
-    search keeps ``minimize_dfp``'s Wolfe constants.
+    system; the run with the lowest final objective wins.  Every run keeps
+    ``minimize_dfp``'s defaults: its iteration cap (500), gradient tolerance
+    (1e-8) and Wolfe constants.
     """
 
-    max_iterations: int = 500
-    gradient_tol: float = 1e-8
     multistarts: int = 3
     fill_value: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.gradient_tol <= 0.0:
-            raise ValueError("gradient_tol must be positive")
         if self.multistarts < 0:
             raise ValueError("multistarts must be nonnegative")
 
@@ -174,9 +169,7 @@ def recover_initial_state(samples: SampleMatrix, theta: np.ndarray,
     failures = []
     for x0 in starts:
         try:
-            run = minimize_dfp(objective, gradient, x0,
-                               gradient_tol=config.gradient_tol,
-                               max_iterations=config.max_iterations)
+            run = minimize_dfp(objective, gradient, x0)
         except ValueError as exc:  # infeasible start
             failures.append(str(exc))
             continue

@@ -167,15 +167,16 @@ def test_sweep_linearization_command(tmp_path, capsys):
     assert (tmp_path / "res" / "linearization_report.json").exists()
 
 
-def test_sweep_sampling_command_json_only(tmp_path):
+def test_sweep_sampling_command_writes_both_reports(tmp_path):
     cfg = _write_config(tmp_path, n_values=[5], trials=1,
                         training_trajectories=10, training_ticks=15,
                         sampling_ticks=8, sampling_rates=[0.5],
                         refine_trajectories=4)
     rc = main(["sweep-sampling", "--config", str(cfg),
-               "--out-dir", str(tmp_path / "res"), "--format", "json"])
+               "--out-dir", str(tmp_path / "res")])
     assert rc == 0
-    assert not (tmp_path / "res" / "sampling_report.csv").exists()
+    rows = (tmp_path / "res" / "sampling_report.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3  # header + one row per method
     payload = json.loads((tmp_path / "res" / "sampling_report.json").read_text())
     methods = {rec["method"] for rec in payload["records"]}
     assert methods == {"log-koopman", "poly-gramian", "linear-gft"}
@@ -235,11 +236,12 @@ def test_recover_rejects_a_plan_of_another_dictionary(tmp_path, capsys):
 @pytest.mark.parametrize("command,flag", [
     ("simulate", ["--format", "csv"]), ("fit", ["--format", "csv"]),
     ("select", ["--format", "json"]), ("recover", ["--format", "json"]),
-    ("select", ["--seed", "5"])],
+    ("select", ["--seed", "5"]), ("sweep-sampling", ["--format", "json"])],
     ids=["simulate-format", "fit-format", "select-format", "recover-format",
-         "select-seed"])
+         "select-seed", "sweep-sampling-format"])
 def test_flags_without_an_effect_are_rejected(tmp_path, command, flag):
-    # the single-shot commands write one file each; select ignores the seed
+    # the single-shot commands write one file each and a sweep always writes
+    # both of its reports; select ignores the seed
     args = [command, "--config", str(_write_config(tmp_path)),
             "--out-dir", str(tmp_path / "out")] + flag
     if command in ("select", "recover"):

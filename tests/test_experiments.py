@@ -62,54 +62,79 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"n_values": [6], "typo_field": 1})
 
 
-@pytest.mark.parametrize("bad", [
-    {"dynamics": "lorenz"},
-    {"n_values": (0,)},
-    {"sampling_rates": (0.0,)},
-    {"sampling_rates": (1.5,)},
-    {"trials": 0},
-    {"workers": 0},
-    {"baselines": ("poly-gramian", "kalman")},
-    {"training_trajectories": 0},
-    {"test_trajectories": 0},
-    {"training_ticks": 1},
-    {"sampling_ticks": 1},
-    {"scale": -1.0},
-    {"scale": 0.0},
-    {"refine_trajectories": -1},
-    {"recovery_max_iterations": 0},
-    {"recovery_gradient_tol": 0.0},
-    {"recovery_multistarts": -1},
-    {"er_probability": 1.5},
-    {"er_probability": -0.1},
-    {"gamma": 0.5},
-    {"n_values": ()},
-    {"sampling_rates": ()},
-    {"decay": 0.0},
-    {"dt": -1.0},
-    {"steps_per_sample": 0},
-    {"coupling": -1.0},
-    {"log_powers": ()},
-    {"poly_max_power": 0},
-    {"log_power_grid": ((0,),)},
-    {"poly_power_grid": (0,)},
-    {"selection_rate": 2.0},
-    {"selection_rate": 0.0},
-    {"dictionary": "nope"},
-    {"flow_in": -5.0},
+# Each input keeps the id it has always had in the suite, so removing one
+# input renames no other; inputs added later are named by key and value.
+@pytest.mark.parametrize("bad", [pytest.param(bad, id=name) for bad, name in [
+    ({"dynamics": "lorenz"}, "bad0"),
+    ({"n_values": (0,)}, "bad1"),
+    ({"sampling_rates": (0.0,)}, "bad2"),
+    ({"sampling_rates": (1.5,)}, "bad3"),
+    ({"trials": 0}, "bad4"),
+    ({"workers": 0}, "bad5"),
+    ({"baselines": ("poly-gramian", "kalman")}, "bad6"),
+    ({"training_trajectories": 0}, "bad7"),
+    ({"test_trajectories": 0}, "bad8"),
+    ({"training_ticks": 1}, "bad9"),
+    ({"sampling_ticks": 1}, "bad10"),
+    ({"scale": -1.0}, "bad11"),
+    ({"scale": 0.0}, "bad12"),
+    ({"refine_trajectories": -1}, "bad13"),
+    ({"er_probability": 1.5}, "bad17"),
+    ({"er_probability": -0.1}, "bad18"),
+    ({"gamma": 0.5}, "bad19"),
+    ({"n_values": ()}, "bad20"),
+    ({"sampling_rates": ()}, "bad21"),
+    ({"log_powers": ()}, "bad26"),
+    ({"log_power_grid": ((0,),)}, "bad28"),
+    ({"poly_power_grid": (0,)}, "bad29"),
+    ({"selection_rate": 2.0}, "bad30"),
+    ({"selection_rate": 0.0}, "bad31"),
+    ({"dictionary": "nope"}, "bad32"),
+    ({"flow_in": -5.0}, "bad33"),
     # integer settings that are not integers
-    {"n_values": (4.0,)},
-    {"seed": 0.5},
-    {"seed": True},
-    {"trials": 1.5},
-    {"training_ticks": 10.5},
-    {"log_powers": (1, 2.0)},
-    {"log_power_grid": ((1.5,),)},
-    {"poly_power_grid": (1.7,)},
-])
+    ({"n_values": (4.0,)}, "bad34"),
+    ({"seed": 0.5}, "bad35"),
+    ({"seed": True}, "bad36"),
+    ({"trials": 1.5}, "bad37"),
+    ({"training_ticks": 10.5}, "bad38"),
+    ({"log_powers": (1, 2.0)}, "bad39"),
+    ({"log_power_grid": ((1.5,),)}, "bad40"),
+    ({"poly_power_grid": (1.7,)}, "bad41"),
+    # float settings that are not real numbers
+    ({"sampling_rates": (True,)}, "sampling_rates=[True]"),
+    ({"flow_in": True}, "flow_in=True"),
+    ({"selection_rate": True}, "selection_rate=True"),
+    ({"scale": True}, "scale=True"),
+    ({"scale": "500"}, "scale='500'"),
+    ({"gamma": "5"}, "gamma='5'"),
+]])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
         ExperimentConfig(**bad)
+
+
+def test_number_checks_name_the_key():
+    for bad in ({"n_values": (4.0,)}, {"seed": 0.5}, {"seed": True},
+                {"trials": 1.5}, {"log_power_grid": ((1.5,),)},
+                {"sampling_rates": (True,)}, {"flow_in": True},
+                {"selection_rate": True}, {"scale": True}, {"scale": "500"},
+                {"gamma": "5"}, {"er_probability": None}):
+        (key,) = bad
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            ExperimentConfig(**bad)
+
+
+# Settings of older versions, at the one value each of them ever ran with.
+REMOVED_KEYS = {"decay": 1.0, "coupling": 1.0, "dt": 0.01,
+                "steps_per_sample": 10, "poly_max_power": 2,
+                "recovery_max_iterations": 500, "recovery_gradient_tol": 1e-8,
+                "recovery_multistarts": 3}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_config_rejects_removed_keys(key):
+    with pytest.raises(ValueError, match="unknown config keys"):
+        ExperimentConfig.from_dict({key: REMOVED_KEYS[key]})
 
 
 def test_config_rejects_a_null_selection_rate():
@@ -261,6 +286,20 @@ def test_report_round_trip_through_json(lin_report, tmp_path):
     assert report_from_json(json_path).records == report.records
 
 
+def test_report_with_removed_config_keys_still_loads(lin_report, tmp_path):
+    # a report's config is kept as written, so one whose config carries
+    # settings of older versions loads with its name and records
+    _, report = lin_report
+    (json_path,) = emit(report, tmp_path, formats=("json",))
+    payload = json.loads(json_path.read_text())
+    payload["config"] = {**payload["config"], **REMOVED_KEYS}
+    json_path.write_text(json.dumps(payload))
+    again = report_from_json(json_path)
+    assert again.name == report.name == "linearization"
+    assert again.records == report.records
+    assert again.config == payload["config"]
+
+
 # ---------------------------------------------------------------------------
 # sampling sweep (shared small run)
 
@@ -371,7 +410,7 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
     # a method's model is part of its prepare step: a failed fit or stack of
     # powers fails that method's rows alone
     sizes = {PROPOSED: log_spec(5, scale=cfg.scale, powers=cfg.log_powers).size,
-             POLY_GRAMIAN: poly_spec(5, max_power=cfg.poly_max_power).size}
+             POLY_GRAMIAN: poly_spec(5).size}
     for name, fake, method in (("greedy_select", boom, PROPOSED),
                                ("build_theta", boom, PROPOSED),
                                ("gramian_nodes_for_budget", boom, POLY_GRAMIAN),

@@ -390,10 +390,6 @@ def test_recovery_raises_on_a_non_finite_sample():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gradient_tol=0.0)
-    with pytest.raises(ValueError):
         OptimizerConfig(multistarts=-1)
 
 
