@@ -4,10 +4,10 @@
   operator: eigendecompose K, keep the k modes with the largest eigenvalue
   moduli, and read sensor nodes off the significant entries of the matching
   rows of V^-1.  Recovery then treats the initial lifted vector as a free
-  vector, solves the sampled rows of the operator powers (read off K by
-  their recurrence, tick by tick, and folded into the triangular factor of
-  the least-squares system) by pseudo-inverse, and rolls K forward from the
-  solution, ignoring the nonlinear structure tying lifted entries to states.
+  vector, solves the sampled rows of the operator powers (read off K tick
+  by tick and folded into the triangular factor both recoveries solve on)
+  by pseudo-inverse, and rolls K forward from the solution, ignoring the
+  nonlinear structure tying lifted entries to states.
 * Classic bandlimited graph-signal sampling: an r-dimensional Laplacian
   eigenbasis, greedy row selection until the sampled basis has rank r, and
   per-tick least-squares recovery of the basis coefficients.
@@ -23,12 +23,11 @@ from .dynamics import Graph
 from .koopman import KoopmanModel, rollout
 from .observables import ObservableSpec, unlift_trajectory
 from .recovery import SampleMatrix
-from .sampling import numerical_rank, operator_rows, sigma_quotient
+from .sampling import (RANK_TOL, numerical_rank, operator_rows,
+                       sampled_factor, sigma_quotient)
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
-_RCOND = 1e-10         # lstsq cutoff of both baseline recoveries
-_FOLD_ROWS = 2         # pending rows, in multiples of M, folded into R at once
 
 
 @dataclass(frozen=True)
@@ -148,28 +147,12 @@ def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
     recovery.  Returns the n x tau trajectory and the least-squares
     objective ``||A z1 - y||^2``.
 
-    The tau*|obs| x M system ``A z1 = y`` is never formed.  Each tick's rows
-    and samples, ``[A_t | y_t]``, are written under the triangular factor R
-    of the ticks before; once the block under R is full (``_FOLD_ROWS * M``
-    rows) it is folded into R by QR.  At the end ``[A | y] = QR``, so
-    ``||A z - y|| = ||R[:, :M] z - R[:, M]||`` for every z: the solution,
-    its rank cut and the objective are those of the full system.
+    ``sampling.sampled_factor`` folds ``A z1 = y`` (tau*|obs| x M, never
+    formed) into R tick by tick; R keeps its solution, rank cut and objective.
     """
-    plan, m = samples.plan, model.size
-    k = plan.observable_indices.size
-    block = np.empty((m + 1 + _FOLD_ROWS * m, m + 1))
-    filled = 0    # rows of R on top, then the pending ticks
-    for t, rows in enumerate(operator_rows(plan, model)):
-        if filled + k > block.shape[0]:
-            r = np.linalg.qr(block[:filled], mode="r")
-            filled = r.shape[0]
-            block[:filled] = r
-        block[filled:filled + k, :m] = rows
-        block[filled:filled + k, m] = samples.values[t * k:(t + 1) * k]
-        filled += k
-    r = np.linalg.qr(block[:filled], mode="r")
-    r_a, r_y = r[:, :m], r[:, m]
-    z1, *_ = np.linalg.lstsq(r_a, r_y, rcond=_RCOND)
+    plan = samples.plan
+    r_a, r_y = sampled_factor(operator_rows(plan, model), samples.values)
+    z1, *_ = np.linalg.lstsq(r_a, r_y, rcond=RANK_TOL)
     residual = r_a @ z1 - r_y
     trajectory = unlift_trajectory(spec, rollout(model, z1, plan.tau).T)
     return trajectory, float(residual @ residual)
@@ -227,5 +210,5 @@ def linear_gft_recover_trajectory(nodes, basis: np.ndarray,
     if numerical_rank(rows) < basis.shape[1]:
         raise RuntimeError("sampled basis rows are rank-deficient; "
                            "recovery is not identifiable")
-    coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=_RCOND)
+    coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=RANK_TOL)
     return basis @ coef

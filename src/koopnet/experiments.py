@@ -147,8 +147,9 @@ class ExperimentConfig:
 def _check_numbers(config: ExperimentConfig) -> None:
     """Reject, naming the field, a bool in any numeric field or entry, a
     value without ``__index__`` (what ``operator.index`` needs; 1.5 has none)
-    where an integer belongs and a value that is not ``numbers.Real`` where a
-    float belongs.  ``None`` passes only in the fields that take it."""
+    where an integer belongs, a value that is not ``numbers.Real`` where a
+    float belongs and anything but a bool where a bool belongs.  ``None``
+    passes only in the fields that take it."""
     values = [(f.name, getattr(config, f.name), f.type) for f in fields(config)]
     values += [(name, v, "int")
                for name in ("n_values", "log_powers", "poly_power_grid")
@@ -166,6 +167,8 @@ def _check_numbers(config: ExperimentConfig) -> None:
         if kind == "float" and (isinstance(value, bool)
                                 or not isinstance(value, numbers.Real)):
             raise ValueError(f"{name}: {value!r} is not a real number")
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{name}: {value!r} is not a bool")
 
 
 def _tuples(value):

@@ -5,8 +5,9 @@ every tick of one trajectory.  The unknown initial state enters those samples
 through the lift followed by the stacked linear evolution, so recovery
 minimizes the squared sample mismatch over the initial state with an analytic
 gradient (chain rule through the lift Jacobian) and a DFP quasi-Newton
-search.  The search runs on the triangular QR factor of ``[A | y]``, a
-system of at most M + 1 rows with the same objective value at every state.
+search.  The search runs on the triangular QR factor of ``[A | y]`` that
+``sampled_factor`` builds from all sampled rows as one block: a system of
+at most M + 1 rows with the same objective value at every state.
 The recovered initial state is then multiplied by the stack of operator
 powers and unlifted into a full trajectory estimate.
 """
@@ -24,7 +25,7 @@ from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, lift, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
-from .sampling import SamplingPlan, selected_rows
+from .sampling import RANK_TOL, SamplingPlan, sampled_factor, selected_rows
 
 
 # Standard deviation of the multistart jitter, relative to max(|fill|, 1).
@@ -143,11 +144,9 @@ def recover_initial_state(samples: SampleMatrix, theta: np.ndarray,
     plan = samples.plan
     if theta.shape[1] != spec.size:
         raise ValueError("evolution stack and dictionary disagree on size")
-    # [A | y] = QR, so ||A psi - y|| = ||R[:, :M] psi - R[:, M]|| for every
-    # psi; the last row of R keeps the residual that no psi can remove.
-    r = np.linalg.qr(np.column_stack([selected_rows(plan, theta),
-                                      samples.values]), mode="r")
-    r_a, r_y = r[:, :spec.size], r[:, spec.size]
+    # one block, freed before the final QR; the last row of R keeps the
+    # residual that no psi can remove
+    r_a, r_y = sampled_factor(iter([selected_rows(plan, theta)]), samples.values)
     objective, gradient = _objective_pair(r_a, r_y, spec)
 
     base = initial_guess(samples, spec, config.fill_value)
@@ -200,7 +199,7 @@ def _linear_warm_start(a: np.ndarray, y: np.ndarray,
     if not (np.isfinite(a).all() and np.isfinite(y).all()):
         return None
     try:
-        z1, *_ = np.linalg.lstsq(a, y, rcond=1e-10)
+        z1, *_ = np.linalg.lstsq(a, y, rcond=RANK_TOL)
     except np.linalg.LinAlgError:
         return None
     return np.clip(unlift_trajectory(spec, z1), 0.0, None)

@@ -25,9 +25,10 @@ from .koopman import KoopmanModel
 from .observables import ObservableSpec
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
-# treated as zero when checking rank (resp. scoring a candidate set).
+# treated as zero in rank checks and lstsq solves (resp. scoring a set).
 RANK_TOL = 1e-10
 SCORE_TOL = 1e-12
+_FOLD_ROWS = 2   # pending rows, in multiples of M, folded into R at once
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,31 @@ def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarra
     for _ in range(1, plan.tau):
         rows = rows @ model.operator
         yield rows
+
+
+def sampled_factor(blocks, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of ``[A | y]`` = QR as ``(R_a, R_y)``, A the row blocks stacked in
+    order and y the samples, so ``||A z - y|| = ||R_a z - R_y||`` for all
+    z.  The blocks are written under R in one buffer, folded into R by QR
+    when the next would not fit; one block is factored as it stands.  No
+    later block may be longer than both the first and ``_FOLD_ROWS * M``.
+    Blocks passed in an iterator are freed once written."""
+    buffer, filled, start = None, 0, 0   # R on top, then pending blocks
+    for rows in blocks:
+        k, m = rows.shape
+        if buffer is None:
+            buffer = np.empty((max(k, _FOLD_ROWS * m) + m + 1, m + 1))
+        elif filled + k > buffer.shape[0]:
+            r = np.linalg.qr(buffer[:filled], mode="r")
+            filled = r.shape[0]
+            buffer[:filled] = r
+        buffer[filled:filled + k, :m] = rows
+        buffer[filled:filled + k, m] = samples[start:start + k]
+        filled += k
+        start += k
+        del rows
+    r = np.linalg.qr(buffer[:filled], mode="r")
+    return r[:, :m], r[:, m]
 
 
 def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:

@@ -32,7 +32,7 @@ from koopnet import (
 )
 from koopnet import baselines
 from koopnet.recovery import SampleMatrix
-from koopnet.sampling import operator_rows
+from koopnet.sampling import RANK_TOL, operator_rows
 
 
 def _model(op, spec=None):
@@ -313,7 +313,7 @@ def _stack_recover(samples, model, spec):
     read off ``build_theta``."""
     theta = build_theta(model, samples.plan.tau)
     a = selected_rows(samples.plan, theta)
-    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=baselines._RCOND)
+    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=RANK_TOL)
     residual = a @ z1 - samples.values
     return (unlift_trajectory(spec, (theta @ z1).T),
             float(residual @ residual))
@@ -342,7 +342,7 @@ def test_linear_observable_recovery_matches_the_stack_reference(spec, nodes):
 def _dense_recover(samples, model, spec):
     """The recovery as one dense least-squares solve on every sampled row."""
     a = _dense_rows(samples.plan, model)
-    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=baselines._RCOND)
+    z1, *_ = np.linalg.lstsq(a, samples.values, rcond=RANK_TOL)
     residual = a @ z1 - samples.values
     trajectory = unlift_trajectory(spec,
                                    rollout(model, z1, samples.plan.tau).T)

@@ -107,6 +107,10 @@ def test_config_rejects_unknown_keys():
     ({"scale": True}, "scale=True"),
     ({"scale": "500"}, "scale='500'"),
     ({"gamma": "5"}, "gamma='5'"),
+    # a bool setting that is not a bool
+    ({"include_dmd": "no"}, "include_dmd='no'"),
+    ({"include_dmd": None}, "include_dmd=None"),
+    ({"include_dmd": 1}, "include_dmd=1"),
 ]])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -118,7 +122,9 @@ def test_number_checks_name_the_key():
                 {"trials": 1.5}, {"log_power_grid": ((1.5,),)},
                 {"sampling_rates": (True,)}, {"flow_in": True},
                 {"selection_rate": True}, {"scale": True}, {"scale": "500"},
-                {"gamma": "5"}, {"er_probability": None}):
+                {"gamma": "5"}, {"er_probability": None},
+                {"include_dmd": "no"}, {"include_dmd": None},
+                {"include_dmd": 1}):
         (key,) = bad
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(**bad)

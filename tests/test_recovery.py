@@ -43,6 +43,7 @@ from koopnet import (
 from koopnet import recovery
 from koopnet.recovery import (SampleMatrix, _linear_warm_start, _objective_pair,
                               initial_guess)
+from koopnet.sampling import sampled_factor
 
 
 # =========================================================================
@@ -354,8 +355,7 @@ def test_compressed_system_keeps_objective_gradient_and_warm_start(rows):
     a = rng.normal(size=(rows, spec.size))
     y = rng.normal(size=rows)
     # the system recover_initial_state minimizes: the R factor of [A | y]
-    r = np.linalg.qr(np.column_stack([a, y]), mode="r")
-    r_a, r_y = r[:, :spec.size], r[:, spec.size]
+    r_a, r_y = sampled_factor([a], y)
     assert r_a.shape == (min(rows, spec.size + 1), spec.size)
     objective, gradient = _objective_pair(a, y, spec)
     small_objective, small_gradient = _objective_pair(r_a, r_y, spec)

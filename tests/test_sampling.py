@@ -7,6 +7,7 @@ brute-force rank computations.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from koopnet import (
     verify_rank,
 )
 from koopnet.sampling import (numerical_rank, operator_rows, plan_from_dict,
-                              plan_to_dict, selected_rows)
+                              plan_to_dict, sampled_factor, selected_rows)
 
 
 def _stack(op, tau):
@@ -451,3 +452,79 @@ def test_operator_rows_reject_a_plan_of_another_dictionary():
     model = KoopmanModel(operator=np.eye(pspec.size), spec=pspec, residual=0.0)
     with pytest.raises(ValueError, match="size 19.*85"):
         next(operator_rows(log_plan, model))
+
+
+# =========================================================================
+# The sampled least-squares factor
+# =========================================================================
+
+@pytest.mark.parametrize("rows", [60, 8])   # M = 13: past 3M + 1, short of M
+def test_one_block_is_factored_as_it_stands(rows):
+    # the log recovery's call: every sampled row as one block, no fold
+    rng = np.random.default_rng(rows)
+    m = log_spec(4).size
+    a = rng.normal(size=(rows, m))
+    y = rng.normal(size=rows)
+    r = np.linalg.qr(np.column_stack([a, y]), mode="r")
+    r_a, r_y = sampled_factor([a], y)
+    assert r_a.shape == (min(rows, m + 1), m)
+    assert np.array_equal(r_a, r[:, :m]) and np.array_equal(r_y, r[:, m])
+
+
+def test_a_block_passed_in_an_iterator_is_freed_before_the_final_qr():
+    # the log recovery's rows must not outlive their copy in the buffer:
+    # freed, the peak is the buffer plus the final QR's copy of it; held,
+    # the rows add a third array of that size
+    rng = np.random.default_rng(0)
+    rows, m = 4000, 60
+    y = rng.normal(size=rows)
+    tracemalloc.start()
+    try:
+        sampled_factor(iter([rng.normal(size=(rows, m))]), y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows * (m + 1) * 8
+
+
+def _reference_fold(plan, model, values):
+    """The baseline's fold loop as it ran before ``sampled_factor``: 3M + 1
+    buffer rows, folded whenever the next tick would not fit."""
+    m, k = model.size, plan.observable_indices.size
+    block = np.empty((m + 1 + 2 * m, m + 1))
+    filled = 0
+    for t, rows in enumerate(operator_rows(plan, model)):
+        if filled + k > block.shape[0]:
+            r = np.linalg.qr(block[:filled], mode="r")
+            filled = r.shape[0]
+            block[:filled] = r
+        block[filled:filled + k, :m] = rows
+        block[filled:filled + k, m] = values[t * k:(t + 1) * k]
+        filled += k
+    r = np.linalg.qr(block[:filled], mode="r")
+    return r[:, :m], r[:, m]
+
+
+# the plans of test_baselines' fold cases: wide and rank-deficient (no fold
+# before the last), tall (folded several times), the identity dictionary
+_FOLD_CASES = {
+    "wide": (poly_spec(5, max_power=2), [1, 3], 3),
+    "tall": (poly_spec(8, max_power=2), list(range(8)), 20),
+    "identity": (identity_spec(6), [0, 2, 5], 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOLD_CASES))
+def test_tick_blocks_keep_the_reference_fold_bytes(case):
+    spec, nodes, tau = _FOLD_CASES[case]
+    rng = np.random.default_rng(7)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+    model = KoopmanModel(operator=op, spec=spec, residual=0.0)
+    plan = gamma_map(nodes, spec, tau)
+    values = rng.normal(size=plan.sample_count)
+    if case == "tall":
+        assert plan.sample_count > 3 * (3 * spec.size + 1)
+    r_a, r_y = sampled_factor(operator_rows(plan, model), values)
+    ref_a, ref_y = _reference_fold(plan, model, values)
+    assert np.array_equal(r_a, ref_a) and np.array_equal(r_y, ref_y)
