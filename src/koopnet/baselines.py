@@ -96,7 +96,7 @@ def _node_weights(spec: ObservableSpec, row: np.ndarray) -> dict[int, float]:
     w = np.abs(row)
     weights: dict[int, float] = {}
     for m in np.flatnonzero(w > _WEIGHT_TOL):
-        for node in spec.terms[m].owners:
+        for node in spec.owners[m]:
             weights[node] = max(weights.get(node, 0.0), float(w[m]))
     return weights
 
@@ -139,8 +139,8 @@ def gramian_nodes_for_budget(model: KoopmanModel, budget: int) -> list[int]:
     return list(order)[:budget]
 
 
-def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
-                              spec: ObservableSpec) -> tuple[np.ndarray, float]:
+def linear_observable_recover(samples: SampleMatrix,
+                              model: KoopmanModel) -> tuple[np.ndarray, float]:
     """Recover the initial lifted vector as a free M-vector by least squares,
     then roll it forward through K and unlift.  No lift structure is
     enforced, which is what makes this a baseline rather than the proposed
@@ -154,7 +154,7 @@ def linear_observable_recover(samples: SampleMatrix, model: KoopmanModel,
     r_a, r_y = sampled_factor(operator_rows(plan, model), samples.values)
     z1, *_ = np.linalg.lstsq(r_a, r_y, rcond=RANK_TOL)
     residual = r_a @ z1 - r_y
-    trajectory = unlift_trajectory(spec, rollout(model, z1, plan.tau).T)
+    trajectory = unlift_trajectory(model.spec, rollout(model, z1, plan.tau).T)
     return trajectory, float(residual @ residual)
 
 

@@ -2,10 +2,10 @@
 
 Two dynamics families are provided: a biochemical model (constant inflow,
 linear decay, bilinear neighbor coupling) and a gene-regulatory model
-(linear decay driven by saturating neighbor activation).  Both are
-integrated with fixed-step RK4 and sampled every ``steps_per_sample``
-substeps, so one trajectory tick spans ``dt * steps_per_sample`` time
-units.
+(linear decay driven by saturating neighbor activation), both with unit
+decay and coupling rates.  Both are integrated with fixed-step RK4 and
+sampled every ``STEPS_PER_TICK`` steps, so one trajectory tick spans
+``RK4_STEP * STEPS_PER_TICK`` = 0.1 time units.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ _KINDS = (BIOCHEMICAL, REGULATORY)
 
 # States beyond this magnitude are treated as numerical blow-up.
 OVERFLOW_GUARD = 1e12
+
+# The RK4 step size and the number of steps between two trajectory ticks.
+RK4_STEP = 0.01
+STEPS_PER_TICK = 10
 
 
 @dataclass(frozen=True)
@@ -70,43 +74,19 @@ def generate_er_graph(n: int, p: float, seed: int | None = None) -> Graph:
 
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Rates and integration settings for one dynamics family.
+    """A dynamics family and its inflow rate (biochemical only).
 
     The coupling term of node i sums over its graph neighbors only.
     """
 
     kind: str
     flow_in: float = 0.0
-    decay: float = 1.0
-    coupling: float = 1.0
-    dt: float = 0.01
-    steps_per_sample: int = 10
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
         if self.flow_in < 0:
             raise ValueError("flow_in must be nonnegative")
-        if self.decay <= 0:
-            raise ValueError("decay rate must be positive")
-        if self.coupling < 0:
-            raise ValueError("coupling rate must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.steps_per_sample < 1:
-            raise ValueError("steps_per_sample must be at least 1")
-
-    @classmethod
-    def biochemical(cls, flow_in: float = 10.0, decay: float = 1.0,
-                    coupling: float = 1.0, **kwargs) -> "DynamicsParams":
-        return cls(kind=BIOCHEMICAL, flow_in=flow_in, decay=decay,
-                   coupling=coupling, **kwargs)
-
-    @classmethod
-    def regulatory(cls, decay: float = 1.0, coupling: float = 1.0,
-                   **kwargs) -> "DynamicsParams":
-        return cls(kind=REGULATORY, flow_in=0.0, decay=decay,
-                   coupling=coupling, **kwargs)
 
 
 def default_initial_range(kind: str) -> tuple[float, float]:
@@ -122,10 +102,10 @@ def _rhs(x, graph, params):
     # x may be a single state (n,) or a batch of columns (n, d)
     a = graph.adjacency
     if params.kind == BIOCHEMICAL:
-        return params.flow_in - params.decay * x - params.coupling * x * (a @ x)
+        return params.flow_in - x - x * (a @ x)
     sat = x * x
     sat = sat / (1.0 + sat)
-    return -params.decay * x + params.coupling * (a @ sat)
+    return -x + a @ sat
 
 
 def derivative(x: np.ndarray, graph: Graph, params: DynamicsParams) -> np.ndarray:
@@ -165,7 +145,7 @@ class Trajectory:
 
 def _integrate(graph, params, x0, num_steps):
     """Fixed-step RK4 path for one state vector or a batch of columns."""
-    h = params.dt
+    h = RK4_STEP
     out = np.empty((graph.n, num_steps) + x0.shape[1:])
     out[:, 0] = x0
     x = x0.astype(float, copy=True)
@@ -173,7 +153,7 @@ def _integrate(graph, params, x0, num_steps):
     # not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for tick in range(1, num_steps):
-            for _ in range(params.steps_per_sample):
+            for _ in range(STEPS_PER_TICK):
                 k1 = _rhs(x, graph, params)
                 k2 = _rhs(x + 0.5 * h * k1, graph, params)
                 k3 = _rhs(x + 0.5 * h * k2, graph, params)

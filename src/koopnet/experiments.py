@@ -77,7 +77,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.selection_rate is None:  # null once meant "every node"
             raise ValueError("selection_rate must lie in (0, 1]")
-        _check_numbers(self)
+        _check_types(self)
         # the dynamics, dictionary and selection constructors hold their own
         # checks
         self.params()
@@ -144,23 +144,35 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _check_numbers(config: ExperimentConfig) -> None:
-    """Reject, naming the field, a bool in any numeric field or entry, a
-    value without ``__index__`` (what ``operator.index`` needs; 1.5 has none)
-    where an integer belongs, a value that is not ``numbers.Real`` where a
-    float belongs and anything but a bool where a bool belongs.  ``None``
-    passes only in the fields that take it."""
-    values = [(f.name, getattr(config, f.name), f.type) for f in fields(config)]
-    values += [(name, v, "int")
-               for name in ("n_values", "log_powers", "poly_power_grid")
-               for v in getattr(config, name)]
-    values += [("log_power_grid", v, "int") for powers in config.log_power_grid
-               for v in powers]
-    values += [("sampling_rates", v, "float") for v in config.sampling_rates]
-    for name, value, kind in values:
+def _typed_values(config: ExperimentConfig):
+    """Every field, then every entry of the list fields, with the type it
+    must have; lazily, so a field is checked before its entries are read."""
+    for f in fields(config):
+        yield f.name, getattr(config, f.name), f.type
+    for name in ("n_values", "log_powers", "poly_power_grid"):
+        for v in getattr(config, name):
+            yield name, v, "int"
+    for powers in config.log_power_grid:
+        yield "log_power_grid", powers, "tuple"
+        for v in powers:
+            yield "log_power_grid", v, "int"
+    for v in config.sampling_rates:
+        yield "sampling_rates", v, "float"
+
+
+def _check_types(config: ExperimentConfig) -> None:
+    """Reject, naming the field: anything but a list or tuple where a list
+    belongs, a bool in any numeric field or entry, a value without
+    ``__index__`` (what ``operator.index`` needs; 1.5 has none) where an
+    integer belongs, a value that is not ``numbers.Real`` where a float
+    belongs and anything but a bool where a bool belongs.  ``None`` passes
+    only in the fields that take it."""
+    for name, value, kind in _typed_values(config):
         if value is None and kind.endswith(" | None"):
             continue
         kind = kind.removesuffix(" | None")
+        if kind.startswith("tuple") and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: {value!r} is not a list")
         if kind == "int" and (isinstance(value, bool)
                               or not hasattr(value, "__index__")):
             raise ValueError(f"{name}: {value!r} is not an integer")
@@ -440,7 +452,7 @@ def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
         model, order = shared
         plan = gamma_map(order[:budget], spec, tau)
         samples = take_samples(truth, spec, plan)
-        trajectory, _ = linear_observable_recover(samples, model, spec)
+        trajectory, _ = linear_observable_recover(samples, model)
         return trajectory, True
 
     return spec.size, prepare, solve

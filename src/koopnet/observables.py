@@ -32,58 +32,74 @@ SCALE_HEADROOM = 0.2
 
 
 @dataclass(frozen=True)
-class ObservableTerm:
-    """One dictionary entry: its functional form and the nodes it reads."""
-
-    form: str                                   # "const" | "linear" | "log" | "monomial"
-    owners: tuple[int, ...]
-    power: int = 0                              # log exponent
-    exponents: tuple[tuple[int, int], ...] = () # monomial (node, exponent) pairs
-
-
-@dataclass(frozen=True)
 class ObservableSpec:
-    """A fully enumerated dictionary over ``n`` nodes."""
+    """A dictionary over ``n`` nodes, given by its parameters alone; its
+    entries, and the nodes each one reads, follow from them."""
 
     kind: str
     n: int
     scale: float
     log_powers: tuple[int, ...]
     poly_max_power: int
-    terms: tuple[ObservableTerm, ...]
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Number of dictionary entries M."""
-        return len(self.terms)
+        if self.kind == LOG:
+            return 1 + self.n * (1 + len(self.log_powers))
+        if self.kind == POLY:
+            return len(self._poly_factors[0])
+        return self.n
+
+    @cached_property
+    def owners(self) -> tuple[tuple[int, ...], ...]:
+        """The nodes each entry reads, in entry order; the constant reads none."""
+        if self.kind == LOG:
+            per_node = 1 + len(self.log_powers)
+            return ((),) + tuple((i,) for i in range(self.n)
+                                 for _ in range(per_node))
+        if self.kind == POLY:
+            factors = (f.tolist() for f in self._poly_factors)
+            return tuple(() if a == 0 else (i,) if b == 0 else (i, j)
+                         for i, a, j, b in zip(*factors))
+        return tuple((i,) for i in range(self.n))
 
     @cached_property
     def linear_indices(self) -> np.ndarray:
         """Dictionary row holding the (scaled) state of each node, in node order."""
-        idx = np.full(self.n, -1, dtype=int)
-        for m, term in enumerate(self.terms):
-            if term.form == "linear":
-                idx[term.owners[0]] = m
-            elif term.form == "monomial" and term.exponents == ((term.owners[0], 1),):
-                idx[term.owners[0]] = m
-        if (idx < 0).any():
-            raise ValueError("dictionary is missing a linear entry for some node")
-        return idx
+        if self.kind == LOG:
+            return 1 + (1 + len(self.log_powers)) * np.arange(self.n)
+        if self.kind == POLY:
+            i_idx, i_pow, _, j_pow = self._poly_factors
+            single = np.flatnonzero((i_pow == 1) & (j_pow == 0))
+            idx = np.empty(self.n, dtype=int)
+            idx[i_idx[single]] = single
+            return idx
+        return np.arange(self.n)
 
     @cached_property
-    def _poly_factors(self):
-        """Per-term (i, a, j, b) factor arrays for vectorized monomial evaluation."""
-        i_idx = np.zeros(self.size, dtype=int)
-        i_pow = np.zeros(self.size, dtype=int)
-        j_idx = np.zeros(self.size, dtype=int)
-        j_pow = np.zeros(self.size, dtype=int)
-        for m, term in enumerate(self.terms):
-            exps = term.exponents
-            if len(exps) >= 1:
-                i_idx[m], i_pow[m] = exps[0]
-            if len(exps) == 2:
-                j_idx[m], j_pow[m] = exps[1]
-        return i_idx, i_pow, j_idx, j_pow
+    def _poly_factors(self) -> tuple[np.ndarray, ...]:
+        """The poly entries ``x_i**a * x_j**b`` as four arrays (i, a, j, b).
+
+        Each monomial appears once, in order of first appearance under
+        lexicographic ``(i, j, a, b)`` enumeration with ``a, b <=
+        poly_max_power``.  A one-node monomial, ``x_i**a * x_i**b`` merged
+        into ``x_i**(a + b)`` included, has ``b = 0``; the constant has
+        ``a = b = 0``.
+        """
+        top = self.poly_max_power
+        seen: dict[tuple, None] = {}
+        for i in range(self.n):
+            for j in range(self.n):
+                for a in range(top + 1):
+                    for b in range(top + 1):
+                        merged: dict[int, int] = {}
+                        for node, e in ((i, a), (j, b)):
+                            if e > 0:
+                                merged[node] = merged.get(node, 0) + e
+                        seen.setdefault(tuple(sorted(merged.items())), None)
+        rows = [sum(key + ((0, 0),) * (2 - len(key)), ()) for key in seen]
+        return tuple(np.array(col, dtype=int) for col in zip(*rows))
 
 
 def log_spec(n: int, scale: float = 500.0, powers: tuple[int, ...] = (1, 2)) -> ObservableSpec:
@@ -98,54 +114,27 @@ def log_spec(n: int, scale: float = 500.0, powers: tuple[int, ...] = (1, 2)) -> 
         raise ValueError("need at least one log power")
     if len(set(powers)) != len(powers) or any(p < 1 for p in powers):
         raise ValueError("log powers must be distinct positive integers")
-    terms = [ObservableTerm(form="const", owners=())]
-    for i in range(n):
-        terms.append(ObservableTerm(form="linear", owners=(i,)))
-        for p in powers:
-            terms.append(ObservableTerm(form="log", owners=(i,), power=p))
     return ObservableSpec(kind=LOG, n=n, scale=float(scale), log_powers=powers,
-                          poly_max_power=0, terms=tuple(terms))
+                          poly_max_power=0)
 
 
 def poly_spec(n: int, max_power: int = 2) -> ObservableSpec:
     """Cross-monomial dictionary ``x_i**a * x_j**b`` with ``a, b <= max_power``,
-    deduplicated, ordered by first appearance under lexicographic
-    ``(i, j, a, b)`` enumeration."""
+    deduplicated (see ``ObservableSpec._poly_factors`` for the order)."""
     if n < 1:
         raise ValueError("need at least one node")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    seen: set[tuple] = set()
-    terms: list[ObservableTerm] = []
-    for i in range(n):
-        for j in range(n):
-            for a in range(max_power + 1):
-                for b in range(max_power + 1):
-                    merged: dict[int, int] = {}
-                    for node, e in ((i, a), (j, b)):
-                        if e > 0:
-                            merged[node] = merged.get(node, 0) + e
-                    key = tuple(sorted(merged.items()))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if not key:
-                        terms.append(ObservableTerm(form="const", owners=()))
-                    else:
-                        owners = tuple(node for node, _ in key)
-                        terms.append(ObservableTerm(form="monomial", owners=owners,
-                                                    exponents=key))
     return ObservableSpec(kind=POLY, n=n, scale=1.0, log_powers=(),
-                          poly_max_power=int(max_power), terms=tuple(terms))
+                          poly_max_power=int(max_power))
 
 
 def identity_spec(n: int) -> ObservableSpec:
     """Raw states as observables; lifting is the identity map."""
     if n < 1:
         raise ValueError("need at least one node")
-    terms = tuple(ObservableTerm(form="linear", owners=(i,)) for i in range(n))
     return ObservableSpec(kind=IDENTITY, n=n, scale=1.0, log_powers=(),
-                          poly_max_power=0, terms=terms)
+                          poly_max_power=0)
 
 
 def build_spec(kind: str, n: int, scale: float = 500.0,
@@ -264,13 +253,14 @@ def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
         jac[1:].reshape(spec.n, -1, spec.n)[nodes, :, nodes] = partials
         return jac
 
-    for m, term in enumerate(spec.terms):
-        for node, e in term.exponents:
-            partial = e * x[node] ** (e - 1)
-            for other, oe in term.exponents:
-                if other != node:
-                    partial *= x[other] ** oe
-            jac[m, node] = partial
+    # row m is x_i**a * x_j**b; scalar powers of Python ints (x_j**0 is
+    # exactly 1.0), as array powers can round differently in the last bit
+    factors = (f.tolist() for f in spec._poly_factors)
+    for m, (i, a, j, b) in enumerate(zip(*factors)):
+        if a:
+            jac[m, i] = a * x[i] ** (a - 1) * x[j] ** b
+        if b:
+            jac[m, j] = b * x[j] ** (b - 1) * x[i] ** a
     return jac
 
 
@@ -290,7 +280,7 @@ def check_scale(spec: ObservableSpec, states: np.ndarray) -> float:
 # Serialization
 
 def spec_to_dict(spec: ObservableSpec) -> dict:
-    """The parameters that rebuild ``spec``; its terms follow from them."""
+    """The parameters that rebuild ``spec``; its entries follow from them."""
     return {
         "kind": spec.kind, "n": spec.n, "scale": spec.scale,
         "log_powers": list(spec.log_powers),

@@ -85,8 +85,8 @@ def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
         if not 0 <= v < spec.n:
             raise ValueError(f"node {v} outside 0..{spec.n - 1}")
     node_set = set(node_list)
-    obs = np.array([m for m, term in enumerate(spec.terms)
-                    if set(term.owners) <= node_set], dtype=int)
+    obs = np.array([m for m, owners in enumerate(spec.owners)
+                    if set(owners) <= node_set], dtype=int)
     return SamplingPlan(nodes=tuple(node_list), observable_indices=obs,
                         tau=tau, dictionary_size=spec.size)
 
@@ -207,8 +207,8 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     # each node's dictionary entries, ascending; a candidate adds those whose
     # other owners are all selected already
     owned: list[list[int]] = [[] for _ in range(n)]
-    for m, term in enumerate(spec.terms):
-        for v in term.owners:
+    for m, owners in enumerate(spec.owners):
+        for v in owners:
             owned[v].append(m)
     selected: list[int] = []
     obs = gamma_map(selected, spec, tau).observable_indices
@@ -223,7 +223,7 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
                 continue
             new_obs = [m for m in owned[cand]
                        if all(v == cand or v in selected
-                              for v in spec.terms[m].owners)]
+                              for v in spec.owners[m])]
             new_rows = _rows(theta, np.array(new_obs, dtype=int))
             score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows]), n)
             key = (score, -sigma_n, cand)

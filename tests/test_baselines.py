@@ -191,10 +191,10 @@ def _reference_nodes_for_budget(model, budget, weight_tol):
             break
         w = np.abs(v_inv[r])
         node_weight = {}
-        for m, term in enumerate(model.spec.terms):
+        for m, owners in enumerate(model.spec.owners):
             if w[m] <= weight_tol:
                 continue
-            for node in term.owners:
+            for node in owners:
                 node_weight[node] = max(node_weight.get(node, 0.0), float(w[m]))
         for node in sorted(node_weight, key=lambda v: (-node_weight[v], v)):
             if node not in seen:
@@ -286,7 +286,7 @@ def test_linear_observable_recovery_is_exact_on_linear_dynamics():
     plan = gamma_map([0, 1], spec, tau)
     samples = take_samples(states, spec, plan)
     assert np.linalg.matrix_rank(_dense_rows(plan, model)) == n
-    trajectory, objective = linear_observable_recover(samples, model, spec)
+    trajectory, objective = linear_observable_recover(samples, model)
     assert objective < 1e-18
     assert np.allclose(trajectory, states, atol=1e-8)
     assert np.allclose(trajectory[:, 0], x1, atol=1e-8)
@@ -301,7 +301,7 @@ def test_linear_observable_recovery_minimizes_the_residual():
     plan = gamma_map([0, 1, 2], spec, 4)
     values = rng.normal(size=plan.sample_count)
     samples = SampleMatrix(values=values, plan=plan)
-    _, objective = linear_observable_recover(samples, model, spec)
+    _, objective = linear_observable_recover(samples, model)
     a = _dense_rows(plan, model)
     for _ in range(10):
         z = rng.normal(size=3)
@@ -332,8 +332,7 @@ def test_linear_observable_recovery_matches_the_stack_reference(spec, nodes):
     plan = gamma_map(nodes, spec, 7)
     states = rng.uniform(1.0, 2.0, (spec.n, 7))
     samples = take_samples(states, spec, plan)
-    recovered, recovered_objective = linear_observable_recover(samples, model,
-                                                               spec)
+    recovered, recovered_objective = linear_observable_recover(samples, model)
     trajectory, objective = _stack_recover(samples, model, spec)
     np.testing.assert_allclose(recovered, trajectory, rtol=1e-9)
     assert recovered_objective == pytest.approx(objective, rel=1e-9, abs=1e-20)
@@ -378,8 +377,7 @@ def test_folded_recovery_matches_the_dense_solve(case):
         assert rows < spec.size
     if case == "tall":
         assert rows >= 10 * spec.size
-    recovered, recovered_objective = linear_observable_recover(samples, model,
-                                                               spec)
+    recovered, recovered_objective = linear_observable_recover(samples, model)
     trajectory, objective = _dense_recover(samples, model, spec)
     np.testing.assert_allclose(recovered, trajectory, rtol=1e-9)
     assert recovered_objective == pytest.approx(objective, rel=1e-9, abs=1e-20)
@@ -393,7 +391,7 @@ def test_folded_recovery_never_holds_every_sampled_row():
     dense_bytes = samples.plan.sample_count * spec.size * 8
     tracemalloc.start()
     try:
-        linear_observable_recover(samples, model, spec)
+        linear_observable_recover(samples, model)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,8 +411,8 @@ def test_linear_observable_recovery_rejects_another_tau(plan_tau):
         linear_observable_recover(
             SampleMatrix(values=samples.values,
                          plan=gamma_map([0, 1], spec, plan_tau)),
-            model, spec)
-    trajectory, _ = linear_observable_recover(samples, model, spec)
+            model)
+    trajectory, _ = linear_observable_recover(samples, model)
     assert trajectory.shape == (3, 4)
 
 
@@ -424,7 +422,7 @@ def test_linear_observable_recovery_rejects_another_dictionary():
     plan = gamma_map([0, 1], identity_spec(4), 4)
     samples = SampleMatrix(values=np.ones(plan.sample_count), plan=plan)
     with pytest.raises(ValueError, match="size 4.*3"):
-        linear_observable_recover(samples, _model(np.eye(3) * 0.5), spec)
+        linear_observable_recover(samples, _model(np.eye(3) * 0.5))
 
 
 # =========================================================================

@@ -23,7 +23,10 @@ from koopnet import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
+from koopnet import dynamics
 from koopnet.dynamics import derivative
+
+BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
 
 
 # =========================================================================
@@ -103,20 +106,20 @@ def _complete(n):
 
 def test_consumption_rate_at_origin():
     # x = 0 kills both the decay and the pairwise term, leaving the inflow
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     rate = derivative(np.zeros(4), _complete(4), params)
     assert np.allclose(rate, 10.0)
 
 
 def test_consumption_rate_two_connected_units():
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     rate = derivative(np.ones(2), _complete(2), params)
     # 10 - 1*1 - 1*1*(neighbor sum 1) = 8 for both nodes
     assert np.allclose(rate, 8.0)
 
 
 def test_consumption_fixed_point_isolated_node():
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     g = _isolated(1)
     assert derivative(np.array([10.0]), g, params) == pytest.approx(0.0)
     traj = simulate(g, params, np.array([10.0]), 30)
@@ -124,22 +127,22 @@ def test_consumption_fixed_point_isolated_node():
 
 
 def test_activation_rate_isolated_node():
-    params = DynamicsParams.regulatory()
+    params = DynamicsParams(kind="regulatory")
     rate = derivative(np.array([5.0]), _isolated(1), params)
     assert rate[0] == pytest.approx(-5.0)
 
 
 def test_activation_isolated_node_matches_exponential_decay():
-    params = DynamicsParams.regulatory()
+    params = DynamicsParams(kind="regulatory")
     c = 7.3
     traj = simulate(_isolated(1), params, np.array([c]), 40)
-    t = 0.1 * np.arange(40)  # dt * steps_per_sample per tick
-    expected = c * np.exp(-params.decay * t)
+    t = 0.1 * np.arange(40)  # RK4_STEP * STEPS_PER_TICK per tick
+    expected = c * np.exp(-t)
     assert np.allclose(traj.states[0], expected, rtol=1e-6)
 
 
 def test_derivative_rejects_bad_state():
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     with pytest.raises(ValueError):
         derivative(np.zeros(3), _complete(4), params)
     with pytest.raises(ValueError):
@@ -150,36 +153,37 @@ def test_derivative_rejects_bad_state():
 # Integration accuracy
 # =========================================================================
 
-def test_rk4_matches_fine_reference():
+def _simulate_at_step(monkeypatch, graph, x1, num_steps, h, steps):
+    """Simulate the biochemical dynamics at RK4 step ``h`` and ``steps``
+    steps per tick."""
+    monkeypatch.setattr(dynamics, "RK4_STEP", h)
+    monkeypatch.setattr(dynamics, "STEPS_PER_TICK", steps)
+    return simulate(graph, BIOCHEMICAL, x1, num_steps).states
+
+
+def test_rk4_matches_fine_reference(monkeypatch):
     g = _complete(2)
-    coarse = DynamicsParams.biochemical()                      # dt = 0.01
-    fine = DynamicsParams.biochemical(dt=0.001, steps_per_sample=100)
     x1 = np.array([0.3, 0.8])
-    a = simulate(g, coarse, x1, 11).states
-    b = simulate(g, fine, x1, 11).states
+    a = simulate(g, BIOCHEMICAL, x1, 11).states              # step 0.01
+    b = _simulate_at_step(monkeypatch, g, x1, 11, 0.001, 100)
     assert np.allclose(a, b, rtol=1e-5)
 
 
-def test_rk4_fourth_order_error_decay():
-    # halving dt must shrink the endpoint error by at least 2^3 (it is a
-    # fourth-order scheme, so ~16x is typical)
+def test_rk4_fourth_order_error_decay(monkeypatch):
+    # halving the step must shrink the endpoint error by at least 2^3 (it is
+    # a fourth-order scheme, so ~16x is typical)
     g = _complete(3)
     x1 = np.array([0.2, 0.5, 0.9])
-    ref = simulate(g, DynamicsParams.biochemical(dt=0.0005,
-                                                 steps_per_sample=200),
-                   x1, 6).states
-    err = {}
-    for dt, steps in ((0.02, 5), (0.01, 10)):
-        got = simulate(g, DynamicsParams.biochemical(dt=dt,
-                                                     steps_per_sample=steps),
-                       x1, 6).states
-        err[dt] = np.abs(got - ref).max()
+    ref = _simulate_at_step(monkeypatch, g, x1, 6, 0.0005, 200)
+    err = {h: np.abs(_simulate_at_step(monkeypatch, g, x1, 6, h, steps)
+                     - ref).max()
+           for h, steps in ((0.02, 5), (0.01, 10))}
     assert err[0.02] / err[0.01] > 8.0
 
 
 def test_consumption_states_stay_positive_and_bounded():
     g = generate_er_graph(10, 0.5, seed=3)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     x1 = random_initial_state(10, 0.0, 1.0, seed=4)
     traj = simulate(g, params, x1, 50)
     assert traj.states.min() > 0.0
@@ -188,14 +192,14 @@ def test_consumption_states_stay_positive_and_bounded():
 
 def test_divergence_raises_and_names_the_tick():
     g = _complete(3)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     with pytest.raises(RuntimeError, match=r"diverged at tick \d+"):
         simulate(g, params, np.full(3, -1000.0), 20)
 
 
 def test_simulate_rejects_bad_inputs():
     g = _complete(2)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     with pytest.raises(ValueError):
         simulate(g, params, np.zeros(3), 10)      # wrong length
     with pytest.raises(ValueError):
@@ -204,7 +208,7 @@ def test_simulate_rejects_bad_inputs():
 
 def test_simulate_is_deterministic_and_keeps_the_initial_column():
     g = generate_er_graph(6, 0.5, seed=9)
-    params = DynamicsParams.regulatory()
+    params = DynamicsParams(kind="regulatory")
     x1 = random_initial_state(6, 0.0, 100.0, seed=10)
     a = simulate(g, params, x1, 15)
     b = simulate(g, params, x1, 15)
@@ -215,7 +219,7 @@ def test_simulate_is_deterministic_and_keeps_the_initial_column():
 
 def test_simulate_ensemble_matches_individual_runs():
     g = generate_er_graph(5, 0.6, seed=2)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     x1s = random_initial_states(5, 3, 0.0, 1.0, seed=5)
     trajs = simulate_ensemble(g, params, x1s, 12)
     assert len(trajs) == 3
@@ -247,11 +251,7 @@ def test_random_initial_state_bounds_and_determinism():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        DynamicsParams.biochemical(decay=0.0)
-    with pytest.raises(ValueError):
-        DynamicsParams.regulatory(coupling=-1.0)
-    with pytest.raises(ValueError):
-        DynamicsParams.biochemical(dt=-0.01)
+        DynamicsParams(kind="biochemical", flow_in=-1.0)
     with pytest.raises(ValueError):
         DynamicsParams(kind="hyperbolic")
 
@@ -262,7 +262,7 @@ def test_params_validation():
 
 def test_trajectory_csv_round_trip(tmp_path):
     g = generate_er_graph(4, 0.5, seed=1)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     traj = simulate(g, params, random_initial_state(4, 0.0, 1.0, seed=2), 9)
     path = trajectory_to_csv(traj, tmp_path / "traj.csv")
     back = trajectory_from_csv(path)

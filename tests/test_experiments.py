@@ -111,6 +111,16 @@ def test_config_rejects_unknown_keys():
     ({"include_dmd": "no"}, "include_dmd='no'"),
     ({"include_dmd": None}, "include_dmd=None"),
     ({"include_dmd": 1}, "include_dmd=1"),
+    # a scalar or a string where a list belongs
+    ({"n_values": 20}, "n_values=20"),
+    ({"n_values": "20"}, "n_values='20'"),
+    ({"log_powers": 2}, "log_powers=2"),
+    ({"log_power_grid": 1}, "log_power_grid=1"),
+    ({"log_power_grid": ((1,), 2)}, "log_power_grid=[[1], 2]"),
+    ({"log_power_grid": ("12",)}, "log_power_grid=['12']"),
+    ({"poly_power_grid": 2}, "poly_power_grid=2"),
+    ({"sampling_rates": 0.5}, "sampling_rates=0.5"),
+    ({"baselines": "linear-gft"}, "baselines='linear-gft'"),
 ]])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -124,7 +134,11 @@ def test_number_checks_name_the_key():
                 {"selection_rate": True}, {"scale": True}, {"scale": "500"},
                 {"gamma": "5"}, {"er_probability": None},
                 {"include_dmd": "no"}, {"include_dmd": None},
-                {"include_dmd": 1}):
+                {"include_dmd": 1}, {"n_values": 20}, {"n_values": "20"},
+                {"log_powers": 2}, {"log_power_grid": 1},
+                {"log_power_grid": ((1,), 2)}, {"log_power_grid": ("12",)},
+                {"poly_power_grid": 2}, {"sampling_rates": 0.5},
+                {"baselines": "linear-gft"}):
         (key,) = bad
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(**bad)

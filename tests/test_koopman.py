@@ -39,6 +39,7 @@ from koopnet import (
 )
 from koopnet.koopman import SV_CUTOFF
 
+BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
 
 def _linear_trajectories(a, x1s, tau):
     """Exact discrete-time linear rollouts x_{t+1} = A x_t, one per column."""
@@ -211,7 +212,7 @@ def test_fit_is_bit_identical_to_the_stacked_reference(spec):
     # of fixed width
     trajs = [traj for ticks, seed in ((12, 46), (7, 47))
              for traj in simulate_ensemble(
-                 graph, DynamicsParams.biochemical(),
+                 graph, BIOCHEMICAL,
                  random_initial_states(6, 10, 0.0, 1.0, seed=seed), ticks)]
     training = assemble_training(trajs, spec)
     x, y, k, residual = _stacked_fit(trajs, spec)
@@ -279,7 +280,7 @@ _ROLLOUT_SPECS = [(log_spec(8, scale=1.0), 8), (poly_spec(6), 6)]
 
 def _fitted(spec, n, seed):
     graph = generate_er_graph(n, 0.5, seed=seed)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     x1s = random_initial_states(n, 60, 0.0, 1.0, seed=seed + 1)
     model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 15),
                                   spec))
@@ -392,7 +393,7 @@ def test_stack_path_is_blockwise_bit_for_bit(spec):
     graph = generate_er_graph(6, 0.5, seed=31)
     x1s = random_initial_states(6, 40, 0.0, 1.0, seed=32)
     model = fit(assemble_training(
-        simulate_ensemble(graph, DynamicsParams.biochemical(), x1s, 12), spec))
+        simulate_ensemble(graph, BIOCHEMICAL, x1s, 12), spec))
     theta = build_theta(model, 12)
     rng = np.random.default_rng(33)
     for _ in range(5):
@@ -429,7 +430,7 @@ def test_linearization_error_is_an_nrmse():
 
 def test_log_dictionary_linearizes_the_consumption_network():
     graph = generate_er_graph(8, 0.5, seed=11)
-    params = DynamicsParams.biochemical()
+    params = BIOCHEMICAL
     x1s = random_initial_states(8, 40, 0.0, 1.0, seed=12)
     spec = log_spec(8)
     model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 30),
@@ -445,7 +446,7 @@ def test_log_dictionary_linearizes_the_consumption_network():
 # Refinement
 # =========================================================================
 
-def _refine_setup(seed=14, params=DynamicsParams.biochemical()):
+def _refine_setup(seed=14, params=BIOCHEMICAL):
     graph = generate_er_graph(6, 0.5, seed=seed)
     low, high = default_initial_range(params.kind)
     spec = log_spec(6)
@@ -486,8 +487,8 @@ def test_refine_pins_sampled_entries_of_new_trajectories():
 
 def test_refine_combined_set_is_the_stacked_union():
     # the extra draws come from each dynamics' initial range
-    for kind_params, high in ((DynamicsParams.biochemical(), 1.0),
-                              (DynamicsParams.regulatory(), 100.0)):
+    for kind_params, high in ((BIOCHEMICAL, 1.0),
+                              (DynamicsParams(kind="regulatory"), 100.0)):
         graph, params, spec, training, model, truth = _refine_setup(
             params=kind_params)
         nodes = [0, 2]

@@ -6,6 +6,7 @@ constant.  The polynomial dictionary enumerates deduplicated monomials up to
 a total structure of two nodes; the identity dictionary is plain DMD.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -73,6 +74,61 @@ def test_poly_size_grows_quadratically():
     assert spec.size > 100
     for n in (10, 14, 20):
         assert poly_spec(n, max_power=2).size > n * n / 2
+
+
+def _reference_terms(spec):
+    """Every entry as (form, owners, exponents), enumerated one by one: the
+    constant, then per node its scaled state and one log entry per power
+    (log); deduplicated monomials as sorted (node, exponent) pairs in order
+    of first appearance under lexicographic (i, j, a, b) (poly); the raw
+    states (identity)."""
+    if spec.kind == "identity":
+        return [("linear", (i,), ()) for i in range(spec.n)]
+    if spec.kind == "log":
+        terms = [("const", (), ())]
+        for i in range(spec.n):
+            terms.append(("linear", (i,), ()))
+            terms += [("log", (i,), ()) for _ in spec.log_powers]
+        return terms
+    seen, terms = set(), []
+    top = spec.poly_max_power
+    for i, j, a, b in itertools.product(range(spec.n), range(spec.n),
+                                        range(top + 1), range(top + 1)):
+        merged = {}
+        for node, e in ((i, a), (j, b)):
+            if e > 0:
+                merged[node] = merged.get(node, 0) + e
+        key = tuple(sorted(merged.items()))
+        if key not in seen:
+            seen.add(key)
+            terms.append(("monomial" if key else "const",
+                          tuple(node for node, _ in key), key))
+    return terms
+
+
+def _grid_specs(n):
+    return ([identity_spec(n)]
+            + [poly_spec(n, max_power=d) for d in (1, 2, 3)]
+            + [log_spec(n, powers=p) for p in ((1,), (1, 2), (1, 2, 3))])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 20, 30])
+def test_derived_entries_match_the_term_enumeration(n):
+    for spec in _grid_specs(n):
+        terms = _reference_terms(spec)
+        assert spec.size == len(terms)
+        assert spec.owners == tuple(owners for _, owners, _ in terms)
+        linear = np.full(n, -1)
+        for m, (form, owners, exponents) in enumerate(terms):
+            if form == "linear" or (form == "monomial"
+                                    and exponents == ((owners[0], 1),)):
+                linear[owners[0]] = m
+        assert np.array_equal(spec.linear_indices, linear)
+        if spec.kind == "poly":
+            padded = [sum(e + ((0, 0),) * (2 - len(e)), ())
+                      for _, _, e in terms]
+            for got, want in zip(spec._poly_factors, zip(*padded)):
+                assert np.array_equal(got, want)
 
 
 def test_build_spec_dispatch():
@@ -147,9 +203,9 @@ def test_poly_lift_matches_direct_monomials():
     spec = poly_spec(4, max_power=2)
     x = rng.uniform(0.5, 2.0, size=4)
     z = lift(spec, x)
-    for m, term in enumerate(spec.terms):
+    for m, (_, _, exponents) in enumerate(_reference_terms(spec)):
         expected = 1.0
-        for node, power in term.exponents:
+        for node, power in exponents:
             expected *= x[node] ** power
         assert z[m] == pytest.approx(expected, rel=1e-12)
 
@@ -175,9 +231,9 @@ def test_ownership_is_local():
     x[2] += 1.0
     z1 = lift(spec, x)
     changed = set(np.nonzero(z1 != z0)[0])
-    owned = {m for m in range(spec.size) if spec.terms[m].owners == (2,)}
+    owned = {m for m in range(spec.size) if spec.owners[m] == (2,)}
     assert changed == owned
-    assert all(spec.terms[m].owners == () for m in (0,))  # the constant has no owner
+    assert spec.owners[0] == ()                 # the constant has no owner
 
 
 def test_lift_domain_violation_names_node_and_power():
@@ -266,6 +322,30 @@ def test_log_jacobian_matches_the_node_loop(powers):
                                    rtol=1e-14, atol=0.0)
 
 
+def _reference_poly_jacobian(spec, x):
+    """The poly Jacobian filled term by term: each factor's partial times
+    the other factor, in scalar powers."""
+    jac = np.zeros((spec.size, spec.n))
+    for m, (_, _, exponents) in enumerate(_reference_terms(spec)):
+        for node, e in exponents:
+            partial = e * x[node] ** (e - 1)
+            for other, oe in exponents:
+                if other != node:
+                    partial *= x[other] ** oe
+            jac[m, node] = partial
+    return jac
+
+
+@pytest.mark.parametrize("n, max_power", [(4, 2), (8, 3), (20, 2)])
+def test_poly_jacobian_matches_the_term_loop_bit_for_bit(n, max_power):
+    spec = poly_spec(n, max_power=max_power)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        x = rng.uniform(-2.0, 3.0, n)
+        assert np.array_equal(lift_jacobian(spec, x),
+                              _reference_poly_jacobian(spec, x))
+
+
 def test_log_jacobian_names_the_lowest_node_out_of_domain():
     spec = log_spec(4, scale=1.0, powers=(2, 1, 3))
     x = np.array([0.5, 0.5, -3.0, -2.0])   # nodes 2 and 3 fail at p = 1, 3
@@ -302,6 +382,30 @@ def test_check_scale_ignores_non_log_dictionaries():
     assert check_scale(poly_spec(2), np.full((2, 3), 1e6)) == 0.0
 
 
+# Older files also list the entries as [form, owners, log power, exponents];
+# loading ignores that list and rebuilds from the parameters.
+LEGACY_FILES = [
+    ({"kind": "log", "n": 2, "scale": 250.0, "log_powers": [1, 3],
+      "poly_max_power": 0,
+      "terms": [["const", [], 0, []],
+                ["linear", [0], 0, []], ["log", [0], 1, []],
+                ["log", [0], 3, []],
+                ["linear", [1], 0, []], ["log", [1], 1, []],
+                ["log", [1], 3, []]]},
+     log_spec(2, scale=250.0, powers=(1, 3))),
+    ({"kind": "poly", "n": 1, "scale": 1.0, "log_powers": [],
+      "poly_max_power": 1,
+      "terms": [["const", [], 0, []],
+                ["monomial", [0], 0, [[0, 1]]],
+                ["monomial", [0], 0, [[0, 2]]]]},
+     poly_spec(1, max_power=1)),
+    ({"kind": "identity", "n": 2, "scale": 1.0, "log_powers": [],
+      "poly_max_power": 0,
+      "terms": [["linear", [0], 0, []], ["linear", [1], 0, []]]},
+     identity_spec(2)),
+]
+
+
 def test_spec_json_round_trip():
     for spec in (log_spec(4, scale=250.0, powers=(1, 3)),
                  poly_spec(3, max_power=2),
@@ -313,10 +417,15 @@ def test_spec_json_round_trip():
         d = spec_to_dict(spec)
         assert json.loads(json.dumps(d)) == d
         assert spec_from_dict(d) == spec
-        # the dict holds the parameters only; older files also list the
-        # terms, which loading ignores
         assert "terms" not in d
-        old = {**d, "terms": [[t.form, list(t.owners), t.power,
-                               [list(e) for e in t.exponents]]
-                              for t in spec.terms]}
-        assert spec_from_dict(json.loads(json.dumps(old))) == spec
+    for d, spec in LEGACY_FILES:
+        back = spec_from_dict(json.loads(json.dumps(d)))
+        assert back == spec
+        assert back.size == len(d["terms"])
+        assert back.owners == tuple(tuple(t[1]) for t in d["terms"])
+
+
+def test_spec_is_its_parameters():
+    fields = [f.name for f in dataclasses.fields(ObservableSpec)]
+    assert fields == ["kind", "n", "scale", "log_powers", "poly_max_power"]
+    assert list(spec_to_dict(poly_spec(3))) == fields

@@ -442,7 +442,7 @@ def test_reconstruct_matches_exact_linear_truth():
 @pytest.fixture(scope="module")
 def small_pipeline():
     graph = generate_er_graph(6, 0.5, seed=20)
-    params = DynamicsParams.biochemical()
+    params = DynamicsParams(kind="biochemical", flow_in=10.0)
     spec = log_spec(6)
     x1s = random_initial_states(6, 40, 0.0, 1.0, seed=21)
     model = fit(assemble_training(

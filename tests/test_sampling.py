@@ -56,7 +56,7 @@ def test_observable_set_collects_owned_entries():
     assert plan.observable_indices.size == 4
     assert 0 in plan.observable_indices         # constant belongs to any set
     for m in plan.observable_indices[1:]:
-        assert spec.terms[int(m)].owners == (2,)
+        assert spec.owners[int(m)] == (2,)
 
 
 def test_full_node_set_reads_the_whole_dictionary():
