@@ -13,10 +13,9 @@ import numpy as np
 from koopnet import (ExperimentConfig, OptimizerConfig, SelectionConfig,
                      assemble_training, build_theta, default_initial_range,
                      fit, generate_er_graph, greedy_select, nrmse,
-                     per_tick_nrmse, random_initial_state,
-                     random_initial_states, recover_initial_state,
-                     refine_with_samples, simulate, simulate_ensemble,
-                     take_samples, log_spec)
+                     per_tick_nrmse, random_initial_states,
+                     recover_initial_state, refine_with_samples,
+                     simulate_ensemble, take_samples, log_spec)
 
 n, tau = 10, 20
 config = ExperimentConfig(n_values=(n,), seed=21)
@@ -27,8 +26,8 @@ low, high = default_initial_range(params.kind)
 graph = generate_er_graph(n, 0.5, seed=21)
 x1s = random_initial_states(n, 100, low, high, seed=22)
 train = simulate_ensemble(graph, params, x1s, 50)
-truth = simulate(graph, params, random_initial_state(n, low, high, seed=23),
-                 tau)
+(truth,) = simulate_ensemble(
+    graph, params, random_initial_states(n, 1, low, high, seed=23), tau)
 
 spec = log_spec(n)
 training = assemble_training(train, spec)

@@ -12,9 +12,9 @@ from .baselines import (build_laplacian_basis, gramian_nodes_for_budget,
                         gramian_select, linear_gft_recover_trajectory,
                         linear_gft_select, linear_observable_recover)
 from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
-                       generate_er_graph, random_initial_state,
-                       random_initial_states, simulate, simulate_ensemble,
-                       trajectory_from_csv, trajectory_to_csv)
+                       generate_er_graph, random_initial_states,
+                       simulate_ensemble, trajectory_from_csv,
+                       trajectory_to_csv)
 from .experiments import (ExperimentConfig, ExperimentReport, TrialRecord,
                           aggregate, emit, report_from_json,
                           run_linearization_sweep, run_sampling_sweep)
@@ -22,7 +22,7 @@ from .koopman import (KoopmanModel, TrainingSet, assemble_training,
                       build_theta, fit, linearization_nrmse, load_model,
                       refine_with_samples, rollout, save_model)
 from .metrics import nrmse, per_tick_nrmse
-from .observables import (ObservableSpec, build_spec, identity_spec, lift,
+from .observables import (ObservableSpec, build_spec, identity_spec,
                           lift_jacobian, lift_trajectory, log_spec, poly_spec,
                           unlift_trajectory)
 from .optimize import minimize_dfp

@@ -181,18 +181,15 @@ def linear_gft_select(basis: np.ndarray,
         raise ValueError(f"budget must lie in 1..{n}")
     selected: list[int] = []
     reached = False
+
+    def key(cand):
+        score, sigma = sigma_quotient(basis[selected + [cand]],
+                                      min(len(selected) + 1, r))
+        return score, -sigma, cand
+
     while len(selected) < budget and not reached:
-        best_key, best_node = None, -1
-        target = min(len(selected) + 1, r)
-        for cand in range(n):
-            if cand in selected:
-                continue
-            sub = basis[selected + [cand]]
-            score, sigma = sigma_quotient(sub, target)
-            key = (score, -sigma, cand)
-            if best_key is None or key < best_key:
-                best_key, best_node = key, cand
-        selected.append(best_node)
+        *_, best = min(key(cand) for cand in range(n) if cand not in selected)
+        selected.append(best)
         if len(selected) >= r:
             reached = numerical_rank(basis[selected]) == r
     return tuple(selected), reached

@@ -87,6 +87,9 @@ class DynamicsParams:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
         if self.flow_in < 0:
             raise ValueError("flow_in must be nonnegative")
+        if self.kind == REGULATORY and self.flow_in != 0:
+            raise ValueError("the regulatory dynamics has no inflow; "
+                             "flow_in must be 0")
 
 
 def default_initial_range(kind: str) -> tuple[float, float]:
@@ -143,12 +146,21 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _integrate(graph, params, x0, num_steps):
-    """Fixed-step RK4 path for one state vector or a batch of columns."""
+def simulate_ensemble(graph: Graph, params: DynamicsParams, x1s: np.ndarray,
+                      num_steps: int) -> list[Trajectory]:
+    """Integrate a batch of initial states (columns of ``x1s``) in one sweep
+    of fixed-step RK4; one trajectory is a one-column batch."""
+    x1s = np.asarray(x1s, dtype=float)
+    if x1s.ndim != 2 or x1s.shape[0] != graph.n:
+        raise ValueError(f"x1s must be ({graph.n}, d)")
+    if not np.isfinite(x1s).all():
+        raise ValueError("initial states contain non-finite entries")
+    if num_steps < 2:
+        raise ValueError("num_steps must be at least 2")
     h = RK4_STEP
-    out = np.empty((graph.n, num_steps) + x0.shape[1:])
-    out[:, 0] = x0
-    x = x0.astype(float, copy=True)
+    paths = np.empty((graph.n, num_steps, x1s.shape[1]))
+    paths[:, 0] = x1s
+    x = x1s.copy()
     # overflow on a diverging path is reported through the guard below,
     # not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,48 +173,13 @@ def _integrate(graph, params, x0, num_steps):
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(x).all() or np.abs(x).max() > OVERFLOW_GUARD:
                 raise RuntimeError(f"simulation diverged at tick {tick}")
-            out[:, tick] = x
-    return out
-
-
-def simulate(graph: Graph, params: DynamicsParams, x1: np.ndarray,
-             num_steps: int) -> Trajectory:
-    """Integrate from initial state ``x1`` for ``num_steps`` ticks."""
-    x1 = np.asarray(x1, dtype=float)
-    if x1.shape != (graph.n,):
-        raise ValueError(f"initial state must have shape ({graph.n},)")
-    if not np.isfinite(x1).all():
-        raise ValueError("initial state contains non-finite entries")
-    if num_steps < 2:
-        raise ValueError("num_steps must be at least 2")
-    states = _integrate(graph, params, x1, num_steps)
-    return Trajectory(states=states)
-
-
-def simulate_ensemble(graph: Graph, params: DynamicsParams, x1s: np.ndarray,
-                      num_steps: int) -> list[Trajectory]:
-    """Integrate a batch of initial states (columns of ``x1s``) in one sweep."""
-    x1s = np.asarray(x1s, dtype=float)
-    if x1s.ndim != 2 or x1s.shape[0] != graph.n:
-        raise ValueError(f"x1s must be ({graph.n}, d)")
-    if num_steps < 2:
-        raise ValueError("num_steps must be at least 2")
-    paths = _integrate(graph, params, x1s, num_steps)
+            paths[:, tick] = x
     return [Trajectory(states=paths[:, :, d]) for d in range(x1s.shape[1])]
-
-
-def random_initial_state(n: int, low: float, high: float,
-                         seed: int | None = None) -> np.ndarray:
-    """Uniform initial state on (low, high)."""
-    if not low < high:
-        raise ValueError("need low < high")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, n)
 
 
 def random_initial_states(n: int, d: int, low: float, high: float,
                           seed: int | None = None) -> np.ndarray:
-    """Uniform (n, d) batch of initial states."""
+    """Uniform (n, d) batch of initial states on (low, high)."""
     if not low < high:
         raise ValueError("need low < high")
     if d < 1:

@@ -133,6 +133,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got "
+                             f"{type(d).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:

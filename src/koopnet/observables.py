@@ -149,18 +149,14 @@ def build_spec(kind: str, n: int, scale: float = 500.0,
     raise ValueError(f"unknown dictionary kind {kind!r}")
 
 
-def _as_columns(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[:, None], True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError("states must be a vector or a node-by-tick matrix")
-
-
 def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
-    """Apply the dictionary to each column of ``states`` (n x T -> M x T)."""
-    x, _ = _as_columns(states)
+    """Apply the dictionary to each column of ``states`` (n x T -> M x T); a
+    single state vector gives a single lifted vector."""
+    x = np.asarray(states, dtype=float)
+    if x.ndim == 1:
+        return lift_trajectory(spec, x[:, None])[:, 0]
+    if x.ndim != 2:
+        raise ValueError("states must be a vector or a node-by-tick matrix")
     if x.shape[0] != spec.n:
         raise ValueError(f"states have {x.shape[0]} rows, dictionary expects {spec.n}")
     if not np.isfinite(x).all():
@@ -198,14 +194,6 @@ def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
     pair = j_pow > 0
     z[pair] *= table[j_pow[pair], j_idx[pair]]
     return z
-
-
-def lift(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
-    """Lift a single state vector into the dictionary space."""
-    cols, was_vector = _as_columns(x)
-    if not was_vector:
-        raise ValueError("lift expects a single state vector; see lift_trajectory")
-    return lift_trajectory(spec, cols)[:, 0]
 
 
 def unlift_trajectory(spec: ObservableSpec, z: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import nrmse, per_tick_nrmse
-from .observables import (ObservableSpec, lift, lift_jacobian,
-                          lift_trajectory, unlift_trajectory)
+from .observables import (ObservableSpec, lift_jacobian, lift_trajectory,
+                          unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
 from .sampling import RANK_TOL, SamplingPlan, sampled_factor, selected_rows
 
@@ -117,7 +117,7 @@ def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
 
     def objective(x):
         try:
-            psi = lift(spec, x)
+            psi = lift_trajectory(spec, x)
         except ValueError:
             return math.inf
         r = a @ psi - y
@@ -128,7 +128,7 @@ def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
         if last and np.array_equal(x, last["x"]):
             r = last["r"]
         else:
-            r = a @ lift(spec, x) - y
+            r = a @ lift_trajectory(spec, x) - y
         jac = lift_jacobian(spec, x)
         return 2.0 * (jac.T @ (a.T @ r))
 
@@ -178,7 +178,8 @@ def recover_initial_state(samples: SampleMatrix, theta: np.ndarray,
         raise RuntimeError("every recovery start failed: " + "; ".join(failures))
 
     # one matrix-vector product per power, K**t @ z1 at index t
-    trajectory = unlift_trajectory(spec, (theta @ lift(spec, best.x)).T)
+    z1 = lift_trajectory(spec, best.x)
+    trajectory = unlift_trajectory(spec, (theta @ z1).T)
     trajectory[:, 0] = best.x
     return RecoveryResult(x1=best.x, trajectory=trajectory, objective=best.fun,
                           iterations=best.iterations, converged=best.converged,

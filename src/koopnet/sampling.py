@@ -213,25 +213,23 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     selected: list[int] = []
     obs = gamma_map(selected, spec, tau).observable_indices
     r_s = np.linalg.qr(_rows(theta, obs), mode="r")
+
+    def new_rows(cand):
+        new_obs = [m for m in owned[cand]
+                   if all(v == cand or v in selected for v in spec.owners[m])]
+        return _rows(theta, np.array(new_obs, dtype=int))
+
+    def key(cand):
+        score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows(cand)]), n)
+        return score, -sigma_n, cand
+
     trace: list[float] = []
     current_score = math.inf
     while len(selected) < budget:
-        best_key = None
-        best_node = -1
-        for cand in range(n):
-            if cand in selected:
-                continue
-            new_obs = [m for m in owned[cand]
-                       if all(v == cand or v in selected
-                              for v in spec.owners[m])]
-            new_rows = _rows(theta, np.array(new_obs, dtype=int))
-            score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows]), n)
-            key = (score, -sigma_n, cand)
-            if best_key is None or key < best_key:
-                best_key, best_node, best_rows = key, cand, new_rows
-        selected.append(best_node)
-        r_s = np.linalg.qr(np.vstack([r_s, best_rows]), mode="r")
-        current_score = best_key[0]
+        current_score, _, best = min(key(cand) for cand in range(n)
+                                     if cand not in selected)
+        r_s = np.linalg.qr(np.vstack([r_s, new_rows(best)]), mode="r")
+        selected.append(best)
         trace.append(current_score)
         if config.gamma is not None and current_score <= config.gamma:
             break

@@ -16,7 +16,7 @@ import pytest
 import koopnet
 from koopnet.cli import main
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
-                              random_initial_state, simulate,
+                              random_initial_states, simulate_ensemble,
                               trajectory_from_csv)
 from koopnet.experiments import (ExperimentConfig, _child_seed,
                                  run_sampling_sweep)
@@ -73,9 +73,9 @@ def test_simulate_writes_the_sweeps_trial_0_truth(chain):
     truth_seed = _child_seed(cfg.seed, n, 0, 3)
     graph = generate_er_graph(n, cfg.er_probability,
                               _child_seed(cfg.seed, n, 0, 1))
-    truth = simulate(graph, params,
-                     random_initial_state(n, low, high, truth_seed),
-                     cfg.sampling_ticks)
+    (truth,) = simulate_ensemble(
+        graph, params, random_initial_states(n, 1, low, high, truth_seed),
+        cfg.sampling_ticks)
     saved = trajectory_from_csv(chain["out"] / "trajectory.csv")
     assert np.array_equal(saved.states, truth.states)  # repr() round trips floats
     # the sweep's trial-0 records are scored against the truth of that seed

@@ -16,9 +16,7 @@ from koopnet import (
     Trajectory,
     default_initial_range,
     generate_er_graph,
-    random_initial_state,
     random_initial_states,
-    simulate,
     simulate_ensemble,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -122,7 +120,7 @@ def test_consumption_fixed_point_isolated_node():
     params = BIOCHEMICAL
     g = _isolated(1)
     assert derivative(np.array([10.0]), g, params) == pytest.approx(0.0)
-    traj = simulate(g, params, np.array([10.0]), 30)
+    (traj,) = simulate_ensemble(g, params, np.array([[10.0]]), 30)
     assert np.allclose(traj.states, 10.0, atol=1e-9)
 
 
@@ -135,7 +133,7 @@ def test_activation_rate_isolated_node():
 def test_activation_isolated_node_matches_exponential_decay():
     params = DynamicsParams(kind="regulatory")
     c = 7.3
-    traj = simulate(_isolated(1), params, np.array([c]), 40)
+    (traj,) = simulate_ensemble(_isolated(1), params, np.array([[c]]), 40)
     t = 0.1 * np.arange(40)  # RK4_STEP * STEPS_PER_TICK per tick
     expected = c * np.exp(-t)
     assert np.allclose(traj.states[0], expected, rtol=1e-6)
@@ -158,13 +156,13 @@ def _simulate_at_step(monkeypatch, graph, x1, num_steps, h, steps):
     steps per tick."""
     monkeypatch.setattr(dynamics, "RK4_STEP", h)
     monkeypatch.setattr(dynamics, "STEPS_PER_TICK", steps)
-    return simulate(graph, BIOCHEMICAL, x1, num_steps).states
+    return simulate_ensemble(graph, BIOCHEMICAL, x1, num_steps)[0].states
 
 
 def test_rk4_matches_fine_reference(monkeypatch):
     g = _complete(2)
-    x1 = np.array([0.3, 0.8])
-    a = simulate(g, BIOCHEMICAL, x1, 11).states              # step 0.01
+    x1 = np.array([[0.3], [0.8]])
+    a = simulate_ensemble(g, BIOCHEMICAL, x1, 11)[0].states      # step 0.01
     b = _simulate_at_step(monkeypatch, g, x1, 11, 0.001, 100)
     assert np.allclose(a, b, rtol=1e-5)
 
@@ -173,7 +171,7 @@ def test_rk4_fourth_order_error_decay(monkeypatch):
     # halving the step must shrink the endpoint error by at least 2^3 (it is
     # a fourth-order scheme, so ~16x is typical)
     g = _complete(3)
-    x1 = np.array([0.2, 0.5, 0.9])
+    x1 = np.array([[0.2], [0.5], [0.9]])
     ref = _simulate_at_step(monkeypatch, g, x1, 6, 0.0005, 200)
     err = {h: np.abs(_simulate_at_step(monkeypatch, g, x1, 6, h, steps)
                      - ref).max()
@@ -184,8 +182,8 @@ def test_rk4_fourth_order_error_decay(monkeypatch):
 def test_consumption_states_stay_positive_and_bounded():
     g = generate_er_graph(10, 0.5, seed=3)
     params = BIOCHEMICAL
-    x1 = random_initial_state(10, 0.0, 1.0, seed=4)
-    traj = simulate(g, params, x1, 50)
+    x1 = random_initial_states(10, 1, 0.0, 1.0, seed=4)
+    (traj,) = simulate_ensemble(g, params, x1, 50)
     assert traj.states.min() > 0.0
     assert traj.states.max() < 12.0   # inflow/decay balance caps growth near 10
 
@@ -194,27 +192,31 @@ def test_divergence_raises_and_names_the_tick():
     g = _complete(3)
     params = BIOCHEMICAL
     with pytest.raises(RuntimeError, match=r"diverged at tick \d+"):
-        simulate(g, params, np.full(3, -1000.0), 20)
+        simulate_ensemble(g, params, np.full((3, 2), -1000.0), 20)
 
 
 def test_simulate_rejects_bad_inputs():
     g = _complete(2)
     params = BIOCHEMICAL
+    for bad in (np.zeros((3, 1)),               # wrong length
+                np.zeros(2),                    # a vector, not a column
+                np.array([[0.0], [np.nan]])):   # non-finite entry
+        with pytest.raises(ValueError):
+            simulate_ensemble(g, params, bad, 10)
     with pytest.raises(ValueError):
-        simulate(g, params, np.zeros(3), 10)      # wrong length
-    with pytest.raises(ValueError):
-        simulate(g, params, np.zeros(2), 1)       # fewer than two ticks
+        simulate_ensemble(g, params, np.zeros((2, 1)), 1)  # < two ticks
 
 
 def test_simulate_is_deterministic_and_keeps_the_initial_column():
     g = generate_er_graph(6, 0.5, seed=9)
     params = DynamicsParams(kind="regulatory")
-    x1 = random_initial_state(6, 0.0, 100.0, seed=10)
-    a = simulate(g, params, x1, 15)
-    b = simulate(g, params, x1, 15)
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.states[:, 0], x1)
-    assert a.states.shape == (6, 15)
+    x1s = random_initial_states(6, 3, 0.0, 100.0, seed=10)
+    a = simulate_ensemble(g, params, x1s, 15)
+    b = simulate_ensemble(g, params, x1s, 15)
+    for k in range(3):
+        assert np.array_equal(a[k].states, b[k].states)
+        assert np.array_equal(a[k].states[:, 0], x1s[:, k])
+        assert a[k].states.shape == (6, 15)
 
 
 def test_simulate_ensemble_matches_individual_runs():
@@ -224,7 +226,7 @@ def test_simulate_ensemble_matches_individual_runs():
     trajs = simulate_ensemble(g, params, x1s, 12)
     assert len(trajs) == 3
     for k, traj in enumerate(trajs):
-        solo = simulate(g, params, x1s[:, k], 12)
+        (solo,) = simulate_ensemble(g, params, x1s[:, k:k + 1], 12)
         assert np.allclose(traj.states, solo.states, atol=1e-12)
 
 
@@ -240,8 +242,8 @@ def test_default_initial_ranges():
 
 
 def test_random_initial_state_bounds_and_determinism():
-    a = random_initial_state(50, 0.0, 1.0, seed=6)
-    b = random_initial_state(50, 0.0, 1.0, seed=6)
+    a = random_initial_states(50, 1, 0.0, 1.0, seed=6)
+    b = random_initial_states(50, 1, 0.0, 1.0, seed=6)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() < 1.0
     wide = random_initial_states(30, 8, 0.0, 100.0, seed=6)
@@ -254,6 +256,10 @@ def test_params_validation():
         DynamicsParams(kind="biochemical", flow_in=-1.0)
     with pytest.raises(ValueError):
         DynamicsParams(kind="hyperbolic")
+    # the regulatory dynamics has no inflow term to carry a rate
+    with pytest.raises(ValueError, match="flow_in must be 0"):
+        DynamicsParams(kind="regulatory", flow_in=5.0)
+    assert DynamicsParams(kind="regulatory", flow_in=0.0).flow_in == 0.0
 
 
 # =========================================================================
@@ -263,7 +269,8 @@ def test_params_validation():
 def test_trajectory_csv_round_trip(tmp_path):
     g = generate_er_graph(4, 0.5, seed=1)
     params = BIOCHEMICAL
-    traj = simulate(g, params, random_initial_state(4, 0.0, 1.0, seed=2), 9)
+    x1 = random_initial_states(4, 1, 0.0, 1.0, seed=2)
+    (traj,) = simulate_ensemble(g, params, x1, 9)
     path = trajectory_to_csv(traj, tmp_path / "traj.csv")
     back = trajectory_from_csv(path)
     assert np.array_equal(back.states, traj.states)  # repr() round trips floats

@@ -16,8 +16,7 @@ from koopnet import (ExperimentConfig, ExperimentReport, TrialRecord,
                      run_linearization_sweep, run_sampling_sweep)
 from koopnet import experiments, recovery
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
-                              random_initial_state, random_initial_states,
-                              simulate, simulate_ensemble)
+                              random_initial_states, simulate_ensemble)
 from koopnet.experiments import (CSV_COLUMNS, LINEAR_GFT, POLY_GRAMIAN,
                                  PROPOSED, _budget, _child_seed, _trial_data,
                                  _trial_seeds)
@@ -121,6 +120,8 @@ def test_config_rejects_unknown_keys():
     ({"poly_power_grid": 2}, "poly_power_grid=2"),
     ({"sampling_rates": 0.5}, "sampling_rates=0.5"),
     ({"baselines": "linear-gft"}, "baselines='linear-gft'"),
+    # an inflow on the dynamics that has none
+    ({"dynamics": "regulatory", "flow_in": 5.0}, "regulatory-flow_in=5.0"),
 ]])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -142,6 +143,15 @@ def test_number_checks_name_the_key():
         (key,) = bad
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("config, type_name", [
+    ("abc", "str"), ([1, 2], "list"), ([], "list"), (None, "NoneType"),
+    (5, "int")], ids=["string", "list", "empty-list", "null", "number"])
+def test_config_must_be_a_json_object(config, type_name):
+    with pytest.raises(ValueError,
+                       match=f"must be a JSON object, got {type_name}$"):
+        ExperimentConfig.from_dict(config)
 
 
 # Settings of older versions, at the one value each of them ever ran with.
@@ -195,7 +205,7 @@ def test_budget_ceil(rate, n, expected):
 @pytest.mark.parametrize("dynamics", ["biochemical", "regulatory"])
 def test_trial_truth_is_the_single_state_simulation(dynamics, n):
     """A trial's truth, drawn as a one-trajectory ensemble, is bit for bit
-    the path ``simulate`` integrates from ``random_initial_state``."""
+    the one-column run from the ``n`` uniform draws of its truth seed."""
     cfg = ExperimentConfig(dynamics=dynamics, seed=4, training_trajectories=3,
                            training_ticks=5)
     low, high = default_initial_range(dynamics)
@@ -203,10 +213,10 @@ def test_trial_truth_is_the_single_state_simulation(dynamics, n):
         seeds = _trial_seeds(cfg, n, trial)
         _, train, (truth,) = _trial_data(cfg, n, seeds, 1, cfg.sampling_ticks)
         assert len(train) == 3
-        reference = simulate(
+        x1 = np.random.default_rng(seeds["truth"]).uniform(low, high, n)
+        (reference,) = simulate_ensemble(
             generate_er_graph(n, cfg.er_probability, seeds["graph"]),
-            cfg.params(), random_initial_state(n, low, high, seeds["truth"]),
-            cfg.sampling_ticks)
+            cfg.params(), x1[:, None], cfg.sampling_ticks)
         assert np.array_equal(truth.states, reference.states)
 
 
@@ -351,9 +361,8 @@ def test_full_sampling_recovers_near_model_floor(samp_report):
                                      _child_seed(cfg.seed, n, trial, 2))
     train = simulate_ensemble(graph, params, train_x1, cfg.training_ticks)
     truth_seed = _child_seed(cfg.seed, n, trial, 3)
-    truth = simulate(graph, params,
-                     random_initial_state(n, low, high, truth_seed),
-                     cfg.sampling_ticks)
+    truth_x1 = random_initial_states(n, 1, low, high, truth_seed)
+    (truth,) = simulate_ensemble(graph, params, truth_x1, cfg.sampling_ticks)
     assert rec.seed == truth_seed
 
     spec = log_spec(n, scale=cfg.scale, powers=cfg.log_powers)

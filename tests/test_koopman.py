@@ -21,19 +21,16 @@ from koopnet import (
     fit,
     generate_er_graph,
     identity_spec,
-    lift,
     lift_trajectory,
     linearization_nrmse,
     load_model,
     log_spec,
     nrmse,
     poly_spec,
-    random_initial_state,
     random_initial_states,
     refine_with_samples,
     rollout,
     save_model,
-    simulate,
     simulate_ensemble,
     unlift_trajectory,
 )
@@ -397,7 +394,7 @@ def test_stack_path_is_blockwise_bit_for_bit(spec):
     theta = build_theta(model, 12)
     rng = np.random.default_rng(33)
     for _ in range(5):
-        z1 = lift(spec, rng.uniform(0.0, 1.0, 6))
+        z1 = lift_trajectory(spec, rng.uniform(0.0, 1.0, 6))
         path = (theta @ z1).T
         assert path.shape == (spec.size, 12)
         assert np.array_equal(path[:, 0], z1)
@@ -454,8 +451,8 @@ def _refine_setup(seed=14, params=BIOCHEMICAL):
     training = assemble_training(simulate_ensemble(graph, params, x1s, 15),
                                  spec)
     model = fit(training)
-    truth = simulate(graph, params,
-                     random_initial_state(6, low, high, seed=seed + 2), 15)
+    truth_x1 = random_initial_states(6, 1, low, high, seed=seed + 2)
+    (truth,) = simulate_ensemble(graph, params, truth_x1, 15)
     return graph, params, spec, training, model, truth
 
 
@@ -481,8 +478,8 @@ def test_refine_pins_sampled_entries_of_new_trajectories():
     per_traj = np.split(extra_x, 4, axis=1)
     for block in per_traj[1:]:
         assert np.allclose(block, per_traj[0], atol=1e-12)
-    assert np.allclose(per_traj[0][:, 0], lift(spec, truth.states[:, 0]),
-                       atol=1e-12)
+    assert np.allclose(per_traj[0][:, 0],
+                       lift_trajectory(spec, truth.states[:, 0]), atol=1e-12)
 
 
 def test_refine_combined_set_is_the_stacked_union():

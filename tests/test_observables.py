@@ -18,7 +18,6 @@ from koopnet import (
     ObservableSpec,
     build_spec,
     identity_spec,
-    lift,
     lift_jacobian,
     lift_trajectory,
     log_spec,
@@ -43,7 +42,7 @@ def test_identity_size_is_n():
     spec = identity_spec(7)
     assert spec.size == 7
     x = np.arange(7.0)
-    assert np.array_equal(lift(spec, x), x)
+    assert np.array_equal(lift_trajectory(spec, x), x)
 
 
 def _poly_monomial_count(n, d):
@@ -158,13 +157,13 @@ def test_spec_parameter_validation():
 
 def test_lift_at_origin():
     spec = log_spec(1, scale=500.0, powers=(1, 2))
-    z = lift(spec, np.array([0.0]))
+    z = lift_trajectory(spec, np.array([0.0]))
     assert np.array_equal(z, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_lift_at_the_scale_point():
     spec = log_spec(1, scale=500.0, powers=(1, 2))
-    z = lift(spec, np.array([500.0]))
+    z = lift_trajectory(spec, np.array([500.0]))
     assert z == pytest.approx([1.0, 1.0, math.log(2.0), math.log(2.0)])
 
 
@@ -172,7 +171,7 @@ def test_log_entries_linearize_products():
     # log(1+u) + log(1+v) = log(1 + u + v + uv): sums of log observables
     # capture the pairwise product that the raw states hide
     spec = log_spec(2, scale=1.0, powers=(1,))
-    z = lift(spec, np.array([0.01, 0.01]))
+    z = lift_trajectory(spec, np.array([0.01, 0.01]))
     logs = z[2] + z[4]
     u = v = 0.01
     assert logs == pytest.approx(math.log(1.0 + u + v + u * v), abs=1e-15)
@@ -202,7 +201,7 @@ def test_poly_lift_matches_direct_monomials():
     rng = np.random.default_rng(3)
     spec = poly_spec(4, max_power=2)
     x = rng.uniform(0.5, 2.0, size=4)
-    z = lift(spec, x)
+    z = lift_trajectory(spec, x)
     for m, (_, _, exponents) in enumerate(_reference_terms(spec)):
         expected = 1.0
         for node, power in exponents:
@@ -227,9 +226,9 @@ def test_ownership_is_local():
     # perturbing node j moves only the entries owned by j
     spec = log_spec(6, scale=500.0, powers=(1, 2))
     x = np.full(6, 3.0)
-    z0 = lift(spec, x)
+    z0 = lift_trajectory(spec, x)
     x[2] += 1.0
-    z1 = lift(spec, x)
+    z1 = lift_trajectory(spec, x)
     changed = set(np.nonzero(z1 != z0)[0])
     owned = {m for m in range(spec.size) if spec.owners[m] == (2,)}
     assert changed == owned
@@ -240,17 +239,29 @@ def test_lift_domain_violation_names_node_and_power():
     spec = log_spec(3, scale=500.0, powers=(1, 2))
     x = np.array([1.0, -1000.0, 1.0])
     with pytest.raises(ValueError) as err:
-        lift(spec, x)
+        lift_trajectory(spec, x)
     assert "node 1" in str(err.value)
     assert "**1" in str(err.value)
+
+
+@pytest.mark.parametrize("spec", [identity_spec(4), log_spec(4, powers=(1, 2)),
+                                  poly_spec(4, max_power=2)],
+                         ids=["identity", "log", "poly"])
+def test_lift_of_a_state_is_the_matrix_column(spec):
+    x = np.random.default_rng(5).uniform(0.5, 90.0, 4)
+    z = lift_trajectory(spec, x)
+    assert z.shape == (spec.size,)
+    assert np.array_equal(z, lift_trajectory(spec, x[:, None])[:, 0])
 
 
 def test_lift_shape_errors():
     spec = log_spec(3)
     with pytest.raises(ValueError):
-        lift(spec, np.zeros(4))
+        lift_trajectory(spec, np.zeros(4))           # wrong-length state
     with pytest.raises(ValueError):
-        lift_trajectory(spec, np.zeros((4, 5)))
+        lift_trajectory(spec, np.zeros((4, 5)))      # wrong-length columns
+    with pytest.raises(ValueError, match="vector or a node-by-tick matrix"):
+        lift_trajectory(spec, np.zeros((3, 5, 2)))   # 3-D
     with pytest.raises(ValueError):
         unlift_trajectory(spec, np.zeros((5, 2)))
 
@@ -275,7 +286,8 @@ def _fd_jacobian(spec, x, h=1e-6):
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        cols.append((lift(spec, x + e) - lift(spec, x - e)) / (2.0 * h))
+        cols.append((lift_trajectory(spec, x + e)
+                     - lift_trajectory(spec, x - e)) / (2.0 * h))
     return np.column_stack(cols)
 
 

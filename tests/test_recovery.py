@@ -24,18 +24,16 @@ from koopnet import (
     generate_er_graph,
     greedy_select,
     identity_spec,
-    lift,
+    lift_trajectory,
     log_spec,
     nrmse,
     per_tick_nrmse,
     poly_spec,
-    random_initial_state,
     random_initial_states,
     recover_initial_state,
     result_to_dict,
     save_result,
     selected_rows,
-    simulate,
     simulate_ensemble,
     take_samples,
     unlift_trajectory,
@@ -93,7 +91,7 @@ def test_full_sampling_reads_the_entire_lift():
     plan = gamma_map([0, 1, 2], spec, tau=1)
     x1 = np.array([10.0, 20.0, 30.0])
     samples = take_samples(x1[:, None], spec, plan)
-    assert np.allclose(samples.values, lift(spec, x1))
+    assert np.allclose(samples.values, lift_trajectory(spec, x1))
 
 
 def test_empty_plan_samples_only_constants():
@@ -361,7 +359,7 @@ def test_compressed_system_keeps_objective_gradient_and_warm_start(rows):
     small_objective, small_gradient = _objective_pair(r_a, r_y, spec)
     for _ in range(20):
         x = rng.uniform(0.5, 90.0, spec.n)
-        residual = a @ lift(spec, x) - y
+        residual = a @ lift_trajectory(spec, x) - y
         f = float(residual @ residual)
         assert abs(small_objective(x) - f) <= 1e-12 * f
         g = gradient(x)
@@ -400,7 +398,8 @@ def test_optimizer_config_validation():
 def _reconstruct(x1, model, tau):
     """The stack path recovery reports: lift, multiply by each power, unlift."""
     theta = build_theta(model, tau)
-    return unlift_trajectory(model.spec, (theta @ lift(model.spec, x1)).T)
+    z1 = lift_trajectory(model.spec, x1)
+    return unlift_trajectory(model.spec, (theta @ z1).T)
 
 
 def test_reconstruct_static_model_repeats_the_state():
@@ -447,8 +446,8 @@ def small_pipeline():
     x1s = random_initial_states(6, 40, 0.0, 1.0, seed=21)
     model = fit(assemble_training(
         simulate_ensemble(graph, params, x1s, 25), spec))
-    truth = simulate(graph, params,
-                     random_initial_state(6, 0.0, 1.0, seed=22), 15)
+    (truth,) = simulate_ensemble(
+        graph, params, random_initial_states(6, 1, 0.0, 1.0, seed=22), 15)
     theta = build_theta(model, 15)
     return spec, model, theta, truth
 
@@ -474,7 +473,7 @@ def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
     samples = take_samples(truth, spec, plan)
     result = recover_initial_state(samples, theta, spec,
                                    OptimizerConfig(fill_value=0.5, seed=23))
-    residual = (selected_rows(plan, theta) @ lift(spec, result.x1)
+    residual = (selected_rows(plan, theta) @ lift_trajectory(spec, result.x1)
                 - samples.values)
     assert result.objective > 0.0
     assert result.objective == pytest.approx(float(residual @ residual),
