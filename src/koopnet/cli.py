@@ -25,8 +25,7 @@ from .koopman import (assemble_training, build_theta, fit, load_model,
                       save_model)
 from .observables import build_spec
 from .recovery import recover_initial_state, save_result, take_samples
-from .sampling import (SelectionConfig, gamma_map, greedy_select, load_plan,
-                       save_plan)
+from .sampling import SelectionConfig, greedy_select, load_plan, save_plan
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -81,19 +80,8 @@ def _cmd_select(args) -> int:
     plan = greedy_select(theta, model.spec,
                          SelectionConfig(gamma=config.gamma, max_nodes=max_nodes))
     path = save_plan(plan, out / "plan.json")
-    score = "inf" if plan.rank_deficient else f"{plan.score:.6g}"
-    print(f"wrote {path} (nodes {list(plan.nodes)}, score {score})")
+    print(f"wrote {path} (nodes {list(plan.nodes)}, score {plan.score:.6g})")
     return 0
-
-
-def _check_plan(plan, spec) -> None:
-    """Reject a plan selected on another dictionary than ``spec``."""
-    plan.check_dictionary(spec.size)
-    if (gamma_map(plan.nodes, spec, plan.tau).observable_indices.tolist()
-            != plan.observable_indices.tolist()):
-        raise ValueError(f"plan was selected on a dictionary of size "
-                         f"{plan.dictionary_size} with other observables than "
-                         f"the model's")
 
 
 def _cmd_recover(args) -> int:
@@ -101,7 +89,6 @@ def _cmd_recover(args) -> int:
     out = _out_dir(args)
     model = load_model(args.model)
     plan = load_plan(args.plan)
-    _check_plan(plan, model.spec)
     trajectory = trajectory_from_csv(args.trajectory)
     theta = build_theta(model, plan.tau)
     samples = take_samples(trajectory, model.spec, plan)

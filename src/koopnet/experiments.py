@@ -30,7 +30,8 @@ from .dynamics import (BIOCHEMICAL, DynamicsParams, default_initial_range,
 from .koopman import (assemble_training, build_theta, fit, linearization_nrmse,
                       refine_with_samples)
 from .metrics import nrmse
-from .observables import IDENTITY, LOG, POLY, identity_spec, log_spec, poly_spec
+from .observables import (IDENTITY, LOG, POLY, check_keys, identity_spec,
+                          log_spec, poly_spec)
 from .recovery import OptimizerConfig, recover_initial_state, take_samples
 from .sampling import SelectionConfig, gamma_map, greedy_select
 
@@ -540,6 +541,7 @@ def emit(report: ExperimentReport, out_dir: str | Path,
 
 def report_from_json(path: str | Path) -> ExperimentReport:
     payload = json.loads(Path(path).read_text())
+    check_keys(payload, ("name", "config", "records"), "report")
     records = tuple(TrialRecord(**rec) for rec in payload["records"])
     return ExperimentReport(name=payload["name"], config=payload["config"],
                             records=records)

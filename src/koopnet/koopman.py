@@ -19,8 +19,8 @@ import numpy as np
 from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
                        simulate_ensemble)
 from .metrics import nrmse
-from .observables import (ObservableSpec, lift_trajectory, spec_from_dict,
-                          spec_to_dict, unlift_trajectory)
+from .observables import (ObservableSpec, check_keys, lift_trajectory,
+                          spec_from_dict, spec_to_dict, unlift_trajectory)
 
 SV_CUTOFF = 1e-10
 
@@ -201,6 +201,7 @@ def model_to_dict(model: KoopmanModel) -> dict:
 
 
 def model_from_dict(d: dict) -> KoopmanModel:
+    check_keys(d, ("operator", "spec", "residual"), "model")
     return KoopmanModel(operator=np.asarray(d["operator"], dtype=float),
                         spec=spec_from_dict(d["spec"]),
                         residual=float(d["residual"]))

@@ -200,13 +200,13 @@ def unlift_trajectory(spec: ObservableSpec, z: np.ndarray) -> np.ndarray:
     """Read the node states back out of lifted columns (M x T -> n x T); a
     single lifted vector gives a single state vector."""
     z = np.asarray(z, dtype=float)
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[:, None]
+    if z.ndim == 1:
+        return unlift_trajectory(spec, z[:, None])[:, 0]
+    if z.ndim != 2:
+        raise ValueError("lifted columns must be a vector or an entry-by-tick matrix")
     if z.shape[0] != spec.size:
         raise ValueError(f"lifted columns have {z.shape[0]} rows, expected {spec.size}")
-    x = z[spec.linear_indices] * spec.scale
-    return x[:, 0] if squeeze else x
+    return z[spec.linear_indices] * spec.scale
 
 
 def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
@@ -267,6 +267,16 @@ def check_scale(spec: ObservableSpec, states: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Serialization
 
+def check_keys(d, keys, what: str, hint: str = "") -> None:
+    """Reject a loaded ``what`` that is not a JSON object or lacks one of
+    ``keys``, naming the missing ones; ``hint`` ends the message."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(d).__name__}{hint}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}{hint}")
+
+
 def spec_to_dict(spec: ObservableSpec) -> dict:
     """The parameters that rebuild ``spec``; its entries follow from them."""
     return {
@@ -279,6 +289,8 @@ def spec_to_dict(spec: ObservableSpec) -> dict:
 def spec_from_dict(d: dict) -> ObservableSpec:
     """Rebuild a spec from its parameters; a ``terms`` list, which older
     files carry, is ignored."""
+    check_keys(d, ("kind", "n", "scale", "log_powers", "poly_max_power"),
+               "dictionary")
     return build_spec(d["kind"], int(d["n"]), scale=float(d["scale"]),
                       powers=tuple(int(p) for p in d["log_powers"]),
                       max_power=int(d["poly_max_power"]))

@@ -89,7 +89,7 @@ def take_samples(trajectory, spec: ObservableSpec, plan: SamplingPlan) -> Sample
         raise ValueError("trajectory and dictionary disagree on the node count")
     if states.shape[1] != plan.tau:
         raise ValueError(f"plan expects {plan.tau} ticks, trajectory has {states.shape[1]}")
-    plan.check_dictionary(spec.size)
+    plan.check_dictionary(spec)
     z = lift_trajectory(spec, states)
     return SampleMatrix(values=z[plan.observable_indices].T.ravel(), plan=plan)
 
@@ -99,14 +99,10 @@ def initial_guess(samples: SampleMatrix, spec: ObservableSpec,
     """Sampled nodes from their observed first-tick values; the rest filled."""
     plan = samples.plan
     x0 = np.full(spec.n, float(fill_value))
-    obs = plan.observable_indices
-    first_tick = samples.values[:obs.size]
-    for node in plan.nodes:
-        row = int(spec.linear_indices[node])
-        pos = int(np.searchsorted(obs, row))
-        if pos >= obs.size or obs[pos] != row:
-            raise RuntimeError(f"plan does not expose the state entry of node {node}")
-        x0[node] = first_tick[pos] * spec.scale
+    nodes = list(plan.nodes)
+    # a node's state entry reads that node alone, so the plan reads it
+    pos = np.searchsorted(plan.observable_indices, spec.linear_indices[nodes])
+    x0[nodes] = samples.values[pos] * spec.scale
     return x0
 
 
@@ -142,8 +138,7 @@ def recover_initial_state(samples: SampleMatrix, theta: np.ndarray,
     from ``theta``, the tau x M x M stack of powers ``build_theta`` makes."""
     config = config or OptimizerConfig()
     plan = samples.plan
-    if theta.shape[1] != spec.size:
-        raise ValueError("evolution stack and dictionary disagree on size")
+    plan.check_dictionary(spec)
     # one block, freed before the final QR; the last row of R keeps the
     # residual that no psi can remove
     r_a, r_y = sampled_factor(iter([selected_rows(plan, theta)]), samples.values)

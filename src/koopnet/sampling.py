@@ -17,12 +17,14 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .koopman import KoopmanModel
-from .observables import ObservableSpec
+from .observables import (ObservableSpec, check_keys, spec_from_dict,
+                          spec_to_dict)
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
 # treated as zero in rank checks and lstsq solves (resp. scoring a set).
@@ -52,30 +54,45 @@ class SelectionConfig:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """A chosen node set and the dictionary entries it makes observable."""
+    """A node set on a dictionary, read for ``tau`` ticks, and the score after
+    each greedy pick (none for a plan mapped by hand); ``gamma_map`` builds
+    one.  The readable entries, the score and its rank flag follow."""
 
     nodes: tuple[int, ...]
-    observable_indices: np.ndarray   # sorted dictionary rows readable from nodes
+    spec: ObservableSpec
     tau: int
-    dictionary_size: int             # M of the dictionary it was mapped on
-    score: float = math.inf
-    rank_deficient: bool = False
     score_trace: tuple[float, ...] = ()
+
+    @cached_property
+    def observable_indices(self) -> np.ndarray:
+        """Sorted dictionary rows whose owner nodes all lie in ``nodes``."""
+        node_set = set(self.nodes)
+        return np.array([m for m, owners in enumerate(self.spec.owners)
+                         if set(owners) <= node_set], dtype=int)
+
+    @property
+    def score(self) -> float:
+        return self.score_trace[-1] if self.score_trace else math.inf
+
+    @property
+    def rank_deficient(self) -> bool:
+        return not math.isfinite(self.score)
 
     @property
     def sample_count(self) -> int:
         return self.tau * int(self.observable_indices.size)
 
-    def check_dictionary(self, size: int) -> None:
-        """Reject a dictionary of another size than the plan was mapped on."""
-        if self.dictionary_size != size:
-            raise ValueError(f"plan was selected on a dictionary of size "
-                             f"{self.dictionary_size}, the model's dictionary "
-                             f"has size {size}")
+    def check_dictionary(self, spec: ObservableSpec) -> None:
+        """Reject any dictionary but the one the plan was mapped on."""
+        if spec != self.spec:
+            a, b = self.spec, spec
+            raise ValueError(f"plan was selected on the {a.kind} dictionary of "
+                             f"size {a.size} and is read with another, the "
+                             f"{b.kind} dictionary of size {b.size}")
 
 
 def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
-    """Map a node set to the dictionary rows it makes observable."""
+    """Map a node set on ``spec`` to a plan; checks the nodes and ``tau``."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     node_list = [int(v) for v in nodes]
@@ -84,11 +101,7 @@ def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
     for v in node_list:
         if not 0 <= v < spec.n:
             raise ValueError(f"node {v} outside 0..{spec.n - 1}")
-    node_set = set(node_list)
-    obs = np.array([m for m, owners in enumerate(spec.owners)
-                    if set(owners) <= node_set], dtype=int)
-    return SamplingPlan(nodes=tuple(node_list), observable_indices=obs,
-                        tau=tau, dictionary_size=spec.size)
+    return SamplingPlan(nodes=tuple(node_list), spec=spec, tau=tau)
 
 
 def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -102,7 +115,10 @@ def selected_rows(plan: SamplingPlan, theta: np.ndarray) -> np.ndarray:
     dictionary order."""
     if plan.tau != theta.shape[0]:
         raise ValueError("plan and evolution stack disagree on tau")
-    plan.check_dictionary(theta.shape[1])
+    if plan.spec.size != theta.shape[1]:
+        raise ValueError(f"plan was selected on a dictionary of size "
+                         f"{plan.spec.size}, the evolution stack has size "
+                         f"{theta.shape[1]}")
     return _rows(theta, plan.observable_indices)
 
 
@@ -118,7 +134,7 @@ def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarra
     plan.tau))`` up to rounding, in the same time-major order.  The
     dictionary check runs on the first ``next``.
     """
-    plan.check_dictionary(model.size)
+    plan.check_dictionary(model.spec)
     obs = plan.observable_indices
     rows = np.zeros((obs.size, model.size))
     rows[np.arange(obs.size), obs] = 1.0
@@ -224,7 +240,6 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
         return score, -sigma_n, cand
 
     trace: list[float] = []
-    current_score = math.inf
     while len(selected) < budget:
         current_score, _, best = min(key(cand) for cand in range(n)
                                      if cand not in selected)
@@ -233,10 +248,7 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
         trace.append(current_score)
         if config.gamma is not None and current_score <= config.gamma:
             break
-    plan = gamma_map(selected, spec, tau)
-    return replace(plan, score=current_score,
-                   rank_deficient=not math.isfinite(current_score),
-                   score_trace=tuple(trace))
+    return replace(gamma_map(selected, spec, tau), score_trace=tuple(trace))
 
 
 def verify_rank(plan: SamplingPlan, theta: np.ndarray,
@@ -245,6 +257,7 @@ def verify_rank(plan: SamplingPlan, theta: np.ndarray,
 
     The row-count necessary condition is checked before any factorization.
     """
+    plan.check_dictionary(spec)
     if plan.sample_count < spec.n:
         return False
     # rank at least N determines the state; with M > N observables the rows
@@ -258,31 +271,19 @@ def verify_rank(plan: SamplingPlan, theta: np.ndarray,
 def plan_to_dict(plan: SamplingPlan) -> dict:
     return {
         "nodes": list(plan.nodes),
-        "observable_indices": plan.observable_indices.tolist(),
-        "dictionary_size": plan.dictionary_size,
+        "spec": spec_to_dict(plan.spec),
         "tau": plan.tau,
-        "score": plan.score if math.isfinite(plan.score) else None,
-        "rank_deficient": plan.rank_deficient,
         "score_trace": [s if math.isfinite(s) else None for s in plan.score_trace],
     }
 
 
 def plan_from_dict(d: dict) -> SamplingPlan:
-    def _restore(v):
-        return math.inf if v is None else float(v)
-
-    if "dictionary_size" not in d:
-        raise ValueError("plan file predates dictionary_size; "
-                         "re-run koopnet select")
-    return SamplingPlan(
-        nodes=tuple(int(v) for v in d["nodes"]),
-        observable_indices=np.asarray(d["observable_indices"], dtype=int),
-        tau=int(d["tau"]),
-        dictionary_size=int(d["dictionary_size"]),
-        score=_restore(d["score"]),
-        rank_deficient=bool(d["rank_deficient"]),
-        score_trace=tuple(_restore(s) for s in d["score_trace"]),
-    )
+    """Rebuild a plan through ``gamma_map``, so bad nodes fail at load."""
+    check_keys(d, ("nodes", "spec", "tau", "score_trace"), "plan",
+               hint="; re-run koopnet select")
+    plan = gamma_map(d["nodes"], spec_from_dict(d["spec"]), int(d["tau"]))
+    return replace(plan, score_trace=tuple(
+        math.inf if s is None else float(s) for s in d["score_trace"]))
 
 
 def save_plan(plan: SamplingPlan, path: str | Path) -> Path:

@@ -207,7 +207,7 @@ def test_missing_config_file_reports_json_error(tmp_path, capsys):
 
 def test_recover_rejects_a_plan_of_another_dictionary(tmp_path, capsys):
     # one model and one plan per dictionary; crossing them must fail with a
-    # message naming both sizes, not deep inside the sample lookup
+    # message naming both dictionaries, not deep inside the sample lookup
     runs = {}
     for kind in ("log", "poly"):
         (tmp_path / kind).mkdir()
@@ -229,8 +229,9 @@ def test_recover_rejects_a_plan_of_another_dictionary(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)
         assert rc == 1 and err["error"] == "ValueError"
         assert err["message"] == (
-            f"plan was selected on a dictionary of size {plan_size}, "
-            f"the model's dictionary has size {model_size}")
+            f"plan was selected on the {plan_kind} dictionary of size "
+            f"{plan_size} and is read with another, the {model_kind} "
+            f"dictionary of size {model_size}")
 
 
 @pytest.mark.parametrize("command,flag", [

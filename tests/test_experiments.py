@@ -316,6 +316,19 @@ def test_report_round_trip_through_json(lin_report, tmp_path):
     assert report_from_json(json_path).records == report.records
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([], "a report must be a JSON object, got list"),
+    ({"name": "sampling", "records": []}, "missing report keys: ['config']"),
+])
+def test_report_file_that_is_not_a_report_is_rejected(payload, message,
+                                                      tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        report_from_json(path)
+    assert str(info.value) == message
+
+
 def test_report_with_removed_config_keys_still_loads(lin_report, tmp_path):
     # a report's config is kept as written, so one whose config carries
     # settings of older versions loads with its name and records

@@ -34,7 +34,7 @@ from koopnet import (
     simulate_ensemble,
     unlift_trajectory,
 )
-from koopnet.koopman import SV_CUTOFF
+from koopnet.koopman import SV_CUTOFF, model_from_dict, model_to_dict
 
 BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
 
@@ -533,3 +533,21 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(back.operator, model.operator)
     assert back.spec == model.spec
     assert back.residual == model.residual
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({}, "missing model keys: ['operator', 'spec', 'residual']"),
+    ([1, 2], "a model must be a JSON object, got list"),
+    ("model", "a model must be a JSON object, got str"),
+])
+def test_model_file_that_is_not_a_model_is_rejected(payload, message):
+    with pytest.raises(ValueError) as info:
+        model_from_dict(payload)
+    assert str(info.value) == message
+
+
+def test_model_file_without_its_residual_is_rejected():
+    d = model_to_dict(fit(_identity_training(0.7 * np.eye(3), 3, 2, 6, seed=15)))
+    del d["residual"]
+    with pytest.raises(ValueError, match=r"missing model keys: \['residual'\]"):
+        model_from_dict(d)

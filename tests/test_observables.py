@@ -266,6 +266,26 @@ def test_lift_shape_errors():
         unlift_trajectory(spec, np.zeros((5, 2)))
 
 
+@pytest.mark.parametrize("shape", [(), (10, 2, 2), (10, 1, 1, 1)])
+def test_unlift_rejects_anything_but_a_vector_or_a_matrix(shape):
+    # (10, 2, 2) holds a first axis of the log size for n = 3, which once
+    # came back as a 3-D "trajectory"
+    spec = log_spec(3)
+    with pytest.raises(ValueError, match="vector or an entry-by-tick matrix"):
+        unlift_trajectory(spec, np.ones(shape))
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([], "a dictionary must be a JSON object, got list"),
+    ({"kind": "log", "n": 3}, "missing dictionary keys: "
+                              "['scale', 'log_powers', 'poly_max_power']"),
+])
+def test_spec_from_dict_names_what_is_wrong(payload, message):
+    with pytest.raises(ValueError) as info:
+        spec_from_dict(payload)
+    assert str(info.value) == message
+
+
 # =========================================================================
 # Jacobian
 # =========================================================================

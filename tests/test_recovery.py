@@ -15,7 +15,6 @@ from koopnet import (
     DynamicsParams,
     KoopmanModel,
     OptimizerConfig,
-    SamplingPlan,
     SelectionConfig,
     assemble_training,
     build_theta,
@@ -25,6 +24,7 @@ from koopnet import (
     greedy_select,
     identity_spec,
     lift_trajectory,
+    linear_observable_recover,
     log_spec,
     nrmse,
     per_tick_nrmse,
@@ -135,9 +135,28 @@ def test_take_samples_rejects_a_plan_of_another_dictionary():
     # dictionary (n = 6, M = 85)
     log_plan = gamma_map([0, 2, 4], log_spec(6), tau=3)
     pspec = poly_spec(6, max_power=2)
-    assert (log_plan.dictionary_size, pspec.size) == (19, 85)
+    assert (log_plan.spec.size, pspec.size) == (19, 85)
     with pytest.raises(ValueError, match="size 19.*85"):
         take_samples(np.ones((6, 3)), pspec, log_plan)
+
+
+def test_a_plan_of_another_dictionary_of_its_size_is_rejected():
+    # a log plan at n = 4 (M = 13) beside the identity dictionary of the same
+    # size, whose rows the sizes alone would let it read in the wrong places
+    log_plan = gamma_map([0, 2], log_spec(4), tau=3)
+    ident = identity_spec(13)
+    assert log_plan.spec.size == ident.size == 13
+    message = ("plan was selected on the log dictionary of size 13 and is "
+               "read with another, the identity dictionary of size 13")
+    with pytest.raises(ValueError, match=message):
+        take_samples(np.ones((13, 3)), ident, log_plan)
+    # the samples as the log plan reads them, handed to identity solvers
+    samples = take_samples(np.ones((4, 3)), log_plan.spec, log_plan)
+    model = KoopmanModel(operator=np.eye(13) * 0.5, spec=ident, residual=0.0)
+    with pytest.raises(ValueError, match=message):
+        linear_observable_recover(samples, model)
+    with pytest.raises(ValueError, match=message):
+        recover_initial_state(samples, build_theta(model, 3), ident)
 
 
 # =========================================================================
@@ -156,15 +175,6 @@ def test_initial_guess_reads_sampled_nodes_and_fills_the_rest():
     assert x0[1] == pytest.approx(10.0)
     assert x0[3] == pytest.approx(20.0)
     assert x0[0] == x0[2] == 0.5
-
-
-def test_initial_guess_demands_the_linear_entry():
-    spec = log_spec(2)
-    crooked = SamplingPlan(nodes=(0,), observable_indices=np.array([0]),
-                           tau=1, dictionary_size=spec.size)
-    samples = SampleMatrix(values=np.ones(1), plan=crooked)
-    with pytest.raises(RuntimeError, match="node 0"):
-        initial_guess(samples, spec, fill_value=0.5)
 
 
 # =========================================================================

@@ -5,7 +5,9 @@ bookkeeping; stochastic cases check the greedy loop's invariants against
 brute-force rank computations.
 """
 
+import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -376,12 +378,12 @@ def test_selection_config_validation():
 def test_plan_json_round_trip():
     spec = log_spec(4)
     plan = gamma_map([1, 3], spec, tau=5)
-    back = plan_from_dict(plan_to_dict(plan))
-    assert back.nodes == plan.nodes
+    d = plan_to_dict(plan)
+    assert list(d) == ["nodes", "spec", "tau", "score_trace"]
+    back = plan_from_dict(d)
+    assert back == plan and back.spec == spec
     assert np.array_equal(back.observable_indices, plan.observable_indices)
-    assert back.dictionary_size == plan.dictionary_size == spec.size
-    assert back.tau == plan.tau
-    assert back.score == plan.score == math.inf   # inf survives via null
+    assert back.score == plan.score == math.inf   # no pick, no finite score
 
 
 def test_plan_file_round_trip(tmp_path):
@@ -396,11 +398,122 @@ def test_plan_file_round_trip(tmp_path):
     assert back.rank_deficient == plan.rank_deficient
 
 
+def test_an_infinite_score_survives_the_file_as_null():
+    theta = _stack(np.diag([1.0, 2.0]), tau=2)    # one node never suffices
+    plan = greedy_select(theta, identity_spec(2),
+                         SelectionConfig(gamma=None, max_nodes=1))
+    assert plan.score_trace == (math.inf,) and plan.rank_deficient
+    d = plan_to_dict(plan)
+    assert d["score_trace"] == [None]
+    assert plan_from_dict(d) == plan
+
+
 def test_plan_file_without_dictionary_size_is_rejected():
-    d = plan_to_dict(gamma_map([1, 3], log_spec(4), tau=4))
-    del d["dictionary_size"]
-    with pytest.raises(ValueError, match="dictionary_size"):
+    # a plan file written before plans knew their dictionary at all
+    d = {"nodes": [1, 3], "observable_indices": [0, 4, 5, 6, 10, 11, 12],
+         "tau": 4, "score": None, "rank_deficient": True, "score_trace": []}
+    with pytest.raises(ValueError, match=r"\['spec'\]; re-run koopnet select"):
         plan_from_dict(d)
+
+
+def test_plan_file_with_dictionary_size_but_no_spec_is_rejected():
+    # the layout that stored the dictionary by its size alone
+    d = json.loads(
+        '{"nodes": [1, 3], "observable_indices": [0, 4, 5, 6, 10, 11, 12], '
+        '"dictionary_size": 13, "tau": 4, "score": 2.5, '
+        '"rank_deficient": false, "score_trace": [null, 2.5]}')
+    with pytest.raises(ValueError) as info:
+        plan_from_dict(d)
+    assert str(info.value) == ("missing plan keys: ['spec']; "
+                               "re-run koopnet select")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "a plan must be a JSON object, got list; re-run koopnet select"),
+    ({"nodes": [0], "tau": 2}, "missing plan keys: ['spec', 'score_trace']"),
+])
+def test_plan_file_that_is_not_a_plan_is_rejected(payload, message):
+    with pytest.raises(ValueError) as info:
+        plan_from_dict(payload)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([0, 99, 99], "duplicate nodes"),
+    ([0, 99], "node 99 outside 0..3"),
+    ([-1], "node -1 outside 0..3"),
+])
+def test_plan_file_with_bad_nodes_fails_at_load(nodes, message):
+    d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
+    d["nodes"] = nodes
+    with pytest.raises(ValueError, match=message):
+        plan_from_dict(d)
+
+
+def test_plan_file_with_a_bad_dictionary_fails_at_load():
+    d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
+    del d["spec"]["scale"]
+    with pytest.raises(ValueError, match=r"missing dictionary keys: \['scale'\]"):
+        plan_from_dict(d)
+
+
+def _reference_observable_indices(nodes, spec):
+    """The dictionary rows a node set reads, as ``gamma_map`` computed and
+    stored them before plans derived them."""
+    node_set = set(int(v) for v in nodes)
+    return np.array([m for m, owners in enumerate(spec.owners)
+                     if set(owners) <= node_set], dtype=int)
+
+
+@pytest.mark.parametrize("spec", [
+    log_spec(1), log_spec(4, powers=(1, 2)), log_spec(7, powers=(1, 2, 3)),
+    poly_spec(1, max_power=2), poly_spec(3, max_power=2),
+    poly_spec(5, max_power=3), identity_spec(1), identity_spec(6)],
+    ids=lambda s: f"{s.kind}-n{s.n}")
+def test_derived_observable_indices_match_the_reference(spec):
+    rng = np.random.default_rng(spec.size)
+    node_sets = [[], list(range(spec.n)), list(range(spec.n))[::-1]]
+    node_sets += [list(rng.permutation(spec.n)[:k]) for k in
+                  range(1, spec.n + 1)]
+    for nodes in node_sets:
+        plan = gamma_map(nodes, spec, tau=3)
+        expected = _reference_observable_indices(nodes, spec)
+        assert plan.observable_indices.dtype == expected.dtype
+        assert np.array_equal(plan.observable_indices, expected), nodes
+        # and the same after the plan has been to a file and back
+        back = plan_from_dict(plan_to_dict(plan))
+        assert np.array_equal(back.observable_indices, expected), nodes
+
+
+def test_a_plan_is_its_four_fields():
+    assert [f.name for f in dataclasses.fields(SamplingPlan)] == [
+        "nodes", "spec", "tau", "score_trace"]
+    plan = gamma_map([2, 0], log_spec(3), tau=2)
+    assert plan.score_trace == () and plan.score == math.inf
+    assert plan.rank_deficient
+    picked = dataclasses.replace(plan, score_trace=(math.inf, 7.5))
+    assert picked.score == 7.5 and not picked.rank_deficient
+
+
+def test_check_dictionary_compares_whole_specs():
+    plan = gamma_map([0, 1], log_spec(4, scale=500.0), tau=2)
+    plan.check_dictionary(log_spec(4, scale=500.0))   # an equal spec passes
+    for other, named in [(log_spec(4, scale=400.0), "log dictionary of size 13"),
+                         (identity_spec(13), "identity dictionary of size 13"),
+                         (log_spec(5), "log dictionary of size 16")]:
+        with pytest.raises(ValueError) as info:
+            plan.check_dictionary(other)
+        assert str(info.value) == ("plan was selected on the log dictionary of "
+                                   "size 13 and is read with another, the "
+                                   + named)
+
+
+def test_verify_rank_rejects_a_plan_of_another_dictionary():
+    plan = gamma_map([0, 1], identity_spec(2), tau=2)
+    theta = _stack(np.eye(2), tau=2)
+    assert verify_rank(plan, theta, identity_spec(2))
+    with pytest.raises(ValueError, match="log dictionary of size 4"):
+        verify_rank(plan, theta, log_spec(1))
 
 
 def test_selected_rows_rejects_a_plan_of_another_dictionary():
@@ -411,7 +524,7 @@ def test_selected_rows_rejects_a_plan_of_another_dictionary():
     model = KoopmanModel(operator=rng.normal(size=(pspec.size,) * 2) * 0.1,
                          spec=pspec, residual=0.0)
     theta = build_theta(model, 3)
-    assert (log_plan.dictionary_size, theta.shape[1]) == (19, 85)
+    assert (log_plan.spec.size, theta.shape[1]) == (19, 85)
     with pytest.raises(ValueError, match="size 19.*85"):
         selected_rows(log_plan, theta)
     # the same crossing when selecting: the log spec on the poly stack
