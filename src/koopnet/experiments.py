@@ -13,10 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +29,8 @@ from .dynamics import (BIOCHEMICAL, DynamicsParams, default_initial_range,
 from .koopman import (assemble_training, build_theta, fit, linearization_nrmse,
                       refine_with_samples)
 from .metrics import nrmse
-from .observables import (IDENTITY, LOG, POLY, check_keys, identity_spec,
-                          log_spec, poly_spec)
+from .observables import (IDENTITY, LOG, POLY, as_int, as_real, check_keys,
+                          identity_spec, log_spec, poly_spec)
 from .recovery import OptimizerConfig, recover_initial_state, take_samples
 from .sampling import SelectionConfig, gamma_map, greedy_select
 
@@ -134,13 +133,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError(f"a config must be a JSON object, got "
-                             f"{type(d).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(d, (), "config", known=[f.name for f in fields(cls)])
         return cls(**{key: _tuples(value) for key, value in d.items()})
 
     @classmethod
@@ -166,23 +159,19 @@ def _typed_values(config: ExperimentConfig):
 
 def _check_types(config: ExperimentConfig) -> None:
     """Reject, naming the field: anything but a list or tuple where a list
-    belongs, a bool in any numeric field or entry, a value without
-    ``__index__`` (what ``operator.index`` needs; 1.5 has none) where an
-    integer belongs, a value that is not ``numbers.Real`` where a float
-    belongs and anything but a bool where a bool belongs.  ``None`` passes
-    only in the fields that take it."""
+    belongs, what ``as_int`` (resp. ``as_real``) rejects where an integer
+    (resp. a float) belongs and anything but a bool where a bool belongs.
+    ``None`` passes only in the fields that take it."""
     for name, value, kind in _typed_values(config):
         if value is None and kind.endswith(" | None"):
             continue
         kind = kind.removesuffix(" | None")
         if kind.startswith("tuple") and not isinstance(value, (list, tuple)):
             raise ValueError(f"{name}: {value!r} is not a list")
-        if kind == "int" and (isinstance(value, bool)
-                              or not hasattr(value, "__index__")):
-            raise ValueError(f"{name}: {value!r} is not an integer")
-        if kind == "float" and (isinstance(value, bool)
-                                or not isinstance(value, numbers.Real)):
-            raise ValueError(f"{name}: {value!r} is not a real number")
+        if kind == "int":
+            as_int(value, name)
+        if kind == "float":
+            as_real(value, name)
         if kind == "bool" and not isinstance(value, bool):
             raise ValueError(f"{name}: {value!r} is not a bool")
 
@@ -285,73 +274,55 @@ def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int],
     return graph, train_trajs, simulate_ensemble(graph, params, truth_x1, ticks)
 
 
-def _budget(rate: float, n: int) -> int:
-    return min(n, max(1, math.ceil(rate * n)))
+def _budget(rate: float | None, n: int) -> int | None:
+    return None if rate is None else min(n, max(1, math.ceil(rate * n)))
 
 
 def _failed(experiment: str, n: int, method: str, size: int | None,
             rate: float | None, trial: int, seed: int, exc: Exception,
             stage: str, runtime_s: float | None = None) -> TrialRecord:
     """The record of a cell whose work raised ``exc`` in ``stage``."""
-    budget = None if rate is None else _budget(rate, n)
-    return TrialRecord(experiment, n, method, size, rate, budget, trial, seed,
-                       None, None, f"{type(exc).__name__}: {exc}", runtime_s,
-                       stage)
+    return TrialRecord(experiment, n, method, size, rate, _budget(rate, n),
+                       trial, seed, None, None, f"{type(exc).__name__}: {exc}",
+                       runtime_s, stage)
 
 
 # ---------------------------------------------------------------------------
 # Linearization sweep
 
-def _linearization_cells(config: ExperimentConfig, n: int):
-    cells = []
-    if config.include_dmd:
-        cells.append(("dmd", identity_spec(n)))
-    for powers in config.log_power_grid:
-        cells.append(("log", log_spec(n, scale=config.scale, powers=tuple(powers))))
-    for max_power in config.poly_power_grid:
-        cells.append(("poly", poly_spec(n, max_power=max_power)))
-    return cells
+def _linearization_cell(spec, train_trajs, test_trajs):
+    """A cell as a method without a shared step: ``solve`` fits ``spec``."""
+    def solve(_, budget):
+        model = fit(assemble_training(train_trajs, spec))
+        return linearization_nrmse(model, test_trajs), True
 
-
-def _run_linearization_cell(config, n, train_trajs, test_trajs, method, spec,
-                            seed) -> TrialRecord:
-    start = time.perf_counter()
-    try:
-        training = assemble_training(train_trajs, spec)
-        model = fit(training)
-        err = linearization_nrmse(model, test_trajs)
-        return TrialRecord("linearization", n, method, spec.size, None, None,
-                           0, seed, err, True, None,
-                           time.perf_counter() - start)
-    except Exception as exc:  # per-cell failures must not kill the sweep
-        return _failed("linearization", n, method, spec.size, None, 0, seed,
-                       exc, "solve", time.perf_counter() - start)
+    return spec.size, lambda max_budget: None, solve
 
 
 def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
-    cells = _linearization_cells(config, n)
+    cells = (([("dmd", identity_spec(n))] if config.include_dmd else [])
+             + [("log", log_spec(n, scale=config.scale, powers=tuple(powers)))
+                for powers in config.log_power_grid]
+             + [("poly", poly_spec(n, max_power=max_power))
+                for max_power in config.poly_power_grid])
     seeds = _trial_seeds(config, n)
-    test_seed = seeds["truth"]
     try:
         _, train_trajs, test_trajs = _trial_data(config, n, seeds,
                                                  config.test_trajectories,
                                                  config.training_ticks)
     except Exception as exc:  # e.g. divergence while generating the data
         return [_failed("linearization", n, method, spec.size, None, 0,
-                        test_seed, exc, "setup")
+                        seeds["truth"], exc, "setup")
                 for method, spec in cells]
-    return [_run_linearization_cell(config, n, train_trajs, test_trajs,
-                                    method, spec, test_seed)
-            for method, spec in cells]
+    return [rec for method, spec in cells for rec in _rate_records(
+        "linearization", n, 0, seeds["truth"], (None,), method,
+        *_linearization_cell(spec, train_trajs, test_trajs))]
 
 
 def run_linearization_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Held-out rollout N-RMSE for each dictionary over its size grid."""
-    records = _map_work(config, _linearization_for_n,
-                        [(config, n) for n in config.n_values])
-    return ExperimentReport(name="linearization", config=config.to_dict(),
-                            records=tuple(sorted(records,
-                                                 key=TrialRecord.sort_key)))
+    return _run("linearization", config, _linearization_for_n,
+                [(config, n) for n in config.n_values])
 
 
 # ---------------------------------------------------------------------------
@@ -368,42 +339,41 @@ def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialR
                         seeds["truth"], exc, "setup")
                 for method in methods for rate in config.sampling_rates]
     return [rec for method in methods for rec in _rate_records(
-        config, n, trial, seeds["truth"], truth, method,
+        "sampling", n, trial, seeds["truth"], config.sampling_rates, method,
         *_METHODS[method](config, n, seeds, graph, train_trajs, truth))]
 
 
-def _rate_records(config: ExperimentConfig, n: int, trial: int, seed: int,
-                  truth, method: str, size: int | None, prepare,
+def _rate_records(experiment: str, n: int, trial: int, seed: int, rates,
+                  method: str, size: int | None, prepare,
                   solve) -> list[TrialRecord]:
-    """One method's records, one per sampling rate, from the
-    ``(size, prepare, solve)`` that ``_METHODS[method]`` builds.
+    """One method's records, one per rate, from the ``(size, prepare,
+    solve)`` that ``_METHODS[method]`` or ``_linearization_cell`` builds:
+    every record of both sweeps past the trial's data is made here.
 
     ``prepare(max_budget)`` builds the method's model and runs its
-    once-per-trial step at the largest budget of the sweep, and its result
-    serves every rate: ``solve(shared, budget)`` returns that rate's
-    ``(trajectory, converged)``, scored here against ``truth``.  Should
-    ``prepare`` raise, every rate records its error at stage ``"prepare"``.
-    Its time is charged to the first rate's record.
+    once-per-trial step at the largest budget; its result serves every rate,
+    and ``solve(shared, budget)`` returns that rate's ``(nrmse, converged)``.
+    A linearization cell has the one rate ``None``, no budget and no shared
+    step.  Should ``prepare`` raise, every rate records its error at stage
+    ``"prepare"``.  Its time is charged to the first rate's record.
     """
-    budgets = [_budget(rate, n) for rate in config.sampling_rates]
+    budgets = [_budget(rate, n) for rate in rates]
     start = time.perf_counter()
     try:
         shared = prepare(max(budgets))
     except Exception as exc:
-        return [_failed("sampling", n, method, size, rate, trial, seed, exc,
-                        "prepare",
-                        time.perf_counter() - start if i == 0 else 0.0)
-                for i, rate in enumerate(config.sampling_rates)]
+        return [_failed(experiment, n, method, size, rate, trial, seed, exc,
+                        "prepare", 0.0 if i else time.perf_counter() - start)
+                for i, rate in enumerate(rates)]
     records = []
-    for rate, budget in zip(config.sampling_rates, budgets):
-        try:
-            x_hat, converged = solve(shared, budget)
-            records.append(TrialRecord("sampling", n, method, size, rate,
-                                       budget, trial, seed,
-                                       nrmse(x_hat, truth.states), converged,
+    for rate, budget in zip(rates, budgets):
+        try:  # a failed rate or cell must not kill the sweep
+            err, converged = solve(shared, budget)
+            records.append(TrialRecord(experiment, n, method, size, rate,
+                                       budget, trial, seed, err, converged,
                                        None, time.perf_counter() - start))
         except Exception as exc:
-            records.append(_failed("sampling", n, method, size, rate, trial,
+            records.append(_failed(experiment, n, method, size, rate, trial,
                                    seed, exc, "solve",
                                    time.perf_counter() - start))
         start = time.perf_counter()
@@ -438,7 +408,7 @@ def _log_koopman(config, n, seeds, graph, train_trajs, truth):
                 config.refine_trajectories, seed=seeds["refine"])
             theta = build_theta(refined, tau)
         result = recover_initial_state(samples, theta, spec, opt)
-        return result.trajectory, result.converged
+        return nrmse(result.trajectory, truth.states), result.converged
 
     return spec.size, prepare, solve
 
@@ -457,7 +427,7 @@ def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
         plan = gamma_map(order[:budget], spec, tau)
         samples = take_samples(truth, spec, plan)
         trajectory, _ = linear_observable_recover(samples, model)
-        return trajectory, True
+        return nrmse(trajectory, truth.states), True
 
     return spec.size, prepare, solve
 
@@ -466,8 +436,9 @@ def _linear_gft(config, n, seeds, graph, train_trajs, truth):
     def solve(_, budget):
         basis = build_laplacian_basis(graph, budget)
         nodes, reached = linear_gft_select(basis, budget)
-        return linear_gft_recover_trajectory(nodes, basis,
-                                             truth.states[list(nodes)]), reached
+        x_hat = linear_gft_recover_trajectory(nodes, basis,
+                                              truth.states[list(nodes)])
+        return nrmse(x_hat, truth.states), reached
 
     return None, lambda max_budget: None, solve
 
@@ -478,21 +449,22 @@ _METHODS = {PROPOSED: _log_koopman, POLY_GRAMIAN: _poly_gramian,
 
 def run_sampling_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Full pipeline (select, sample, recover) per trial and sensor budget."""
-    items = [(config, n, trial) for n in config.n_values
-             for trial in range(config.trials)]
-    records = _map_work(config, _sampling_trial, items)
-    return ExperimentReport(name="sampling", config=config.to_dict(),
-                            records=tuple(sorted(records,
-                                                 key=TrialRecord.sort_key)))
+    return _run("sampling", config, _sampling_trial,
+                [(config, n, trial) for n in config.n_values
+                 for trial in range(config.trials)])
 
 
-def _map_work(config, fn, items) -> list[TrialRecord]:
+def _run(name: str, config: ExperimentConfig, fn, items) -> ExperimentReport:
+    """Every ``fn(*item)``'s records, on ``config.workers`` threads, sorted."""
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(lambda args: fn(*args), items))
     else:
         chunks = [fn(*args) for args in items]
-    return [rec for chunk in chunks for rec in chunk]
+    records = sorted((rec for chunk in chunks for rec in chunk),
+                     key=TrialRecord.sort_key)
+    return ExperimentReport(name=name, config=config.to_dict(),
+                            records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +514,10 @@ def emit(report: ExperimentReport, out_dir: str | Path,
 def report_from_json(path: str | Path) -> ExperimentReport:
     payload = json.loads(Path(path).read_text())
     check_keys(payload, ("name", "config", "records"), "report")
+    known = [f.name for f in fields(TrialRecord)]
+    required = [f.name for f in fields(TrialRecord) if f.default is MISSING]
+    for rec in payload["records"]:
+        check_keys(rec, required, "record", known=known)
     records = tuple(TrialRecord(**rec) for rec in payload["records"])
     return ExperimentReport(name=payload["name"], config=payload["config"],
                             records=records)

@@ -19,8 +19,9 @@ import numpy as np
 from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
                        simulate_ensemble)
 from .metrics import nrmse
-from .observables import (ObservableSpec, check_keys, lift_trajectory,
-                          spec_from_dict, spec_to_dict, unlift_trajectory)
+from .observables import (ObservableSpec, as_real, check_keys,
+                          lift_trajectory, spec_from_dict, spec_to_dict,
+                          unlift_trajectory)
 
 SV_CUTOFF = 1e-10
 
@@ -82,9 +83,16 @@ class KoopmanModel:
     spec: ObservableSpec
     residual: float           # relative one-tick training residual
 
+    def __post_init__(self):
+        m = self.spec.size
+        if np.shape(self.operator) != (m, m):
+            raise ValueError(f"operator has shape {np.shape(self.operator)}, "
+                             f"the {self.spec.kind} dictionary of size {m} "
+                             f"needs ({m}, {m})")
+
     @property
     def size(self) -> int:
-        return self.operator.shape[0]
+        return self.spec.size
 
 
 def assemble_training(trajectories: list[Trajectory],
@@ -204,7 +212,7 @@ def model_from_dict(d: dict) -> KoopmanModel:
     check_keys(d, ("operator", "spec", "residual"), "model")
     return KoopmanModel(operator=np.asarray(d["operator"], dtype=float),
                         spec=spec_from_dict(d["spec"]),
-                        residual=float(d["residual"]))
+                        residual=as_real(d["residual"], "residual"))
 
 
 def save_model(model: KoopmanModel, path: str | Path) -> Path:

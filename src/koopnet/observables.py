@@ -16,6 +16,8 @@ coordinates are observable.
 
 from __future__ import annotations
 
+import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -105,32 +107,35 @@ class ObservableSpec:
 def log_spec(n: int, scale: float = 500.0, powers: tuple[int, ...] = (1, 2)) -> ObservableSpec:
     """Log dictionary: constant entry, then per node the scaled state and one
     log entry per power.  Size is ``1 + n * (1 + len(powers))``."""
+    n, scale = as_int(n, "n"), as_real(scale, "scale")
     if n < 1:
         raise ValueError("need at least one node")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    powers = tuple(int(p) for p in powers)
+    powers = tuple(as_int(p, "log_powers") for p in powers)
     if len(powers) == 0:
         raise ValueError("need at least one log power")
     if len(set(powers)) != len(powers) or any(p < 1 for p in powers):
         raise ValueError("log powers must be distinct positive integers")
-    return ObservableSpec(kind=LOG, n=n, scale=float(scale), log_powers=powers,
+    return ObservableSpec(kind=LOG, n=n, scale=scale, log_powers=powers,
                           poly_max_power=0)
 
 
 def poly_spec(n: int, max_power: int = 2) -> ObservableSpec:
     """Cross-monomial dictionary ``x_i**a * x_j**b`` with ``a, b <= max_power``,
     deduplicated (see ``ObservableSpec._poly_factors`` for the order)."""
+    n, max_power = as_int(n, "n"), as_int(max_power, "poly_max_power")
     if n < 1:
         raise ValueError("need at least one node")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
     return ObservableSpec(kind=POLY, n=n, scale=1.0, log_powers=(),
-                          poly_max_power=int(max_power))
+                          poly_max_power=max_power)
 
 
 def identity_spec(n: int) -> ObservableSpec:
     """Raw states as observables; lifting is the identity map."""
+    n = as_int(n, "n")
     if n < 1:
         raise ValueError("need at least one node")
     return ObservableSpec(kind=IDENTITY, n=n, scale=1.0, log_powers=(),
@@ -267,14 +272,35 @@ def check_scale(spec: ObservableSpec, states: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def check_keys(d, keys, what: str, hint: str = "") -> None:
-    """Reject a loaded ``what`` that is not a JSON object or lacks one of
-    ``keys``, naming the missing ones; ``hint`` ends the message."""
+def check_keys(d, keys, what: str, hint: str = "", known=None) -> None:
+    """Reject a loaded ``what`` that is not a JSON object, lacks one of
+    ``keys`` or, given ``known``, has a key outside it, naming the keys at
+    fault; ``hint`` ends the message."""
     if not isinstance(d, dict):
         raise ValueError(f"a {what} must be a JSON object, got {type(d).__name__}{hint}")
     missing = [key for key in keys if key not in d]
     if missing:
         raise ValueError(f"missing {what} keys: {missing}{hint}")
+    unknown = sorted(set(d) - set(known)) if known is not None else []
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}{hint}")
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int, or a ValueError naming ``name``: it must have
+    ``__index__`` (what ``operator.index`` needs; 1.5 has none) and not be
+    a bool."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name}: {value!r} is not an integer")
+    return operator.index(value)
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming ``name``: it must be a
+    ``numbers.Real`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: {value!r} is not a real number")
+    return float(value)
 
 
 def spec_to_dict(spec: ObservableSpec) -> dict:
@@ -291,6 +317,8 @@ def spec_from_dict(d: dict) -> ObservableSpec:
     files carry, is ignored."""
     check_keys(d, ("kind", "n", "scale", "log_powers", "poly_max_power"),
                "dictionary")
-    return build_spec(d["kind"], int(d["n"]), scale=float(d["scale"]),
-                      powers=tuple(int(p) for p in d["log_powers"]),
-                      max_power=int(d["poly_max_power"]))
+    return build_spec(d["kind"], as_int(d["n"], "n"),
+                      scale=as_real(d["scale"], "scale"),
+                      powers=tuple(as_int(p, "log_powers")
+                                   for p in d["log_powers"]),
+                      max_power=as_int(d["poly_max_power"], "poly_max_power"))

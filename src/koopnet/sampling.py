@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .koopman import KoopmanModel
-from .observables import (ObservableSpec, check_keys, spec_from_dict,
-                          spec_to_dict)
+from .observables import (ObservableSpec, as_int, as_real, check_keys,
+                          spec_from_dict, spec_to_dict)
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
 # treated as zero in rank checks and lstsq solves (resp. scoring a set).
@@ -93,9 +93,10 @@ class SamplingPlan:
 
 def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
     """Map a node set on ``spec`` to a plan; checks the nodes and ``tau``."""
+    tau = as_int(tau, "tau")
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    node_list = [int(v) for v in nodes]
+    node_list = [as_int(v, "nodes") for v in nodes]
     if len(set(node_list)) != len(node_list):
         raise ValueError("duplicate nodes in sampling set")
     for v in node_list:
@@ -281,9 +282,10 @@ def plan_from_dict(d: dict) -> SamplingPlan:
     """Rebuild a plan through ``gamma_map``, so bad nodes fail at load."""
     check_keys(d, ("nodes", "spec", "tau", "score_trace"), "plan",
                hint="; re-run koopnet select")
-    plan = gamma_map(d["nodes"], spec_from_dict(d["spec"]), int(d["tau"]))
+    plan = gamma_map(d["nodes"], spec_from_dict(d["spec"]), d["tau"])
     return replace(plan, score_trace=tuple(
-        math.inf if s is None else float(s) for s in d["score_trace"]))
+        math.inf if s is None else as_real(s, "score_trace")
+        for s in d["score_trace"]))
 
 
 def save_plan(plan: SamplingPlan, path: str | Path) -> Path:

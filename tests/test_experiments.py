@@ -329,6 +329,42 @@ def test_report_file_that_is_not_a_report_is_rejected(payload, message,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"n": 3}, "missing record keys: ['experiment', 'method', "
+               "'dictionary_size', 'rate', 'budget', 'trial', 'seed', "
+               "'nrmse', 'converged', 'error']"),
+    ("record", "a record must be a JSON object, got str"),
+])
+def test_report_record_that_is_not_a_record_is_rejected(record, message,
+                                                        tmp_path):
+    # {"n": 3} once raised a bare TypeError from TrialRecord
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"name": "sampling", "config": {},
+                                "records": [record]}))
+    with pytest.raises(ValueError) as info:
+        report_from_json(path)
+    assert str(info.value) == message
+
+
+def test_report_record_with_an_unknown_key_is_rejected(lin_report, tmp_path):
+    _, report = lin_report
+    (json_path,) = emit(report, tmp_path, formats=("json",))
+    payload = json.loads(json_path.read_text())
+    payload["records"][1]["wall_s"] = 1.0
+    json_path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        report_from_json(json_path)
+    assert str(info.value) == "unknown record keys: ['wall_s']"
+    # a record written before runtimes and stages were kept still loads
+    del payload["records"][1]["wall_s"]
+    for rec in payload["records"]:
+        del rec["runtime_s"], rec["stage"]
+    json_path.write_text(json.dumps(payload))
+    again = report_from_json(json_path)
+    assert again.records == tuple(dataclasses.replace(r, runtime_s=None)
+                                  for r in report.records)
+
+
 def test_report_with_removed_config_keys_still_loads(lin_report, tmp_path):
     # a report's config is kept as written, so one whose config carries
     # settings of older versions loads with its name and records
@@ -434,6 +470,31 @@ def test_sampling_sweep_records_setup_failures():
         assert rec.error is not None and "diverged" in rec.error
         assert rec.budget == _budget(rec.rate, 5)
         assert rec.stage == "setup"
+
+
+def test_linearization_cell_failure_fails_that_cell_alone(monkeypatch):
+    def boom_on_poly(training):
+        if training.spec.kind == POLY and training.spec.poly_max_power == 2:
+            raise RuntimeError("boom")
+        return fit(training)
+
+    monkeypatch.setattr(experiments, "fit", boom_on_poly)
+    cfg = ExperimentConfig(n_values=(5,), seed=4, training_trajectories=10,
+                           test_trajectories=3, training_ticks=10,
+                           log_power_grid=((1,), (1, 2)),
+                           poly_power_grid=(1, 2))
+    report = run_linearization_sweep(cfg)
+    assert len(report.records) == 5  # dmd + two log + two poly
+    (failed,) = [r for r in report.records if r.error is not None]
+    assert failed.method == "poly" and failed.stage == "solve"
+    assert failed.error == "RuntimeError: boom"
+    assert failed.dictionary_size == poly_spec(5, max_power=2).size
+    assert failed.nrmse is None and failed.converged is None
+    assert failed.rate is None and failed.budget is None
+    assert failed.runtime_s is not None and failed.runtime_s >= 0
+    others = [r for r in report.records if r is not failed]
+    assert all(r.stage is None and r.converged and r.nrmse is not None
+               for r in others)
 
 
 def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):

@@ -35,6 +35,7 @@ from koopnet import (
     unlift_trajectory,
 )
 from koopnet.koopman import SV_CUTOFF, model_from_dict, model_to_dict
+from koopnet.observables import spec_to_dict
 
 BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
 
@@ -544,6 +545,25 @@ def test_model_file_that_is_not_a_model_is_rejected(payload, message):
     with pytest.raises(ValueError) as info:
         model_from_dict(payload)
     assert str(info.value) == message
+
+
+def test_model_operator_must_match_its_dictionary():
+    # a 3 x 3 operator on the 13-entry log dictionary at n = 4 was once
+    # accepted and failed only in selection
+    message = ("operator has shape (3, 3), the log dictionary of size 13 "
+               "needs (13, 13)")
+    with pytest.raises(ValueError) as info:
+        KoopmanModel(operator=np.eye(3), spec=log_spec(4), residual=0.0)
+    assert str(info.value) == message
+    d = {"operator": np.eye(3).tolist(), "spec": spec_to_dict(log_spec(4)),
+         "residual": 0.0}
+    with pytest.raises(ValueError) as info:
+        model_from_dict(d)
+    assert str(info.value) == message
+    with pytest.raises(ValueError, match=r"shape \(13,\), the log"):
+        KoopmanModel(operator=np.ones(13), spec=log_spec(4), residual=0.0)
+    model = model_from_dict({**d, "operator": np.eye(13).tolist()})
+    assert model.size == model.spec.size == 13
 
 
 def test_model_file_without_its_residual_is_rejected():

@@ -286,6 +286,47 @@ def test_spec_from_dict_names_what_is_wrong(payload, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 4.7, "n: 4.7 is not an integer"),
+    ("n", True, "n: True is not an integer"),
+    ("log_powers", [1.9], "log_powers: 1.9 is not an integer"),
+    ("scale", "500", "scale: '500' is not a real number"),
+    ("poly_max_power", 2.5, "poly_max_power: 2.5 is not an integer"),
+])
+def test_spec_from_dict_rejects_non_integers_rather_than_truncating(
+        field, value, message):
+    # these once loaded as n = 4, powers (1,) and scale 500.0
+    d = spec_to_dict(log_spec(4))
+    d[field] = value
+    with pytest.raises(ValueError) as info:
+        spec_from_dict(d)
+    assert str(info.value) == message
+
+
+def test_spec_from_dict_takes_numpy_integers_and_an_integer_scale():
+    d = {"kind": "log", "n": np.int64(4), "scale": 500,
+         "log_powers": [np.int32(1), 2], "poly_max_power": 0}
+    spec = spec_from_dict(d)
+    assert spec == log_spec(4)
+    assert type(spec.n) is int and type(spec.scale) is float
+    assert all(type(p) is int for p in spec.log_powers)
+    assert spec_from_dict({**spec_to_dict(poly_spec(3)),
+                           "poly_max_power": np.int64(2)}) == poly_spec(3)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: log_spec(4.7), "n: 4.7 is not an integer"),
+    (lambda: log_spec(4, scale="500"), "scale: '500' is not a real number"),
+    (lambda: log_spec(4, powers=(1.9,)), "log_powers: 1.9 is not an integer"),
+    (lambda: poly_spec(4, max_power=1.5), "poly_max_power: 1.5 is not an integer"),
+    (lambda: identity_spec(4.7), "n: 4.7 is not an integer"),
+])
+def test_spec_constructors_reject_non_integers(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # =========================================================================
 # Jacobian
 # =========================================================================

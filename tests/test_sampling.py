@@ -450,6 +450,30 @@ def test_plan_file_with_bad_nodes_fails_at_load(nodes, message):
         plan_from_dict(d)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("nodes", [1.7, 0.2], "nodes: 1.7 is not an integer"),
+    ("nodes", [True], "nodes: True is not an integer"),
+    ("tau", 2.9, "tau: 2.9 is not an integer"),
+    ("score_trace", ["3.5"], "score_trace: '3.5' is not a real number"),
+])
+def test_plan_file_with_non_integers_fails_at_load(field, value, message):
+    # nodes [1.7, 0.2] once loaded as (1, 0) and tau 2.9 as 2
+    d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
+    d[field] = value
+    with pytest.raises(ValueError) as info:
+        plan_from_dict(d)
+    assert str(info.value) == message
+
+
+def test_plan_file_takes_numpy_integers():
+    plan = gamma_map([2, 0], log_spec(4), tau=4)
+    d = {**plan_to_dict(plan), "nodes": [np.int64(2), np.int32(0)],
+         "tau": np.int64(4)}
+    back = plan_from_dict(d)
+    assert back == plan
+    assert all(type(v) is int for v in back.nodes) and type(back.tau) is int
+
+
 def test_plan_file_with_a_bad_dictionary_fails_at_load():
     d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
     del d["spec"]["scale"]
