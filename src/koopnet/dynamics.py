@@ -85,7 +85,7 @@ class DynamicsParams:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
-        if self.flow_in < 0:
+        if not self.flow_in >= 0:
             raise ValueError("flow_in must be nonnegative")
         if self.kind == REGULATORY and self.flow_in != 0:
             raise ValueError("the regulatory dynamics has no inflow; "
@@ -208,8 +208,8 @@ def trajectory_from_csv(path: str | Path) -> Trajectory:
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "t":
+        header = next(reader, [])
+        if len(header) < 2 or header[0] != "t":
             raise ValueError(f"{path}: expected a 't,x_1,...' header")
         rows = []
         for row in filter(None, reader):  # skip blank lines

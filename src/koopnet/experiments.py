@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +29,8 @@ from .dynamics import (BIOCHEMICAL, DynamicsParams, default_initial_range,
 from .koopman import (assemble_training, build_theta, fit, linearization_nrmse,
                       refine_with_samples)
 from .metrics import nrmse
-from .observables import (IDENTITY, LOG, POLY, as_int, as_real, check_keys,
-                          identity_spec, log_spec, poly_spec)
+from .observables import (IDENTITY, LOG, POLY, check_fields, identity_spec,
+                          log_spec, poly_spec)
 from .recovery import OptimizerConfig, recover_initial_state, take_samples
 from .sampling import SelectionConfig, gamma_map, greedy_select
 
@@ -77,9 +77,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.selection_rate is None:  # null once meant "every node"
             raise ValueError("selection_rate must lie in (0, 1]")
-        _check_types(self)
-        # the dynamics, dictionary and selection constructors hold their own
-        # checks
+        check_fields(vars(self), type(self), "config")
+        # the dynamics, dictionary and selection constructors check the rest
         self.params()
         SelectionConfig(gamma=self.gamma)
         log_spec(1, scale=self.scale, powers=self.log_powers)
@@ -133,47 +132,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_keys(d, (), "config", known=[f.name for f in fields(cls)])
+        # a null selection_rate gets __post_init__'s message
+        check_fields(d, cls, "config", strict=True,
+                     types={"selection_rate": float | None})
         return cls(**{key: _tuples(value) for key, value in d.items()})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def _typed_values(config: ExperimentConfig):
-    """Every field, then every entry of the list fields, with the type it
-    must have; lazily, so a field is checked before its entries are read."""
-    for f in fields(config):
-        yield f.name, getattr(config, f.name), f.type
-    for name in ("n_values", "log_powers", "poly_power_grid"):
-        for v in getattr(config, name):
-            yield name, v, "int"
-    for powers in config.log_power_grid:
-        yield "log_power_grid", powers, "tuple"
-        for v in powers:
-            yield "log_power_grid", v, "int"
-    for v in config.sampling_rates:
-        yield "sampling_rates", v, "float"
-
-
-def _check_types(config: ExperimentConfig) -> None:
-    """Reject, naming the field: anything but a list or tuple where a list
-    belongs, what ``as_int`` (resp. ``as_real``) rejects where an integer
-    (resp. a float) belongs and anything but a bool where a bool belongs.
-    ``None`` passes only in the fields that take it."""
-    for name, value, kind in _typed_values(config):
-        if value is None and kind.endswith(" | None"):
-            continue
-        kind = kind.removesuffix(" | None")
-        if kind.startswith("tuple") and not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name}: {value!r} is not a list")
-        if kind == "int":
-            as_int(value, name)
-        if kind == "float":
-            as_real(value, name)
-        if kind == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{name}: {value!r} is not a bool")
 
 
 def _tuples(value):
@@ -512,12 +478,11 @@ def emit(report: ExperimentReport, out_dir: str | Path,
 
 
 def report_from_json(path: str | Path) -> ExperimentReport:
+    """Load a report; a record's N-RMSE may be non-finite (a diverged cell)."""
     payload = json.loads(Path(path).read_text())
-    check_keys(payload, ("name", "config", "records"), "report")
-    known = [f.name for f in fields(TrialRecord)]
-    required = [f.name for f in fields(TrialRecord) if f.default is MISSING]
+    check_fields(payload, ExperimentReport, "report")
     for rec in payload["records"]:
-        check_keys(rec, required, "record", known=known)
+        check_fields(rec, TrialRecord, "record", strict=True, finite=False)
     records = tuple(TrialRecord(**rec) for rec in payload["records"])
     return ExperimentReport(name=payload["name"], config=payload["config"],
                             records=records)

@@ -19,9 +19,8 @@ import numpy as np
 from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
                        simulate_ensemble)
 from .metrics import nrmse
-from .observables import (ObservableSpec, as_real, check_keys,
-                          lift_trajectory, spec_from_dict, spec_to_dict,
-                          unlift_trajectory)
+from .observables import (ObservableSpec, check_fields, lift_trajectory,
+                          spec_from_dict, spec_to_dict, unlift_trajectory)
 
 SV_CUTOFF = 1e-10
 
@@ -209,10 +208,12 @@ def model_to_dict(model: KoopmanModel) -> dict:
 
 
 def model_from_dict(d: dict) -> KoopmanModel:
-    check_keys(d, ("operator", "spec", "residual"), "model")
+    """Rebuild a model; its operator is a list of rows of finite numbers."""
+    check_fields(d, KoopmanModel, "model",
+                 types={"operator": tuple[tuple[float, ...], ...]})
     return KoopmanModel(operator=np.asarray(d["operator"], dtype=float),
                         spec=spec_from_dict(d["spec"]),
-                        residual=as_real(d["residual"], "residual"))
+                        residual=float(d["residual"]))
 
 
 def save_model(model: KoopmanModel, path: str | Path) -> Path:

@@ -16,11 +16,13 @@ coordinates are observable.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
+import typing
 import warnings
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import MISSING, dataclass, fields
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -110,7 +112,7 @@ def log_spec(n: int, scale: float = 500.0, powers: tuple[int, ...] = (1, 2)) -> 
     n, scale = as_int(n, "n"), as_real(scale, "scale")
     if n < 1:
         raise ValueError("need at least one node")
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     powers = tuple(as_int(p, "log_powers") for p in powers)
     if len(powers) == 0:
@@ -272,18 +274,55 @@ def check_scale(spec: ObservableSpec, states: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Serialization
 
-def check_keys(d, keys, what: str, hint: str = "", known=None) -> None:
-    """Reject a loaded ``what`` that is not a JSON object, lacks one of
-    ``keys`` or, given ``known``, has a key outside it, naming the keys at
-    fault; ``hint`` ends the message."""
+def check_fields(d, cls, what: str, hint: str = "", types=None,
+                 strict: bool = False, finite: bool = True) -> None:
+    """Check a loaded ``what`` against the fields of the dataclass ``cls``,
+    raising a ValueError that names the key at fault.  ``d`` must be a JSON
+    object with every field that has no default and, if ``strict``, no
+    other key (``hint`` ends those messages).  Each value must fit its
+    annotation, or its entry in ``types`` for the file's own form: a list
+    for a tuple, entry by entry; an int (a real, finite if ``finite``) as
+    ``as_int`` (``as_real``) takes it; a bool, str or JSON object for one;
+    ``None`` only for ``X | None``.  Other annotations, a nested dataclass
+    say, are left to the loader."""
     if not isinstance(d, dict):
         raise ValueError(f"a {what} must be a JSON object, got {type(d).__name__}{hint}")
-    missing = [key for key in keys if key not in d]
+    missing = [f.name for f in fields(cls) if f.name not in d and f.default is MISSING]
     if missing:
         raise ValueError(f"missing {what} keys: {missing}{hint}")
-    unknown = sorted(set(d) - set(known)) if known is not None else []
+    hints = {**_type_hints(cls), **(types or {})}
+    unknown = sorted(set(d) - set(hints)) if strict else []
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}{hint}")
+    for name, kind in hints.items():
+        if name in d:
+            _check_value(d[name], kind, name, finite)
+
+
+_INSTANCES = {bool: "a bool", str: "a string", dict: "a JSON object"}
+# evaluated once per class, not once per loaded record
+_type_hints = cache(typing.get_type_hints)
+
+
+def _check_value(value, kind, name: str, finite: bool) -> None:
+    """One value of ``check_fields`` against the annotation ``kind``."""
+    args = typing.get_args(kind)
+    if type(None) in args:          # ``X | None``
+        if value is None:
+            return
+        kind = args[0]
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name}: {value!r} is not a list")
+        for v in value:
+            _check_value(v, typing.get_args(kind)[0], name, finite)
+    elif kind is int:
+        as_int(value, name)
+    elif kind is float:
+        if not math.isfinite(as_real(value, name)) and finite:
+            raise ValueError(f"{name}: {value!r} is not finite")
+    elif kind in _INSTANCES and not isinstance(value, kind):
+        raise ValueError(f"{name}: {value!r} is not {_INSTANCES[kind]}")
 
 
 def as_int(value, name: str) -> int:
@@ -315,10 +354,6 @@ def spec_to_dict(spec: ObservableSpec) -> dict:
 def spec_from_dict(d: dict) -> ObservableSpec:
     """Rebuild a spec from its parameters; a ``terms`` list, which older
     files carry, is ignored."""
-    check_keys(d, ("kind", "n", "scale", "log_powers", "poly_max_power"),
-               "dictionary")
-    return build_spec(d["kind"], as_int(d["n"], "n"),
-                      scale=as_real(d["scale"], "scale"),
-                      powers=tuple(as_int(p, "log_powers")
-                                   for p in d["log_powers"]),
-                      max_power=as_int(d["poly_max_power"], "poly_max_power"))
+    check_fields(d, ObservableSpec, "dictionary")
+    return build_spec(d["kind"], d["n"], d["scale"], tuple(d["log_powers"]),
+                      d["poly_max_power"])

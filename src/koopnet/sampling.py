@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .koopman import KoopmanModel
-from .observables import (ObservableSpec, as_int, as_real, check_keys,
-                          spec_from_dict, spec_to_dict)
+from .observables import (ObservableSpec, as_int, check_fields, spec_from_dict,
+                          spec_to_dict)
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
 # treated as zero in rank checks and lstsq solves (resp. scoring a set).
@@ -46,7 +46,7 @@ class SelectionConfig:
     max_nodes: int | None = None
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma < 1.0:
+        if self.gamma is not None and not self.gamma >= 1.0:
             raise ValueError("gamma is a singular-value quotient; it cannot be < 1")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be at least 1")
@@ -61,7 +61,7 @@ class SamplingPlan:
     nodes: tuple[int, ...]
     spec: ObservableSpec
     tau: int
-    score_trace: tuple[float, ...] = ()
+    score_trace: tuple[float, ...]
 
     @cached_property
     def observable_indices(self) -> np.ndarray:
@@ -102,7 +102,7 @@ def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
     for v in node_list:
         if not 0 <= v < spec.n:
             raise ValueError(f"node {v} outside 0..{spec.n - 1}")
-    return SamplingPlan(nodes=tuple(node_list), spec=spec, tau=tau)
+    return SamplingPlan(tuple(node_list), spec, tau, score_trace=())
 
 
 def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -280,12 +280,11 @@ def plan_to_dict(plan: SamplingPlan) -> dict:
 
 def plan_from_dict(d: dict) -> SamplingPlan:
     """Rebuild a plan through ``gamma_map``, so bad nodes fail at load."""
-    check_keys(d, ("nodes", "spec", "tau", "score_trace"), "plan",
-               hint="; re-run koopnet select")
+    check_fields(d, SamplingPlan, "plan", hint="; re-run koopnet select",
+                 types={"score_trace": tuple[float | None, ...]})
     plan = gamma_map(d["nodes"], spec_from_dict(d["spec"]), d["tau"])
     return replace(plan, score_trace=tuple(
-        math.inf if s is None else as_real(s, "score_trace")
-        for s in d["score_trace"]))
+        math.inf if s is None else float(s) for s in d["score_trace"]))
 
 
 def save_plan(plan: SamplingPlan, path: str | Path) -> Path:

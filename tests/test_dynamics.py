@@ -283,9 +283,14 @@ def test_trajectory_csv_round_trip(tmp_path):
     ("t,x_1,x_2,x_3\n1,0.5,0.5\n2,0.5,0.5\n", "line 2 has 3 fields"),
     ("t,x_1,x_2\n1,0.5,0.5\n2,0.5\n", "line 3 has 2 fields"),
     ("t,x_1,x_2\n1,0.5,0.5\n2,0.5,abc\n", "line 3: could not convert"),
-    ("t,x_1,x_2\n7,0.5,0.5\n3,0.5,0.5\n", "line 2 has t = 7, expected 1")],
+    ("t,x_1,x_2\n7,0.5,0.5\n3,0.5,0.5\n", "line 2 has t = 7, expected 1"),
+    # an empty file once raised a bare StopIteration, and a header of `t`
+    # alone loaded a trajectory of no nodes
+    ("", "header"),
+    ("t\n1\n2\n", "header")],
     ids=["no-t-header", "rows-narrower-than-header", "ragged-rows",
-         "non-numeric-field", "ticks-out-of-order"])
+         "non-numeric-field", "ticks-out-of-order", "empty-file",
+         "no-node-columns"])
 def test_trajectory_csv_rejects_garbage(tmp_path, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

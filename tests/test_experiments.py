@@ -7,12 +7,14 @@ full select/sample/recover pipeline end to end.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from koopnet import (ExperimentConfig, ExperimentReport, TrialRecord,
-                     aggregate, emit, linearization_nrmse, report_from_json,
+from koopnet import (DynamicsParams, ExperimentConfig, ExperimentReport,
+                     SelectionConfig, TrialRecord, aggregate, emit,
+                     linearization_nrmse, report_from_json,
                      run_linearization_sweep, run_sampling_sweep)
 from koopnet import experiments, recovery
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
@@ -143,6 +145,57 @@ def test_number_checks_name_the_key():
         (key,) = bad
         with pytest.raises(ValueError, match=f"^{key}: "):
             ExperimentConfig(**bad)
+
+
+# Every config field by the kind it holds, and the kinds each must not hold.
+CONFIG_KINDS = {
+    "dynamics": "str", "flow_in": "float or null", "n_values": "ints",
+    "er_probability": "float", "seed": "int", "training_trajectories": "int",
+    "test_trajectories": "int", "training_ticks": "int",
+    "sampling_ticks": "int", "scale": "float", "log_powers": "ints",
+    "include_dmd": "bool", "log_power_grid": "int lists",
+    "poly_power_grid": "ints", "sampling_rates": "floats",
+    "gamma": "float or null", "selection_rate": "float", "dictionary": "str",
+    "trials": "int", "refine_trajectories": "int", "baselines": "strs",
+    "workers": "int"}
+WRONG_KINDS = {
+    "int": ([1], "1", True, None, 1.5),
+    "float": ([0.5], "0.5", True, None, math.nan, math.inf),
+    "float or null": ([0.5], "0.5", True, math.nan, -math.inf),
+    "str": (1, ["log"], True, None),
+    "bool": (1, "true", [True], None),
+    "ints": (2, "2", True, None, [1.5], [None], [[1]]),
+    "floats": (0.5, "0.5", True, None, ["0.5"], [None], [math.nan]),
+    "strs": (1, "linear-gft", True, None, [1], [None]),
+    "int lists": (1, "1", True, None, [1], [None], [[1.5]]),
+}
+
+
+def test_config_kinds_cover_every_field():
+    assert set(CONFIG_KINDS) == {f.name for f in
+                                 dataclasses.fields(ExperimentConfig)}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, kind in CONFIG_KINDS.items()
+    for value in WRONG_KINDS[kind]])
+def test_config_names_the_field_of_each_wrong_kind(field, value):
+    # read from a file and passed to the constructor alike
+    for load in (ExperimentConfig.from_dict, lambda d: ExperimentConfig(**d)):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            load({field: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: log_spec(3, scale=math.nan), "scale must be positive"),
+    (lambda: SelectionConfig(gamma=math.nan), "gamma is a singular-value"),
+    (lambda: DynamicsParams(kind="biochemical", flow_in=math.nan),
+     "flow_in must be nonnegative")], ids=["scale", "gamma", "flow_in"])
+def test_constructor_range_checks_reject_nan(build, message):
+    # each once constructed; the NaN inflow failed only deep in a sweep,
+    # as "simulation diverged at tick 1"
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("config, type_name", [
@@ -319,6 +372,11 @@ def test_report_round_trip_through_json(lin_report, tmp_path):
 @pytest.mark.parametrize("payload, message", [
     ([], "a report must be a JSON object, got list"),
     ({"name": "sampling", "records": []}, "missing report keys: ['config']"),
+    # these two once loaded, and raised a bare TypeError
+    ({"name": "sampling", "config": 5, "records": []},
+     "config: 5 is not a JSON object"),
+    ({"name": "sampling", "config": {}, "records": 5},
+     "records: 5 is not a list"),
 ])
 def test_report_file_that_is_not_a_report_is_rejected(payload, message,
                                                       tmp_path):
@@ -344,6 +402,74 @@ def test_report_record_that_is_not_a_record_is_rejected(record, message,
     with pytest.raises(ValueError) as info:
         report_from_json(path)
     assert str(info.value) == message
+
+
+# Every record field by the kind it holds; a record's numbers need not be
+# finite, as a diverged cell writes Infinity or NaN.
+RECORD_KINDS = {
+    "experiment": "str", "n": "int", "method": "str",
+    "dictionary_size": "int or null", "rate": "float or null",
+    "budget": "int or null", "trial": "int", "seed": "int",
+    "nrmse": "float or null", "converged": "bool or null",
+    "error": "str or null", "runtime_s": "float or null",
+    "stage": "str or null"}
+RECORD_WRONG_KINDS = {
+    "int": ([1], "1", True, None, 1.5), "int or null": ([1], "1", True, 1.5),
+    "float or null": ([0.5], "abc", True), "bool or null": (1, "yes", [True]),
+    "str": (1, ["x"], True, None), "str or null": (1, ["x"], True),
+}
+# A report's own fields: a name, its config as an object, a list of records.
+REPORT_WRONG_KINDS = (
+    [("name", v) for v in (5, ["sampling"], True, None)]
+    + [("config", v) for v in (5, "{}", [], True, None)]
+    + [("records", v) for v in (5, "[]", True, None, {})])
+
+
+def _record():
+    return {"experiment": "sampling", "n": 4, "method": PROPOSED,
+            "dictionary_size": 13, "rate": 0.5, "budget": 2, "trial": 0,
+            "seed": 7, "nrmse": 0.25, "converged": True, "error": None,
+            "runtime_s": 1.5, "stage": None}
+
+
+def test_record_kinds_cover_every_field():
+    assert set(RECORD_KINDS) == set(_record()) == {
+        f.name for f in dataclasses.fields(TrialRecord)}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, kind in RECORD_KINDS.items()
+    for value in RECORD_WRONG_KINDS[kind]] + REPORT_WRONG_KINDS)
+def test_report_names_the_field_of_each_wrong_kind(field, value, tmp_path):
+    payload = {"name": "sampling", "config": {}, "records": [_record()]}
+    if field in payload:
+        payload[field] = value
+    else:
+        payload["records"][0][field] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        report_from_json(path)
+
+
+def test_failed_infinite_and_older_records_load_back_unchanged(tmp_path):
+    failed = TrialRecord(**{**_record(), "nrmse": None, "converged": None,
+                            "error": "RuntimeError: simulation diverged",
+                            "stage": "prepare"})
+    infinite = TrialRecord(**{**_record(), "trial": 1, "nrmse": math.inf,
+                              "converged": False})
+    older = TrialRecord(**{**_record(), "trial": 2, "runtime_s": None})
+    report = ExperimentReport(name="sampling", config={"seed": 0},
+                              records=(failed, infinite, older))
+    (path,) = emit(report, tmp_path, formats=("json",))
+    assert '"nrmse": Infinity' in path.read_text()
+    # the third record as written before runtimes and stages were kept
+    payload = json.loads(path.read_text())
+    del payload["records"][2]["runtime_s"], payload["records"][2]["stage"]
+    path.write_text(json.dumps(payload))
+    again = report_from_json(path)
+    assert again.records == report.records
+    assert again.config == report.config and again.name == report.name
 
 
 def test_report_record_with_an_unknown_key_is_rejected(lin_report, tmp_path):

@@ -5,6 +5,7 @@ most oracles here are either hand-computed (scalars, permutations) or checked
 against an independently constructed ground-truth operator.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -545,6 +546,28 @@ def test_model_file_that_is_not_a_model_is_rejected(payload, message):
     with pytest.raises(ValueError) as info:
         model_from_dict(payload)
     assert str(info.value) == message
+
+
+# Each field of a model file replaced by each kind it must not hold: the
+# operator is a list of rows of finite numbers, the residual a finite number.
+MODEL_WRONG_KINDS = (
+    [("operator", v) for v in (5, "eye", True, None, [1.0] * 4, [None] * 4,
+                               [[None] * 4] * 4, [["1"] * 4] * 4,
+                               [[True] * 4] * 4, [[math.nan] * 4] * 4,
+                               [[0.0] * 3 + [math.inf]] * 4)]
+    + [("residual", v) for v in ([0.0], "0", True, None, math.nan,
+                                 -math.inf)])
+
+
+@pytest.mark.parametrize("field, value", MODEL_WRONG_KINDS)
+def test_model_file_names_the_field_of_each_wrong_kind(field, value):
+    # an operator of nulls and a NaN residual once loaded as NaNs
+    d = {"operator": np.eye(4).tolist(), "spec": spec_to_dict(log_spec(1)),
+         "residual": 0.0}
+    assert model_from_dict(d).size == 4
+    d[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        model_from_dict(d)
 
 
 def test_model_operator_must_match_its_dictionary():

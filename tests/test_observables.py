@@ -292,6 +292,9 @@ def test_spec_from_dict_names_what_is_wrong(payload, message):
     ("log_powers", [1.9], "log_powers: 1.9 is not an integer"),
     ("scale", "500", "scale: '500' is not a real number"),
     ("poly_max_power", 2.5, "poly_max_power: 2.5 is not an integer"),
+    # "log_powers": 1 once raised a bare TypeError, and a NaN scale loaded
+    ("log_powers", 1, "log_powers: 1 is not a list"),
+    ("scale", math.nan, "scale: nan is not finite"),
 ])
 def test_spec_from_dict_rejects_non_integers_rather_than_truncating(
         field, value, message):
@@ -301,6 +304,25 @@ def test_spec_from_dict_rejects_non_integers_rather_than_truncating(
     with pytest.raises(ValueError) as info:
         spec_from_dict(d)
     assert str(info.value) == message
+
+
+# Each field of a dictionary file replaced by each kind it must not hold.
+SPEC_WRONG_KINDS = (
+    [("kind", v) for v in (5, ["log"], True, None)]
+    + [(f, v) for f in ("n", "poly_max_power")
+       for v in ([4], "4", True, None, 4.5)]
+    + [("scale", v) for v in ([500.0], "500", True, None, math.nan,
+                              math.inf)]
+    + [("log_powers", v) for v in (2, "12", True, None, [1.5], [None],
+                                   [[1]])])
+
+
+@pytest.mark.parametrize("field, value", SPEC_WRONG_KINDS)
+def test_spec_from_dict_names_the_field_of_each_wrong_kind(field, value):
+    d = spec_to_dict(log_spec(4))
+    d[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        spec_from_dict(d)
 
 
 def test_spec_from_dict_takes_numpy_integers_and_an_integer_scale():

@@ -455,6 +455,9 @@ def test_plan_file_with_bad_nodes_fails_at_load(nodes, message):
     ("nodes", [True], "nodes: True is not an integer"),
     ("tau", 2.9, "tau: 2.9 is not an integer"),
     ("score_trace", ["3.5"], "score_trace: '3.5' is not a real number"),
+    # these two once raised a bare TypeError
+    ("nodes", 2, "nodes: 2 is not a list"),
+    ("score_trace", 5, "score_trace: 5 is not a list"),
 ])
 def test_plan_file_with_non_integers_fails_at_load(field, value, message):
     # nodes [1.7, 0.2] once loaded as (1, 0) and tau 2.9 as 2
@@ -463,6 +466,36 @@ def test_plan_file_with_non_integers_fails_at_load(field, value, message):
     with pytest.raises(ValueError) as info:
         plan_from_dict(d)
     assert str(info.value) == message
+
+
+# Each field of a plan file replaced by each kind it must not hold; a
+# ``null`` score is an infinite one, so only a non-finite number is wrong.
+PLAN_WRONG_KINDS = (
+    [("nodes", v) for v in (2, "01", True, None, [1.5], [None], [[0]])]
+    + [("tau", v) for v in ([4], "4", True, None, 4.5)]
+    + [("score_trace", v) for v in (2.5, "2.5", True, None, ["2.5"], [True],
+                                    [math.nan], [math.inf], [[2.5]])])
+
+
+@pytest.mark.parametrize("field, value", PLAN_WRONG_KINDS)
+def test_plan_file_names_the_field_of_each_wrong_kind(field, value):
+    d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
+    d[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        plan_from_dict(d)
+
+
+@pytest.mark.parametrize("value, type_name", [
+    (5, "int"), ([1], "list"), ("log", "str"), (True, "bool"),
+    (None, "NoneType")])
+def test_plan_file_leaves_its_dictionary_to_the_dictionary_check(value,
+                                                                 type_name):
+    d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
+    d["spec"] = value
+    with pytest.raises(ValueError) as info:
+        plan_from_dict(d)
+    assert str(info.value) == ("a dictionary must be a JSON object, "
+                               f"got {type_name}")
 
 
 def test_plan_file_takes_numpy_integers():
