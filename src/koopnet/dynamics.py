@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .observables import as_real
+
 BIOCHEMICAL = "biochemical"
 REGULATORY = "regulatory"
 _KINDS = (BIOCHEMICAL, REGULATORY)
@@ -85,7 +87,7 @@ class DynamicsParams:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dynamics kind {self.kind!r}")
-        if not self.flow_in >= 0:
+        if not as_real(self.flow_in, "flow_in") >= 0:
             raise ValueError("flow_in must be nonnegative")
         if self.kind == REGULATORY and self.flow_in != 0:
             raise ValueError("the regulatory dynamics has no inflow; "

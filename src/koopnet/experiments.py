@@ -253,36 +253,44 @@ def _failed(experiment: str, n: int, method: str, size: int | None,
                        runtime_s, stage)
 
 
+def _trial(experiment: str, config: ExperimentConfig, n: int, trial: int,
+           seeds, rates, cells, truths: int, ticks: int) -> list[TrialRecord]:
+    """Every record of one trial of either sweep.  Its data, with ``truths``
+    held-out trajectories of ``ticks`` ticks, is drawn from ``seeds`` once
+    for all ``(method, spec, build)`` cells; should the draw raise, every
+    rate of every cell records it at stage "setup", with the cell's size."""
+    try:
+        graph, train, held_out = _trial_data(config, n, seeds, truths, ticks)
+    except Exception as exc:  # e.g. divergence while simulating the data
+        return [_failed(experiment, n, method, spec and spec.size, rate,
+                        trial, seeds["truth"], exc, "setup")
+                for method, spec, _ in cells for rate in rates]
+    return [rec for method, spec, build in cells for rec in _rate_records(
+        experiment, n, trial, seeds["truth"], rates, method, spec and spec.size,
+        *build(config, seeds, spec, graph, train, *held_out))]
+
+
 # ---------------------------------------------------------------------------
 # Linearization sweep
 
-def _linearization_cell(spec, train_trajs, test_trajs):
-    """A cell as a method without a shared step: ``solve`` fits ``spec``."""
+def _linearization_cell(config, seeds, spec, graph, train_trajs, *test_trajs):
+    """A dictionary as a method without a shared step: ``solve`` fits it."""
     def solve(_, budget):
         model = fit(assemble_training(train_trajs, spec))
         return linearization_nrmse(model, test_trajs), True
 
-    return spec.size, lambda max_budget: None, solve
+    return lambda max_budget: None, solve
 
 
 def _linearization_for_n(config: ExperimentConfig, n: int) -> list[TrialRecord]:
-    cells = (([("dmd", identity_spec(n))] if config.include_dmd else [])
+    specs = (([("dmd", identity_spec(n))] if config.include_dmd else [])
              + [("log", log_spec(n, scale=config.scale, powers=tuple(powers)))
                 for powers in config.log_power_grid]
              + [("poly", poly_spec(n, max_power=max_power))
                 for max_power in config.poly_power_grid])
-    seeds = _trial_seeds(config, n)
-    try:
-        _, train_trajs, test_trajs = _trial_data(config, n, seeds,
-                                                 config.test_trajectories,
-                                                 config.training_ticks)
-    except Exception as exc:  # e.g. divergence while generating the data
-        return [_failed("linearization", n, method, spec.size, None, 0,
-                        seeds["truth"], exc, "setup")
-                for method, spec in cells]
-    return [rec for method, spec in cells for rec in _rate_records(
-        "linearization", n, 0, seeds["truth"], (None,), method,
-        *_linearization_cell(spec, train_trajs, test_trajs))]
+    return _trial("linearization", config, n, 0, _trial_seeds(config, n), (None,),
+                  [(method, spec, _linearization_cell) for method, spec in specs],
+                  config.test_trajectories, config.training_ticks)
 
 
 def run_linearization_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -295,26 +303,24 @@ def run_linearization_sweep(config: ExperimentConfig) -> ExperimentReport:
 # Sampling-rate sweep
 
 def _sampling_trial(config: ExperimentConfig, n: int, trial: int) -> list[TrialRecord]:
-    seeds = _trial_seeds(config, n, trial)
-    methods = [m for m in _METHODS if m == PROPOSED or m in config.baselines]
-    try:
-        graph, train_trajs, (truth,) = _trial_data(config, n, seeds, 1,
-                                                   config.sampling_ticks)
-    except Exception as exc:  # e.g. divergence while simulating the data
-        return [_failed("sampling", n, method, None, rate, trial,
-                        seeds["truth"], exc, "setup")
-                for method in methods for rate in config.sampling_rates]
-    return [rec for method in methods for rec in _rate_records(
-        "sampling", n, trial, seeds["truth"], config.sampling_rates, method,
-        *_METHODS[method](config, n, seeds, graph, train_trajs, truth))]
+    # the proposed method's dictionary comes from the config, the poly
+    # baseline's takes its default power, the graph basis has none
+    cells = [(PROPOSED, log_spec(n, scale=config.scale,
+                                 powers=config.log_powers), _log_koopman)]
+    if POLY_GRAMIAN in config.baselines:
+        cells.append((POLY_GRAMIAN, poly_spec(n), _poly_gramian))
+    if LINEAR_GFT in config.baselines:
+        cells.append((LINEAR_GFT, None, _linear_gft))
+    return _trial("sampling", config, n, trial, _trial_seeds(config, n, trial),
+                  config.sampling_rates, cells, 1, config.sampling_ticks)
 
 
 def _rate_records(experiment: str, n: int, trial: int, seed: int, rates,
                   method: str, size: int | None, prepare,
                   solve) -> list[TrialRecord]:
-    """One method's records, one per rate, from the ``(size, prepare,
-    solve)`` that ``_METHODS[method]`` or ``_linearization_cell`` builds:
-    every record of both sweeps past the trial's data is made here.
+    """One cell's records, one per rate, from the ``(prepare, solve)`` that
+    its ``build(config, seeds, spec, graph, train_trajs, *truth_trajs)``
+    returns: every record of both sweeps past the trial's data is made here.
 
     ``prepare(max_budget)`` builds the method's model and runs its
     once-per-trial step at the largest budget; its result serves every rate,
@@ -346,10 +352,9 @@ def _rate_records(experiment: str, n: int, trial: int, seed: int, rates,
     return records
 
 
-def _log_koopman(config, n, seeds, graph, train_trajs, truth):
+def _log_koopman(config, seeds, spec, graph, train_trajs, truth):
     params = config.params()
     tau = config.sampling_ticks
-    spec = log_spec(n, scale=config.scale, powers=config.log_powers)
     opt = config.optimizer(seeds["opt"])
 
     def prepare(max_budget):
@@ -376,12 +381,11 @@ def _log_koopman(config, n, seeds, graph, train_trajs, truth):
         result = recover_initial_state(samples, theta, spec, opt)
         return nrmse(result.trajectory, truth.states), result.converged
 
-    return spec.size, prepare, solve
+    return prepare, solve
 
 
-def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
+def _poly_gramian(config, seeds, spec, graph, train_trajs, truth):
     tau = config.sampling_ticks
-    spec = poly_spec(n)
 
     def prepare(max_budget):
         model = fit(assemble_training(train_trajs, spec))
@@ -395,10 +399,10 @@ def _poly_gramian(config, n, seeds, graph, train_trajs, truth):
         trajectory, _ = linear_observable_recover(samples, model)
         return nrmse(trajectory, truth.states), True
 
-    return spec.size, prepare, solve
+    return prepare, solve
 
 
-def _linear_gft(config, n, seeds, graph, train_trajs, truth):
+def _linear_gft(config, seeds, spec, graph, train_trajs, truth):
     def solve(_, budget):
         basis = build_laplacian_basis(graph, budget)
         nodes, reached = linear_gft_select(basis, budget)
@@ -406,11 +410,7 @@ def _linear_gft(config, n, seeds, graph, train_trajs, truth):
                                               truth.states[list(nodes)])
         return nrmse(x_hat, truth.states), reached
 
-    return None, lambda max_budget: None, solve
-
-
-_METHODS = {PROPOSED: _log_koopman, POLY_GRAMIAN: _poly_gramian,
-            LINEAR_GFT: _linear_gft}
+    return lambda max_budget: None, solve
 
 
 def run_sampling_sweep(config: ExperimentConfig) -> ExperimentReport:

@@ -211,6 +211,9 @@ def model_from_dict(d: dict) -> KoopmanModel:
     """Rebuild a model; its operator is a list of rows of finite numbers."""
     check_fields(d, KoopmanModel, "model",
                  types={"operator": tuple[tuple[float, ...], ...]})
+    lengths = [len(row) for row in d["operator"]]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"operator: rows of lengths {lengths} are not a matrix")
     return KoopmanModel(operator=np.asarray(d["operator"], dtype=float),
                         spec=spec_from_dict(d["spec"]),
                         residual=float(d["residual"]))

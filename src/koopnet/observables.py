@@ -180,13 +180,7 @@ def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
         # rows 1.. hold one block per node: its scaled state, then its logs
         blocks = z[1:].reshape(spec.n, 1 + len(spec.log_powers), t)
         blocks[:, 0] = u
-        for k, p in enumerate(spec.log_powers):
-            base = 1.0 + u ** p
-            if (base <= 0.0).any():
-                node = int(np.argwhere((base <= 0.0).any(axis=-1)).ravel()[0])
-                raise ValueError(
-                    f"log entry undefined: 1 + (x/{spec.scale:g})**{p} <= 0 "
-                    f"at node {node}")
+        for k, base in enumerate(_log_bases(spec, u)):
             blocks[:, 1 + k] = np.log(base)
         return z
 
@@ -201,6 +195,21 @@ def lift_trajectory(spec: ObservableSpec, states: np.ndarray) -> np.ndarray:
     pair = j_pow > 0
     z[pair] *= table[j_pow[pair], j_idx[pair]]
     return z
+
+
+def _log_bases(spec: ObservableSpec, u: np.ndarray) -> list[np.ndarray]:
+    """``1 + u**p`` for each log power ``p`` of ``spec``, at the scaled
+    states ``u`` (one node per row), or a ValueError naming the lowest node
+    where one is <= 0, and that node's first such power."""
+    bases = [1.0 + u ** p for p in spec.log_powers]
+    if min(base.min() for base in bases) <= 0.0:
+        bad = np.array([(base <= 0.0).reshape(spec.n, -1).any(axis=1)
+                        for base in bases])     # power x node
+        node = int(np.flatnonzero(bad.any(axis=0))[0])
+        p = spec.log_powers[int(np.flatnonzero(bad[:, node])[0])]
+        raise ValueError(f"log entry undefined: 1 + (x/{spec.scale:g})**{p} "
+                         f"<= 0 at node {node}")
+    return bases
 
 
 def unlift_trajectory(spec: ObservableSpec, z: np.ndarray) -> np.ndarray:
@@ -230,14 +239,7 @@ def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
     jac = np.zeros((spec.size, spec.n))
     if spec.kind == LOG:
         u = x / spec.scale
-        bases = np.array([1.0 + u ** p for p in spec.log_powers])
-        bad = bases <= 0.0
-        if bad.any():
-            node = int(np.flatnonzero(bad.any(axis=0))[0])
-            p = spec.log_powers[int(np.flatnonzero(bad[:, node])[0])]
-            raise ValueError(
-                f"log entry undefined: 1 + (x/{spec.scale:g})**{p} <= 0 "
-                f"at node {node}")
+        bases = _log_bases(spec, u)
         # node i's partials: its scaled state, then one per power
         partials = np.empty((spec.n, 1 + len(spec.log_powers)))
         partials[:, 0] = 1.0 / spec.scale

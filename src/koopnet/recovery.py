@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import nrmse, per_tick_nrmse
-from .observables import (ObservableSpec, lift_jacobian, lift_trajectory,
-                          unlift_trajectory)
+from .observables import (ObservableSpec, as_int, lift_jacobian,
+                          lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
 from .sampling import RANK_TOL, SamplingPlan, sampled_factor, selected_rows
 
@@ -52,7 +52,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.multistarts < 0:
+        if as_int(self.multistarts, "multistarts") < 0:
             raise ValueError("multistarts must be nonnegative")
 
 

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .koopman import KoopmanModel
-from .observables import (ObservableSpec, as_int, check_fields, spec_from_dict,
-                          spec_to_dict)
+from .observables import (ObservableSpec, as_int, as_real, check_fields,
+                          spec_from_dict, spec_to_dict)
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
 # treated as zero in rank checks and lstsq solves (resp. scoring a set).
@@ -46,9 +46,9 @@ class SelectionConfig:
     max_nodes: int | None = None
 
     def __post_init__(self):
-        if self.gamma is not None and not self.gamma >= 1.0:
+        if self.gamma is not None and not as_real(self.gamma, "gamma") >= 1.0:
             raise ValueError("gamma is a singular-value quotient; it cannot be < 1")
-        if self.max_nodes is not None and self.max_nodes < 1:
+        if self.max_nodes is not None and as_int(self.max_nodes, "max_nodes") < 1:
             raise ValueError("max_nodes must be at least 1")
 
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from koopnet import (DynamicsParams, ExperimentConfig, ExperimentReport,
-                     SelectionConfig, TrialRecord, aggregate, emit,
-                     linearization_nrmse, report_from_json,
+                     OptimizerConfig, SelectionConfig, TrialRecord, aggregate,
+                     emit, linearization_nrmse, report_from_json,
                      run_linearization_sweep, run_sampling_sweep)
 from koopnet import experiments, recovery
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
@@ -195,6 +195,18 @@ def test_constructor_range_checks_reject_nan(build, message):
     # each once constructed; the NaN inflow failed only deep in a sweep,
     # as "simulation diverged at tick 1"
     with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: DynamicsParams(kind="biochemical", flow_in="5"), "flow_in"),
+    (lambda: SelectionConfig(gamma="5"), "gamma"),
+    (lambda: SelectionConfig(max_nodes="3"), "max_nodes"),
+    (lambda: OptimizerConfig(multistarts="2"), "multistarts")],
+    ids=["flow_in", "gamma", "max_nodes", "multistarts"])
+def test_constructor_number_checks_name_the_field(build, field):
+    # each once raised a bare TypeError from comparing a string
+    with pytest.raises(ValueError, match=f"^{field}: '"):
         build()
 
 
@@ -592,10 +604,39 @@ def test_sampling_sweep_records_setup_failures():
     assert len(report.records) == 2 * 2 * 3
     assert {r.method for r in report.records} == {PROPOSED, POLY_GRAMIAN,
                                                   LINEAR_GFT}
+    sizes = {PROPOSED: log_spec(5, scale=cfg.scale, powers=cfg.log_powers).size,
+             POLY_GRAMIAN: poly_spec(5).size, LINEAR_GFT: None}
     for rec in report.records:
         assert rec.error is not None and "diverged" in rec.error
         assert rec.budget == _budget(rec.rate, 5)
+        assert rec.dictionary_size == sizes[rec.method]
         assert rec.stage == "setup"
+
+
+def test_failed_draw_counts_in_its_methods_aggregate_row(monkeypatch):
+    # a setup record once carried no dictionary size, so a failed trial
+    # split each dictionary method's rows in two
+    cfg = ExperimentConfig(n_values=(5,), seed=2, trials=3,
+                           training_trajectories=20, training_ticks=20,
+                           sampling_ticks=8, sampling_rates=(0.4, 1.0),
+                           refine_trajectories=0)
+    failing = _trial_seeds(cfg, 5, 1)
+
+    def fail_trial_1(config, n, seeds, truths, ticks):
+        if seeds == failing:
+            raise RuntimeError("boom")
+        return _trial_data(config, n, seeds, truths, ticks)
+
+    monkeypatch.setattr(experiments, "_trial_data", fail_trial_1)
+    report = run_sampling_sweep(cfg)
+    sizes = {PROPOSED: log_spec(5, scale=cfg.scale, powers=cfg.log_powers).size,
+             POLY_GRAMIAN: poly_spec(5).size, LINEAR_GFT: None}
+    rows = report.aggregates
+    assert sorted((row["method"], row["rate"]) for row in rows) == \
+        sorted((method, rate) for method in sizes for rate in cfg.sampling_rates)
+    for row in rows:
+        assert row["trials"] == 3 and row["failures"] == 1
+        assert row["dictionary_size"] == sizes[row["method"]]
 
 
 def test_linearization_cell_failure_fails_that_cell_alone(monkeypatch):

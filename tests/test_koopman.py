@@ -556,7 +556,8 @@ MODEL_WRONG_KINDS = (
                                [[True] * 4] * 4, [[math.nan] * 4] * 4,
                                [[0.0] * 3 + [math.inf]] * 4)]
     + [("residual", v) for v in ([0.0], "0", True, None, math.nan,
-                                 -math.inf)])
+                                 -math.inf)]
+    + [("operator", [[0.0] * 4] * 3 + [[0.0] * 3])])      # ragged rows
 
 
 @pytest.mark.parametrize("field, value", MODEL_WRONG_KINDS)

@@ -450,6 +450,18 @@ def test_log_jacobian_names_the_lowest_node_out_of_domain():
     assert "**1 " in str(err.value)        # its first failing power
 
 
+def test_lift_and_jacobian_name_the_same_node_and_power():
+    spec = log_spec(4, scale=1.0, powers=(2, 3, 1))
+    x = np.array([0.5, -2.0, 0.5, -3.0])   # nodes 1 and 3 fail at p = 3, 1
+    messages = set()
+    for lift, state in ((lift_trajectory, x), (lift_trajectory, x[:, None]),
+                        (lift_jacobian, x)):
+        with pytest.raises(ValueError) as err:
+            lift(spec, state)
+        messages.add(str(err.value))
+    assert messages == {"log entry undefined: 1 + (x/1)**3 <= 0 at node 1"}
+
+
 def test_jacobian_rejects_bad_state():
     spec = log_spec(3)
     with pytest.raises(ValueError):
