@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import nrmse, per_tick_nrmse
-from .observables import (ObservableSpec, as_int, lift_jacobian,
+from .observables import (ObservableSpec, as_int, as_real, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
 from .sampling import RANK_TOL, SamplingPlan, sampled_factor, selected_rows
@@ -38,22 +38,26 @@ class OptimizerConfig:
 
     ``fill_value`` is the starting guess for unsampled nodes (conventionally
     the midpoint of the dynamics' initial-state range); sampled nodes always
-    start from their observed first-tick values.  ``multistarts`` extra runs
-    perturb the unsampled entries with Gaussian jitter of standard deviation
-    ``JITTER_SCALE * max(|fill_value|, 1)``, and one further deterministic
-    start unlifts the min-norm least-squares solution of the sampled linear
-    system; the run with the lowest final objective wins.  Every run keeps
-    ``minimize_dfp``'s defaults: its iteration cap (500), gradient tolerance
-    (1e-8) and Wolfe constants.
+    start from their observed first-tick values.  That base start runs
+    first, then one deterministic start that unlifts the min-norm
+    least-squares solution of the sampled linear system; the run with the
+    lowest final objective wins.  ``multistarts`` (opt-in, 0 by default)
+    adds runs between the two that perturb the unsampled entries with
+    Gaussian jitter of standard deviation ``JITTER_SCALE * max(|fill_value|,
+    1)``, drawn from ``seed``.  Every run keeps ``minimize_dfp``'s defaults:
+    its iteration cap (500), gradient tolerance (1e-8) and Wolfe constants.
     """
 
-    multistarts: int = 3
+    multistarts: int = 0
     fill_value: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
         if as_int(self.multistarts, "multistarts") < 0:
             raise ValueError("multistarts must be nonnegative")
+        if not math.isfinite(as_real(self.fill_value, "fill_value")):
+            raise ValueError(f"fill_value: {self.fill_value!r} is not finite")
+        as_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -188,9 +192,9 @@ def _linear_warm_start(a: np.ndarray, y: np.ndarray,
 
     Ignoring the constraint that z must lie on the lift manifold gives a
     linear least-squares problem whose solution, read back through the
-    dictionary's linear entries, usually lands in the right basin even when
-    the jittered starts do not.  Entries are floored at zero because both
-    dynamics evolve nonnegative states.
+    dictionary's linear entries, can land in a basin the base start misses.
+    Entries are floored at zero because both dynamics evolve nonnegative
+    states.
     """
     if not (np.isfinite(a).all() and np.isfinite(y).all()):
         return None

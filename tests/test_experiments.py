@@ -8,6 +8,7 @@ full select/sample/recover pipeline end to end.
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,15 +199,22 @@ def test_constructor_range_checks_reject_nan(build, message):
         build()
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: DynamicsParams(kind="biochemical", flow_in="5"), "flow_in"),
-    (lambda: SelectionConfig(gamma="5"), "gamma"),
-    (lambda: SelectionConfig(max_nodes="3"), "max_nodes"),
-    (lambda: OptimizerConfig(multistarts="2"), "multistarts")],
-    ids=["flow_in", "gamma", "max_nodes", "multistarts"])
-def test_constructor_number_checks_name_the_field(build, field):
-    # each once raised a bare TypeError from comparing a string
-    with pytest.raises(ValueError, match=f"^{field}: '"):
+@pytest.mark.parametrize("build, message", [
+    (lambda: DynamicsParams(kind="biochemical", flow_in="5"), "flow_in: '5'"),
+    (lambda: SelectionConfig(gamma="5"), "gamma: '5'"),
+    (lambda: SelectionConfig(max_nodes="3"), "max_nodes: '3'"),
+    (lambda: OptimizerConfig(multistarts="2"), "multistarts: '2'"),
+    (lambda: OptimizerConfig(fill_value="0.5"),
+     "fill_value: '0.5' is not a real number"),
+    (lambda: OptimizerConfig(fill_value=math.nan),
+     "fill_value: nan is not finite"),
+    (lambda: OptimizerConfig(seed=1.5), "seed: 1.5 is not an integer")],
+    ids=["flow_in", "gamma", "max_nodes", "multistarts", "fill_value-string",
+         "fill_value-nan", "seed-float"])
+def test_constructor_number_checks_name_the_field(build, message):
+    # the first four once raised a bare TypeError from comparing a string;
+    # the last three constructed and failed only inside the recovery
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         build()
 
 
@@ -832,5 +840,5 @@ def test_sweep_dfp_runs_keep_the_inverse_hessian_exactly_symmetric(monkeypatch):
         run_sampling_sweep(ExperimentConfig(dynamics=dynamics, n_values=(20,),
                                             trials=1, sampling_rates=rates,
                                             baselines=()))
-    assert len(runs) == 20      # four recoveries, five starts each
-    assert [run.max_asymmetry for run in runs] == [0.0] * 20
+    assert len(runs) == 8       # four recoveries, base and warm starts each
+    assert [run.max_asymmetry for run in runs] == [0.0] * 8

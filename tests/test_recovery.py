@@ -347,13 +347,48 @@ def test_recovery_keeps_the_winning_runs_diagnostics(monkeypatch):
 
     monkeypatch.setattr(recovery, "minimize_dfp", recording)
     spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
-    result = recover_initial_state(samples, theta, spec,
-                                   OptimizerConfig(fill_value=1.0, seed=5))
+    result = recover_initial_state(
+        samples, theta, spec,
+        OptimizerConfig(fill_value=1.0, multistarts=3, seed=5))
     best = min(runs, key=lambda run: run.fun)   # the first of equals wins
     assert len(runs) == 5
     assert result.gradient_norm == best.gradient_norm
     assert result.resets == best.resets
     assert result.iterations == best.iterations
+
+
+@pytest.mark.parametrize("jitter, runs", [({}, 2), ({"multistarts": 3}, 5)],
+                         ids=["default", "jitter-opt-in"])
+def test_recovery_runs_base_then_jitter_then_warm(monkeypatch, jitter, runs):
+    starts = []
+    real = recovery.minimize_dfp
+
+    def recording(fun, grad, x0, **kwargs):
+        starts.append(np.array(x0))
+        return real(fun, grad, x0, **kwargs)
+
+    monkeypatch.setattr(recovery, "minimize_dfp", recording)
+    spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
+    recover_initial_state(samples, theta, spec,
+                          OptimizerConfig(fill_value=1.0, seed=5, **jitter))
+    r_a, r_y = sampled_factor([selected_rows(plan, theta)], samples.values)
+    assert len(starts) == runs
+    assert np.array_equal(starts[0], initial_guess(samples, spec, 1.0))
+    assert np.array_equal(starts[-1], _linear_warm_start(r_a, r_y, spec))
+    # the jittered starts move only the unsampled nodes
+    for x0 in starts[1:-1]:
+        assert np.array_equal(x0[:2], starts[0][:2])
+        assert not np.array_equal(x0[2:], starts[0][2:])
+
+
+def test_nrmse_does_not_depend_on_memory_layout():
+    # a trajectory read from CSV is Fortran-ordered, a simulated one is not
+    rng = np.random.default_rng(8)
+    estimate, truth = rng.uniform(0.0, 100.0, size=(2, 20, 20))
+    f_estimate, f_truth = np.asfortranarray(estimate), np.asfortranarray(truth)
+    assert nrmse(f_estimate, f_truth) == nrmse(estimate, truth)
+    assert np.array_equal(per_tick_nrmse(f_estimate, f_truth),
+                          per_tick_nrmse(estimate, truth))
 
 
 @pytest.mark.parametrize("rows", [40, 8])   # M = 13: tall, and short of M
