@@ -9,6 +9,15 @@ initial state can be recovered from the samples.  This module is the one
 reader of those rows: off the stack of powers, or off K alone.  Nodes are
 added greedily until the score clears a threshold or a sensor budget is
 exhausted.
+
+Each pick bounds every candidate's score from below by the eigenvalues of
+the candidate's own Gram, with error terms of 100 (m + M) eps for the
+Gram's rounding, the eigensolver and the SVD (Higham 2002, sec. 3.5; LAPACK
+Users' Guide secs. 4.7 and 4.9), and computes the exact SVD score only for
+the candidates whose bound does not exceed the best exact score so far.
+Picks and score traces are those of scoring every candidate, bit for bit.
+While every score is still infinite (the rank-deficient phase), every
+candidate is scored.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .observables import (ObservableSpec, as_int, as_real, check_fields,
 RANK_TOL = 1e-10
 SCORE_TOL = 1e-12
 _FOLD_ROWS = 2   # pending rows, in multiples of M, folded into R at once
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,33 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return int((svals > RANK_TOL * svals[0]).sum())
 
 
+def _score_floor(gram: np.ndarray, rows: int, n: int) -> tuple[float, float]:
+    """``(lambda_N / lambda_1, floor)`` for a stack of ``rows`` rows whose
+    computed Gram is ``gram``: the eigenvalue quotient greedy selection
+    visits candidates by, and a lower bound on the score ``sigma_quotient``
+    computes for that stack (-inf when the eigenvalues cannot be had).
+
+    ``delta`` covers the Gram's rounding (Higham 2002, sec. 3.5) and the
+    eigensolver's backward error (LAPACK Users' Guide sec. 4.7), ``err``
+    the SVD's error on each computed singular value (sec. 4.9); both carry
+    a factor of 100 over the constants those bounds state.
+    """
+    try:
+        lam = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:
+        return 0.0, -math.inf
+    top, nth = float(lam[-1]), max(float(lam[-n]), 0.0)
+    slack = 100 * (rows + gram.shape[0]) * _EPS
+    delta = slack * float(np.trace(gram))
+    err = slack * math.sqrt(max(top + delta, 0.0))
+    sigma_1 = math.sqrt(max(top - delta, 0.0)) - err
+    sigma_n = math.sqrt(nth + delta) + err
+    if not math.isfinite(sigma_1 + sigma_n):   # overflow or NaN: no bound
+        return 0.0, -math.inf
+    floor = math.inf if sigma_n <= SCORE_TOL * sigma_1 else sigma_1 / sigma_n
+    return (nth / top if top > 0.0 else 0.0), floor
+
+
 def greedy_select(theta: np.ndarray, spec: ObservableSpec,
                   config: SelectionConfig | None = None) -> SamplingPlan:
     """Grow a node set one node at a time, always taking the candidate with the
@@ -213,6 +250,16 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     (at most M x M), which has the same singular values, so each candidate
     is scored on that factor plus only the rows it adds.  Scores agree with
     scoring the full row stack up to rounding.
+
+    Each pick first bounds every candidate's score from the eigenvalues of
+    its own M x M Gram (``_score_floor``), one Gram at a time, and visits the
+    candidates by descending lambda_N / lambda_1.  The exact SVD score of
+    ``sigma_quotient`` is taken for the first, and for every later one whose
+    bound does not exceed the best exact score so far; the bound is a lower
+    bound on the computed score, so a skipped candidate could not have won
+    and picks and scores are those of scoring every candidate.  While that
+    best score is infinite (the rank-deficient phase), or when a candidate
+    adds too few rows for N singular values, every candidate is scored.
     """
     tau, size = theta.shape[:2]
     if size != spec.size:
@@ -228,24 +275,42 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
         for v in owners:
             owned[v].append(m)
     selected: list[int] = []
+    chosen: set[int] = set()
     obs = gamma_map(selected, spec, tau).observable_indices
     r_s = np.linalg.qr(_rows(theta, obs), mode="r")
 
-    def new_rows(cand):
-        new_obs = [m for m in owned[cand]
-                   if all(v == cand or v in selected for v in spec.owners[m])]
-        return _rows(theta, np.array(new_obs, dtype=int))
-
-    def key(cand):
-        score, sigma_n = sigma_quotient(np.vstack([r_s, new_rows(cand)]), n)
-        return score, -sigma_n, cand
+    def new_obs(cand):
+        return np.array([m for m in owned[cand]
+                         if all(v == cand or v in chosen
+                                for v in spec.owners[m])], dtype=int)
 
     trace: list[float] = []
     while len(selected) < budget:
-        current_score, _, best = min(key(cand) for cand in range(n)
-                                     if cand not in selected)
-        r_s = np.linalg.qr(np.vstack([r_s, new_rows(best)]), mode="r")
-        selected.append(best)
+        added = {c: new_obs(c) for c in range(n) if c not in chosen}
+        if min(tau * a.size for a in added.values()) + r_s.shape[0] < n:
+            visits = [(c, -math.inf) for c in added]
+        else:
+            gram_s = r_s.T @ r_s
+            bounds = []
+            for c, a in added.items():
+                rows = _rows(theta, a)
+                gram = rows.T @ rows
+                gram += gram_s
+                order, floor = _score_floor(gram, r_s.shape[0] + rows.shape[0], n)
+                bounds.append((-order, c, floor))
+            visits = [(c, floor) for _, c, floor in sorted(bounds)]
+        best, best_rows = None, None
+        for c, floor in visits:
+            if best is not None and floor > best[0]:
+                continue
+            rows = _rows(theta, added[c])
+            score, sigma_n = sigma_quotient(np.vstack([r_s, rows]), n)
+            if best is None or (score, -sigma_n, c) < best:
+                best, best_rows = (score, -sigma_n, c), rows
+        current_score, _, pick = best
+        r_s = np.linalg.qr(np.vstack([r_s, best_rows]), mode="r")
+        selected.append(pick)
+        chosen.add(pick)
         trace.append(current_score)
         if config.gamma is not None and current_score <= config.gamma:
             break

@@ -31,6 +31,7 @@ from koopnet import (
     take_samples,
     verify_rank,
 )
+from koopnet import sampling
 from koopnet.sampling import (numerical_rank, operator_rows, plan_from_dict,
                               plan_to_dict, sampled_factor, selected_rows)
 
@@ -291,6 +292,173 @@ def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
         for got, want in zip(plan.score_trace, trace):
             if math.isfinite(want):
                 assert got == pytest.approx(want, rel=1e-8)
+
+
+def _every_candidate_greedy(theta, spec, gamma, budget):
+    """Reference greedy without pruning: every candidate scored by SVD on the
+    carried QR factor plus the rows it adds, with greedy_select's key."""
+    tau, size = theta.shape[:2]
+    selected, trace = [], []
+    plan = gamma_map([], spec, tau)
+    obs = plan.observable_indices
+    r_s = np.linalg.qr(selected_rows(plan, theta), mode="r")
+    while len(selected) < budget:
+        best = None
+        for cand in range(spec.n):
+            if cand in selected:
+                continue
+            new = np.setdiff1d(gamma_map(selected + [cand], spec, tau)
+                               .observable_indices, obs)
+            rows = np.take(theta, new, axis=1).reshape(-1, size)
+            score, sigma_n = sigma_quotient(np.vstack([r_s, rows]), spec.n)
+            if best is None or (score, -sigma_n, cand) < best[0]:
+                best = (score, -sigma_n, cand), rows
+        (score, _, pick), rows = best
+        r_s = np.linalg.qr(np.vstack([r_s, rows]), mode="r")
+        selected.append(pick)
+        obs = gamma_map(selected, spec, tau).observable_indices
+        trace.append(score)
+        if gamma is not None and score <= gamma:
+            break
+    return tuple(selected), tuple(trace)
+
+
+class _CountedScores:
+    """Stands in for ``koopnet.sampling.sigma_quotient`` and counts calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, matrix, k):
+        self.calls += 1
+        return sigma_quotient(matrix, k)
+
+
+@pytest.mark.parametrize("spec, tau", [(identity_spec(6), 3),
+                                       (identity_spec(8), 8),
+                                       (log_spec(10, powers=(1, 2)), 2),
+                                       (log_spec(8), 6),
+                                       (poly_spec(10, max_power=1), 2),
+                                       (poly_spec(5, max_power=2), 4)],
+                         ids=["identity", "identity-long", "log", "log-long",
+                              "poly", "poly2"])
+@pytest.mark.parametrize("finite_gamma", [False, True])
+@pytest.mark.parametrize("worst_first", [False, True])
+def test_pruned_greedy_is_bit_identical_to_scoring_every_candidate(
+        spec, tau, finite_gamma, worst_first, monkeypatch):
+    # the Gram-eigenvalue bounds may only skip candidates that cannot win,
+    # so picks and every trace entry equal exhaustive scoring exactly, and
+    # in whatever order the candidates are visited
+    rng = np.random.default_rng(30)
+    counted = _CountedScores()
+    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
+    if worst_first:
+        best_first = sampling._score_floor
+
+        def reversed_order(*args):
+            order, floor = best_first(*args)
+            return -order, floor
+
+        monkeypatch.setattr("koopnet.sampling._score_floor", reversed_order)
+    exhaustive = 0
+    for _ in range(3):
+        op = rng.normal(size=(spec.size, spec.size))
+        op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+        theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0),
+                            tau)
+        gamma = None
+        nodes, trace = _every_candidate_greedy(theta, spec, None, spec.n)
+        if finite_gamma:
+            finite = [s for s in trace if math.isfinite(s)]
+            gamma = finite[len(finite) // 2] * (1.0 + 1e-6)
+            nodes, trace = _every_candidate_greedy(theta, spec, gamma, spec.n)
+        plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma))
+        assert plan.nodes == nodes
+        assert plan.score_trace == trace
+        exhaustive += sum(spec.n - k for k in range(len(nodes)))
+    if not worst_first:   # worst-first, each candidate beats the last
+        assert counted.calls < exhaustive   # some candidates were skipped
+
+
+@pytest.mark.parametrize("cond", [1.0, 3.0, 1e3, 1e6, 1e9, 1e11, 1e12,
+                                  3e12, 1e13, 1e16, math.inf])
+@pytest.mark.parametrize("rows", [8, 30])
+def test_score_floor_bounds_the_computed_score(cond, rows):
+    # a stack with sigma_1 / sigma_N = cond (sigma_N = 0 at inf); the floor
+    # never exceeds the score sigma_quotient computes, infinite or not, and
+    # is tight while the Gram resolves sigma_N
+    n, size = 5, 7
+    rng = np.random.default_rng(rows)
+    for _ in range(20):
+        u, _ = np.linalg.qr(rng.normal(size=(rows, size)))
+        v, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        svals = np.geomspace(1.0, 1.0 / cond, n) if math.isfinite(cond) \
+            else np.r_[np.ones(n - 1), 0.0]
+        svals = np.r_[svals, svals[-1] * rng.uniform(0, 1, size - n)]
+        a = (u * svals) @ v.T * 10.0 ** rng.uniform(-3, 3)
+        score, _ = sigma_quotient(a, n)
+        order, floor = sampling._score_floor(a.T @ a, rows, n)
+        assert 0.0 <= order <= 1.0
+        assert floor <= score
+        if cond <= 1e3:
+            assert floor >= score * (1.0 - 1e-6)
+
+
+def test_an_exact_tie_goes_to_the_lower_node_under_pruning(monkeypatch):
+    # nodes 2 and 3 read bit-identical rows, orthonormal over the ticks, so
+    # both score about 1 and bit for bit the same; every other node is worse
+    n = 6
+    rng = np.random.default_rng(8)
+    theta = rng.normal(size=(n, n, n))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    theta[:, 2, :] = q
+    theta[:, 3, :] = q
+    spec = identity_spec(n)
+    counted = _CountedScores()
+    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
+    plan = greedy_select(theta, spec, SelectionConfig(gamma=None))
+    nodes, trace = _every_candidate_greedy(theta, spec, None, n)
+    assert plan.nodes[0] == 2 and plan.nodes == nodes
+    assert plan.score_trace == trace
+    # the tie was decided with pruning on
+    assert counted.calls < sum(range(1, n + 1))
+
+
+def test_a_nan_in_the_stack_fails_in_the_svd():
+    # the Gram's eigensolver fails on it first; that candidate is then
+    # scored, so the error is the SVD's, as when every candidate is scored
+    theta = np.random.default_rng(0).normal(size=(6, 6, 6))
+    theta[2, 3, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        greedy_select(theta, identity_spec(6), SelectionConfig(gamma=None))
+
+
+def test_pruning_on_the_bio_n40_instance(monkeypatch):
+    # the n = 40 biochemical instance of config seed 0, trial 0, at the
+    # largest budget (75%: 30 nodes): 765 candidates in all, and pruning
+    # must leave at most 200 exact scorings without moving a bit
+    from koopnet.experiments import (ExperimentConfig, _budget, _trial_data,
+                                     _trial_seeds)
+    from koopnet.koopman import assemble_training, fit
+
+    config = ExperimentConfig(seed=0, trials=1, dynamics="biochemical",
+                              n_values=(40,), sampling_ticks=20, baselines=())
+    seeds = _trial_seeds(config, 40, 0)
+    _, train, _ = _trial_data(config, 40, seeds, 1, config.sampling_ticks)
+    spec = log_spec(40, scale=config.scale, powers=config.log_powers)
+    theta = build_theta(fit(assemble_training(train, spec)),
+                        config.sampling_ticks)
+    budget = _budget(max(config.sampling_rates), 40)
+    assert budget == 30
+    nodes, trace = _every_candidate_greedy(theta, spec, config.gamma, budget)
+    assert sum(40 - k for k in range(budget)) == 765
+    counted = _CountedScores()
+    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
+    plan = greedy_select(theta, spec, SelectionConfig(gamma=config.gamma,
+                                                      max_nodes=budget))
+    assert plan.nodes == nodes
+    assert plan.score_trace == trace
+    assert counted.calls <= 200
 
 
 def test_sigma_n_never_drops_as_nodes_are_added():
