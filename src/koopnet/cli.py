@@ -92,7 +92,7 @@ def _cmd_recover(args) -> int:
     trajectory = trajectory_from_csv(args.trajectory)
     theta = build_theta(model, plan.tau)
     samples = take_samples(trajectory, model.spec, plan)
-    opt = config.optimizer(_trial_seeds(config, model.spec.n, 0)["opt"])
+    opt = config.optimizer()
     result = recover_initial_state(samples, theta, model.spec, opt)
     path = save_result(result, out / "recovery.json", truth=trajectory.states)
     payload = json.loads(path.read_text())

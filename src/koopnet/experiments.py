@@ -120,11 +120,11 @@ class ExperimentConfig:
             flow = 10.0 if self.dynamics == BIOCHEMICAL else 0.0
         return DynamicsParams(kind=self.dynamics, flow_in=flow)
 
-    def optimizer(self, seed: int) -> OptimizerConfig:
+    def optimizer(self) -> OptimizerConfig:
         """Recovery solver settings; unsampled nodes start at the midpoint of
-        the dynamics' initial-state range."""
+        the dynamics' initial-state range, and ``seed`` keeps its default."""
         low, high = default_initial_range(self.dynamics)
-        return OptimizerConfig(fill_value=0.5 * (low + high), seed=seed)
+        return OptimizerConfig(fill_value=0.5 * (low + high))
 
     def to_dict(self) -> dict:
         """The JSON form: every tuple becomes a list."""
@@ -219,10 +219,11 @@ def _trial_seeds(config: ExperimentConfig, n: int, *trial: int) -> dict[str, int
     """The seeds of one sampling trial, or with no trial index, of the
     linearization sweep at ``n`` (whose test ensemble is drawn from
     ``"truth"``).  The single-shot CLI commands use trial 0's, so
-    simulate/fit/select/recover compose with the sweep."""
+    simulate/fit/select draw the sweep's data.  The ``k``-th phase's seed
+    derives from ``(config.seed, n, *trial, k)``."""
     return {name: _child_seed(config.seed, n, *trial, phase)
-            for phase, name in enumerate(("graph", "train", "truth", "refine",
-                                          "opt"), start=1)}
+            for phase, name in enumerate(("graph", "train", "truth", "refine"),
+                                         start=1)}
 
 
 def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int],
@@ -355,7 +356,7 @@ def _rate_records(experiment: str, n: int, trial: int, seed: int, rates,
 def _log_koopman(config, seeds, spec, graph, train_trajs, truth):
     params = config.params()
     tau = config.sampling_ticks
-    opt = config.optimizer(seeds["opt"])
+    opt = config.optimizer()
 
     def prepare(max_budget):
         training = assemble_training(train_trajs, spec)
@@ -446,35 +447,25 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit(report: ExperimentReport, out_dir: str | Path,
-         formats: tuple[str, ...] = ("csv", "json")) -> list[Path]:
-    """Write the report; CSV carries only deterministic per-record fields
-    (wall-clock runtimes live in the JSON document)."""
+def emit(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
+    """Write the report's CSV and then its JSON document, and return
+    ``[csv_path, json_path]``.  The CSV carries only deterministic
+    per-record fields (wall-clock runtimes live in the JSON document)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = out_dir / f"{report.name}_report.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(CSV_COLUMNS)
-                for rec in report.records:
-                    d = rec.to_dict()
-                    writer.writerow([_csv_cell(d[col]) for col in CSV_COLUMNS])
-        elif fmt == "json":
-            path = out_dir / f"{report.name}_report.json"
-            payload = {
-                "name": report.name,
-                "config": report.config,
-                "records": [rec.to_dict() for rec in report.records],
-                "aggregates": report.aggregates,
-            }
-            path.write_text(json.dumps(payload, indent=1))
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        written.append(path)
-    return written
+    csv_path = out_dir / f"{report.name}_report.csv"
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in report.records:
+            d = rec.to_dict()
+            writer.writerow([_csv_cell(d[col]) for col in CSV_COLUMNS])
+    json_path = out_dir / f"{report.name}_report.json"
+    payload = {"name": report.name, "config": report.config,
+               "records": [rec.to_dict() for rec in report.records],
+               "aggregates": report.aggregates}
+    json_path.write_text(json.dumps(payload, indent=1))
+    return [csv_path, json_path]
 
 
 def report_from_json(path: str | Path) -> ExperimentReport:

@@ -20,7 +20,6 @@ import math
 import numbers
 import operator
 import typing
-import warnings
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 
@@ -29,10 +28,6 @@ import numpy as np
 LOG = "log"
 POLY = "poly"
 IDENTITY = "identity"
-
-# Advisory bound on |x|/C before the log entries drift away from their
-# small-argument polynomial behaviour.
-SCALE_HEADROOM = 0.2
 
 
 @dataclass(frozen=True)
@@ -259,18 +254,6 @@ def lift_jacobian(spec: ObservableSpec, x: np.ndarray) -> np.ndarray:
         if b:
             jac[m, j] = b * x[j] ** (b - 1) * x[i] ** a
     return jac
-
-
-def check_scale(spec: ObservableSpec, states: np.ndarray) -> float:
-    """Warn when data pushes |x|/C past the advisory headroom; returns the ratio."""
-    if spec.kind != LOG:
-        return 0.0
-    ratio = float(np.abs(np.asarray(states, dtype=float)).max() / spec.scale)
-    if ratio >= SCALE_HEADROOM:
-        warnings.warn(
-            f"states reach |x|/C = {ratio:.3g}, beyond the advisory headroom "
-            f"{SCALE_HEADROOM:g}; consider a larger scale", stacklevel=2)
-    return ratio
 
 
 # ---------------------------------------------------------------------------

@@ -260,11 +260,15 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     and picks and scores are those of scoring every candidate.  While that
     best score is infinite (the rank-deficient phase), or when a candidate
     adds too few rows for N singular values, every candidate is scored.
+    A stack holding NaN or +-inf is rejected up front.
     """
     tau, size = theta.shape[:2]
     if size != spec.size:
         raise ValueError(f"evolution stack has dictionary size {size}, "
                          f"the spec has size {spec.size}")
+    if not np.isfinite(theta).all():
+        raise ValueError("evolution stack holds a non-finite entry "
+                         "(NaN or +-inf)")
     config = config or SelectionConfig()
     n = spec.n
     budget = min(config.max_nodes or n, n)

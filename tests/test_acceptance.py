@@ -373,8 +373,7 @@ def test_criterion_7_determinism(tmp_path, acceptance_log):
         blobs = []
         for attempt in ("a", "b"):
             report = runner(config)
-            paths = emit(report, tmp_path / f"{name}_{attempt}",
-                         formats=("csv",))
+            paths = emit(report, tmp_path / f"{name}_{attempt}")
             blobs.append(paths[0].read_bytes())
         outcomes[name] = blobs[0] == blobs[1]
     ok = all(outcomes.values())

@@ -293,6 +293,17 @@ def test_trial_truth_is_the_single_state_simulation(dynamics, n):
         assert np.array_equal(truth.states, reference.states)
 
 
+def test_trial_seeds_are_pinned():
+    # each phase's seed derives from its position, so these values, and every
+    # sweep CSV drawn from them, move only if a phase ahead of it does
+    assert _trial_seeds(ExperimentConfig(), 20, 0) == {
+        "graph": 2255857561, "train": 947686497, "truth": 2337777764,
+        "refine": 3451715002}
+    assert _trial_seeds(ExperimentConfig(), 30) == {
+        "graph": 3044451371, "train": 1537413525, "truth": 2367399688,
+        "refine": 523857748}
+
+
 # ---------------------------------------------------------------------------
 # aggregation over hand-built records
 
@@ -481,7 +492,7 @@ def test_failed_infinite_and_older_records_load_back_unchanged(tmp_path):
     older = TrialRecord(**{**_record(), "trial": 2, "runtime_s": None})
     report = ExperimentReport(name="sampling", config={"seed": 0},
                               records=(failed, infinite, older))
-    (path,) = emit(report, tmp_path, formats=("json",))
+    _, path = emit(report, tmp_path)
     assert '"nrmse": Infinity' in path.read_text()
     # the third record as written before runtimes and stages were kept
     payload = json.loads(path.read_text())
@@ -494,7 +505,7 @@ def test_failed_infinite_and_older_records_load_back_unchanged(tmp_path):
 
 def test_report_record_with_an_unknown_key_is_rejected(lin_report, tmp_path):
     _, report = lin_report
-    (json_path,) = emit(report, tmp_path, formats=("json",))
+    _, json_path = emit(report, tmp_path)
     payload = json.loads(json_path.read_text())
     payload["records"][1]["wall_s"] = 1.0
     json_path.write_text(json.dumps(payload))
@@ -515,7 +526,7 @@ def test_report_with_removed_config_keys_still_loads(lin_report, tmp_path):
     # a report's config is kept as written, so one whose config carries
     # settings of older versions loads with its name and records
     _, report = lin_report
-    (json_path,) = emit(report, tmp_path, formats=("json",))
+    _, json_path = emit(report, tmp_path)
     payload = json.loads(json_path.read_text())
     payload["config"] = {**payload["config"], **REMOVED_KEYS}
     json_path.write_text(json.dumps(payload))
@@ -749,14 +760,13 @@ def test_multi_rate_sweep_matches_single_rate_sweeps(gamma, tmp_path):
                            training_trajectories=25, training_ticks=25,
                            sampling_ticks=10, sampling_rates=(0.3, 0.6, 1.0),
                            refine_trajectories=4, gamma=gamma)
-    (joint,) = emit(run_sampling_sweep(cfg), tmp_path / "joint",
-                    formats=("csv",))
+    joint, _ = emit(run_sampling_sweep(cfg), tmp_path / "joint")
     singles = [rec for rate in cfg.sampling_rates
                for rec in run_sampling_sweep(
                    dataclasses.replace(cfg, sampling_rates=(rate,))).records]
     merged = ExperimentReport("sampling", cfg.to_dict(),
                               tuple(sorted(singles, key=TrialRecord.sort_key)))
-    (apart,) = emit(merged, tmp_path / "apart", formats=("csv",))
+    apart, _ = emit(merged, tmp_path / "apart")
     assert joint.read_bytes() == apart.read_bytes()
 
 
@@ -766,21 +776,16 @@ def test_multi_rate_sweep_matches_single_rate_sweeps(gamma, tmp_path):
 
 def test_emit_empty_report_writes_header_only(tmp_path):
     report = ExperimentReport(name="sampling", config={}, records=())
-    (csv_path,) = emit(report, tmp_path, formats=("csv",))
-    lines = csv_path.read_text().splitlines()
+    paths = emit(report, tmp_path)
+    assert [p.name for p in paths] == ["sampling_report.csv",
+                                       "sampling_report.json"]
+    lines = paths[0].read_text().splitlines()
     assert lines == [",".join(CSV_COLUMNS)]
-
-
-def test_emit_rejects_unknown_format(tmp_path):
-    report = ExperimentReport(name="x", config={}, records=())
-    with pytest.raises(ValueError, match="unknown format"):
-        emit(report, tmp_path, formats=("parquet",))
 
 
 def test_csv_has_no_runtime_column(lin_report, tmp_path):
     _, report = lin_report
-    paths = emit(report, tmp_path)
-    csv_path = [p for p in paths if p.suffix == ".csv"][0]
+    csv_path, _ = emit(report, tmp_path)
     header = csv_path.read_text().splitlines()[0]
     assert "runtime" not in header
     assert header.split(",") == list(CSV_COLUMNS)
@@ -795,9 +800,7 @@ def test_sampling_sweep_csv_is_byte_identical_across_runs(tmp_path):
     for run in ("a", "b"):
         report = run_sampling_sweep(cfg)
         out = tmp_path / run
-        paths = emit(report, out)
-        csv_path = [p for p in paths if p.suffix == ".csv"][0]
-        json_path = [p for p in paths if p.suffix == ".json"][0]
+        csv_path, json_path = emit(report, out)
         blobs.append(csv_path.read_bytes())
         payloads.append(json.loads(json_path.read_text()))
     assert blobs[0] == blobs[1]
@@ -820,8 +823,8 @@ def test_sampling_sweep_csv_is_byte_identical_across_runs(tmp_path):
 def test_threaded_sweep_writes_the_serial_csv(sweep, cfg, tmp_path):
     blobs = []
     for workers in (1, 2):
-        (csv_path,) = emit(sweep(dataclasses.replace(cfg, workers=workers)),
-                           tmp_path / str(workers), formats=("csv",))
+        csv_path, _ = emit(sweep(dataclasses.replace(cfg, workers=workers)),
+                           tmp_path / str(workers))
         blobs.append(csv_path.read_bytes())
     assert blobs[0] == blobs[1]
 

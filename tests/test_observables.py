@@ -24,7 +24,7 @@ from koopnet import (
     poly_spec,
     unlift_trajectory,
 )
-from koopnet.observables import check_scale, spec_from_dict, spec_to_dict
+from koopnet.observables import spec_from_dict, spec_to_dict
 
 
 # =========================================================================
@@ -471,23 +471,8 @@ def test_jacobian_rejects_bad_state():
 
 
 # =========================================================================
-# Scale advisory and serialization
+# Serialization
 # =========================================================================
-
-def test_check_scale_warns_past_headroom():
-    spec = log_spec(2, scale=500.0)
-    quiet = np.full((2, 4), 50.0)
-    with np.errstate(all="raise"):
-        assert check_scale(spec, quiet) == pytest.approx(0.1)
-    loud = np.full((2, 4), 200.0)
-    with pytest.warns(UserWarning, match="headroom"):
-        ratio = check_scale(spec, loud)
-    assert ratio == pytest.approx(0.4)
-
-
-def test_check_scale_ignores_non_log_dictionaries():
-    assert check_scale(poly_spec(2), np.full((2, 3), 1e6)) == 0.0
-
 
 # Older files also list the entries as [form, owners, log power, exponents];
 # loading ignores that list and rebuilds from the parameters.

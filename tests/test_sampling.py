@@ -425,11 +425,27 @@ def test_an_exact_tie_goes_to_the_lower_node_under_pruning(monkeypatch):
 
 
 def test_a_nan_in_the_stack_fails_in_the_svd():
-    # the Gram's eigensolver fails on it first; that candidate is then
-    # scored, so the error is the SVD's, as when every candidate is scored
+    # rejected at entry, before any eigensolve or SVD sees it
     theta = np.random.default_rng(0).normal(size=(6, 6, 6))
     theta[2, 3, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+    with pytest.raises(ValueError, match="non-finite"):
+        greedy_select(theta, identity_spec(6), SelectionConfig(gamma=None))
+
+
+# NaN at [2, 3, 1] is the test above
+@pytest.mark.parametrize("where,value", [
+    pytest.param((5, 5, 5), np.inf, id="inf-at-5-5-5"),
+    pytest.param((5, 5, 5), -np.inf, id="-inf-at-5-5-5"),
+    pytest.param((5, 5, 5), np.nan, id="nan-at-5-5-5"),
+    pytest.param((2, 3, 1), np.inf, id="inf-at-2-3-1"),
+    pytest.param((2, 3, 1), -np.inf, id="-inf-at-2-3-1"),
+])
+def test_a_non_finite_stack_is_rejected(where, value):
+    # the SVD of a stack holding inf returns NaN singular values without
+    # raising, so such a stack would otherwise end score_trace in NaN
+    theta = np.random.default_rng(0).normal(size=(6, 6, 6))
+    theta[where] = value
+    with pytest.raises(ValueError, match="non-finite"):
         greedy_select(theta, identity_spec(6), SelectionConfig(gamma=None))
 
 
