@@ -7,9 +7,10 @@ process with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` set to 1 and ``PYTHONPATH=<checkout>/src``.  The child
 runs the biochemical (25/50/75%) and regulatory (50%) sampling sweeps at
 n = 20 with ``baselines=()``, on config seed ``--seed``.  The parent's child
-then runs both sweeps once more with every Koopman fit, refits included,
-wrapped from outside so that it returns ``K * (1 + eps * N(0, 1))``
-entrywise, eps = 1e-10, from a seeded generator.
+then runs both sweeps once more with every Koopman operator, fitted or
+refit, perturbed to ``K * (1 + eps * N(0, 1))`` entrywise, eps = 1e-10, from
+a seeded generator: ``koopman.KoopmanModel``, which builds each of them, is
+wrapped from outside.
 
 Per cell it prints one markdown table row: both means, the median per-trial
 relative change and the trials better and worse by more than 1%; then the
@@ -29,6 +30,7 @@ trials both children take about a minute on two cores.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -86,7 +88,8 @@ def _sweeps(seed: int, trials: int) -> dict[str, list[float | None]]:
 
 
 def _perturbing_fit(fit, rng):
-    """``fit`` whose operator comes back multiplied by 1 + eps * N(0, 1)."""
+    """``fit``, or any callable returning a model, whose operator comes back
+    multiplied by 1 + eps * N(0, 1)."""
     def perturbed(*args, **kwargs):
         model = fit(*args, **kwargs)
         k = model.operator
@@ -96,20 +99,31 @@ def _perturbing_fit(fit, rng):
     return perturbed
 
 
-def child(seed: int, trials: int, perturb: bool) -> dict:
-    import numpy as np
-    from koopnet import experiments, koopman
+@contextlib.contextmanager
+def perturbed_operators(seed: int):
+    """Within the block, every operator koopman builds is perturbed.
 
+    Fits and refits both build their model by calling ``KoopmanModel`` from
+    koopman's globals, so wrapping that one name reaches both, whether or
+    not a refit goes through ``fit``.
+    """
+    import numpy as np
+    from koopnet import koopman
+
+    model_class = koopman.KoopmanModel
+    koopman.KoopmanModel = _perturbing_fit(model_class,
+                                           np.random.default_rng(seed))
+    try:
+        yield
+    finally:
+        koopman.KoopmanModel = model_class
+
+
+def child(seed: int, trials: int, perturb: bool) -> dict:
     out = {"plain": _sweeps(seed, trials)}
     if perturb:
-        # the sweeps fit through experiments' global, refits through koopman's
-        fit = koopman.fit
-        rng = np.random.default_rng(seed)
-        experiments.fit = koopman.fit = _perturbing_fit(fit, rng)
-        try:
+        with perturbed_operators(seed):
             out["perturbed"] = _sweeps(seed, trials)
-        finally:
-            experiments.fit = koopman.fit = fit
     return out
 
 

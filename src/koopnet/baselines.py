@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Graph
-from .koopman import KoopmanModel, rollout
+from .koopman import KoopmanModel, rollout, sampled_factor
 from .observables import ObservableSpec, unlift_trajectory
 from .recovery import SampleMatrix
-from .sampling import (RANK_TOL, numerical_rank, operator_rows,
-                       sampled_factor, sigma_quotient)
+from .sampling import RANK_TOL, numerical_rank, operator_rows, sigma_quotient
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
@@ -147,7 +146,7 @@ def linear_observable_recover(samples: SampleMatrix,
     recovery.  Returns the n x tau trajectory and the least-squares
     objective ``||A z1 - y||^2``.
 
-    ``sampling.sampled_factor`` folds ``A z1 = y`` (tau*|obs| x M, never
+    ``koopman.sampled_factor`` folds ``A z1 = y`` (tau*|obs| x M, never
     formed) into R tick by tick; R keeps its solution, rank cut and objective.
     """
     plan = samples.plan

@@ -2,7 +2,11 @@
 
 Snapshot pairs from simulated trajectories are lifted through an observable
 dictionary; the operator K is the minimizer of ``||Y - K X||_F^2``, solved
-through an SVD pseudo-inverse with a relative singular-value cutoff.
+through an SVD pseudo-inverse with a relative singular-value cutoff.  ``fit``
+takes that SVD of the lifted snapshots; a refit after sampling takes it of
+the M x M leading block of R, the triangular factor of ``[X.T | Y.T]``
+that a training set keeps and each refit folds its new trajectories into
+(a QR update; Golub & Van Loan, Matrix Computations, sec. 6.5).
 ``rollout`` is the one forward recurrence: it pushes lifted vectors through
 K tick by tick, and ``build_theta`` rolls out the identity to get the powers
 ``K^0 .. K^(tau-1)`` as one tau x M x M array for selection and recovery.
@@ -11,7 +15,10 @@ K tick by tick, and ``build_theta`` rolls out the identity to get the powers
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +26,56 @@ import numpy as np
 from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
                        simulate_ensemble)
 from .metrics import nrmse
-from .observables import (ObservableSpec, check_fields, lift_trajectory,
-                          spec_from_dict, spec_to_dict, unlift_trajectory)
+from .observables import (ObservableSpec, as_nodes, check_fields,
+                          lift_trajectory, spec_from_dict, spec_to_dict,
+                          unlift_trajectory)
 
 SV_CUTOFF = 1e-10
+_FOLD_ROWS = 2   # pending rows, in multiples of M, folded into R at once
+
+
+def _fold(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """R of ``[A | B]`` = QR as ``(R_a, R_b)`` for ``(rows, rhs)`` blocks of
+    A and B stacked in order; ``R_b`` is a vector when the blocks' ``rhs``
+    are.  The blocks are written under R in one buffer, folded into R by QR
+    when the next would not fit; one block is factored as it stands.  The
+    buffer holds a block as long as the first or ``_FOLD_ROWS * M`` rows
+    beside R, and grows for a longer one.  Blocks passed in an iterator are
+    freed once written."""
+    buffer, filled = None, 0   # R on top, then pending blocks
+    for rows, rhs in pairs:
+        k, m = rows.shape
+        if buffer is None:
+            vector = rhs.ndim == 1
+            c = 1 if vector else rhs.shape[1]
+            buffer = np.empty((max(k, _FOLD_ROWS * m) + m + c, m + c))
+        elif filled + k > buffer.shape[0]:
+            r = np.linalg.qr(buffer[:filled], mode="r")
+            filled = r.shape[0]
+            if filled + k > buffer.shape[0]:
+                buffer = np.empty((filled + k, m + c))
+            buffer[:filled] = r
+        buffer[filled:filled + k, :m] = rows
+        buffer[filled:filled + k, m:] = rhs.reshape(k, c)
+        filled += k
+        del rows, rhs
+    r = np.linalg.qr(buffer[:filled], mode="r")
+    return r[:, :m], (r[:, m] if vector else r[:, m:])
+
+
+def sampled_factor(blocks, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of ``[A | y]`` = QR as ``(R_a, R_y)``, A the row blocks stacked in
+    order and y the samples, so ``||A z - y|| = ||R_a z - R_y||`` for all
+    z.  ``samples`` holds one value per row of A, or one row of right-hand
+    columns per row of A (then ``R_y`` has as many columns); ``_fold``
+    says when the blocks are folded."""
+    def pairs():
+        start = 0
+        for rows in blocks:
+            yield rows, samples[start:start + rows.shape[0]]
+            start += rows.shape[0]
+
+    return _fold(pairs())
 
 
 @dataclass(frozen=True)
@@ -32,7 +85,8 @@ class TrainingSet:
     ``x`` and ``y`` are lifted on each access, one trajectory at a time, into
     one M x P array: every column of ``y`` follows the same column of ``x``
     by one tick.  Nothing lifted is kept, so a caller holds at most the copy
-    it asked for.
+    it asked for.  ``factor``, the R of ``[X.T | Y.T]`` that refits start
+    from, is folded one trajectory at a time on first read and then kept.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -75,6 +129,19 @@ class TrainingSet:
             start = stop
         return out
 
+    @cached_property
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """R of ``[X.T | Y.T]`` as its column halves ``(R_x, R_y)``, each
+        min(P, 2M) x M; no M x P array is formed."""
+        return _fold(_snapshot_rows(self.trajectories, self.spec))
+
+
+def _snapshot_rows(trajectories, spec: ObservableSpec):
+    """Each trajectory's rows of ``(X.T, Y.T)``, lifted one at a time."""
+    for traj in trajectories:
+        z = lift_trajectory(spec, traj.states)
+        yield z[:, :-1].T, z[:, 1:].T
+
 
 @dataclass(frozen=True)
 class KoopmanModel:
@@ -110,12 +177,24 @@ def fit(training: TrainingSet) -> KoopmanModel:
     # tall, and LAPACK factors it on its QR path, faster than X's LQ path.
     # X is freed when the SVD returns, before Y is lifted, so only one
     # lifted M x P array is held beside the factors.
-    v, s, ut = np.linalg.svd(training.x.T, full_matrices=False)
+    return _solve(np.linalg.svd(training.x.T, full_matrices=False),
+                  training.y, training.spec)
+
+
+def _solve(svd, y: np.ndarray, spec: ObservableSpec,
+           rest: float = 0.0) -> KoopmanModel:
+    """``K = Y X^+`` from the thin SVD ``(v, s, ut)`` of ``X.T`` and Y.
+
+    ``fit`` passes the lifted snapshots; a refit passes ``R_xx`` for
+    ``X.T`` and ``R_xy.T`` for Y, the blocks of the R of ``[X.T | Y.T]``,
+    and ``rest`` = ``||R_yy||``, the part of Y no K can fit, so the
+    residual is the union's.
+    """
+    v, s, ut = svd
     if s.size == 0 or s[0] <= 0.0:
         raise RuntimeError("degenerate training data: X has no nonzero columns")
     r = np.count_nonzero(s > SV_CUTOFF * s[0])
     v, s, ut = v[:, :r], s[:r], ut[:r]
-    y = training.y
     yv = y @ v
     yv *= 1.0 / s
     k = yv @ ut
@@ -123,9 +202,10 @@ def fit(training: TrainingSet) -> KoopmanModel:
     yv *= s
     fitted = yv @ v.T
     fitted -= y
-    y_norm = np.linalg.norm(y)
-    residual = float(np.linalg.norm(fitted) / y_norm) if y_norm > 0 else 0.0
-    return KoopmanModel(operator=k, spec=training.spec, residual=residual)
+    y_norm = math.hypot(np.linalg.norm(y), rest)
+    residual = (math.hypot(np.linalg.norm(fitted), rest) / y_norm
+                if y_norm > 0 else 0.0)
+    return KoopmanModel(operator=k, spec=spec, residual=residual)
 
 
 def rollout(model: KoopmanModel, z1: np.ndarray, tau: int) -> np.ndarray:
@@ -176,26 +256,33 @@ def refine_with_samples(model: KoopmanModel, training: TrainingSet,
     """Refit K with extra trajectories conditioned on observed initial samples.
 
     ``d_extra`` new initial states are drawn uniformly from the dynamics'
-    ``default_initial_range``, their entries at ``sampled_nodes``
-    overwritten by the observed values ``sampled_x1``, and
-    the operator is refit on the union of old and new snapshot pairs.  With
-    ``d_extra == 0`` the model is returned unchanged.
+    ``default_initial_range``, their entries at ``sampled_nodes`` (distinct
+    nodes of the graph) overwritten by the observed values ``sampled_x1``,
+    and the operator is refit on the union of old and new snapshot pairs.
+    Only the new trajectories are lifted: they are folded into a copy of
+    ``training.factor``, and K is solved from the result as ``fit`` solves
+    it, from the SVD of its M x M block ``R_xx``.  The returned union is a
+    new ``TrainingSet``.  With ``d_extra == 0`` the model and training set
+    are returned unchanged.
     """
+    nodes = as_nodes(sampled_nodes, graph.n, "sampled_nodes")
+    values = np.asarray(sampled_x1, dtype=float)
+    if values.shape != (len(nodes),):
+        raise ValueError("one observed value per sampled node is required")
     if d_extra < 0:
         raise ValueError("d_extra must be nonnegative")
     if d_extra == 0:
         return model, training
-    nodes = list(sampled_nodes)
-    values = np.asarray(sampled_x1, dtype=float)
-    if values.shape != (len(nodes),):
-        raise ValueError("one observed value per sampled node is required")
     rng = np.random.default_rng(seed)
     x1s = rng.uniform(*default_initial_range(params.kind), (graph.n, d_extra))
     x1s[nodes, :] = values[:, None]
-    extra = simulate_ensemble(graph, params, x1s, num_steps)
-    combined = TrainingSet(trajectories=training.trajectories + tuple(extra),
-                           spec=model.spec)
-    return fit(combined), combined
+    extra = tuple(simulate_ensemble(graph, params, x1s, num_steps))
+    spec = training.spec
+    r_x, r_y = _fold(chain([training.factor], _snapshot_rows(extra, spec)))
+    m = spec.size
+    refit = _solve(np.linalg.svd(r_x[:m], full_matrices=False), r_y[:m].T,
+                   spec, rest=np.linalg.norm(r_y[m:]))
+    return refit, TrainingSet(training.trajectories + extra, spec)
 
 
 # ---------------------------------------------------------------------------

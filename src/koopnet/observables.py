@@ -319,6 +319,18 @@ def as_int(value, name: str) -> int:
     return operator.index(value)
 
 
+def as_nodes(values, n: int, name: str) -> list[int]:
+    """``values`` as distinct node indices in 0..n-1, or a ValueError
+    naming ``name``; each must pass ``as_int``."""
+    nodes = [as_int(v, name) for v in values]
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"{name}: duplicate nodes in {nodes}")
+    for v in nodes:
+        if not 0 <= v < n:
+            raise ValueError(f"{name}: node {v} outside 0..{n - 1}")
+    return nodes
+
+
 def as_real(value, name: str) -> float:
     """``value`` as a float, or a ValueError naming ``name``: it must be a
     ``numbers.Real`` and not a bool."""

@@ -21,11 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .koopman import sampled_factor
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, as_int, as_real, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
-from .sampling import RANK_TOL, SamplingPlan, sampled_factor, selected_rows
+from .sampling import RANK_TOL, SamplingPlan, selected_rows
 
 
 # Standard deviation of the multistart jitter, relative to max(|fill|, 1).

@@ -17,7 +17,9 @@ Users' Guide secs. 4.7 and 4.9), and computes the exact SVD score only for
 the candidates whose bound does not exceed the best exact score so far.
 Picks and score traces are those of scoring every candidate, bit for bit.
 While every score is still infinite (the rank-deficient phase), every
-candidate is scored.
+candidate is scored.  No bound can exceed 1/sqrt(100 (m + M) eps), so while
+the scores lie above that ceiling, candidates are scored without forming
+their Grams.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .koopman import KoopmanModel
-from .observables import (ObservableSpec, as_int, as_real, check_fields,
-                          spec_from_dict, spec_to_dict)
+from .observables import (ObservableSpec, as_int, as_nodes, as_real,
+                          check_fields, spec_from_dict, spec_to_dict)
 
 # Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
 # treated as zero in rank checks and lstsq solves (resp. scoring a set).
 RANK_TOL = 1e-10
 SCORE_TOL = 1e-12
-_FOLD_ROWS = 2   # pending rows, in multiples of M, folded into R at once
 _EPS = float(np.finfo(float).eps)
 
 
@@ -106,13 +107,8 @@ def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
     tau = as_int(tau, "tau")
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    node_list = [as_int(v, "nodes") for v in nodes]
-    if len(set(node_list)) != len(node_list):
-        raise ValueError("duplicate nodes in sampling set")
-    for v in node_list:
-        if not 0 <= v < spec.n:
-            raise ValueError(f"node {v} outside 0..{spec.n - 1}")
-    return SamplingPlan(tuple(node_list), spec, tau, score_trace=())
+    nodes = as_nodes(nodes, spec.n, "nodes")
+    return SamplingPlan(tuple(nodes), spec, tau, score_trace=())
 
 
 def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -155,31 +151,6 @@ def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarra
         yield rows
 
 
-def sampled_factor(blocks, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R of ``[A | y]`` = QR as ``(R_a, R_y)``, A the row blocks stacked in
-    order and y the samples, so ``||A z - y|| = ||R_a z - R_y||`` for all
-    z.  The blocks are written under R in one buffer, folded into R by QR
-    when the next would not fit; one block is factored as it stands.  No
-    later block may be longer than both the first and ``_FOLD_ROWS * M``.
-    Blocks passed in an iterator are freed once written."""
-    buffer, filled, start = None, 0, 0   # R on top, then pending blocks
-    for rows in blocks:
-        k, m = rows.shape
-        if buffer is None:
-            buffer = np.empty((max(k, _FOLD_ROWS * m) + m + 1, m + 1))
-        elif filled + k > buffer.shape[0]:
-            r = np.linalg.qr(buffer[:filled], mode="r")
-            filled = r.shape[0]
-            buffer[:filled] = r
-        buffer[filled:filled + k, :m] = rows
-        buffer[filled:filled + k, m] = samples[start:start + k]
-        filled += k
-        start += k
-        del rows
-    r = np.linalg.qr(buffer[:filled], mode="r")
-    return r[:, :m], r[:, m]
-
-
 def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:
     """Return ``(sigma_1 / sigma_k, sigma_k)`` of ``matrix``.
 
@@ -209,6 +180,18 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return int((svals > RANK_TOL * svals[0]).sum())
 
 
+def _slack(rows: int, size: int) -> float:
+    """The relative error term of ``_score_floor``: 100 (m + M) eps."""
+    return 100 * (rows + size) * _EPS
+
+
+def _floor_ceiling(rows: int, size: int) -> float:
+    """No finite ``_score_floor`` of a stack of at least ``rows`` rows
+    exceeds this: ``sigma_N``'s bound is at least ``sqrt(delta)``, and
+    ``delta`` at least ``slack * lambda_1``."""
+    return 1.0 / math.sqrt(_slack(rows, size))
+
+
 def _score_floor(gram: np.ndarray, rows: int, n: int) -> tuple[float, float]:
     """``(lambda_N / lambda_1, floor)`` for a stack of ``rows`` rows whose
     computed Gram is ``gram``: the eigenvalue quotient greedy selection
@@ -225,7 +208,7 @@ def _score_floor(gram: np.ndarray, rows: int, n: int) -> tuple[float, float]:
     except np.linalg.LinAlgError:
         return 0.0, -math.inf
     top, nth = float(lam[-1]), max(float(lam[-n]), 0.0)
-    slack = 100 * (rows + gram.shape[0]) * _EPS
+    slack = _slack(rows, gram.shape[0])
     delta = slack * float(np.trace(gram))
     err = slack * math.sqrt(max(top + delta, 0.0))
     sigma_1 = math.sqrt(max(top - delta, 0.0)) - err
@@ -260,7 +243,11 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     and picks and scores are those of scoring every candidate.  While that
     best score is infinite (the rank-deficient phase), or when a candidate
     adds too few rows for N singular values, every candidate is scored.
-    A stack holding NaN or +-inf is rejected up front.
+    No bound exceeds ``_floor_ceiling`` (about 4e5 at n = 40), so when the
+    last pick scored at or above it, candidates are first scored exactly,
+    in the order of their scores at the last pick and with no Gram formed,
+    until one scores below it; only the rest are bounded and visited as
+    above.  A stack holding NaN or +-inf is rejected up front.
     """
     tau, size = theta.shape[:2]
     if size != spec.size:
@@ -288,29 +275,43 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
                          if all(v == cand or v in chosen
                                 for v in spec.owners[m])], dtype=int)
 
+    def score(c):
+        nonlocal best, best_rows
+        rows = _rows(theta, added[c])
+        s, sigma_n = sigma_quotient(np.vstack([r_s, rows]), n)
+        keys[c] = (s, -sigma_n, c)
+        if best is None or keys[c] < best:
+            best, best_rows = keys[c], rows
+
     trace: list[float] = []
+    keys: dict[int, tuple] = {}   # this pick's exact keys; the last pick's
     while len(selected) < budget:
         added = {c: new_obs(c) for c in range(n) if c not in chosen}
-        if min(tau * a.size for a in added.values()) + r_s.shape[0] < n:
-            visits = [(c, -math.inf) for c in added]
+        fewest = min(tau * a.size for a in added.values()) + r_s.shape[0]
+        ceiling = _floor_ceiling(fewest, size)
+        # candidates in the order of their scores at the last pick
+        pending = sorted(added, key=lambda c: keys.get(c, (math.inf,) * 3))
+        best, best_rows, keys = None, None, {}
+        if fewest < n:
+            visits = [(c, -math.inf) for c in pending]
         else:
+            # while the scores are above every floor, no bound can prune
+            if not trace or trace[-1] >= ceiling:
+                while pending and (best is None or best[0] >= ceiling):
+                    score(pending.pop(0))
             gram_s = r_s.T @ r_s
             bounds = []
-            for c, a in added.items():
-                rows = _rows(theta, a)
+            for c in pending:
+                rows = _rows(theta, added[c])
                 gram = rows.T @ rows
                 gram += gram_s
                 order, floor = _score_floor(gram, r_s.shape[0] + rows.shape[0], n)
                 bounds.append((-order, c, floor))
             visits = [(c, floor) for _, c, floor in sorted(bounds)]
-        best, best_rows = None, None
         for c, floor in visits:
             if best is not None and floor > best[0]:
                 continue
-            rows = _rows(theta, added[c])
-            score, sigma_n = sigma_quotient(np.vstack([r_s, rows]), n)
-            if best is None or (score, -sigma_n, c) < best:
-                best, best_rows = (score, -sigma_n, c), rows
+            score(c)
         current_score, _, pick = best
         r_s = np.linalg.qr(np.vstack([r_s, best_rows]), mode="r")
         selected.append(pick)

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import numpy as np
 
-from koopnet import KoopmanModel, identity_spec
+from koopnet import (DynamicsParams, KoopmanModel, assemble_training, fit,
+                     generate_er_graph, identity_spec, log_spec,
+                     random_initial_states, refine_with_samples,
+                     simulate_ensemble)
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("heldout_compare",
@@ -54,6 +57,35 @@ def test_the_perturbed_fit_moves_every_entry_by_about_epsilon():
     ratio = model.operator / operator - 1.0
     assert (ratio != 0.0).all()
     assert np.abs(ratio).max() < 10 * compare_script.EPSILON
+
+
+def test_the_perturbation_reaches_fits_and_refits():
+    # a refit solves from the training set's R factor without calling fit,
+    # so the band must perturb where the operator is built
+    graph = generate_er_graph(6, 0.5, seed=14)
+    params = DynamicsParams(kind="biochemical", flow_in=10.0)
+    x1s = random_initial_states(6, 12, 0.0, 1.0, seed=15)
+    training = assemble_training(simulate_ensemble(graph, params, x1s, 15),
+                                 log_spec(6))
+    truth = x1s[:, 0]
+
+    def fit_and_refit():
+        model = fit(training)
+        refit, _ = refine_with_samples(model, training, [0, 2],
+                                       truth[[0, 2]], graph, params, 15,
+                                       d_extra=4, seed=41)
+        return model.operator, refit.operator
+
+    plain = fit_and_refit()
+    with compare_script.perturbed_operators(0):
+        perturbed = fit_and_refit()
+    # the wrap is undone on leaving the block
+    assert all(np.array_equal(got, want)
+               for got, want in zip(fit_and_refit(), plain))
+    for got, want in zip(perturbed, plain):
+        assert not np.array_equal(got, want)
+        assert np.allclose(got, want, rtol=10 * compare_script.EPSILON,
+                           atol=0.0)
 
 
 def test_a_checkout_against_itself_moves_nothing(capsys):

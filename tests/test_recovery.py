@@ -41,7 +41,7 @@ from koopnet import (
 from koopnet import recovery
 from koopnet.recovery import (SampleMatrix, _linear_warm_start, _objective_pair,
                               initial_guess)
-from koopnet.sampling import sampled_factor
+from koopnet.koopman import sampled_factor
 
 
 # =========================================================================

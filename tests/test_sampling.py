@@ -32,8 +32,9 @@ from koopnet import (
     verify_rank,
 )
 from koopnet import sampling
+from koopnet.koopman import sampled_factor
 from koopnet.sampling import (numerical_rank, operator_rows, plan_from_dict,
-                              plan_to_dict, sampled_factor, selected_rows)
+                              plan_to_dict, selected_rows)
 
 
 def _stack(op, tau):
@@ -477,6 +478,54 @@ def test_pruning_on_the_bio_n40_instance(monkeypatch):
     assert counted.calls <= 200
 
 
+@pytest.mark.parametrize("rows", [8, 30])
+def test_no_finite_floor_exceeds_the_ceiling(rows):
+    n, size = 5, 7
+    rng = np.random.default_rng(rows)
+    ceiling = sampling._floor_ceiling(rows, size)
+    for cond in (1.0, 1e3, 1e6, 1e9, 1e12, 1e16):
+        u, _ = np.linalg.qr(rng.normal(size=(rows, size)))
+        v, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        svals = np.r_[np.geomspace(1.0, 1.0 / cond, n), np.zeros(size - n)]
+        a = (u * svals) @ v.T
+        _, floor = sampling._score_floor(a.T @ a, rows, n)
+        assert floor <= ceiling
+    # the largest floor a stack can have, sigma_N = 0, nears the ceiling
+    assert floor > 0.5 * ceiling
+
+
+def test_no_gram_is_formed_while_scores_exceed_every_floor(monkeypatch):
+    # on the bio-n40 instance of the test above, picks 1-3 score inf, 9.3e8
+    # and 3.8e6, above every floor (the ceiling is about 4e5): their 117
+    # candidates are scored without a Gram eigensolve
+    from koopnet.experiments import ExperimentConfig, _trial_data, _trial_seeds
+    from koopnet.koopman import assemble_training, fit
+
+    config = ExperimentConfig(seed=0, trials=1, dynamics="biochemical",
+                              n_values=(40,), sampling_ticks=20, baselines=())
+    _, train, _ = _trial_data(config, 40, _trial_seeds(config, 40, 0), 1,
+                              config.sampling_ticks)
+    spec = log_spec(40, scale=config.scale, powers=config.log_powers)
+    theta = build_theta(fit(assemble_training(train, spec)),
+                        config.sampling_ticks)
+    grams = 0
+    score_floor = sampling._score_floor
+
+    def counted_floor(*args):
+        nonlocal grams
+        grams += 1
+        return score_floor(*args)
+
+    monkeypatch.setattr("koopnet.sampling._score_floor", counted_floor)
+    counted = _CountedScores()
+    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
+    plan = greedy_select(theta, spec, SelectionConfig(gamma=config.gamma,
+                                                      max_nodes=30))
+    assert min(plan.score_trace[:3]) > sampling._floor_ceiling(0, spec.size)
+    assert grams <= 765 - (40 + 39 + 38)
+    assert counted.calls <= 150
+
+
 def test_sigma_n_never_drops_as_nodes_are_added():
     rng = np.random.default_rng(3)
     op = rng.normal(size=(5, 5)) * 0.6
@@ -882,3 +931,24 @@ def test_tick_blocks_keep_the_reference_fold_bytes(case):
     r_a, r_y = sampled_factor(operator_rows(plan, model), values)
     ref_a, ref_y = _reference_fold(plan, model, values)
     assert np.array_equal(r_a, ref_a) and np.array_equal(r_y, ref_y)
+
+
+# block lengths: one block; many, folded; a later block longer than both
+# the first and 2M, which the buffer must grow for
+@pytest.mark.parametrize("lengths", [[40], [7] * 30, [3, 5, 50, 4]],
+                         ids=["one", "folded", "longer-later"])
+@pytest.mark.parametrize("columns", [1, 4])
+def test_a_block_of_right_hand_columns_gives_the_stacked_r(lengths, columns):
+    # the refit's use: A = X.T and the right-hand block Y.T, folded block by
+    # block; R matches the QR of the stacked [A | B] up to the signs of rows
+    rng = np.random.default_rng(sum(lengths) + columns)
+    m = 6
+    blocks = [rng.normal(size=(k, m)) for k in lengths]
+    rhs = rng.normal(size=(sum(lengths), columns))
+    r_a, r_b = sampled_factor(iter(blocks), rhs)
+    assert r_a.shape == r_b.shape[:1] + (m,) and r_b.shape[1] == columns
+    ref = np.linalg.qr(np.hstack([np.vstack(blocks), rhs]), mode="r")
+    got = np.hstack([r_a, r_b])
+    assert got.shape == ref.shape
+    signs = np.sign(np.diag(got)) * np.sign(np.diag(ref))
+    np.testing.assert_allclose(got * signs[:, None], ref, rtol=0, atol=1e-12)
