@@ -35,7 +35,8 @@ from koopnet import (
     simulate_ensemble,
     unlift_trajectory,
 )
-from koopnet.koopman import SV_CUTOFF, model_from_dict, model_to_dict
+from koopnet.koopman import (FACTOR_PAIRS, SV_CUTOFF, model_from_dict,
+                             model_to_dict)
 from koopnet.observables import spec_to_dict
 
 BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
@@ -202,10 +203,28 @@ def _stacked_fit(trajectories, spec):
     return x, y, k, float(np.linalg.norm(fitted) / np.linalg.norm(y))
 
 
-@pytest.mark.parametrize("spec", [log_spec(6, scale=1.0), poly_spec(6),
-                                  identity_spec(6)],
+def _assert_fit_matches(model, reference, exact):
+    """``model`` against ``_stacked_fit``'s ``(x, y, k, residual)``: bit for
+    bit when it was solved from the snapshot SVD (``exact``).  Solved from
+    R, entries of K in the directions near the singular-value cutoff may
+    differ, its fitted values may not."""
+    x, y, k, residual = reference
+    if exact:
+        assert np.array_equal(model.operator, k)
+        assert model.residual == residual
+    else:
+        gap = (model.operator - k) @ x
+        assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(y)
+        assert model.residual == pytest.approx(residual, rel=1e-8)
+
+
+# 170 snapshot pairs: log (19 observables) and poly (28) fit them by the
+# snapshot SVD, identity (6) from the kept R factor
+@pytest.mark.parametrize("spec, exact", [(log_spec(6, scale=1.0), True),
+                                         (poly_spec(6), True),
+                                         (identity_spec(6), False)],
                          ids=["log", "poly", "identity"])
-def test_fit_is_bit_identical_to_the_stacked_reference(spec):
+def test_fit_is_bit_identical_to_the_stacked_reference(spec, exact):
     graph = generate_er_graph(6, 0.5, seed=45)
     # trajectories of two lengths, so the columns of one are not a block
     # of fixed width
@@ -214,12 +233,30 @@ def test_fit_is_bit_identical_to_the_stacked_reference(spec):
                  graph, BIOCHEMICAL,
                  random_initial_states(6, 10, 0.0, 1.0, seed=seed), ticks)]
     training = assemble_training(trajs, spec)
-    x, y, k, residual = _stacked_fit(trajs, spec)
-    assert np.array_equal(training.x, x)
-    assert np.array_equal(training.y, y)
+    reference = _stacked_fit(trajs, spec)
+    assert np.array_equal(training.x, reference[0])
+    assert np.array_equal(training.y, reference[1])
+    assert (training.pairs < FACTOR_PAIRS * spec.size) == exact
+    _assert_fit_matches(fit(training), reference, exact)
+
+
+@pytest.mark.parametrize("last_ticks, from_factor", [(15, True), (14, False)],
+                         ids=["20M-pairs", "one-pair-fewer"])
+def test_the_route_turns_at_factor_pairs_per_observable(last_ticks,
+                                                        from_factor):
+    # log n = 2: 7 observables, so 10 trajectories of 15 ticks give exactly
+    # 20 * 7 = 140 pairs; a last trajectory one tick shorter gives 139
+    spec = log_spec(2)
+    trajs = simulate_ensemble(generate_er_graph(2, 0.5, seed=48), BIOCHEMICAL,
+                              random_initial_states(2, 10, 0.0, 1.0, seed=49),
+                              15)
+    trajs[-1] = Trajectory(states=trajs[-1].states[:, :last_ticks])
+    training = assemble_training(trajs, spec)
+    assert training.pairs == FACTOR_PAIRS * spec.size - (not from_factor)
     model = fit(training)
-    assert np.array_equal(model.operator, k)
-    assert model.residual == residual
+    # the factor is folded on first read and kept: fit read it or it did not
+    assert ("factor" in vars(training)) == from_factor
+    _assert_fit_matches(model, _stacked_fit(trajs, spec), not from_factor)
 
 
 # =========================================================================
@@ -445,11 +482,11 @@ def test_log_dictionary_linearizes_the_consumption_network():
 # Refinement
 # =========================================================================
 
-def _refine_setup(seed=14, params=BIOCHEMICAL):
+def _refine_setup(seed=14, params=BIOCHEMICAL, d=20):
     graph = generate_er_graph(6, 0.5, seed=seed)
     low, high = default_initial_range(params.kind)
     spec = log_spec(6)
-    x1s = random_initial_states(6, 20, low, high, seed=seed + 1)
+    x1s = random_initial_states(6, d, low, high, seed=seed + 1)
     training = assemble_training(simulate_ensemble(graph, params, x1s, 15),
                                  spec)
     model = fit(training)
@@ -590,6 +627,42 @@ def test_the_factor_is_folded_once_across_three_refits(monkeypatch):
     assert np.array_equal(r, np.triu(r))
     gram = xy.T @ xy
     assert np.allclose(r.T @ r, gram, rtol=0, atol=1e-12 * abs(gram).max())
+
+
+def _unread(name):
+    def fail(self):
+        raise AssertionError(f"TrainingSet.{name} was read")
+    return property(fail)
+
+
+def test_a_log_fit_on_many_pairs_matches_the_snapshot_svd():
+    # 30 trajectories of 15 ticks, 420 pairs for 19 observables
+    graph, params, spec, training, model, truth = _refine_setup(d=30)
+    assert training.pairs >= FACTOR_PAIRS * spec.size
+    assert "factor" in vars(training)
+    _assert_fit_matches(model, _stacked_fit(training.trajectories, spec),
+                        exact=False)
+
+
+def test_a_fit_on_many_pairs_and_its_refits_lift_each_trajectory_once(
+        monkeypatch):
+    # 30 trajectories of 15 ticks, 420 pairs for 19 observables: fit folds
+    # the factor, and the three refits of a sweep's rates start from it
+    lifts = _CountedLifts()
+    monkeypatch.setattr("koopnet.koopman.lift_trajectory", lifts)
+    monkeypatch.setattr(TrainingSet, "x", _unread("x"))
+    monkeypatch.setattr(TrainingSet, "y", _unread("y"))
+    graph, params, spec, training, model, truth = _refine_setup(d=30)
+    assert training.pairs >= FACTOR_PAIRS * spec.size
+    assert len(lifts.states) == training.d
+    assert all(got is traj.states
+               for got, traj in zip(lifts.states, training.trajectories))
+    folded = vars(training)["factor"]
+    for nodes in ([0], [0, 2], [0, 2, 4]):
+        refine_with_samples(model, training, nodes, truth.states[nodes, 0],
+                            graph, params, 15, d_extra=4, seed=len(nodes))
+        assert training.factor is folded
+    assert len(lifts.states) == training.d + 3 * 4
 
 
 # =========================================================================

@@ -495,19 +495,23 @@ def test_no_finite_floor_exceeds_the_ceiling(rows):
 
 
 def test_no_gram_is_formed_while_scores_exceed_every_floor(monkeypatch):
-    # on the bio-n40 instance of the test above, picks 1-3 score inf, 9.3e8
-    # and 3.8e6, above every floor (the ceiling is about 4e5): their 117
-    # candidates are scored without a Gram eigensolve
+    # on the bio-n40 instance of the test above, with K from the SVD of the
+    # lifted snapshots, picks 1-3 score inf, 9.3e8 and 3.8e6, above every
+    # floor (the ceiling is about 4e5): their 117 candidates are scored
+    # without a Gram eigensolve.  (fit solves this instance from R; its
+    # rounding-level change of K changes the picks.)
     from koopnet.experiments import ExperimentConfig, _trial_data, _trial_seeds
-    from koopnet.koopman import assemble_training, fit
+    from koopnet.koopman import _solve, assemble_training
 
     config = ExperimentConfig(seed=0, trials=1, dynamics="biochemical",
                               n_values=(40,), sampling_ticks=20, baselines=())
     _, train, _ = _trial_data(config, 40, _trial_seeds(config, 40, 0), 1,
                               config.sampling_ticks)
     spec = log_spec(40, scale=config.scale, powers=config.log_powers)
-    theta = build_theta(fit(assemble_training(train, spec)),
-                        config.sampling_ticks)
+    training = assemble_training(train, spec)
+    model = _solve(np.linalg.svd(training.x.T, full_matrices=False),
+                   training.y, spec)
+    theta = build_theta(model, config.sampling_ticks)
     grams = 0
     score_floor = sampling._score_floor
 
