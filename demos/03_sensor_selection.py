@@ -4,10 +4,13 @@ Greedy sensor selection on the lifted linear system
 
 Stacking the operator powers Theta = [K^0; ...; K^(tau-1)] and keeping only
 the rows a node set S can read turns "which nodes do we sample?" into a
-singular-value question: the selection is sound once the kept rows have rank
-N, and its conditioning is the quotient sigma_1 / sigma_N.  The greedy pass
-adds whichever node most improves that quotient and stops at the budget (or
-once the quotient clears a threshold gamma).
+singular-value question.  Recovery solves for the N node states, so the kept
+rows are multiplied by the lift's Jacobian J at a reference state (every node
+at the recovery's fill value): the selection is sound once Theta_S J has rank
+N, and its conditioning is the quotient sigma_1 / sigma_N.  Short of rank N
+the greedy pass adds whichever node raises the rank most (then the largest
+log-volume); after that, whichever gives the best quotient.  It stops at the
+budget (or once the quotient clears a threshold gamma).
 """
 
 import numpy as np
@@ -34,16 +37,18 @@ spec = model.spec
 #    stop).  Each step takes the best remaining candidate; note the quotient
 #    itself is not monotone, because adding rows grows sigma_1 as well as
 #    sigma_N.
-plan = greedy_select(theta, spec, SelectionConfig(gamma=None))
+fill = config.optimizer().fill_value
+plan = greedy_select(theta, spec, SelectionConfig(gamma=None), fill)
 print(f"greedy pass over {n} nodes (tau = {tau}, dictionary M = {spec.size}):")
-print(f"{'step':>4} {'node':>5} {'score sigma1/sigmaN':>20}")
+print(f"{'step':>4} {'node':>5} {'score sigma1/sigmaN of Theta_S J':>33}")
 for step, score in enumerate(plan.score_trace):
     shown = f"{score:.4g}" if np.isfinite(score) else "inf (rank short)"
-    print(f"{step + 1:>4} {plan.nodes[step]:>5} {shown:>20}")
+    print(f"{step + 1:>4} {plan.nodes[step]:>5} {shown:>33}")
 
 # 2. how small can the sensor set be and still see everything?
 for budget in range(1, n + 1):
-    candidate = greedy_select(theta, spec, SelectionConfig(max_nodes=budget))
+    candidate = greedy_select(theta, spec, SelectionConfig(max_nodes=budget),
+                              fill)
     if verify_rank(candidate, theta, spec):
         rows = selected_rows(candidate, theta)
         print(f"\nfirst full-rank set: {budget} sensor(s) "
@@ -55,6 +60,6 @@ for budget in range(1, n + 1):
 half = max(1, n // 2)
 nodes = gramian_nodes_for_budget(model, half)
 greedy_half = greedy_select(theta, spec,
-                            SelectionConfig(gamma=None, max_nodes=half))
+                            SelectionConfig(gamma=None, max_nodes=half), fill)
 print(f"\nobservability-gramian pick at budget {half}: {sorted(nodes)}")
 print(f"greedy pick at the same budget:          {sorted(greedy_half.nodes)}")

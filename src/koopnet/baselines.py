@@ -23,7 +23,8 @@ from .dynamics import Graph
 from .koopman import KoopmanModel, rollout, sampled_factor
 from .observables import ObservableSpec, unlift_trajectory
 from .recovery import SampleMatrix
-from .sampling import RANK_TOL, numerical_rank, operator_rows, sigma_quotient
+from .sampling import (RANK_TOL, numerical_rank, operator_rows, pick_key,
+                       sigma_quotient)
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
@@ -181,10 +182,9 @@ def linear_gft_select(basis: np.ndarray,
     selected: list[int] = []
     reached = False
 
-    def key(cand):
-        score, sigma = sigma_quotient(basis[selected + [cand]],
-                                      min(len(selected) + 1, r))
-        return score, -sigma, cand
+    def key(cand):   # greedy_select's order
+        return pick_key(sigma_quotient(basis[selected + [cand]],
+                                       min(len(selected) + 1, r)), cand)
 
     while len(selected) < budget and not reached:
         *_, best = min(key(cand) for cand in range(n) if cand not in selected)

@@ -78,7 +78,8 @@ def _cmd_select(args) -> int:
     theta = build_theta(model, config.sampling_ticks)
     max_nodes = _budget(config.selection_rate, model.spec.n)
     plan = greedy_select(theta, model.spec,
-                         SelectionConfig(gamma=config.gamma, max_nodes=max_nodes))
+                         SelectionConfig(gamma=config.gamma, max_nodes=max_nodes),
+                         config.optimizer().fill_value)
     path = save_plan(plan, out / "plan.json")
     print(f"wrote {path} (nodes {list(plan.nodes)}, score {plan.score:.6g})")
     return 0

@@ -366,7 +366,8 @@ def _log_koopman(config, seeds, spec, graph, train_trajs, truth):
         # (and so does gamma): each rate's set is a prefix of this one
         order = greedy_select(theta, spec,
                               SelectionConfig(gamma=config.gamma,
-                                              max_nodes=max_budget)).nodes
+                                              max_nodes=max_budget),
+                              opt.fill_value).nodes
         return training, model, theta, order
 
     def solve(shared, budget):

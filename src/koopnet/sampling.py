@@ -3,23 +3,21 @@
 Sampling a node set S makes observable exactly the dictionary entries whose
 owner nodes all lie in S (the constant entry is always available).  Those
 entries, read at every tick t, select the rows of each operator power K**t;
-stacked time-major, they form the row submatrix whose conditioning - the
-ratio of its largest singular value to its N-th - scores how well the
-initial state can be recovered from the samples.  This module is the one
-reader of those rows: off the stack of powers, or off K alone.  Nodes are
-added greedily until the score clears a threshold or a sensor budget is
-exhausted.
+stacked time-major, they form the row submatrix Theta_S.  This module is the
+one reader of those rows: off the stack of powers, or off K alone.
 
-Each pick bounds every candidate's score from below by the eigenvalues of
-the candidate's own Gram, with error terms of 100 (m + M) eps for the
-Gram's rounding, the eigensolver and the SVD (Higham 2002, sec. 3.5; LAPACK
-Users' Guide secs. 4.7 and 4.9), and computes the exact SVD score only for
-the candidates whose bound does not exceed the best exact score so far.
-Picks and score traces are those of scoring every candidate, bit for bit.
-While every score is still infinite (the rank-deficient phase), every
-candidate is scored.  No bound can exceed 1/sqrt(100 (m + M) eps), so while
-the scores lie above that ceiling, candidates are scored without forming
-their Grams.
+Recovery solves for the n-entry state, so a node set is scored on the
+n-column matrix Theta_S J(x_ref): the sampled rows times the lift's Jacobian
+at the reference state x_ref, every node at the recovery's ``fill_value``
+(the DFP base start before any sample is read).  Local observability of the
+state is read off that matrix (Hermann & Krener 1977); for the identity
+dictionary J = I.  Singular values at or below ``SCORE_TOL`` (1e-8) times
+the largest count as zero.  While the numerical rank is short of n, sets
+rank by that rank, then by the log-volume (the sum of log sigma above the
+floor), then by the lowest node; at full rank by the quotient
+sigma_1/sigma_n, then the larger sigma_n, then the lowest node.  Nodes are
+added greedily until the quotient clears a threshold or a sensor budget is
+exhausted.
 """
 
 from __future__ import annotations
@@ -35,13 +33,13 @@ import numpy as np
 
 from .koopman import KoopmanModel
 from .observables import (ObservableSpec, as_int, as_nodes, as_real,
-                          check_fields, spec_from_dict, spec_to_dict)
+                          check_fields, lift_jacobian, spec_from_dict,
+                          spec_to_dict)
 
-# Singular values below RANK_TOL (resp. SCORE_TOL) times the largest are
-# treated as zero in rank checks and lstsq solves (resp. scoring a set).
+# Singular values at or below RANK_TOL (resp. SCORE_TOL) times the largest
+# are treated as zero in rank checks and lstsq solves (resp. scoring a set).
 RANK_TOL = 1e-10
-SCORE_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
+SCORE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,21 +149,34 @@ def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarra
         yield rows
 
 
-def sigma_quotient(matrix: np.ndarray, k: int) -> tuple[float, float]:
-    """Return ``(sigma_1 / sigma_k, sigma_k)`` of ``matrix``.
+def sigma_quotient(matrix: np.ndarray,
+                   k: int) -> tuple[float, float, int, float]:
+    """Return ``(sigma_1 / sigma_k, sigma_k, rank, log_volume)`` of ``matrix``.
 
-    The quotient is +inf when the matrix has fewer than ``k`` rows or when
-    ``sigma_k`` falls below ``SCORE_TOL * sigma_1``.
+    ``rank`` counts the first ``k`` singular values that lie above
+    ``SCORE_TOL * sigma_1``, and ``log_volume`` sums their logs.  Short of
+    rank ``k`` (too few rows, a zero matrix, or sigma_k at or below the
+    floor) the quotient is +inf and sigma_k reads 0.
     """
-    if matrix.shape[0] < k:
-        return math.inf, 0.0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size < k or svals[0] <= 0.0:
-        return math.inf, 0.0
-    sk = float(svals[k - 1])
-    if sk <= SCORE_TOL * svals[0]:
-        return math.inf, sk
-    return float(svals[0] / sk), sk
+    svals = np.linalg.svd(matrix, compute_uv=False)[:k]
+    if svals.size == 0 or svals[0] <= 0.0:
+        return math.inf, 0.0, 0, 0.0
+    kept = svals[svals > SCORE_TOL * svals[0]]
+    log_volume = float(np.log(kept).sum())
+    if kept.size < k:
+        return math.inf, 0.0, int(kept.size), log_volume
+    return float(svals[0] / svals[k - 1]), float(svals[k - 1]), k, log_volume
+
+
+def pick_key(score: tuple[float, float, int, float], cand: int) -> tuple:
+    """The order both greedy searches take candidates in, from a candidate's
+    ``sigma_quotient`` score: a full-rank set first, by (quotient,
+    -sigma_k); short of full rank by (-rank, -log_volume); the lowest node
+    last."""
+    quotient, sigma_k, rank, log_volume = score
+    if math.isfinite(quotient):
+        return 0, quotient, -sigma_k, cand
+    return 1, -rank, -log_volume, cand
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
@@ -180,74 +191,24 @@ def numerical_rank(matrix: np.ndarray) -> int:
     return int((svals > RANK_TOL * svals[0]).sum())
 
 
-def _slack(rows: int, size: int) -> float:
-    """The relative error term of ``_score_floor``: 100 (m + M) eps."""
-    return 100 * (rows + size) * _EPS
-
-
-def _floor_ceiling(rows: int, size: int) -> float:
-    """No finite ``_score_floor`` of a stack of at least ``rows`` rows
-    exceeds this: ``sigma_N``'s bound is at least ``sqrt(delta)``, and
-    ``delta`` at least ``slack * lambda_1``."""
-    return 1.0 / math.sqrt(_slack(rows, size))
-
-
-def _score_floor(gram: np.ndarray, rows: int, n: int) -> tuple[float, float]:
-    """``(lambda_N / lambda_1, floor)`` for a stack of ``rows`` rows whose
-    computed Gram is ``gram``: the eigenvalue quotient greedy selection
-    visits candidates by, and a lower bound on the score ``sigma_quotient``
-    computes for that stack (-inf when the eigenvalues cannot be had).
-
-    ``delta`` covers the Gram's rounding (Higham 2002, sec. 3.5) and the
-    eigensolver's backward error (LAPACK Users' Guide sec. 4.7), ``err``
-    the SVD's error on each computed singular value (sec. 4.9); both carry
-    a factor of 100 over the constants those bounds state.
-    """
-    try:
-        lam = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError:
-        return 0.0, -math.inf
-    top, nth = float(lam[-1]), max(float(lam[-n]), 0.0)
-    slack = _slack(rows, gram.shape[0])
-    delta = slack * float(np.trace(gram))
-    err = slack * math.sqrt(max(top + delta, 0.0))
-    sigma_1 = math.sqrt(max(top - delta, 0.0)) - err
-    sigma_n = math.sqrt(nth + delta) + err
-    if not math.isfinite(sigma_1 + sigma_n):   # overflow or NaN: no bound
-        return 0.0, -math.inf
-    floor = math.inf if sigma_n <= SCORE_TOL * sigma_1 else sigma_1 / sigma_n
-    return (nth / top if top > 0.0 else 0.0), floor
-
-
 def greedy_select(theta: np.ndarray, spec: ObservableSpec,
-                  config: SelectionConfig | None = None) -> SamplingPlan:
-    """Grow a node set one node at a time, always taking the candidate with the
-    best (lowest) score; among candidates with infinite score the one with the
-    largest N-th singular value wins.  Ties go to the lowest node index.
+                  config: SelectionConfig | None = None,
+                  fill_value: float = 0.5) -> SamplingPlan:
+    """Grow a node set one node at a time, always taking the candidate first
+    in ``pick_key``'s order, scored on its sampled rows times the lift's
+    Jacobian at ``fill_value`` on every node (pass the recovery's
+    ``OptimizerConfig.fill_value``; 0.5 is that class's default).
 
     Stops when the score reaches ``config.gamma`` or the node budget is hit.
     The returned plan is flagged ``rank_deficient`` when no finite score was
     reached within the budget.
 
-    The rows already selected are carried as their triangular QR factor
-    (at most M x M), which has the same singular values, so each candidate
-    is scored on that factor plus only the rows it adds.  Scores agree with
-    scoring the full row stack up to rounding.
-
-    Each pick first bounds every candidate's score from the eigenvalues of
-    its own M x M Gram (``_score_floor``), one Gram at a time, and visits the
-    candidates by descending lambda_N / lambda_1.  The exact SVD score of
-    ``sigma_quotient`` is taken for the first, and for every later one whose
-    bound does not exceed the best exact score so far; the bound is a lower
-    bound on the computed score, so a skipped candidate could not have won
-    and picks and scores are those of scoring every candidate.  While that
-    best score is infinite (the rank-deficient phase), or when a candidate
-    adds too few rows for N singular values, every candidate is scored.
-    No bound exceeds ``_floor_ceiling`` (about 4e5 at n = 40), so when the
-    last pick scored at or above it, candidates are first scored exactly,
-    in the order of their scores at the last pick and with no Gram formed,
-    until one scores below it; only the rest are bounded and visited as
-    above.  A stack holding NaN or +-inf is rejected up front.
+    The rows already selected are carried as the triangular QR factor of
+    their product with J (at most n x n), which has the same singular
+    values, so each candidate is scored on that factor plus only the rows it
+    adds: one ``sigma_quotient`` call per candidate and pick.  Scores agree
+    with scoring the whole product up to rounding.  A stack holding NaN or
+    +-inf is rejected up front.
     """
     tau, size = theta.shape[:2]
     if size != spec.size:
@@ -259,6 +220,7 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     config = config or SelectionConfig()
     n = spec.n
     budget = min(config.max_nodes or n, n)
+    theta_j = theta @ lift_jacobian(spec, np.full(n, float(fill_value)))
     # each node's dictionary entries, ascending; a candidate adds those whose
     # other owners are all selected already
     owned: list[list[int]] = [[] for _ in range(n)]
@@ -268,54 +230,24 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     selected: list[int] = []
     chosen: set[int] = set()
     obs = gamma_map(selected, spec, tau).observable_indices
-    r_s = np.linalg.qr(_rows(theta, obs), mode="r")
-
-    def new_obs(cand):
-        return np.array([m for m in owned[cand]
-                         if all(v == cand or v in chosen
-                                for v in spec.owners[m])], dtype=int)
-
-    def score(c):
-        nonlocal best, best_rows
-        rows = _rows(theta, added[c])
-        s, sigma_n = sigma_quotient(np.vstack([r_s, rows]), n)
-        keys[c] = (s, -sigma_n, c)
-        if best is None or keys[c] < best:
-            best, best_rows = keys[c], rows
-
+    r_s = np.linalg.qr(_rows(theta_j, obs), mode="r")
     trace: list[float] = []
-    keys: dict[int, tuple] = {}   # this pick's exact keys; the last pick's
     while len(selected) < budget:
-        added = {c: new_obs(c) for c in range(n) if c not in chosen}
-        fewest = min(tau * a.size for a in added.values()) + r_s.shape[0]
-        ceiling = _floor_ceiling(fewest, size)
-        # candidates in the order of their scores at the last pick
-        pending = sorted(added, key=lambda c: keys.get(c, (math.inf,) * 3))
-        best, best_rows, keys = None, None, {}
-        if fewest < n:
-            visits = [(c, -math.inf) for c in pending]
-        else:
-            # while the scores are above every floor, no bound can prune
-            if not trace or trace[-1] >= ceiling:
-                while pending and (best is None or best[0] >= ceiling):
-                    score(pending.pop(0))
-            gram_s = r_s.T @ r_s
-            bounds = []
-            for c in pending:
-                rows = _rows(theta, added[c])
-                gram = rows.T @ rows
-                gram += gram_s
-                order, floor = _score_floor(gram, r_s.shape[0] + rows.shape[0], n)
-                bounds.append((-order, c, floor))
-            visits = [(c, floor) for _, c, floor in sorted(bounds)]
-        for c, floor in visits:
-            if best is not None and floor > best[0]:
+        best = None
+        for c in range(n):
+            if c in chosen:
                 continue
-            score(c)
-        current_score, _, pick = best
-        r_s = np.linalg.qr(np.vstack([r_s, best_rows]), mode="r")
-        selected.append(pick)
-        chosen.add(pick)
+            new = [m for m in owned[c]
+                   if all(v == c or v in chosen for v in spec.owners[m])]
+            rows = _rows(theta_j, np.array(new, dtype=int))
+            score = sigma_quotient(np.vstack([r_s, rows]), n)
+            key = pick_key(score, c)
+            if best is None or key < best[0]:
+                best = key, score[0], rows
+        key, current_score, rows = best
+        r_s = np.linalg.qr(np.vstack([r_s, rows]), mode="r")
+        selected.append(key[-1])
+        chosen.add(key[-1])
         trace.append(current_score)
         if config.gamma is not None and current_score <= config.gamma:
             break

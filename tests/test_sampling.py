@@ -22,6 +22,7 @@ from koopnet import (
     gamma_map,
     greedy_select,
     identity_spec,
+    lift_jacobian,
     lift_trajectory,
     load_plan,
     log_spec,
@@ -33,8 +34,8 @@ from koopnet import (
 )
 from koopnet import sampling
 from koopnet.koopman import sampled_factor
-from koopnet.sampling import (numerical_rank, operator_rows, plan_from_dict,
-                              plan_to_dict, selected_rows)
+from koopnet.sampling import (numerical_rank, operator_rows, pick_key,
+                              plan_from_dict, plan_to_dict, selected_rows)
 
 
 def _stack(op, tau):
@@ -135,13 +136,18 @@ def test_cyclic_shift_gives_a_perfect_single_node_score():
 
 
 def test_sigma_quotient_edges():
-    quot, sk = sigma_quotient(np.array([[3.0, 0.0], [0.0, 1.0]]), 2)
+    quot, sk, rank, log_volume = sigma_quotient(np.array([[3.0, 0.0],
+                                                          [0.0, 1.0]]), 2)
     assert quot == pytest.approx(3.0)
     assert sk == pytest.approx(1.0)
-    assert sigma_quotient(np.ones((1, 2)), 2)[0] == math.inf   # too few rows
-    assert sigma_quotient(np.zeros((3, 2)), 2)[0] == math.inf  # zero matrix
+    assert rank == 2 and log_volume == pytest.approx(math.log(3.0))
+    # too few rows: rank 1, the one singular value's log
+    assert sigma_quotient(np.ones((1, 2)), 2) == \
+        (math.inf, 0.0, 1, pytest.approx(math.log(math.sqrt(2.0))))
+    assert sigma_quotient(np.zeros((3, 2)), 2) == (math.inf, 0.0, 0, 0.0)
+    assert sigma_quotient(np.empty((0, 2)), 2) == (math.inf, 0.0, 0, 0.0)
     # rank-deficient square matrix
-    assert sigma_quotient(np.ones((2, 2)), 2)[0] == math.inf
+    assert sigma_quotient(np.ones((2, 2)), 2)[:3] == (math.inf, 0.0, 1)
 
 
 def test_score_is_at_least_one_when_finite():
@@ -242,8 +248,10 @@ def test_smaller_budgets_select_prefixes_of_the_largest(gamma):
     assert stopped_early == (gamma is not None)
 
 
-def _full_stack_greedy(theta, spec, gamma, budget):
-    """Reference greedy: score every candidate on its whole row stack."""
+def _full_stack_greedy(theta, spec, gamma, budget, fill_value):
+    """Reference greedy: score every candidate on its whole sampled row
+    stack times the lift's Jacobian at ``fill_value`` on every node."""
+    jac = lift_jacobian(spec, np.full(spec.n, fill_value))
     selected, trace = [], []
     while len(selected) < budget:
         best = None
@@ -251,13 +259,13 @@ def _full_stack_greedy(theta, spec, gamma, budget):
             if cand in selected:
                 continue
             rows = selected_rows(gamma_map(selected + [cand], spec,
-                                           theta.shape[0]), theta)
-            score, sigma_n = sigma_quotient(rows, spec.n)
-            if best is None or (score, -sigma_n, cand) < best:
-                best = (score, -sigma_n, cand)
-        selected.append(best[2])
-        trace.append(best[0])
-        if gamma is not None and best[0] <= gamma:
+                                           theta.shape[0]), theta) @ jac
+            score = sigma_quotient(rows, spec.n)
+            if best is None or pick_key(score, cand) < best[0]:
+                best = pick_key(score, cand), score[0]
+        selected.append(best[0][-1])
+        trace.append(best[1])
+        if gamma is not None and best[1] <= gamma:
             break
     return tuple(selected), trace
 
@@ -271,21 +279,25 @@ def _full_stack_greedy(theta, spec, gamma, budget):
                          ids=["identity", "log", "poly"])
 @pytest.mark.parametrize("finite_gamma", [False, True])
 def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
+    # at the default reference state and at another one
     rng = np.random.default_rng(12)
-    for _ in range(3):
+    for fill_value in (0.5, 0.5, 0.5, 40.0):
         op = rng.normal(size=(spec.size, spec.size))
         op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
         theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0),
                             tau)
-        nodes, trace = _full_stack_greedy(theta, spec, None, spec.n)
+        nodes, trace = _full_stack_greedy(theta, spec, None, spec.n,
+                                          fill_value)
         gamma = None
         if finite_gamma:
             # stop halfway down the finite part of the full run's trace
             finite = [s for s in trace if math.isfinite(s)]
             gamma = finite[len(finite) // 2] * (1.0 + 1e-6)
-            nodes, trace = _full_stack_greedy(theta, spec, gamma, spec.n)
+            nodes, trace = _full_stack_greedy(theta, spec, gamma, spec.n,
+                                              fill_value)
             assert len(nodes) < spec.n
-        plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma))
+        plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma),
+                             fill_value)
         assert plan.nodes == nodes
         assert [math.isfinite(s) for s in plan.score_trace] == \
             [math.isfinite(s) for s in trace]
@@ -295,33 +307,85 @@ def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
                 assert got == pytest.approx(want, rel=1e-8)
 
 
-def _every_candidate_greedy(theta, spec, gamma, budget):
-    """Reference greedy without pruning: every candidate scored by SVD on the
-    carried QR factor plus the rows it adds, with greedy_select's key."""
-    tau, size = theta.shape[:2]
-    selected, trace = [], []
-    plan = gamma_map([], spec, tau)
-    obs = plan.observable_indices
-    r_s = np.linalg.qr(selected_rows(plan, theta), mode="r")
-    while len(selected) < budget:
-        best = None
-        for cand in range(spec.n):
-            if cand in selected:
-                continue
-            new = np.setdiff1d(gamma_map(selected + [cand], spec, tau)
-                               .observable_indices, obs)
-            rows = np.take(theta, new, axis=1).reshape(-1, size)
-            score, sigma_n = sigma_quotient(np.vstack([r_s, rows]), spec.n)
-            if best is None or (score, -sigma_n, cand) < best[0]:
-                best = (score, -sigma_n, cand), rows
-        (score, _, pick), rows = best
-        r_s = np.linalg.qr(np.vstack([r_s, rows]), mode="r")
-        selected.append(pick)
-        obs = gamma_map(selected, spec, tau).observable_indices
-        trace.append(score)
-        if gamma is not None and score <= gamma:
-            break
-    return tuple(selected), tuple(trace)
+def test_the_reference_state_is_the_fill_value():
+    # on the log dictionary the Jacobian, and so the score, depends on the
+    # reference state; the identity dictionary's J = I does not
+    spec = log_spec(6)
+    rng = np.random.default_rng(9)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+    theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0), 4)
+    config = SelectionConfig(gamma=None)
+    at_default = greedy_select(theta, spec, config)
+    assert at_default == greedy_select(theta, spec, config, 0.5)
+    assert at_default.score_trace != \
+        greedy_select(theta, spec, config, 300.0).score_trace
+    theta = _stack(rng.normal(size=(6, 6)), tau=3)
+    assert greedy_select(theta, identity_spec(6), config) == \
+        greedy_select(theta, identity_spec(6), config, 300.0)
+
+
+def _first_pick(rows_per_node):
+    """Greedy's first pick on the identity dictionary (J = I), node v
+    reading the rows ``rows_per_node[v]``, one per tick; and its score."""
+    theta = np.transpose(np.array(rows_per_node, dtype=float), (1, 0, 2))
+    plan = greedy_select(theta, identity_spec(theta.shape[2]),
+                         SelectionConfig(gamma=None, max_nodes=1))
+    return plan.nodes[0], plan.score
+
+
+def test_higher_numerical_rank_beats_a_larger_sigma_n():
+    # node 0 reads rank 1 (its sigma_3 of 1e-12 is below the floor) and
+    # node 1 rank 2 with sigma_3 = 0: the rank decides, not sigma_N
+    pick, score = _first_pick([np.diag([10.0, 1e-12, 1e-12]),
+                               np.diag([1.0, 1e-3, 0.0]),
+                               np.zeros((3, 3))])
+    assert (pick, score) == (1, math.inf)
+
+
+def test_at_equal_rank_the_larger_log_volume_wins():
+    # both rank 2; node 1's singular values 4 and 0.5 span a larger volume
+    # (log 2 against 0) though node 0's are better conditioned
+    pick, _ = _first_pick([np.diag([1.0, 1.0, 0.0]),
+                           np.diag([4.0, 0.5, 0.0]),
+                           np.zeros((3, 3))])
+    assert pick == 1
+
+
+def test_at_an_equal_quotient_the_larger_sigma_n_wins():
+    # both full rank with sigma_1 / sigma_3 = 1 exactly; node 1's rows are
+    # twice node 0's
+    assert _first_pick([np.eye(3), 2.0 * np.eye(3), np.zeros((3, 3))]) == \
+        (1, 1.0)
+
+
+def test_a_singular_value_below_the_floor_does_not_count():
+    # node 0's sigma_3 / sigma_1 = 5e-9 is under SCORE_TOL = 1e-8, so its
+    # rows count as rank 2, not as a finite score of 2e8, and node 1's
+    # larger volume at rank 2 wins; at 2e-8 the score is finite and wins
+    assert sampling.SCORE_TOL == 1e-8
+    pick, score = _first_pick([np.diag([1.0, 1.0, 5e-9]),
+                               np.diag([2.0, 2.0, 0.0]), np.zeros((3, 3))])
+    assert (pick, score) == (1, math.inf)
+    pick, score = _first_pick([np.diag([1.0, 1.0, 2e-8]),
+                               np.diag([2.0, 2.0, 0.0]), np.zeros((3, 3))])
+    assert (pick, score) == (0, pytest.approx(5e7))
+
+
+def test_an_exact_tie_goes_to_the_lower_node():
+    # nodes 2 and 3 read bit-identical rows, so they score bit for bit the
+    # same: orthonormal over the ticks (score 1, every other node is worse),
+    # or one repeated direction (rank 1, the best volume at rank 1)
+    n = 6
+    rng = np.random.default_rng(8)
+    theta = rng.normal(size=(n, n, n))
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    theta[:, 2, :] = q
+    theta[:, 3, :] = q
+    plan = greedy_select(theta, identity_spec(n), SelectionConfig(gamma=None))
+    assert plan.nodes[0] == 2 and plan.score_trace[0] == pytest.approx(1.0)
+    assert _first_pick([np.full((3, 3), 1.0), np.full((3, 3), 2.0),
+                        np.full((3, 3), 2.0)]) == (1, math.inf)
 
 
 class _CountedScores:
@@ -335,6 +399,50 @@ class _CountedScores:
         return sigma_quotient(matrix, k)
 
 
+def test_every_candidate_is_scored_once_per_pick(monkeypatch):
+    # one module-global sigma_quotient call per candidate and pick, the
+    # matrix first: perfbench's tracer counts the scored rows from it
+    counted = _CountedScores()
+    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
+    theta = _stack(np.random.default_rng(4).normal(size=(7, 7)), tau=2)
+    plan = greedy_select(theta, identity_spec(7), SelectionConfig(gamma=None))
+    assert len(plan.nodes) == 7
+    assert counted.calls == sum(range(1, 8))
+
+
+def _every_candidate_greedy(theta, spec, gamma, budget, reverse_order=False):
+    """Reference greedy: every candidate scored by SVD on the carried QR
+    factor of the chosen rows times J plus the rows it adds, found afresh
+    from ``gamma_map``, with greedy_select's key; candidates are visited in
+    ascending node order, or descending with ``reverse_order``."""
+    tau, size = theta.shape[:2]
+    theta_j = theta @ lift_jacobian(spec, np.full(spec.n, 0.5))
+    selected, trace = [], []
+    obs = gamma_map([], spec, tau).observable_indices
+    r_s = np.linalg.qr(np.take(theta_j, obs, axis=1).reshape(-1, spec.n),
+                       mode="r")
+    order = range(spec.n - 1, -1, -1) if reverse_order else range(spec.n)
+    while len(selected) < budget:
+        best = None
+        for cand in order:
+            if cand in selected:
+                continue
+            new = np.setdiff1d(gamma_map(selected + [cand], spec, tau)
+                               .observable_indices, obs)
+            rows = np.take(theta_j, new, axis=1).reshape(-1, spec.n)
+            score = sigma_quotient(np.vstack([r_s, rows]), spec.n)
+            if best is None or pick_key(score, cand) < best[0]:
+                best = pick_key(score, cand), score[0], rows
+        key, score, rows = best
+        r_s = np.linalg.qr(np.vstack([r_s, rows]), mode="r")
+        selected.append(key[-1])
+        obs = gamma_map(selected, spec, tau).observable_indices
+        trace.append(score)
+        if gamma is not None and score <= gamma:
+            break
+    return tuple(selected), tuple(trace)
+
+
 @pytest.mark.parametrize("spec, tau", [(identity_spec(6), 3),
                                        (identity_spec(8), 8),
                                        (log_spec(10, powers=(1, 2)), 2),
@@ -344,23 +452,15 @@ class _CountedScores:
                          ids=["identity", "identity-long", "log", "log-long",
                               "poly", "poly2"])
 @pytest.mark.parametrize("finite_gamma", [False, True])
-@pytest.mark.parametrize("worst_first", [False, True])
+@pytest.mark.parametrize("reverse_order", [False, True])
 def test_pruned_greedy_is_bit_identical_to_scoring_every_candidate(
-        spec, tau, finite_gamma, worst_first, monkeypatch):
-    # the Gram-eigenvalue bounds may only skip candidates that cannot win,
-    # so picks and every trace entry equal exhaustive scoring exactly, and
-    # in whatever order the candidates are visited
+        spec, tau, finite_gamma, reverse_order, monkeypatch):
+    # greedy prunes no candidate: it scores each one once per pick, and its
+    # picks and every trace entry equal a reference that finds each
+    # candidate's new rows afresh, bit for bit, in either visiting order
     rng = np.random.default_rng(30)
     counted = _CountedScores()
     monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
-    if worst_first:
-        best_first = sampling._score_floor
-
-        def reversed_order(*args):
-            order, floor = best_first(*args)
-            return -order, floor
-
-        monkeypatch.setattr("koopnet.sampling._score_floor", reversed_order)
     exhaustive = 0
     for _ in range(3):
         op = rng.normal(size=(spec.size, spec.size))
@@ -368,61 +468,127 @@ def test_pruned_greedy_is_bit_identical_to_scoring_every_candidate(
         theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0),
                             tau)
         gamma = None
-        nodes, trace = _every_candidate_greedy(theta, spec, None, spec.n)
+        nodes, trace = _every_candidate_greedy(theta, spec, None, spec.n,
+                                               reverse_order)
         if finite_gamma:
             finite = [s for s in trace if math.isfinite(s)]
             gamma = finite[len(finite) // 2] * (1.0 + 1e-6)
-            nodes, trace = _every_candidate_greedy(theta, spec, gamma, spec.n)
+            nodes, trace = _every_candidate_greedy(theta, spec, gamma, spec.n,
+                                                   reverse_order)
+        counted.calls = 0
         plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma))
         assert plan.nodes == nodes
         assert plan.score_trace == trace
-        exhaustive += sum(spec.n - k for k in range(len(nodes)))
-    if not worst_first:   # worst-first, each candidate beats the last
-        assert counted.calls < exhaustive   # some candidates were skipped
+        assert counted.calls == sum(spec.n - k for k in range(len(nodes)))
+
+
+def _stack_of_condition(cond, rows, n, size, rng):
+    """A rows x size stack whose first n singular values fall geometrically
+    from 1 to 1 / cond (the last is 0 at cond = inf) and whose others lie
+    below the n-th, at a random scale; and those n singular values."""
+    u, _ = np.linalg.qr(rng.normal(size=(rows, size)))
+    v, _ = np.linalg.qr(rng.normal(size=(size, size)))
+    svals = np.geomspace(1.0, 1.0 / cond, n) if math.isfinite(cond) \
+        else np.r_[np.ones(n - 1), 0.0]
+    full = np.r_[svals, svals[-1] * rng.uniform(0, 1, size - n)]
+    return (u * full) @ v.T * 10.0 ** rng.uniform(-3, 3), svals
 
 
 @pytest.mark.parametrize("cond", [1.0, 3.0, 1e3, 1e6, 1e9, 1e11, 1e12,
                                   3e12, 1e13, 1e16, math.inf])
 @pytest.mark.parametrize("rows", [8, 30])
 def test_score_floor_bounds_the_computed_score(cond, rows):
-    # a stack with sigma_1 / sigma_N = cond (sigma_N = 0 at inf); the floor
-    # never exceeds the score sigma_quotient computes, infinite or not, and
-    # is tight while the Gram resolves sigma_N
+    # a stack with sigma_1 / sigma_N = cond: under the SCORE_TOL floor the
+    # score is that quotient at full rank; past it the score is +inf and
+    # the rank counts the singular values above the floor, whatever the
+    # stack's scale
     n, size = 5, 7
     rng = np.random.default_rng(rows)
+    floor = sampling.SCORE_TOL
     for _ in range(20):
-        u, _ = np.linalg.qr(rng.normal(size=(rows, size)))
-        v, _ = np.linalg.qr(rng.normal(size=(size, size)))
-        svals = np.geomspace(1.0, 1.0 / cond, n) if math.isfinite(cond) \
-            else np.r_[np.ones(n - 1), 0.0]
-        svals = np.r_[svals, svals[-1] * rng.uniform(0, 1, size - n)]
-        a = (u * svals) @ v.T * 10.0 ** rng.uniform(-3, 3)
-        score, _ = sigma_quotient(a, n)
-        order, floor = sampling._score_floor(a.T @ a, rows, n)
-        assert 0.0 <= order <= 1.0
-        assert floor <= score
-        if cond <= 1e3:
-            assert floor >= score * (1.0 - 1e-6)
+        a, svals = _stack_of_condition(cond, rows, n, size, rng)
+        score, sigma_n, rank, log_volume = sigma_quotient(a, n)
+        if cond <= 1e6:
+            assert rank == n and score == pytest.approx(cond, rel=1e-6)
+            assert sigma_n > 0.0
+        else:
+            assert (score, sigma_n) == (math.inf, 0.0)
+            # a designed value within a factor 2 of the floor may fall
+            # either side of it after rounding
+            assert (svals > 2.0 * floor).sum() <= rank < n
+            assert rank <= (svals > 0.5 * floor).sum()
+        assert math.isfinite(log_volume)
 
 
-def test_an_exact_tie_goes_to_the_lower_node_under_pruning(monkeypatch):
-    # nodes 2 and 3 read bit-identical rows, orthonormal over the ticks, so
-    # both score about 1 and bit for bit the same; every other node is worse
-    n = 6
-    rng = np.random.default_rng(8)
-    theta = rng.normal(size=(n, n, n))
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    theta[:, 2, :] = q
-    theta[:, 3, :] = q
-    spec = identity_spec(n)
+@pytest.mark.parametrize("rows", [8, 30])
+def test_no_finite_floor_exceeds_the_ceiling(rows):
+    # no finite score exceeds 1 / SCORE_TOL: a stack conditioned past it
+    # counts as rank-deficient, and the largest finite score nears it
+    n, size = 5, 7
+    rng = np.random.default_rng(rows)
+    ceiling = 1.0 / sampling.SCORE_TOL
+    for cond in (1.0, 1e3, 1e6, 5e7, 9e7, 1.2e8, 1e9, 1e12, 1e16):
+        a, _ = _stack_of_condition(cond, rows, n, size, rng)
+        score = sigma_quotient(a, n)[0]
+        assert math.isfinite(score) == (cond < ceiling)
+        assert score <= ceiling or score == math.inf
+    a, _ = _stack_of_condition(9e7, rows, n, size, rng)
+    assert sigma_quotient(a, n)[0] > 0.5 * ceiling
+
+
+def _bio_n40_instance():
+    """The n = 40 biochemical instance of config seed 0, trial 0: its
+    config, dictionary, fitted model and largest budget (75%: 30 nodes)."""
+    from koopnet.experiments import (ExperimentConfig, _budget, _trial_data,
+                                     _trial_seeds)
+    from koopnet.koopman import assemble_training, fit
+
+    config = ExperimentConfig(seed=0, trials=1, dynamics="biochemical",
+                              n_values=(40,), sampling_ticks=20, baselines=())
+    seeds = _trial_seeds(config, 40, 0)
+    _, train, _ = _trial_data(config, 40, seeds, 1, config.sampling_ticks)
+    spec = log_spec(40, scale=config.scale, powers=config.log_powers)
+    model = fit(assemble_training(train, spec))
+    budget = _budget(max(config.sampling_rates), 40)
+    assert budget == 30
+    return config, spec, model, budget
+
+
+def test_pruning_on_the_bio_n40_instance(monkeypatch):
+    # with no pruning, all 765 candidates of the 30 picks are scored, and
+    # picks and trace equal the every-candidate reference bit for bit
+    config, spec, model, budget = _bio_n40_instance()
+    theta = build_theta(model, config.sampling_ticks)
+    assert config.optimizer().fill_value == 0.5
+    nodes, trace = _every_candidate_greedy(theta, spec, config.gamma, budget)
+    assert len(nodes) == budget
     counted = _CountedScores()
     monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=None))
-    nodes, trace = _every_candidate_greedy(theta, spec, None, n)
-    assert plan.nodes[0] == 2 and plan.nodes == nodes
+    plan = greedy_select(theta, spec, SelectionConfig(gamma=config.gamma,
+                                                      max_nodes=budget))
+    assert plan.nodes == nodes
     assert plan.score_trace == trace
-    # the tie was decided with pruning on
-    assert counted.calls < sum(range(1, n + 1))
+    assert counted.calls == sum(40 - k for k in range(budget)) == 765
+
+
+def test_bio_n40_picks_survive_a_rounding_level_change_of_k():
+    # the n = 40 biochemical instance of config seed 0, trial 0, at the
+    # largest budget (75%: 30 nodes): K times 1 + 1e-10 N(0, 1) entrywise,
+    # three seeded draws, must leave the greedy order as it is
+    config, spec, model, budget = _bio_n40_instance()
+    select = SelectionConfig(gamma=config.gamma, max_nodes=budget)
+    fill = config.optimizer().fill_value
+
+    def order(operator):
+        perturbed = dataclasses.replace(model, operator=operator)
+        theta = build_theta(perturbed, config.sampling_ticks)
+        return greedy_select(theta, spec, select, fill).nodes
+
+    base = order(model.operator)
+    assert len(base) == budget
+    for draw in range(3):
+        noise = np.random.default_rng(draw).normal(size=model.operator.shape)
+        assert order(model.operator * (1.0 + 1e-10 * noise)) == base
 
 
 def test_a_nan_in_the_stack_fails_in_the_svd():
@@ -448,86 +614,6 @@ def test_a_non_finite_stack_is_rejected(where, value):
     theta[where] = value
     with pytest.raises(ValueError, match="non-finite"):
         greedy_select(theta, identity_spec(6), SelectionConfig(gamma=None))
-
-
-def test_pruning_on_the_bio_n40_instance(monkeypatch):
-    # the n = 40 biochemical instance of config seed 0, trial 0, at the
-    # largest budget (75%: 30 nodes): 765 candidates in all, and pruning
-    # must leave at most 200 exact scorings without moving a bit
-    from koopnet.experiments import (ExperimentConfig, _budget, _trial_data,
-                                     _trial_seeds)
-    from koopnet.koopman import assemble_training, fit
-
-    config = ExperimentConfig(seed=0, trials=1, dynamics="biochemical",
-                              n_values=(40,), sampling_ticks=20, baselines=())
-    seeds = _trial_seeds(config, 40, 0)
-    _, train, _ = _trial_data(config, 40, seeds, 1, config.sampling_ticks)
-    spec = log_spec(40, scale=config.scale, powers=config.log_powers)
-    theta = build_theta(fit(assemble_training(train, spec)),
-                        config.sampling_ticks)
-    budget = _budget(max(config.sampling_rates), 40)
-    assert budget == 30
-    nodes, trace = _every_candidate_greedy(theta, spec, config.gamma, budget)
-    assert sum(40 - k for k in range(budget)) == 765
-    counted = _CountedScores()
-    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=config.gamma,
-                                                      max_nodes=budget))
-    assert plan.nodes == nodes
-    assert plan.score_trace == trace
-    assert counted.calls <= 200
-
-
-@pytest.mark.parametrize("rows", [8, 30])
-def test_no_finite_floor_exceeds_the_ceiling(rows):
-    n, size = 5, 7
-    rng = np.random.default_rng(rows)
-    ceiling = sampling._floor_ceiling(rows, size)
-    for cond in (1.0, 1e3, 1e6, 1e9, 1e12, 1e16):
-        u, _ = np.linalg.qr(rng.normal(size=(rows, size)))
-        v, _ = np.linalg.qr(rng.normal(size=(size, size)))
-        svals = np.r_[np.geomspace(1.0, 1.0 / cond, n), np.zeros(size - n)]
-        a = (u * svals) @ v.T
-        _, floor = sampling._score_floor(a.T @ a, rows, n)
-        assert floor <= ceiling
-    # the largest floor a stack can have, sigma_N = 0, nears the ceiling
-    assert floor > 0.5 * ceiling
-
-
-def test_no_gram_is_formed_while_scores_exceed_every_floor(monkeypatch):
-    # on the bio-n40 instance of the test above, with K from the SVD of the
-    # lifted snapshots, picks 1-3 score inf, 9.3e8 and 3.8e6, above every
-    # floor (the ceiling is about 4e5): their 117 candidates are scored
-    # without a Gram eigensolve.  (fit solves this instance from R; its
-    # rounding-level change of K changes the picks.)
-    from koopnet.experiments import ExperimentConfig, _trial_data, _trial_seeds
-    from koopnet.koopman import _solve, assemble_training
-
-    config = ExperimentConfig(seed=0, trials=1, dynamics="biochemical",
-                              n_values=(40,), sampling_ticks=20, baselines=())
-    _, train, _ = _trial_data(config, 40, _trial_seeds(config, 40, 0), 1,
-                              config.sampling_ticks)
-    spec = log_spec(40, scale=config.scale, powers=config.log_powers)
-    training = assemble_training(train, spec)
-    model = _solve(np.linalg.svd(training.x.T, full_matrices=False),
-                   training.y, spec)
-    theta = build_theta(model, config.sampling_ticks)
-    grams = 0
-    score_floor = sampling._score_floor
-
-    def counted_floor(*args):
-        nonlocal grams
-        grams += 1
-        return score_floor(*args)
-
-    monkeypatch.setattr("koopnet.sampling._score_floor", counted_floor)
-    counted = _CountedScores()
-    monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=config.gamma,
-                                                      max_nodes=30))
-    assert min(plan.score_trace[:3]) > sampling._floor_ceiling(0, spec.size)
-    assert grams <= 765 - (40 + 39 + 38)
-    assert counted.calls <= 150
 
 
 def test_sigma_n_never_drops_as_nodes_are_added():
