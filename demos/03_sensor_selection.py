@@ -18,8 +18,9 @@ import numpy as np
 from koopnet import (ExperimentConfig, SelectionConfig, assemble_training,
                      build_theta, default_initial_range, fit,
                      generate_er_graph, gramian_nodes_for_budget,
-                     greedy_select, log_spec, random_initial_states,
-                     selected_rows, simulate_ensemble, verify_rank)
+                     greedy_select, lift_jacobian, log_spec,
+                     random_initial_states, selected_rows, sigma_quotient,
+                     simulate_ensemble, verify_rank)
 
 # fit a log-dictionary operator for a 10-node biochemical network
 n, tau = 10, 15
@@ -49,11 +50,14 @@ for step, score in enumerate(plan.score_trace):
 for budget in range(1, n + 1):
     candidate = greedy_select(theta, spec, SelectionConfig(max_nodes=budget),
                               fill)
-    if verify_rank(candidate, theta, spec):
-        rows = selected_rows(candidate, theta)
+    if verify_rank(candidate, theta, spec, fill):
+        # the matrix verify_rank reads: Theta_S J at the fill value
+        rows = selected_rows(candidate, theta) @ lift_jacobian(
+            spec, np.full(n, fill))
+        rank = sigma_quotient(rows, n)[2]
         print(f"\nfirst full-rank set: {budget} sensor(s) "
-              f"{list(candidate.nodes)} -> {rows.shape[0]} rows, rank "
-              f"{np.linalg.matrix_rank(rows)} of {n} needed")
+              f"{list(candidate.nodes)} -> {rows.shape[0]} rows, "
+              f"Theta_S J of rank {rank} of {n} needed")
         break
 
 # 3. the eigen-energy baseline ranks nodes by leading-mode weight instead

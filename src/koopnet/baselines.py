@@ -23,8 +23,7 @@ from .dynamics import Graph
 from .koopman import KoopmanModel, rollout, sampled_factor
 from .observables import ObservableSpec, unlift_trajectory
 from .recovery import SampleMatrix
-from .sampling import (RANK_TOL, numerical_rank, operator_rows, pick_key,
-                       sigma_quotient)
+from .sampling import RANK_TOL, operator_rows, pick_key, sigma_quotient
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
@@ -172,7 +171,7 @@ def build_laplacian_basis(graph: Graph, r: int) -> np.ndarray:
 def linear_gft_select(basis: np.ndarray,
                       budget: int) -> tuple[tuple[int, ...], bool]:
     """Greedy node-row selection on the n x r basis until its sampled rows
-    reach numerical rank r (or the budget runs out).
+    reach rank r (or the budget runs out).
 
     Returns the chosen rows and whether full rank was reached.
     """
@@ -187,10 +186,10 @@ def linear_gft_select(basis: np.ndarray,
                                        min(len(selected) + 1, r)), cand)
 
     while len(selected) < budget and not reached:
-        *_, best = min(key(cand) for cand in range(n) if cand not in selected)
+        full, *_, best = min(key(c) for c in range(n) if c not in selected)
         selected.append(best)
-        if len(selected) >= r:
-            reached = numerical_rank(basis[selected]) == r
+        # the winning key is full rank (0) when its quotient is finite
+        reached = len(selected) >= r and full == 0
     return tuple(selected), reached
 
 
@@ -203,7 +202,7 @@ def linear_gft_recover_trajectory(nodes, basis: np.ndarray,
     sampled_states = np.asarray(sampled_states, dtype=float)
     if sampled_states.ndim != 2 or sampled_states.shape[0] != rows.shape[0]:
         raise ValueError("sampled_states must be (len(nodes), tau)")
-    if numerical_rank(rows) < basis.shape[1]:
+    if sigma_quotient(rows, basis.shape[1])[2] < basis.shape[1]:
         raise RuntimeError("sampled basis rows are rank-deficient; "
                            "recovery is not identifiable")
     coef, *_ = np.linalg.lstsq(rows, sampled_states, rcond=RANK_TOL)

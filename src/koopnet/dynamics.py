@@ -11,6 +11,7 @@ sampled every ``STEPS_PER_TICK`` steps, so one trajectory tick spans
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,6 +227,9 @@ def trajectory_from_csv(path: str | Path) -> Trajectory:
             if t != len(rows) + 1:
                 raise ValueError(f"{path}: line {line} has t = {row[0]}, "
                                  f"expected {len(rows) + 1}")
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {line} holds a non-finite "
+                                 f"value (nan or inf)")
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -36,8 +36,8 @@ from .observables import (ObservableSpec, as_int, as_nodes, as_real,
                           check_fields, lift_jacobian, spec_from_dict,
                           spec_to_dict)
 
-# Singular values at or below RANK_TOL (resp. SCORE_TOL) times the largest
-# are treated as zero in rank checks and lstsq solves (resp. scoring a set).
+# Singular values at or below SCORE_TOL (resp. RANK_TOL) times the largest
+# are treated as zero in every rank check and score (resp. lstsq solve).
 RANK_TOL = 1e-10
 SCORE_TOL = 1e-8
 
@@ -179,18 +179,6 @@ def pick_key(score: tuple[float, float, int, float], cand: int) -> tuple:
     return 1, -rank, -log_volume, cand
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
-    """Count of singular values above ``RANK_TOL`` times the largest.
-
-    0 for an empty or all-zero matrix; a NaN entry makes the SVD raise
-    ``LinAlgError``.
-    """
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return 0
-    return int((svals > RANK_TOL * svals[0]).sum())
-
-
 def greedy_select(theta: np.ndarray, spec: ObservableSpec,
                   config: SelectionConfig | None = None,
                   fill_value: float = 0.5) -> SamplingPlan:
@@ -254,18 +242,14 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     return replace(gamma_map(selected, spec, tau), score_trace=tuple(trace))
 
 
-def verify_rank(plan: SamplingPlan, theta: np.ndarray,
-                spec: ObservableSpec) -> bool:
-    """True when the sampled rows have numerical rank N.
-
-    The row-count necessary condition is checked before any factorization.
-    """
+def verify_rank(plan: SamplingPlan, theta: np.ndarray, spec: ObservableSpec,
+                fill_value: float = 0.5) -> bool:
+    """True when the sampled rows times the lift's Jacobian at ``fill_value``
+    on every node have rank n: the matrix and floor ``greedy_select``
+    scores, so its plan passes exactly when it is not ``rank_deficient``."""
     plan.check_dictionary(spec)
-    if plan.sample_count < spec.n:
-        return False
-    # rank at least N determines the state; with M > N observables the rows
-    # routinely carry more than N independent directions, which is harmless
-    return numerical_rank(selected_rows(plan, theta)) >= spec.n
+    jac = lift_jacobian(spec, np.full(spec.n, float(fill_value)))
+    return sigma_quotient(selected_rows(plan, theta) @ jac, spec.n)[2] == spec.n
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +269,15 @@ def plan_from_dict(d: dict) -> SamplingPlan:
     check_fields(d, SamplingPlan, "plan", hint="; re-run koopnet select",
                  types={"score_trace": tuple[float | None, ...]})
     plan = gamma_map(d["nodes"], spec_from_dict(d["spec"]), d["tau"])
-    return replace(plan, score_trace=tuple(
-        math.inf if s is None else float(s) for s in d["score_trace"]))
+    trace = tuple(math.inf if s is None else float(s) for s in d["score_trace"])
+    if len(trace) not in (0, len(plan.nodes)):
+        raise ValueError(f"score_trace: {len(trace)} scores for "
+                         f"{len(plan.nodes)} nodes; a plan holds one per "
+                         f"pick or none")
+    if not all(s >= 1.0 for s in trace):
+        raise ValueError("score_trace: a score below 1; a quotient "
+                         "sigma_1/sigma_n is at least 1")
+    return replace(plan, score_trace=trace)
 
 
 def save_plan(plan: SamplingPlan, path: str | Path) -> Path:

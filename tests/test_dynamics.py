@@ -287,10 +287,13 @@ def test_trajectory_csv_round_trip(tmp_path):
     # an empty file once raised a bare StopIteration, and a header of `t`
     # alone loaded a trajectory of no nodes
     ("", "header"),
-    ("t\n1\n2\n", "header")],
+    ("t\n1\n2\n", "header"),
+    # once "trajectory contains non-finite entries", naming no file or line
+    ("t,x_1,x_2\n1,0.5,0.5\n2,nan,0.5\n3,0.5,inf\n",
+     "line 3 holds a non-finite value")],
     ids=["no-t-header", "rows-narrower-than-header", "ragged-rows",
          "non-numeric-field", "ticks-out-of-order", "empty-file",
-         "no-node-columns"])
+         "no-node-columns", "non-finite-field"])
 def test_trajectory_csv_rejects_garbage(tmp_path, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

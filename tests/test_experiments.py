@@ -203,16 +203,15 @@ def test_constructor_range_checks_reject_nan(build, message):
     (lambda: DynamicsParams(kind="biochemical", flow_in="5"), "flow_in: '5'"),
     (lambda: SelectionConfig(gamma="5"), "gamma: '5'"),
     (lambda: SelectionConfig(max_nodes="3"), "max_nodes: '3'"),
-    (lambda: OptimizerConfig(multistarts="2"), "multistarts: '2'"),
     (lambda: OptimizerConfig(fill_value="0.5"),
      "fill_value: '0.5' is not a real number"),
     (lambda: OptimizerConfig(fill_value=math.nan),
      "fill_value: nan is not finite"),
     (lambda: OptimizerConfig(seed=1.5), "seed: 1.5 is not an integer")],
-    ids=["flow_in", "gamma", "max_nodes", "multistarts", "fill_value-string",
+    ids=["flow_in", "gamma", "max_nodes", "fill_value-string",
          "fill_value-nan", "seed-float"])
 def test_constructor_number_checks_name_the_field(build, message):
-    # the first four once raised a bare TypeError from comparing a string;
+    # the first three once raised a bare TypeError from comparing a string;
     # the last three constructed and failed only inside the recovery
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         build()

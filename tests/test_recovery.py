@@ -5,6 +5,7 @@ precision; the nonlinear smoke test runs the full pipeline on a small
 consumption network.
 """
 
+import dataclasses
 import json
 import math
 
@@ -279,7 +280,7 @@ def test_recovery_starts_at_truth_when_every_node_is_sampled():
         nodes=(0, 1, 2, 3))
     result = recover_initial_state(
         samples, theta, spec,
-        OptimizerConfig(fill_value=1.0, multistarts=0, seed=6))
+        OptimizerConfig(fill_value=1.0, seed=6))
     assert result.iterations == 0
     assert result.converged
     assert result.objective < 1e-18
@@ -317,7 +318,7 @@ def test_negative_sample_readings_are_rescued_by_the_warm_start():
     samples = SampleMatrix(values=values, plan=plan)
     result = recover_initial_state(
         samples, stack, spec,
-        OptimizerConfig(fill_value=-50.0, multistarts=0, seed=0))
+        OptimizerConfig(fill_value=-50.0, seed=0))
     assert np.isfinite(result.objective)
     assert result.x1.min() > -spec.scale      # stayed inside the lift domain
 
@@ -334,7 +335,7 @@ def test_recovery_raises_when_every_start_is_infeasible():
     samples = SampleMatrix(values=np.ones(spec.size), plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
         recover_initial_state(samples, stack, spec,
-                              OptimizerConfig(multistarts=2, seed=0))
+                              OptimizerConfig(seed=0))
 
 
 def test_recovery_keeps_the_winning_runs_diagnostics(monkeypatch):
@@ -349,17 +350,15 @@ def test_recovery_keeps_the_winning_runs_diagnostics(monkeypatch):
     spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     result = recover_initial_state(
         samples, theta, spec,
-        OptimizerConfig(fill_value=1.0, multistarts=3, seed=5))
+        OptimizerConfig(fill_value=1.0, seed=5))
     best = min(runs, key=lambda run: run.fun)   # the first of equals wins
-    assert len(runs) == 5
+    assert len(runs) == 2
     assert result.gradient_norm == best.gradient_norm
     assert result.resets == best.resets
     assert result.iterations == best.iterations
 
 
-@pytest.mark.parametrize("jitter, runs", [({}, 2), ({"multistarts": 3}, 5)],
-                         ids=["default", "jitter-opt-in"])
-def test_recovery_runs_base_then_jitter_then_warm(monkeypatch, jitter, runs):
+def test_recovery_runs_base_then_warm(monkeypatch):
     starts = []
     real = recovery.minimize_dfp
 
@@ -370,15 +369,20 @@ def test_recovery_runs_base_then_jitter_then_warm(monkeypatch, jitter, runs):
     monkeypatch.setattr(recovery, "minimize_dfp", recording)
     spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     recover_initial_state(samples, theta, spec,
-                          OptimizerConfig(fill_value=1.0, seed=5, **jitter))
+                          OptimizerConfig(fill_value=1.0, seed=5))
     r_a, r_y = sampled_factor([selected_rows(plan, theta)], samples.values)
-    assert len(starts) == runs
+    assert len(starts) == 2
     assert np.array_equal(starts[0], initial_guess(samples, spec, 1.0))
-    assert np.array_equal(starts[-1], _linear_warm_start(r_a, r_y, spec))
-    # the jittered starts move only the unsampled nodes
-    for x0 in starts[1:-1]:
-        assert np.array_equal(x0[:2], starts[0][:2])
-        assert not np.array_equal(x0[2:], starts[0][2:])
+    assert np.array_equal(starts[1], _linear_warm_start(r_a, r_y, spec))
+
+
+def test_optimizer_config_has_no_extra_starts():
+    # the benchmark's tracer counts 1 + multistarts runs per recovery
+    assert OptimizerConfig().multistarts == 0
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == \
+        ["fill_value", "seed"]
+    with pytest.raises(TypeError):
+        OptimizerConfig(multistarts=1)
 
 
 def test_nrmse_does_not_depend_on_memory_layout():
@@ -428,12 +432,7 @@ def test_recovery_raises_on_a_non_finite_sample():
     samples = SampleMatrix(values=values, plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
         recover_initial_state(samples, stack, spec,
-                              OptimizerConfig(multistarts=2, seed=0))
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(multistarts=-1)
+                              OptimizerConfig(seed=0))
 
 
 # =========================================================================

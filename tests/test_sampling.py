@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -34,7 +35,7 @@ from koopnet import (
 )
 from koopnet import sampling
 from koopnet.koopman import sampled_factor
-from koopnet.sampling import (numerical_rank, operator_rows, pick_key,
+from koopnet.sampling import (operator_rows, pick_key,
                               plan_from_dict, plan_to_dict, selected_rows)
 
 
@@ -148,6 +149,9 @@ def test_sigma_quotient_edges():
     assert sigma_quotient(np.empty((0, 2)), 2) == (math.inf, 0.0, 0, 0.0)
     # rank-deficient square matrix
     assert sigma_quotient(np.ones((2, 2)), 2)[:3] == (math.inf, 0.0, 1)
+    # a NaN entry makes the SVD raise
+    with pytest.raises(np.linalg.LinAlgError):
+        sigma_quotient(np.array([[1.0, np.nan], [0.0, 1.0]]), 2)
 
 
 def test_score_is_at_least_one_when_finite():
@@ -591,6 +595,24 @@ def test_bio_n40_picks_survive_a_rounding_level_change_of_k():
         assert order(model.operator * (1.0 + 1e-10 * noise)) == base
 
 
+def test_bio_n40_verify_rank_agrees_with_the_rank_flag_at_every_budget():
+    # the instance where verify_rank once passed the budget-2 and -3 plans
+    # that greedy flags rank_deficient
+    config, spec, model, budget = _bio_n40_instance()
+    theta = build_theta(model, config.sampling_ticks)
+    fill = config.optimizer().fill_value
+    plan = greedy_select(theta, spec, SelectionConfig(gamma=None,
+                                                      max_nodes=budget), fill)
+    flags = []
+    for k in range(1, budget + 1):
+        prefix = dataclasses.replace(gamma_map(plan.nodes[:k], spec, plan.tau),
+                                     score_trace=plan.score_trace[:k])
+        flags.append(prefix.rank_deficient)
+        assert verify_rank(prefix, theta, spec, fill) == \
+            (not prefix.rank_deficient)
+    assert flags[1] and flags[2] and not flags[-1]
+
+
 def test_a_nan_in_the_stack_fails_in_the_svd():
     # rejected at entry, before any eigensolve or SVD sees it
     theta = np.random.default_rng(0).normal(size=(6, 6, 6))
@@ -673,17 +695,16 @@ def test_verify_rank_rejects_an_empty_plan():
     assert not verify_rank(plan, theta, spec)
 
 
-@pytest.mark.parametrize("matrix, outcome", [
-    (np.empty((0, 3)), 0),
-    (np.zeros((4, 3)), 0),
-    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.linalg.LinAlgError),
-], ids=["empty", "zero", "nan"])
-def test_numerical_rank_degenerate_inputs(matrix, outcome):
-    if isinstance(outcome, int):
-        assert numerical_rank(matrix) == outcome
-    else:
-        with pytest.raises(outcome):
-            numerical_rank(matrix)
+def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
+    # with K = I, node 0's lifted rows (the constant and its own entries)
+    # have rank 4 >= n = 2, but every one of them reads node 0 alone, so
+    # Theta_S J has rank 1 and node 1's state is not determined
+    spec = log_spec(2)
+    theta = _stack(np.eye(spec.size), tau=3)
+    plan = greedy_select(theta, spec, SelectionConfig(gamma=None, max_nodes=1))
+    assert plan.rank_deficient
+    assert np.linalg.matrix_rank(selected_rows(plan, theta)) >= spec.n
+    assert not verify_rank(plan, theta, spec)
 
 
 def test_selection_config_validation():
@@ -789,6 +810,22 @@ def test_plan_file_with_non_integers_fails_at_load(field, value, message):
     with pytest.raises(ValueError) as info:
         plan_from_dict(d)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("trace, message", [
+    ([5.0, 3.0, 2.0, 1.0], "score_trace: 4 scores for 2 nodes"),
+    ([None], "score_trace: 1 scores for 2 nodes"),
+    ([None, 0.5], "score_trace: a score below 1"),
+], ids=["longer-than-nodes", "shorter-than-nodes", "below-one"])
+def test_plan_file_with_an_impossible_score_trace_fails_at_load(trace, message):
+    # [5, 3, 2, 1] once loaded on two nodes, its score 1.0 from a pick that
+    # never happened; no sigma_1/sigma_n quotient is below 1
+    d = plan_to_dict(gamma_map([0, 1], log_spec(4), tau=4))
+    d["score_trace"] = trace
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        plan_from_dict(d)
+    d["score_trace"] = [None, 2.5]
+    assert plan_from_dict(d).score_trace == (math.inf, 2.5)
 
 
 # Each field of a plan file replaced by each kind it must not hold; a
