@@ -50,7 +50,7 @@ for step, score in enumerate(plan.score_trace):
 for budget in range(1, n + 1):
     candidate = greedy_select(theta, spec, SelectionConfig(max_nodes=budget),
                               fill)
-    if verify_rank(candidate, theta, spec, fill):
+    if verify_rank(candidate, model, fill):
         # the matrix verify_rank reads: Theta_S J at the fill value
         rows = selected_rows(candidate, theta) @ lift_jacobian(
             spec, np.full(n, fill))

@@ -32,25 +32,23 @@ train = simulate_ensemble(graph, params, x1s, 50)
 spec = log_spec(n)
 training = assemble_training(train, spec)
 model = fit(training)
-theta = build_theta(model, tau)
 
 # choose 5 of 10 sensors and take their readings
-plan = greedy_select(theta, spec, SelectionConfig(gamma=None,
-                                                  max_nodes=n // 2))
-samples = take_samples(truth, spec, plan)
+plan = greedy_select(build_theta(model, tau), spec,
+                     SelectionConfig(gamma=None, max_nodes=n // 2))
+samples = take_samples(truth, plan)
 print(f"sampling nodes {sorted(plan.nodes)}: "
       f"{len(plan.observable_indices)} readable observables x {tau} ticks "
       f"= {samples.values.size} scalar readings")
 
 # refinement: fold short rollouts near the observed cells back into the fit
-refined, _ = refine_with_samples(model, training, plan.nodes,
+refined, _ = refine_with_samples(training, plan.nodes,
                                  truth.states[list(plan.nodes), 0], graph,
                                  params, tau, 50, seed=24)
-theta = build_theta(refined, tau)
 
-result = recover_initial_state(samples, theta, spec,
-                               OptimizerConfig(fill_value=0.5 * (low + high),
-                                               seed=25))
+# the recovery builds the refined model's stack of powers to the plan's tau
+result = recover_initial_state(samples, refined,
+                               OptimizerConfig(fill_value=0.5 * (low + high)))
 print(f"optimizer: {result.iterations} iterations, converged "
       f"{result.converged}, objective {result.objective:.3e}")
 

@@ -91,10 +91,8 @@ def _cmd_recover(args) -> int:
     model = load_model(args.model)
     plan = load_plan(args.plan)
     trajectory = trajectory_from_csv(args.trajectory)
-    theta = build_theta(model, plan.tau)
-    samples = take_samples(trajectory, model.spec, plan)
-    opt = config.optimizer()
-    result = recover_initial_state(samples, theta, model.spec, opt)
+    samples = take_samples(trajectory, plan)
+    result = recover_initial_state(samples, model, config.optimizer())
     path = save_result(result, out / "recovery.json", truth=trajectory.states)
     payload = json.loads(path.read_text())
     print(f"wrote {path} (N-RMSE {payload['nrmse']:.6g}, "

@@ -114,16 +114,6 @@ def _rhs(x, graph, params):
     return -x + a @ sat
 
 
-def derivative(x: np.ndarray, graph: Graph, params: DynamicsParams) -> np.ndarray:
-    """Instantaneous time derivative of the node states."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != graph.n:
-        raise ValueError(f"state has {x.shape[0]} entries, graph has {graph.n} nodes")
-    if not np.isfinite(x).all():
-        raise ValueError("state contains non-finite entries")
-    return _rhs(x, graph, params)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled states, one column per tick (column 0 is the initial state)."""

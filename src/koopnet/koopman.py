@@ -278,10 +278,10 @@ def build_theta(model: KoopmanModel, tau: int) -> np.ndarray:
     return rollout(model, np.eye(model.size), tau)
 
 
-def refine_with_samples(model: KoopmanModel, training: TrainingSet,
-                        sampled_nodes, sampled_x1: np.ndarray,
-                        graph: Graph, params: DynamicsParams, num_steps: int,
-                        d_extra: int, seed: int | None = None
+def refine_with_samples(training: TrainingSet, sampled_nodes,
+                        sampled_x1: np.ndarray, graph: Graph,
+                        params: DynamicsParams, num_steps: int, d_extra: int,
+                        seed: int | None = None
                         ) -> tuple[KoopmanModel, TrainingSet]:
     """Refit K with extra trajectories conditioned on observed initial samples.
 
@@ -292,17 +292,14 @@ def refine_with_samples(model: KoopmanModel, training: TrainingSet,
     Only the new trajectories are lifted: they are folded into a copy of
     ``training.factor``, and K is solved from the result as ``fit`` solves
     it on many pairs, from the SVD of its M x M block ``R_xx``.  The
-    returned union is a new ``TrainingSet``.  With ``d_extra == 0`` the
-    model and training set are returned unchanged.
+    returned union is a new ``TrainingSet``.  ``d_extra`` must be at least 1.
     """
     nodes = as_nodes(sampled_nodes, graph.n, "sampled_nodes")
     values = np.asarray(sampled_x1, dtype=float)
     if values.shape != (len(nodes),):
         raise ValueError("one observed value per sampled node is required")
-    if d_extra < 0:
-        raise ValueError("d_extra must be nonnegative")
-    if d_extra == 0:
-        return model, training
+    if d_extra < 1:
+        raise ValueError("d_extra must be at least 1")
     rng = np.random.default_rng(seed)
     x1s = rng.uniform(*default_initial_range(params.kind), (graph.n, d_extra))
     x1s[nodes, :] = values[:, None]

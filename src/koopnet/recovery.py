@@ -22,9 +22,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .koopman import sampled_factor
+from .koopman import KoopmanModel, build_theta, sampled_factor
 from .metrics import nrmse, per_tick_nrmse
-from .observables import (ObservableSpec, as_int, as_real, lift_jacobian,
+from .observables import (ObservableSpec, as_real, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
 from .sampling import RANK_TOL, SamplingPlan, selected_rows
@@ -41,18 +41,16 @@ class OptimizerConfig:
     least-squares solution of the sampled linear system; the run with the
     lowest final objective wins.  Both runs keep ``minimize_dfp``'s
     defaults: its iteration cap (500), gradient tolerance (1e-8) and Wolfe
-    constants.  ``seed`` seeds nothing: both starts are deterministic.
+    constants.
     """
 
     # no extra starts beside base and warm; read by the benchmark's tracer
     multistarts: ClassVar[int] = 0
     fill_value: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if not math.isfinite(as_real(self.fill_value, "fill_value")):
             raise ValueError(f"fill_value: {self.fill_value!r} is not finite")
-        as_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -81,22 +79,21 @@ class RecoveryResult:
     resets: int = 0                   # its steepest-descent restarts
 
 
-def take_samples(trajectory, spec: ObservableSpec, plan: SamplingPlan) -> SampleMatrix:
+def take_samples(trajectory, plan: SamplingPlan) -> SampleMatrix:
     """Read the plan's entries off a trajectory, in ``selected_rows`` order."""
     states = trajectory.states if hasattr(trajectory, "states") else np.asarray(trajectory)
-    if states.shape[0] != spec.n:
-        raise ValueError("trajectory and dictionary disagree on the node count")
+    if states.shape[0] != plan.spec.n:
+        raise ValueError("trajectory and plan disagree on the node count")
     if states.shape[1] != plan.tau:
         raise ValueError(f"plan expects {plan.tau} ticks, trajectory has {states.shape[1]}")
-    plan.check_dictionary(spec)
-    z = lift_trajectory(spec, states)
+    z = lift_trajectory(plan.spec, states)
     return SampleMatrix(values=z[plan.observable_indices].T.ravel(), plan=plan)
 
 
-def initial_guess(samples: SampleMatrix, spec: ObservableSpec,
-                  fill_value: float) -> np.ndarray:
+def initial_guess(samples: SampleMatrix, fill_value: float) -> np.ndarray:
     """Sampled nodes from their observed first-tick values; the rest filled."""
     plan = samples.plan
+    spec = plan.spec
     x0 = np.full(spec.n, float(fill_value))
     nodes = list(plan.nodes)
     # a node's state entry reads that node alone, so the plan reads it
@@ -130,20 +127,22 @@ def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
     return objective, gradient
 
 
-def recover_initial_state(samples: SampleMatrix, theta: np.ndarray,
-                          spec: ObservableSpec,
+def recover_initial_state(samples: SampleMatrix, model: KoopmanModel,
                           config: OptimizerConfig | None = None) -> RecoveryResult:
     """Estimate the initial state behind ``samples`` and reconstruct the rest
-    from ``theta``, the tau x M x M stack of powers ``build_theta`` makes."""
+    through ``model``'s stack of powers, which ``build_theta`` makes to the
+    plan's ``tau``.  The plan must be mapped on ``model``'s dictionary."""
     config = config or OptimizerConfig()
     plan = samples.plan
+    spec = model.spec
     plan.check_dictionary(spec)
+    theta = build_theta(model, plan.tau)
     # one block, freed before the final QR; the last row of R keeps the
     # residual that no psi can remove
     r_a, r_y = sampled_factor(iter([selected_rows(plan, theta)]), samples.values)
     objective, gradient = _objective_pair(r_a, r_y, spec)
 
-    starts = [initial_guess(samples, spec, config.fill_value)]
+    starts = [initial_guess(samples, config.fill_value)]
     warm = _linear_warm_start(r_a, r_y, spec)
     if warm is not None:
         starts.append(warm)

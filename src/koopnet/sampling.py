@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import KoopmanModel
+from .koopman import KoopmanModel, build_theta
 from .observables import (ObservableSpec, as_int, as_nodes, as_real,
                           check_fields, lift_jacobian, spec_from_dict,
                           spec_to_dict)
@@ -242,14 +242,17 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
     return replace(gamma_map(selected, spec, tau), score_trace=tuple(trace))
 
 
-def verify_rank(plan: SamplingPlan, theta: np.ndarray, spec: ObservableSpec,
+def verify_rank(plan: SamplingPlan, model: KoopmanModel,
                 fill_value: float = 0.5) -> bool:
-    """True when the sampled rows times the lift's Jacobian at ``fill_value``
-    on every node have rank n: the matrix and floor ``greedy_select``
-    scores, so its plan passes exactly when it is not ``rank_deficient``."""
-    plan.check_dictionary(spec)
-    jac = lift_jacobian(spec, np.full(spec.n, float(fill_value)))
-    return sigma_quotient(selected_rows(plan, theta) @ jac, spec.n)[2] == spec.n
+    """True when the plan's rows of ``model``'s stack of powers times the
+    lift's Jacobian at ``fill_value`` on every node have rank n: the matrix
+    and floor ``greedy_select`` scores, so its plan passes exactly when it
+    is not ``rank_deficient``."""
+    plan.check_dictionary(model.spec)
+    n = plan.spec.n
+    jac = lift_jacobian(plan.spec, np.full(n, float(fill_value)))
+    rows = selected_rows(plan, build_theta(model, plan.tau))
+    return sigma_quotient(rows @ jac, n)[2] == n
 
 
 # ---------------------------------------------------------------------------

@@ -223,31 +223,29 @@ def test_criterion_5_exact_model_oracles(acceptance_log):
     shift_model = KoopmanModel(operator=shift, spec=spec4, residual=0.0)
     theta = build_theta(shift_model, tau=4)
     plan = greedy_select(theta, spec4, SelectionConfig(gamma=1.01))
-    single = len(plan.nodes) == 1 and verify_rank(plan, theta, spec4)
+    single = len(plan.nodes) == 1 and verify_rank(plan, shift_model)
 
     # (c) recovery of the initial state from two sensors, six ticks
     sys_model = KoopmanModel(operator=a, spec=spec4, residual=0.0)
-    sys_theta = build_theta(sys_model, tau=6)
     truth = _linear_trajectories(a, rng.uniform(0.2, 1.0, size=(4, 1)), 6)[0]
     rec_plan = gamma_map((0, 1), spec4, tau=6)
-    samples = take_samples(truth, spec4, rec_plan)
-    result = recover_initial_state(samples, sys_theta, spec4,
-                                   OptimizerConfig(seed=3))
+    samples = take_samples(truth, rec_plan)
+    result = recover_initial_state(samples, sys_model, OptimizerConfig())
     rec_err = float(np.max(np.abs(result.x1 - truth.states[:, 0])))
 
     # (d) every plan the greedy returns as full-rank really is full-rank
     feasible_confirmed = True
     for seed in range(3):
         op = _stable_matrix(4, seed=10 + seed)
-        th = build_theta(KoopmanModel(operator=op, spec=spec4, residual=0.0),
-                         tau=4)
+        op_model = KoopmanModel(operator=op, spec=spec4, residual=0.0)
+        th = build_theta(op_model, tau=4)
         for budget in range(1, 5):
             p = greedy_select(th, spec4, SelectionConfig(max_nodes=budget))
-            if verify_rank(p, th, spec4):
+            if verify_rank(p, op_model):
                 rank = np.linalg.matrix_rank(selected_rows(p, th))
                 feasible_confirmed &= rank == 4
         full = greedy_select(th, spec4, SelectionConfig(max_nodes=4))
-        feasible_confirmed &= verify_rank(full, th, spec4)
+        feasible_confirmed &= verify_rank(full, op_model)
 
     ok = fit_err < 1e-8 and single and rec_err < 1e-6 and feasible_confirmed
     acceptance_log(f"criterion 5 {'PASS' if ok else 'FAIL'} — exact-model "

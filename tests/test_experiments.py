@@ -207,7 +207,7 @@ def test_constructor_range_checks_reject_nan(build, message):
      "fill_value: '0.5' is not a real number"),
     (lambda: OptimizerConfig(fill_value=math.nan),
      "fill_value: nan is not finite"),
-    (lambda: OptimizerConfig(seed=1.5), "seed: 1.5 is not an integer")],
+    (lambda: ExperimentConfig(seed=1.5), "seed: 1.5 is not an integer")],
     ids=["flow_in", "gamma", "max_nodes", "fill_value-string",
          "fill_value-nan", "seed-float"])
 def test_constructor_number_checks_name_the_field(build, message):
@@ -243,6 +243,19 @@ def test_config_rejects_a_null_selection_rate():
     # null once meant "every node", the budget a rate of 1.0 gives
     with pytest.raises(ValueError, match=r"selection_rate must lie in \(0, 1\]"):
         ExperimentConfig.from_dict({"selection_rate": None})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_values", [6, 6]), ("sampling_rates", [0.5, 0.5]),
+    ("log_power_grid", [[1], [1]]), ("poly_power_grid", [1, 1])])
+def test_config_rejects_a_repeated_entry(field, value):
+    # each once ran its cells again: n_values (6, 6) at rates (0.5, 0.5)
+    # wrote four identical records, aggregated as four trials
+    message = f"{field}: {value[0]!r} is listed twice"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ExperimentConfig.from_dict({field: value})
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        ExperimentConfig(**{field: value})
 
 
 def test_params_flow_defaults():
@@ -573,7 +586,7 @@ def test_full_sampling_recovers_near_model_floor(samp_report):
     spec = log_spec(n, scale=cfg.scale, powers=cfg.log_powers)
     training = assemble_training(train, spec)
     model = fit(training)
-    refined, _ = refine_with_samples(model, training, tuple(range(n)),
+    refined, _ = refine_with_samples(training, tuple(range(n)),
                                      truth.states[:, 0], graph, params,
                                      cfg.sampling_ticks,
                                      cfg.refine_trajectories,
@@ -767,6 +780,18 @@ def test_multi_rate_sweep_matches_single_rate_sweeps(gamma, tmp_path):
                               tuple(sorted(singles, key=TrialRecord.sort_key)))
     apart, _ = emit(merged, tmp_path / "apart")
     assert joint.read_bytes() == apart.read_bytes()
+
+
+def test_budget_is_the_node_count_when_gamma_stops_selection_early():
+    # gamma = 200 stops greedy at nodes (1, 5, 4), inside the two larger
+    # caps (6 and 10); each rate once recorded its cap as its budget
+    cfg = ExperimentConfig(n_values=(10,), seed=0, trials=1, gamma=200.0,
+                           baselines=(), refine_trajectories=0,
+                           sampling_rates=(0.3, 0.6, 1.0))
+    records = run_sampling_sweep(cfg).records
+    assert [r.budget for r in records] == [3, 3, 3]
+    assert len({r.nrmse for r in records}) == 1
+    assert records[0].nrmse == pytest.approx(0.012853, abs=5e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_the_perturbation_reaches_fits_and_refits():
 
     def fit_and_refit():
         model = fit(training)
-        refit, _ = refine_with_samples(model, training, [0, 2],
+        refit, _ = refine_with_samples(training, [0, 2],
                                        truth[[0, 2]], graph, params, 15,
                                        d_extra=4, seed=41)
         return model.operator, refit.operator

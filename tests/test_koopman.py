@@ -495,20 +495,11 @@ def _refine_setup(seed=14, params=BIOCHEMICAL, d=20):
     return graph, params, spec, training, model, truth
 
 
-def test_refine_zero_extra_is_a_noop():
-    graph, params, spec, training, model, truth = _refine_setup()
-    refined, kept = refine_with_samples(model, training, [0, 1],
-                                        truth.states[[0, 1], 0], graph,
-                                        params, 15, d_extra=0)
-    assert refined is model
-    assert kept is training
-
-
 def test_refine_pins_sampled_entries_of_new_trajectories():
     graph, params, spec, training, model, truth = _refine_setup()
     nodes = list(range(6))   # sampling every node pins the entire x1
     refined, combined = refine_with_samples(
-        model, training, nodes, truth.states[:, 0], graph, params, 15,
+        training, nodes, truth.states[:, 0], graph, params, 15,
         d_extra=4, seed=99)
     assert combined.d == training.d + 4
     # every extra trajectory starts from the same fully pinned state, so all
@@ -529,7 +520,7 @@ def test_refine_combined_set_is_the_stacked_union():
             params=kind_params)
         nodes = [0, 2]
         refined, combined = refine_with_samples(
-            model, training, nodes, truth.states[nodes, 0], graph, params, 15,
+            training, nodes, truth.states[nodes, 0], graph, params, 15,
             d_extra=5, seed=41)
         # the extra trajectories, drawn as refine_with_samples draws them
         x1s = np.random.default_rng(41).uniform(0.0, high, (6, 5))
@@ -544,7 +535,7 @@ def test_refine_combined_set_is_the_stacked_union():
 def test_refine_equals_a_fresh_fit_on_the_union():
     graph, params, spec, training, model, truth = _refine_setup()
     refined, combined = refine_with_samples(
-        model, training, [0, 2], truth.states[[0, 2], 0], graph, params, 15,
+        training, [0, 2], truth.states[[0, 2], 0], graph, params, 15,
         d_extra=5, seed=41)
     again = fit(combined)
     # the refit solves from R, not from the snapshots: entries of K in the
@@ -559,11 +550,12 @@ def test_refine_equals_a_fresh_fit_on_the_union():
 def test_refine_validates_inputs():
     graph, params, spec, training, model, truth = _refine_setup()
     with pytest.raises(ValueError):
-        refine_with_samples(model, training, [0], np.zeros(2), graph, params,
+        refine_with_samples(training, [0], np.zeros(2), graph, params,
                             15, d_extra=3)
-    with pytest.raises(ValueError):
-        refine_with_samples(model, training, [0], np.zeros(1), graph, params,
-                            15, d_extra=-1)
+    for d_extra in (0, -1):   # no extra trajectory: nothing to refit on
+        with pytest.raises(ValueError, match="d_extra must be at least 1"):
+            refine_with_samples(training, [0], np.zeros(1), graph, params,
+                                15, d_extra=d_extra)
 
 
 @pytest.mark.parametrize("nodes, message", [
@@ -578,7 +570,7 @@ def test_refine_rejects_bad_sampled_nodes(nodes, message):
     # out-of-range node raised numpy's bare IndexError
     graph, params, spec, training, model, truth = _refine_setup()
     with pytest.raises(ValueError) as info:
-        refine_with_samples(model, training, nodes, np.zeros(len(nodes)),
+        refine_with_samples(training, nodes, np.zeros(len(nodes)),
                             graph, params, 15, d_extra=3, seed=1)
     assert str(info.value) == message
 
@@ -601,7 +593,7 @@ def test_a_refit_lifts_only_the_new_trajectories(monkeypatch):
     lifts = _CountedLifts()
     monkeypatch.setattr("koopnet.koopman.lift_trajectory", lifts)
     _, combined = refine_with_samples(
-        model, training, [0, 2], truth.states[[0, 2], 0], graph, params, 15,
+        training, [0, 2], truth.states[[0, 2], 0], graph, params, 15,
         d_extra=5, seed=41)
     new = combined.trajectories[training.d:]
     assert len(lifts.states) == 5
@@ -615,7 +607,7 @@ def test_the_factor_is_folded_once_across_three_refits(monkeypatch):
     monkeypatch.setattr("koopnet.koopman.lift_trajectory", lifts)
     factors = []
     for nodes in ([0], [0, 2], [0, 2, 4]):
-        refine_with_samples(model, training, nodes, truth.states[nodes, 0],
+        refine_with_samples(training, nodes, truth.states[nodes, 0],
                             graph, params, 15, d_extra=4, seed=len(nodes))
         factors.append(training.factor)
     assert len(lifts.states) == training.d + 3 * 4
@@ -659,7 +651,7 @@ def test_a_fit_on_many_pairs_and_its_refits_lift_each_trajectory_once(
                for got, traj in zip(lifts.states, training.trajectories))
     folded = vars(training)["factor"]
     for nodes in ([0], [0, 2], [0, 2, 4]):
-        refine_with_samples(model, training, nodes, truth.states[nodes, 0],
+        refine_with_samples(training, nodes, truth.states[nodes, 0],
                             graph, params, 15, d_extra=4, seed=len(nodes))
         assert training.factor is folded
     assert len(lifts.states) == training.d + 3 * 4

@@ -29,7 +29,6 @@ from koopnet import (
     log_spec,
     nrmse,
     per_tick_nrmse,
-    poly_spec,
     random_initial_states,
     recover_initial_state,
     result_to_dict,
@@ -91,14 +90,14 @@ def test_full_sampling_reads_the_entire_lift():
     spec = log_spec(3)
     plan = gamma_map([0, 1, 2], spec, tau=1)
     x1 = np.array([10.0, 20.0, 30.0])
-    samples = take_samples(x1[:, None], spec, plan)
+    samples = take_samples(x1[:, None], plan)
     assert np.allclose(samples.values, lift_trajectory(spec, x1))
 
 
 def test_empty_plan_samples_only_constants():
     spec = log_spec(3)
     plan = gamma_map([], spec, tau=4)
-    samples = take_samples(np.ones((3, 4)), spec, plan)
+    samples = take_samples(np.ones((3, 4)), plan)
     assert np.array_equal(samples.values, np.ones(4))  # one constant per tick
 
 
@@ -115,7 +114,7 @@ def test_samples_match_the_stacked_system_rows():
     states = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                               for t in range(tau)])
     plan = gamma_map([0, 2], spec, tau)
-    samples = take_samples(states, spec, plan)
+    samples = take_samples(states, plan)
     stacked = selected_rows(plan, theta) @ x1
     assert np.allclose(samples.values, stacked, atol=1e-10)
 
@@ -124,21 +123,11 @@ def test_take_samples_validation():
     spec = log_spec(3)
     plan = gamma_map([0], spec, tau=4)
     with pytest.raises(ValueError):
-        take_samples(np.ones((2, 4)), spec, plan)   # node count mismatch
+        take_samples(np.ones((2, 4)), plan)   # node count mismatch
     with pytest.raises(ValueError):
-        take_samples(np.ones((3, 5)), spec, plan)   # tick count mismatch
+        take_samples(np.ones((3, 5)), plan)   # tick count mismatch
     with pytest.raises(ValueError):
         SampleMatrix(values=np.ones(3), plan=plan)  # wrong sample length
-
-
-def test_take_samples_rejects_a_plan_of_another_dictionary():
-    # a log plan (n = 6, M = 19) read off a trajectory through a poly
-    # dictionary (n = 6, M = 85)
-    log_plan = gamma_map([0, 2, 4], log_spec(6), tau=3)
-    pspec = poly_spec(6, max_power=2)
-    assert (log_plan.spec.size, pspec.size) == (19, 85)
-    with pytest.raises(ValueError, match="size 19.*85"):
-        take_samples(np.ones((6, 3)), pspec, log_plan)
 
 
 def test_a_plan_of_another_dictionary_of_its_size_is_rejected():
@@ -149,15 +138,13 @@ def test_a_plan_of_another_dictionary_of_its_size_is_rejected():
     assert log_plan.spec.size == ident.size == 13
     message = ("plan was selected on the log dictionary of size 13 and is "
                "read with another, the identity dictionary of size 13")
-    with pytest.raises(ValueError, match=message):
-        take_samples(np.ones((13, 3)), ident, log_plan)
     # the samples as the log plan reads them, handed to identity solvers
-    samples = take_samples(np.ones((4, 3)), log_plan.spec, log_plan)
+    samples = take_samples(np.ones((4, 3)), log_plan)
     model = KoopmanModel(operator=np.eye(13) * 0.5, spec=ident, residual=0.0)
     with pytest.raises(ValueError, match=message):
         linear_observable_recover(samples, model)
     with pytest.raises(ValueError, match=message):
-        recover_initial_state(samples, build_theta(model, 3), ident)
+        recover_initial_state(samples, model)
 
 
 # =========================================================================
@@ -171,8 +158,8 @@ def test_initial_guess_reads_sampled_nodes_and_fills_the_rest():
                        [10.0, 11.0],
                        [15.0, 16.0],
                        [20.0, 21.0]])
-    samples = take_samples(states, spec, plan)
-    x0 = initial_guess(samples, spec, fill_value=0.5)
+    samples = take_samples(states, plan)
+    x0 = initial_guess(samples, fill_value=0.5)
     assert x0[1] == pytest.approx(10.0)
     assert x0[3] == pytest.approx(20.0)
     assert x0[0] == x0[2] == 0.5
@@ -193,12 +180,12 @@ def _exact_linear_setup(n=4, tau=6, seed=2, nodes=(0, 1)):
     states = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                               for t in range(tau)])
     plan = gamma_map(list(nodes), spec, tau)
-    samples = take_samples(states, spec, plan)
-    return spec, theta, x1, states, plan, samples
+    samples = take_samples(states, plan)
+    return spec, model, theta, x1, states, plan, samples
 
 
 def test_objective_vanishes_at_the_truth():
-    spec, theta, x1, states, plan, samples = _exact_linear_setup()
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup()
     a = selected_rows(plan, theta)
     objective, gradient = _objective_pair(a, samples.values, spec)
     assert objective(x1) < 1e-20
@@ -254,21 +241,21 @@ def test_gradient_reuses_the_objectives_residual_bit_for_bit():
 # =========================================================================
 
 def test_full_sampling_recovers_the_initial_state():
-    spec, theta, x1, states, plan, samples = _exact_linear_setup(
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup(
         nodes=(0, 1, 2, 3))
-    result = recover_initial_state(samples, theta, spec,
-                                   OptimizerConfig(fill_value=1.0, seed=4))
+    result = recover_initial_state(samples, model,
+                                   OptimizerConfig(fill_value=1.0))
     assert np.abs(result.x1 - x1).max() < 1e-6
     assert result.objective < 1e-12
     assert np.allclose(result.trajectory, states, atol=1e-5)
 
 
 def test_partial_sampling_recovers_when_rank_allows():
-    spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     score_rows = selected_rows(plan, theta)
     assert np.linalg.matrix_rank(score_rows, tol=1e-10) == 4  # identifiable
-    result = recover_initial_state(samples, theta, spec,
-                                   OptimizerConfig(fill_value=1.0, seed=5))
+    result = recover_initial_state(samples, model,
+                                   OptimizerConfig(fill_value=1.0))
     assert result.objective < 1e-10
     assert np.abs(result.x1 - x1).max() < 1e-4
 
@@ -276,29 +263,18 @@ def test_partial_sampling_recovers_when_rank_allows():
 def test_recovery_starts_at_truth_when_every_node_is_sampled():
     # the base start reads the sampled first tick, which IS the initial
     # state; with an exact model the optimizer has nothing to do
-    spec, theta, x1, states, plan, samples = _exact_linear_setup(
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup(
         nodes=(0, 1, 2, 3))
     result = recover_initial_state(
-        samples, theta, spec,
-        OptimizerConfig(fill_value=1.0, seed=6))
+        samples, model,
+        OptimizerConfig(fill_value=1.0))
     assert result.iterations == 0
     assert result.converged
     assert result.objective < 1e-18
 
 
-@pytest.mark.parametrize("plan_tau", [3, 8])
-def test_recovery_rejects_a_stack_of_another_tau(plan_tau):
-    # a longer plan would index past the stack, a shorter one would recover
-    # against the wrong horizon
-    theta = _exact_linear_setup()[1]                    # tau = 6
-    spec, *_, samples = _exact_linear_setup(tau=plan_tau)
-    with pytest.raises(ValueError, match="disagree on tau"):
-        recover_initial_state(samples, theta, spec,
-                              OptimizerConfig(fill_value=1.0, seed=0))
-
-
 def test_warm_start_lands_on_the_truth_for_exact_data():
-    spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     a = selected_rows(plan, theta)
     warm = _linear_warm_start(a, samples.values, spec)
     assert warm is not None
@@ -310,32 +286,27 @@ def test_negative_sample_readings_are_rescued_by_the_warm_start():
     # but the clipped least-squares start keeps the recovery alive
     spec = log_spec(2, scale=1.0)
     plan = gamma_map([0, 1], spec, tau=1)
-    stack = build_theta(KoopmanModel(operator=np.eye(spec.size), spec=spec,
-                                     residual=0.0), 1)
+    model = KoopmanModel(operator=np.eye(spec.size), spec=spec, residual=0.0)
     values = np.zeros(spec.size)
     values[0] = 1.0
     values[spec.linear_indices] = [-50.0, -50.0]   # far outside the domain
     samples = SampleMatrix(values=values, plan=plan)
-    result = recover_initial_state(
-        samples, stack, spec,
-        OptimizerConfig(fill_value=-50.0, seed=0))
+    result = recover_initial_state(samples, model,
+                                   OptimizerConfig(fill_value=-50.0))
     assert np.isfinite(result.objective)
     assert result.x1.min() > -spec.scale      # stayed inside the lift domain
 
 
 def test_recovery_raises_when_every_start_is_infeasible():
-    # a corrupted evolution stack makes the objective non-finite everywhere
-    # and breaks the least-squares start as well
+    # a corrupted operator makes the objective non-finite everywhere past
+    # the first tick and breaks the least-squares start as well
     spec = log_spec(2, scale=1.0)
-    plan = gamma_map([0, 1], spec, tau=1)
-    stack = build_theta(KoopmanModel(operator=np.full((spec.size, spec.size),
-                                                      np.nan),
-                                     spec=spec, residual=0.0), 1)
-    stack = np.full_like(stack, np.nan)
-    samples = SampleMatrix(values=np.ones(spec.size), plan=plan)
+    plan = gamma_map([0, 1], spec, tau=2)
+    model = KoopmanModel(operator=np.full((spec.size, spec.size), np.nan),
+                         spec=spec, residual=0.0)
+    samples = SampleMatrix(values=np.ones(plan.sample_count), plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
-        recover_initial_state(samples, stack, spec,
-                              OptimizerConfig(seed=0))
+        recover_initial_state(samples, model)
 
 
 def test_recovery_keeps_the_winning_runs_diagnostics(monkeypatch):
@@ -347,10 +318,10 @@ def test_recovery_keeps_the_winning_runs_diagnostics(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(recovery, "minimize_dfp", recording)
-    spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     result = recover_initial_state(
-        samples, theta, spec,
-        OptimizerConfig(fill_value=1.0, seed=5))
+        samples, model,
+        OptimizerConfig(fill_value=1.0))
     best = min(runs, key=lambda run: run.fun)   # the first of equals wins
     assert len(runs) == 2
     assert result.gradient_norm == best.gradient_norm
@@ -367,12 +338,12 @@ def test_recovery_runs_base_then_warm(monkeypatch):
         return real(fun, grad, x0, **kwargs)
 
     monkeypatch.setattr(recovery, "minimize_dfp", recording)
-    spec, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
-    recover_initial_state(samples, theta, spec,
-                          OptimizerConfig(fill_value=1.0, seed=5))
+    spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
+    recover_initial_state(samples, model,
+                          OptimizerConfig(fill_value=1.0))
     r_a, r_y = sampled_factor([selected_rows(plan, theta)], samples.values)
     assert len(starts) == 2
-    assert np.array_equal(starts[0], initial_guess(samples, spec, 1.0))
+    assert np.array_equal(starts[0], initial_guess(samples, 1.0))
     assert np.array_equal(starts[1], _linear_warm_start(r_a, r_y, spec))
 
 
@@ -380,7 +351,7 @@ def test_optimizer_config_has_no_extra_starts():
     # the benchmark's tracer counts 1 + multistarts runs per recovery
     assert OptimizerConfig().multistarts == 0
     assert [f.name for f in dataclasses.fields(OptimizerConfig)] == \
-        ["fill_value", "seed"]
+        ["fill_value"]
     with pytest.raises(TypeError):
         OptimizerConfig(multistarts=1)
 
@@ -425,14 +396,13 @@ def test_recovery_raises_on_a_non_finite_sample():
     # NaN at every start and the least-squares start is skipped
     spec = log_spec(2, scale=1.0)
     plan = gamma_map([0], spec, tau=3)
-    stack = build_theta(KoopmanModel(operator=0.9 * np.eye(spec.size),
-                                     spec=spec, residual=0.0), 3)
+    model = KoopmanModel(operator=0.9 * np.eye(spec.size), spec=spec,
+                         residual=0.0)
     values = np.full(plan.sample_count, 0.5)
     values[-1] = np.nan
     samples = SampleMatrix(values=values, plan=plan)
     with pytest.raises(RuntimeError, match="every recovery start failed"):
-        recover_initial_state(samples, stack, spec,
-                              OptimizerConfig(seed=0))
+        recover_initial_state(samples, model)
 
 
 # =========================================================================
@@ -499,9 +469,9 @@ def small_pipeline():
 def test_nonlinear_recovery_smoke(small_pipeline):
     spec, model, theta, truth = small_pipeline
     plan = greedy_select(theta, spec, SelectionConfig(gamma=None, max_nodes=3))
-    samples = take_samples(truth, spec, plan)
+    samples = take_samples(truth, plan)
     result = recover_initial_state(
-        samples, theta, spec, OptimizerConfig(fill_value=0.5, seed=23))
+        samples, model, OptimizerConfig(fill_value=0.5))
     err = nrmse(result.trajectory, truth.states)
     print(f"\n  6-node pipeline: |S|={len(plan.nodes)} "
           f"objective={result.objective:.3e} nrmse={err:.4f}")
@@ -514,9 +484,9 @@ def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
     # residual no state removes, so the objective is still ||A psi - y||^2
     spec, model, theta, truth = small_pipeline
     plan = gamma_map([0, 2, 4], spec, 15)
-    samples = take_samples(truth, spec, plan)
-    result = recover_initial_state(samples, theta, spec,
-                                   OptimizerConfig(fill_value=0.5, seed=23))
+    samples = take_samples(truth, plan)
+    result = recover_initial_state(samples, model,
+                                   OptimizerConfig(fill_value=0.5))
     residual = (selected_rows(plan, theta) @ lift_trajectory(spec, result.x1)
                 - samples.values)
     assert result.objective > 0.0
@@ -527,9 +497,9 @@ def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
 def test_result_serialization(tmp_path, small_pipeline):
     spec, model, theta, truth = small_pipeline
     plan = gamma_map(list(range(6)), spec, 15)
-    samples = take_samples(truth, spec, plan)
-    result = recover_initial_state(samples, theta, spec,
-                                   OptimizerConfig(fill_value=0.5, seed=24))
+    samples = take_samples(truth, plan)
+    result = recover_initial_state(samples, model,
+                                   OptimizerConfig(fill_value=0.5))
     d = result_to_dict(result, truth=truth)
     assert set(d) >= {"x1", "trajectory", "objective", "iterations",
                       "converged", "gradient_norm", "resets", "nrmse",

@@ -39,10 +39,14 @@ from koopnet.sampling import (operator_rows, pick_key,
                               plan_from_dict, plan_to_dict, selected_rows)
 
 
+def _model(op, spec=None):
+    op = np.asarray(op, dtype=float)
+    return KoopmanModel(operator=op, spec=spec or identity_spec(op.shape[0]),
+                        residual=0.0)
+
+
 def _stack(op, tau):
-    model = KoopmanModel(operator=np.asarray(op, dtype=float),
-                         spec=identity_spec(op.shape[0]), residual=0.0)
-    return build_theta(model, tau)
+    return build_theta(_model(op), tau)
 
 
 def selection_score(nodes, theta, spec):
@@ -85,7 +89,7 @@ def test_row_indices_are_time_major():
     powers = np.random.default_rng(1).normal(size=(2, m, m))
     powers[:, :, 0] = z.T
     rows = selected_rows(plan, powers)
-    values = take_samples(states, spec, plan).values
+    values = take_samples(states, plan).values
     assert np.array_equal(rows[:, 0], values)
     for t in range(2):
         assert np.array_equal(rows[4 * t:4 * (t + 1)], powers[t][obs])
@@ -178,7 +182,7 @@ def test_greedy_stops_at_one_node_on_the_cycle():
     assert plan.nodes == (0,)
     assert plan.score == pytest.approx(1.0)
     assert not plan.rank_deficient
-    assert verify_rank(plan, theta, spec)
+    assert verify_rank(plan, _model(shift))
 
 
 def test_greedy_needs_every_node_when_dynamics_are_static():
@@ -198,7 +202,7 @@ def test_greedy_respects_the_node_budget():
     plan = greedy_select(theta, spec, SelectionConfig(gamma=1e6, max_nodes=1))
     assert len(plan.nodes) == 1
     assert plan.rank_deficient
-    assert not verify_rank(plan, theta, spec)
+    assert not verify_rank(plan, _model(np.eye(4)))
 
 
 def test_greedy_is_deterministic():
@@ -608,7 +612,7 @@ def test_bio_n40_verify_rank_agrees_with_the_rank_flag_at_every_budget():
         prefix = dataclasses.replace(gamma_map(plan.nodes[:k], spec, plan.tau),
                                      score_trace=plan.score_trace[:k])
         flags.append(prefix.rank_deficient)
-        assert verify_rank(prefix, theta, spec, fill) == \
+        assert verify_rank(prefix, model, fill) == \
             (not prefix.rank_deficient)
     assert flags[1] and flags[2] and not flags[-1]
 
@@ -666,7 +670,7 @@ def test_greedy_sets_are_rank_feasible_small_n():
             plan = greedy_select(theta, spec, SelectionConfig(gamma=1e6))
             rows = selected_rows(plan, theta)
             feasible = np.linalg.matrix_rank(rows, tol=1e-10) == n
-            assert verify_rank(plan, theta, spec) == feasible
+            assert verify_rank(plan, _model(op)) == feasible
             k = len(plan.nodes)
             any_feasible = any(
                 np.linalg.matrix_rank(
@@ -681,18 +685,17 @@ def test_verify_rank_matches_score_finiteness():
     rng = np.random.default_rng(5)
     spec = identity_spec(4)
     for _ in range(10):
-        theta = _stack(rng.normal(size=(4, 4)), tau=3)
+        model = _model(rng.normal(size=(4, 4)))
+        theta = build_theta(model, 3)
         nodes = sorted(rng.choice(4, size=rng.integers(1, 5), replace=False))
         plan = gamma_map([int(v) for v in nodes], spec, 3)
         finite = math.isfinite(selection_score(plan.nodes, theta, spec))
-        assert verify_rank(plan, theta, spec) == finite
+        assert verify_rank(plan, model) == finite
 
 
 def test_verify_rank_rejects_an_empty_plan():
-    theta = _stack(np.eye(3), tau=2)
-    spec = identity_spec(3)
-    plan = gamma_map([], spec, 2)
-    assert not verify_rank(plan, theta, spec)
+    plan = gamma_map([], identity_spec(3), 2)
+    assert not verify_rank(plan, _model(np.eye(3)))
 
 
 def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
@@ -700,11 +703,12 @@ def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
     # have rank 4 >= n = 2, but every one of them reads node 0 alone, so
     # Theta_S J has rank 1 and node 1's state is not determined
     spec = log_spec(2)
-    theta = _stack(np.eye(spec.size), tau=3)
+    model = _model(np.eye(spec.size), spec)
+    theta = build_theta(model, 3)
     plan = greedy_select(theta, spec, SelectionConfig(gamma=None, max_nodes=1))
     assert plan.rank_deficient
     assert np.linalg.matrix_rank(selected_rows(plan, theta)) >= spec.n
-    assert not verify_rank(plan, theta, spec)
+    assert not verify_rank(plan, model)
 
 
 def test_selection_config_validation():
@@ -926,11 +930,12 @@ def test_check_dictionary_compares_whole_specs():
 
 
 def test_verify_rank_rejects_a_plan_of_another_dictionary():
-    plan = gamma_map([0, 1], identity_spec(2), tau=2)
-    theta = _stack(np.eye(2), tau=2)
-    assert verify_rank(plan, theta, identity_spec(2))
+    # an identity plan of size 4 beside a log model of the same size, whose
+    # stack of powers it would read in the wrong rows
+    plan = gamma_map([0, 1, 2, 3], identity_spec(4), tau=2)
+    assert verify_rank(plan, _model(np.eye(4)))
     with pytest.raises(ValueError, match="log dictionary of size 4"):
-        verify_rank(plan, theta, log_spec(1))
+        verify_rank(plan, _model(np.eye(4), log_spec(1)))
 
 
 def test_selected_rows_rejects_a_plan_of_another_dictionary():
