@@ -552,10 +552,17 @@ def test_refine_validates_inputs():
     with pytest.raises(ValueError):
         refine_with_samples(training, [0], np.zeros(2), graph, params,
                             15, d_extra=3)
-    for d_extra in (0, -1):   # no extra trajectory: nothing to refit on
-        with pytest.raises(ValueError, match="d_extra must be at least 1"):
-            refine_with_samples(training, [0], np.zeros(1), graph, params,
-                                15, d_extra=d_extra)
+    with pytest.raises(ValueError, match="d_extra must be at least 1"):
+        refine_with_samples(training, [0], np.zeros(1), graph, params,
+                            15, d_extra=-1)
+
+
+def test_refine_rejects_zero_extra_trajectories():
+    # with no extra trajectory there is nothing to refit on
+    graph, params, spec, training, model, truth = _refine_setup()
+    with pytest.raises(ValueError, match="d_extra must be at least 1"):
+        refine_with_samples(training, [0, 1], truth.states[[0, 1], 0],
+                            graph, params, 15, d_extra=0)
 
 
 @pytest.mark.parametrize("nodes, message", [
