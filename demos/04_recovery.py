@@ -46,7 +46,7 @@ refined, _ = refine_with_samples(training, plan.nodes,
                                  truth.states[list(plan.nodes), 0], graph,
                                  params, tau, 50, seed=24)
 
-# the recovery builds the refined model's stack of powers to the plan's tau
+# the recovery reads the plan's rows off the refined K, one tick at a time
 result = recover_initial_state(samples, refined,
                                OptimizerConfig(fill_value=0.5 * (low + high)))
 print(f"optimizer: {result.iterations} iterations, converged "

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Graph
-from .koopman import KoopmanModel, rollout, sampled_factor
-from .observables import ObservableSpec, unlift_trajectory
-from .recovery import SampleMatrix
-from .sampling import RANK_TOL, operator_rows, pick_key, sigma_quotient
+from .koopman import KoopmanModel
+from .observables import ObservableSpec
+from .recovery import SampleMatrix, sampled_system
+from .sampling import RANK_TOL, pick_key, sigma_quotient
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
@@ -143,18 +143,12 @@ def linear_observable_recover(samples: SampleMatrix,
     """Recover the initial lifted vector as a free M-vector by least squares,
     then roll it forward through K and unlift.  No lift structure is
     enforced, which is what makes this a baseline rather than the proposed
-    recovery.  Returns the n x tau trajectory and the least-squares
-    objective ``||A z1 - y||^2``.
-
-    ``koopman.sampled_factor`` folds ``A z1 = y`` (tau*|obs| x M, never
-    formed) into R tick by tick; R keeps its solution, rank cut and objective.
-    """
-    plan = samples.plan
-    r_a, r_y = sampled_factor(operator_rows(plan, model), samples.values)
+    recovery.  Returns the n x tau trajectory and ``||A z1 - y||^2``, both
+    read off ``recovery.sampled_system``, which never forms A."""
+    r_a, r_y, path = sampled_system(samples, model)
     z1, *_ = np.linalg.lstsq(r_a, r_y, rcond=RANK_TOL)
     residual = r_a @ z1 - r_y
-    trajectory = unlift_trajectory(model.spec, rollout(model, z1, plan.tau).T)
-    return trajectory, float(residual @ residual)
+    return path(z1), float(residual @ residual)
 
 
 def build_laplacian_basis(graph: Graph, r: int) -> np.ndarray:

@@ -15,8 +15,8 @@ memory from 59.1 to 54.1 MB, while poly fits at 841 and 1,861 observables
 (M/P = 0.17 and 0.38) took 25% longer, so they keep the snapshot SVD and
 their bytes.
 ``rollout`` is the one forward recurrence: it pushes lifted vectors through
-K tick by tick, and ``build_theta`` rolls out the identity to get the powers
-``K^0 .. K^(tau-1)`` as one tau x M x M array for selection and recovery.
+K tick by tick (both recoveries' paths), and ``build_theta`` rolls out the
+identity to get the powers ``K^0 .. K^(tau-1)`` that greedy selection scores.
 """
 
 from __future__ import annotations

@@ -5,11 +5,10 @@ every tick of one trajectory.  The unknown initial state enters those samples
 through the lift followed by the stacked linear evolution, so recovery
 minimizes the squared sample mismatch over the initial state with an analytic
 gradient (chain rule through the lift Jacobian) and a DFP quasi-Newton
-search.  The search runs on the triangular QR factor of ``[A | y]`` that
-``sampled_factor`` builds from all sampled rows as one block: a system of
-at most M + 1 rows with the same objective value at every state.
-The recovered initial state is then multiplied by the stack of operator
-powers and unlifted into a full trajectory estimate.
+search.  The search runs on the triangular QR factor of ``[A | y]`` (at
+most M + 1 rows, the same objective at every state) that ``sampled_system``
+folds as ``operator_rows`` reads the sampled rows off K, one tick at a time.
+The recovered initial state is rolled forward through K and unlifted.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .koopman import KoopmanModel, build_theta, sampled_factor
+from .koopman import KoopmanModel, rollout, sampled_factor
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, as_real, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
 from .optimize import MinimizeResult, minimize_dfp
-from .sampling import RANK_TOL, SamplingPlan, selected_rows
+from .sampling import RANK_TOL, SamplingPlan, operator_rows
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class RecoveryResult:
 
 
 def take_samples(trajectory, plan: SamplingPlan) -> SampleMatrix:
-    """Read the plan's entries off a trajectory, in ``selected_rows`` order."""
+    """Read the plan's entries off a trajectory, in ``operator_rows`` order."""
     states = trajectory.states if hasattr(trajectory, "states") else np.asarray(trajectory)
     if states.shape[0] != plan.spec.n:
         raise ValueError("trajectory and plan disagree on the node count")
@@ -127,19 +126,27 @@ def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
     return objective, gradient
 
 
+def sampled_system(samples: SampleMatrix, model: KoopmanModel):
+    """``(R_a, R_y, path)``: the R of ``[A | y]`` that ``sampled_factor``
+    folds as ``operator_rows`` reads A, the plan's rows of K's powers, off K
+    one tick at a time (y the samples), and ``path(z1)``, the n x tau unlift
+    of ``rollout(model, z1, plan.tau)``.  Rejects another dictionary's plan."""
+    plan = samples.plan
+    r_a, r_y = sampled_factor(operator_rows(plan, model), samples.values)
+
+    def path(z1: np.ndarray) -> np.ndarray:
+        return unlift_trajectory(model.spec, rollout(model, z1, plan.tau).T)
+
+    return r_a, r_y, path
+
+
 def recover_initial_state(samples: SampleMatrix, model: KoopmanModel,
                           config: OptimizerConfig | None = None) -> RecoveryResult:
     """Estimate the initial state behind ``samples`` and reconstruct the rest
-    through ``model``'s stack of powers, which ``build_theta`` makes to the
-    plan's ``tau``.  The plan must be mapped on ``model``'s dictionary."""
+    through ``model``; ``sampled_system`` gives the system and the path."""
     config = config or OptimizerConfig()
-    plan = samples.plan
     spec = model.spec
-    plan.check_dictionary(spec)
-    theta = build_theta(model, plan.tau)
-    # one block, freed before the final QR; the last row of R keeps the
-    # residual that no psi can remove
-    r_a, r_y = sampled_factor(iter([selected_rows(plan, theta)]), samples.values)
+    r_a, r_y, path = sampled_system(samples, model)
     objective, gradient = _objective_pair(r_a, r_y, spec)
 
     starts = [initial_guess(samples, config.fill_value)]
@@ -160,9 +167,7 @@ def recover_initial_state(samples: SampleMatrix, model: KoopmanModel,
     if best is None:
         raise RuntimeError("every recovery start failed: " + "; ".join(failures))
 
-    # one matrix-vector product per power, K**t @ z1 at index t
-    z1 = lift_trajectory(spec, best.x)
-    trajectory = unlift_trajectory(spec, (theta @ z1).T)
+    trajectory = path(lift_trajectory(spec, best.x))
     trajectory[:, 0] = best.x
     return RecoveryResult(x1=best.x, trajectory=trajectory, objective=best.fun,
                           iterations=best.iterations, converged=best.converged,

@@ -4,7 +4,8 @@ Sampling a node set S makes observable exactly the dictionary entries whose
 owner nodes all lie in S (the constant entry is always available).  Those
 entries, read at every tick t, select the rows of each operator power K**t;
 stacked time-major, they form the row submatrix Theta_S.  This module is the
-one reader of those rows: off the stack of powers, or off K alone.
+one reader of those rows: off the stack of powers for greedy selection and
+``verify_rank``, or off K alone, a tick at a time, for both recoveries.
 
 Recovery solves for the n-entry state, so a node set is scored on the
 n-column matrix Theta_S J(x_ref): the sampled rows times the lift's Jacobian

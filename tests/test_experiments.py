@@ -17,7 +17,7 @@ from koopnet import (DynamicsParams, ExperimentConfig, ExperimentReport,
                      OptimizerConfig, SelectionConfig, TrialRecord, aggregate,
                      emit, linearization_nrmse, report_from_json,
                      run_linearization_sweep, run_sampling_sweep)
-from koopnet import experiments, recovery
+from koopnet import experiments, recovery, sampling
 from koopnet.dynamics import (default_initial_range, generate_er_graph,
                               random_initial_states, simulate_ensemble)
 from koopnet.experiments import (CSV_COLUMNS, LINEAR_GFT, POLY_GRAMIAN,
@@ -25,7 +25,7 @@ from koopnet.experiments import (CSV_COLUMNS, LINEAR_GFT, POLY_GRAMIAN,
                                  _trial_seeds)
 from koopnet.koopman import (assemble_training, build_theta, fit,
                              refine_with_samples)
-from koopnet.observables import POLY, log_spec, poly_spec
+from koopnet.observables import LOG, POLY, log_spec, poly_spec
 
 
 # ---------------------------------------------------------------------------
@@ -743,24 +743,30 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
 
 
 def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
-    # the baseline reads its rows off K, so only the log model's powers
-    # are ever stacked
-    kinds = []
+    # the baseline and the recovery read their rows off K, so the one stack
+    # of powers a trial builds is the log model's, for greedy selection;
+    # every module that imports build_theta is spied on
+    builds = []
 
-    def spy(model, tau):
-        kinds.append(model.spec.kind)
-        return build_theta(model, tau)
+    def spy_in(module):
+        def spy(model, tau):
+            builds.append((module.__name__, model.spec.kind))
+            return build_theta(model, tau)
+        monkeypatch.setattr(module, "build_theta", spy)
 
-    monkeypatch.setattr(experiments, "build_theta", spy)
-    cfg = ExperimentConfig(n_values=(5,), seed=2, trials=1,
+    spy_in(experiments)
+    spy_in(sampling)
+    assert not hasattr(recovery, "build_theta")
+    assert not hasattr(recovery, "selected_rows")
+    cfg = ExperimentConfig(n_values=(5,), seed=2, trials=2,
                            training_trajectories=20, training_ticks=20,
                            sampling_ticks=8, sampling_rates=(0.4, 1.0),
                            refine_trajectories=0,
                            baselines=(POLY_GRAMIAN,))
     report = run_sampling_sweep(cfg)
-    poly = [r for r in report.records if r.method == POLY_GRAMIAN]
-    assert len(poly) == 2 and all(r.error is None for r in poly)
-    assert kinds and POLY not in kinds
+    assert all(r.error is None for r in report.records)
+    assert len([r for r in report.records if r.method == POLY_GRAMIAN]) == 4
+    assert builds == [("koopnet.experiments", LOG)] * cfg.trials
 
 
 @pytest.mark.parametrize("gamma", [None, 5000.0])

@@ -8,6 +8,7 @@ consumption network.
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,11 @@ from koopnet import (
     log_spec,
     nrmse,
     per_tick_nrmse,
+    poly_spec,
     random_initial_states,
     recover_initial_state,
     result_to_dict,
+    rollout,
     save_result,
     selected_rows,
     simulate_ensemble,
@@ -42,6 +45,7 @@ from koopnet import recovery
 from koopnet.recovery import (SampleMatrix, _linear_warm_start, _objective_pair,
                               initial_guess)
 from koopnet.koopman import sampled_factor
+from koopnet.sampling import operator_rows
 
 
 # =========================================================================
@@ -341,10 +345,44 @@ def test_recovery_runs_base_then_warm(monkeypatch):
     spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
     recover_initial_state(samples, model,
                           OptimizerConfig(fill_value=1.0))
-    r_a, r_y = sampled_factor([selected_rows(plan, theta)], samples.values)
+    rows = np.vstack(list(operator_rows(plan, model)))
+    r_a, r_y = sampled_factor([rows], samples.values)
     assert len(starts) == 2
     assert np.array_equal(starts[0], initial_guess(samples, 1.0))
     assert np.array_equal(starts[1], _linear_warm_start(r_a, r_y, spec))
+
+
+def test_recovery_folds_one_tick_of_rows_at_a_time(monkeypatch):
+    # rows reach the fold one tick (|obs| rows) at a time, and neither the
+    # tau x M x M stack of powers nor all tau*|obs| rows are ever held
+    spec = poly_spec(8, max_power=2)
+    rng = np.random.default_rng(7)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+    model = KoopmanModel(operator=op, spec=spec, residual=0.0)
+    plan = gamma_map(range(8), spec, 20)
+    samples = take_samples(rng.uniform(1.0, 2.0, (spec.n, plan.tau)), plan)
+    shapes = []
+    real = recovery.sampled_factor
+
+    def recording(blocks, values):
+        def seen():
+            for rows in blocks:
+                shapes.append(rows.shape)
+                yield rows
+        return real(seen(), values)
+
+    monkeypatch.setattr(recovery, "sampled_factor", recording)
+    stack_bytes = plan.tau * spec.size * spec.size * 8
+    assert plan.sample_count * spec.size * 8 == stack_bytes   # every row read
+    tracemalloc.start()
+    try:
+        recover_initial_state(samples, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shapes == [(plan.observable_indices.size, spec.size)] * plan.tau
+    assert peak < stack_bytes
 
 
 def test_optimizer_config_has_no_extra_starts():
@@ -410,10 +448,9 @@ def test_recovery_raises_on_a_non_finite_sample():
 # =========================================================================
 
 def _reconstruct(x1, model, tau):
-    """The stack path recovery reports: lift, multiply by each power, unlift."""
-    theta = build_theta(model, tau)
+    """The path recovery reports: lift, roll forward through K, unlift."""
     z1 = lift_trajectory(model.spec, x1)
-    return unlift_trajectory(model.spec, (theta @ z1).T)
+    return unlift_trajectory(model.spec, rollout(model, z1, tau).T)
 
 
 def test_reconstruct_static_model_repeats_the_state():
@@ -487,8 +524,8 @@ def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
     samples = take_samples(truth, plan)
     result = recover_initial_state(samples, model,
                                    OptimizerConfig(fill_value=0.5))
-    residual = (selected_rows(plan, theta) @ lift_trajectory(spec, result.x1)
-                - samples.values)
+    rows = np.vstack(list(operator_rows(plan, model)))
+    residual = rows @ lift_trajectory(spec, result.x1) - samples.values
     assert result.objective > 0.0
     assert result.objective == pytest.approx(float(residual @ residual),
                                               rel=1e-9)
