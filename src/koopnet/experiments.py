@@ -250,7 +250,9 @@ def _trial_data(config: ExperimentConfig, n: int, seeds: dict[str, int],
 
 
 def _budget(rate: float | None, n: int) -> int | None:
-    return None if rate is None else min(n, max(1, math.ceil(rate * n)))
+    # less 1e-9: a product rounded just above an integer (0.28 * 25 reads
+    # 7.000000000000001) must not buy one sensor more
+    return None if rate is None else min(n, max(1, math.ceil(rate * n - 1e-9)))
 
 
 def _failed(experiment: str, n: int, method: str, size: int | None,

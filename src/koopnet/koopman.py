@@ -42,14 +42,14 @@ FACTOR_PAIRS = 20   # fit solves from R when P >= FACTOR_PAIRS * M
 _FOLD_ROWS = 2   # pending rows, in multiples of M, folded into R at once
 
 
-def _fold(pairs) -> tuple[np.ndarray, np.ndarray]:
+def fold(pairs) -> tuple[np.ndarray, np.ndarray]:
     """R of ``[A | B]`` = QR as ``(R_a, R_b)`` for ``(rows, rhs)`` blocks of
-    A and B stacked in order; ``R_b`` is a vector when the blocks' ``rhs``
-    are.  The blocks are written under R in one buffer, folded into R by QR
-    when the next would not fit; one block is factored as it stands.  The
-    buffer holds a block as long as the first or ``_FOLD_ROWS * M`` rows
-    beside R, and grows for a longer one.  Blocks passed in an iterator are
-    freed once written."""
+    A and B stacked in order, so ``||A z - B|| = ||R_a z - R_b||`` for all
+    z; ``R_b`` is a vector when the blocks' ``rhs`` are.  The blocks are
+    written under R in one buffer, folded into R by QR when the next would
+    not fit; one block is factored as it stands.  The buffer holds a block
+    as long as the first or ``_FOLD_ROWS * M`` rows beside R, and grows for
+    a longer one.  Blocks passed in an iterator are freed once written."""
     buffer, filled = None, 0   # R on top, then pending blocks
     for rows, rhs in pairs:
         k, m = rows.shape
@@ -69,21 +69,6 @@ def _fold(pairs) -> tuple[np.ndarray, np.ndarray]:
         del rows, rhs
     r = np.linalg.qr(buffer[:filled], mode="r")
     return r[:, :m], (r[:, m] if vector else r[:, m:])
-
-
-def sampled_factor(blocks, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R of ``[A | y]`` = QR as ``(R_a, R_y)``, A the row blocks stacked in
-    order and y the samples, so ``||A z - y|| = ||R_a z - R_y||`` for all
-    z.  ``samples`` holds one value per row of A, or one row of right-hand
-    columns per row of A (then ``R_y`` has as many columns); ``_fold``
-    says when the blocks are folded."""
-    def pairs():
-        start = 0
-        for rows in blocks:
-            yield rows, samples[start:start + rows.shape[0]]
-            start += rows.shape[0]
-
-    return _fold(pairs())
 
 
 @dataclass(frozen=True)
@@ -148,7 +133,7 @@ class TrainingSet:
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
         """R of ``[X.T | Y.T]`` as its column halves ``(R_x, R_y)``, each
         min(P, 2M) x M; no M x P array is formed."""
-        return _fold(_snapshot_rows(self.trajectories, self.spec))
+        return fold(_snapshot_rows(self.trajectories, self.spec))
 
 
 def _snapshot_rows(trajectories, spec: ObservableSpec):
@@ -306,7 +291,7 @@ def refine_with_samples(training: TrainingSet, sampled_nodes,
     extra = tuple(simulate_ensemble(graph, params, x1s, num_steps))
     spec = training.spec
     refit = _solve_factor(
-        _fold(chain([training.factor], _snapshot_rows(extra, spec))), spec)
+        fold(chain([training.factor], _snapshot_rows(extra, spec))), spec)
     return refit, TrainingSet(training.trajectories + extra, spec)
 
 

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .koopman import KoopmanModel, rollout, sampled_factor
+from .koopman import KoopmanModel, fold, rollout
 from .metrics import nrmse, per_tick_nrmse
 from .observables import (ObservableSpec, as_real, lift_jacobian,
                           lift_trajectory, unlift_trajectory)
@@ -127,12 +127,14 @@ def _objective_pair(a: np.ndarray, y: np.ndarray, spec: ObservableSpec):
 
 
 def sampled_system(samples: SampleMatrix, model: KoopmanModel):
-    """``(R_a, R_y, path)``: the R of ``[A | y]`` that ``sampled_factor``
-    folds as ``operator_rows`` reads A, the plan's rows of K's powers, off K
-    one tick at a time (y the samples), and ``path(z1)``, the n x tau unlift
-    of ``rollout(model, z1, plan.tau)``.  Rejects another dictionary's plan."""
+    """``(R_a, R_y, path)``: the R of ``[A | y]`` that ``fold`` builds as
+    ``operator_rows`` reads A, the plan's rows of K's powers, off K one tick
+    at a time, each tick beside its row of samples y; and ``path(z1)``, the
+    n x tau unlift of ``rollout(model, z1, plan.tau)``.  Rejects another
+    dictionary's plan."""
     plan = samples.plan
-    r_a, r_y = sampled_factor(operator_rows(plan, model), samples.values)
+    r_a, r_y = fold(zip(operator_rows(plan, model),
+                        samples.values.reshape(plan.tau, -1)))
 
     def path(z1: np.ndarray) -> np.ndarray:
         return unlift_trajectory(model.spec, rollout(model, z1, plan.tau).T)

@@ -4,8 +4,8 @@ Sampling a node set S makes observable exactly the dictionary entries whose
 owner nodes all lie in S (the constant entry is always available).  Those
 entries, read at every tick t, select the rows of each operator power K**t;
 stacked time-major, they form the row submatrix Theta_S.  This module is the
-one reader of those rows: off the stack of powers for greedy selection and
-``verify_rank``, or off K alone, a tick at a time, for both recoveries.
+one reader of those rows: off the stack of powers for greedy selection, or
+off K alone, a tick at a time, for ``verify_rank`` and both recoveries.
 
 Recovery solves for the n-entry state, so a node set is scored on the
 n-column matrix Theta_S J(x_ref): the sampled rows times the lift's Jacobian
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import KoopmanModel, build_theta
+from .koopman import KoopmanModel
 from .observables import (ObservableSpec, as_int, as_nodes, as_real,
                           check_fields, lift_jacobian, spec_from_dict,
                           spec_to_dict)
@@ -245,15 +245,15 @@ def greedy_select(theta: np.ndarray, spec: ObservableSpec,
 
 def verify_rank(plan: SamplingPlan, model: KoopmanModel,
                 fill_value: float = 0.5) -> bool:
-    """True when the plan's rows of ``model``'s stack of powers times the
-    lift's Jacobian at ``fill_value`` on every node have rank n: the matrix
-    and floor ``greedy_select`` scores, so its plan passes exactly when it
-    is not ``rank_deficient``."""
-    plan.check_dictionary(model.spec)
+    """True when the plan's rows of ``model``'s powers times the lift's
+    Jacobian at ``fill_value`` on every node have rank n: the matrix and
+    floor ``greedy_select`` scores, so its plan passes exactly when it is
+    not ``rank_deficient``.  The rows are read by ``operator_rows``, a
+    tick at a time, so no stack of powers is built."""
     n = plan.spec.n
     jac = lift_jacobian(plan.spec, np.full(n, float(fill_value)))
-    rows = selected_rows(plan, build_theta(model, plan.tau))
-    return sigma_quotient(rows @ jac, n)[2] == n
+    rows_j = np.vstack([rows @ jac for rows in operator_rows(plan, model)])
+    return sigma_quotient(rows_j, n)[2] == n
 
 
 # ---------------------------------------------------------------------------

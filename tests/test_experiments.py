@@ -281,6 +281,11 @@ def test_child_seed_is_deterministic_and_order_sensitive():
     (0.75, 8, 6),
     (0.01, 10, 1),   # floor of one sensor
     (1.0, 7, 7),
+    # products that floating point lifts just above an integer
+    (0.28, 25, 7),
+    (0.56, 25, 14),
+    (0.07, 100, 7),
+    (0.14, 50, 7),
 ])
 def test_budget_ceil(rate, n, expected):
     assert _budget(rate, n) == expected
@@ -743,19 +748,17 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
 
 
 def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
-    # the baseline and the recovery read their rows off K, so the one stack
-    # of powers a trial builds is the log model's, for greedy selection;
-    # every module that imports build_theta is spied on
+    # the baseline, the recovery and verify_rank read their rows off K, so
+    # the one stack of powers a trial builds is the log model's, for greedy
+    # selection; experiments is the one module that imports build_theta
     builds = []
 
-    def spy_in(module):
-        def spy(model, tau):
-            builds.append((module.__name__, model.spec.kind))
-            return build_theta(model, tau)
-        monkeypatch.setattr(module, "build_theta", spy)
+    def spy(model, tau):
+        builds.append((experiments.__name__, model.spec.kind))
+        return build_theta(model, tau)
 
-    spy_in(experiments)
-    spy_in(sampling)
+    monkeypatch.setattr(experiments, "build_theta", spy)
+    assert not hasattr(sampling, "build_theta")
     assert not hasattr(recovery, "build_theta")
     assert not hasattr(recovery, "selected_rows")
     cfg = ExperimentConfig(n_values=(5,), seed=2, trials=2,
@@ -767,6 +770,26 @@ def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
     assert all(r.error is None for r in report.records)
     assert len([r for r in report.records if r.method == POLY_GRAMIAN]) == 4
     assert builds == [("koopnet.experiments", LOG)] * cfg.trials
+
+
+def test_sweep_passes_the_recovery_config_by_keyword(monkeypatch):
+    # the benchmark's tracer reads the recovery's config by name only; a
+    # positional config would be traced as the default
+    calls = []
+    real = experiments.recover_initial_state
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs.get("config")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "recover_initial_state", spy)
+    cfg = ExperimentConfig(n_values=(5,), seed=2, trials=1,
+                           training_trajectories=20, training_ticks=20,
+                           sampling_ticks=8, sampling_rates=(0.4, 1.0),
+                           refine_trajectories=0, baselines=())
+    report = run_sampling_sweep(cfg)
+    assert all(r.error is None for r in report.records)
+    assert calls == [(2, cfg.optimizer())] * len(cfg.sampling_rates)
 
 
 @pytest.mark.parametrize("gamma", [None, 5000.0])

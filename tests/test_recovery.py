@@ -44,7 +44,7 @@ from koopnet import (
 from koopnet import recovery
 from koopnet.recovery import (SampleMatrix, _linear_warm_start, _objective_pair,
                               initial_guess)
-from koopnet.koopman import sampled_factor
+from koopnet.koopman import fold
 from koopnet.sampling import operator_rows
 
 
@@ -346,7 +346,7 @@ def test_recovery_runs_base_then_warm(monkeypatch):
     recover_initial_state(samples, model,
                           OptimizerConfig(fill_value=1.0))
     rows = np.vstack(list(operator_rows(plan, model)))
-    r_a, r_y = sampled_factor([rows], samples.values)
+    r_a, r_y = fold([(rows, samples.values)])
     assert len(starts) == 2
     assert np.array_equal(starts[0], initial_guess(samples, 1.0))
     assert np.array_equal(starts[1], _linear_warm_start(r_a, r_y, spec))
@@ -363,16 +363,16 @@ def test_recovery_folds_one_tick_of_rows_at_a_time(monkeypatch):
     plan = gamma_map(range(8), spec, 20)
     samples = take_samples(rng.uniform(1.0, 2.0, (spec.n, plan.tau)), plan)
     shapes = []
-    real = recovery.sampled_factor
+    real = recovery.fold
 
-    def recording(blocks, values):
+    def recording(pairs):
         def seen():
-            for rows in blocks:
+            for rows, values in pairs:
                 shapes.append(rows.shape)
-                yield rows
-        return real(seen(), values)
+                yield rows, values
+        return real(seen())
 
-    monkeypatch.setattr(recovery, "sampled_factor", recording)
+    monkeypatch.setattr(recovery, "fold", recording)
     stack_bytes = plan.tau * spec.size * spec.size * 8
     assert plan.sample_count * spec.size * 8 == stack_bytes   # every row read
     tracemalloc.start()
@@ -411,7 +411,7 @@ def test_compressed_system_keeps_objective_gradient_and_warm_start(rows):
     a = rng.normal(size=(rows, spec.size))
     y = rng.normal(size=rows)
     # the system recover_initial_state minimizes: the R factor of [A | y]
-    r_a, r_y = sampled_factor([a], y)
+    r_a, r_y = fold([(a, y)])
     assert r_a.shape == (min(rows, spec.size + 1), spec.size)
     objective, gradient = _objective_pair(a, y, spec)
     small_objective, small_gradient = _objective_pair(r_a, r_y, spec)

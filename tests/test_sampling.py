@@ -34,7 +34,7 @@ from koopnet import (
     verify_rank,
 )
 from koopnet import sampling
-from koopnet.koopman import sampled_factor
+from koopnet.koopman import fold
 from koopnet.sampling import (operator_rows, pick_key,
                               plan_from_dict, plan_to_dict, selected_rows)
 
@@ -617,6 +617,27 @@ def test_bio_n40_verify_rank_agrees_with_the_rank_flag_at_every_budget():
     assert flags[1] and flags[2] and not flags[-1]
 
 
+@pytest.mark.parametrize("budget", [3, 6, 8])
+def test_verify_rank_never_holds_the_stack_of_powers(budget):
+    # verify_rank reads the plan's rows off K a tick at a time: its traced
+    # peak stays below one tau x M x M stack of powers
+    spec = poly_spec(8, max_power=2)
+    rng = np.random.default_rng(7)
+    op = rng.normal(size=(spec.size, spec.size))
+    op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
+    model = KoopmanModel(operator=op, spec=spec, residual=0.0)
+    plan = gamma_map(range(budget), spec, 20)
+    stack_bytes = plan.tau * spec.size * spec.size * 8
+    tracemalloc.start()
+    try:
+        full = verify_rank(plan, model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert full
+    assert peak < stack_bytes
+
+
 def test_a_nan_in_the_stack_fails_in_the_svd():
     # rejected at entry, before any eigensolve or SVD sees it
     theta = np.random.default_rng(0).normal(size=(6, 6, 6))
@@ -995,19 +1016,19 @@ def test_operator_rows_reject_a_plan_of_another_dictionary():
 
 @pytest.mark.parametrize("rows", [60, 8])   # M = 13: past 3M + 1, short of M
 def test_one_block_is_factored_as_it_stands(rows):
-    # the log recovery's call: every sampled row as one block, no fold
+    # every row as one block, no fold
     rng = np.random.default_rng(rows)
     m = log_spec(4).size
     a = rng.normal(size=(rows, m))
     y = rng.normal(size=rows)
     r = np.linalg.qr(np.column_stack([a, y]), mode="r")
-    r_a, r_y = sampled_factor([a], y)
+    r_a, r_y = fold([(a, y)])
     assert r_a.shape == (min(rows, m + 1), m)
     assert np.array_equal(r_a, r[:, :m]) and np.array_equal(r_y, r[:, m])
 
 
 def test_a_block_passed_in_an_iterator_is_freed_before_the_final_qr():
-    # the log recovery's rows must not outlive their copy in the buffer:
+    # a block's rows must not outlive their copy in the buffer:
     # freed, the peak is the buffer plus the final QR's copy of it; held,
     # the rows add a third array of that size
     rng = np.random.default_rng(0)
@@ -1015,7 +1036,7 @@ def test_a_block_passed_in_an_iterator_is_freed_before_the_final_qr():
     y = rng.normal(size=rows)
     tracemalloc.start()
     try:
-        sampled_factor(iter([rng.normal(size=(rows, m))]), y)
+        fold(iter([(rng.normal(size=(rows, m)), y)]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1023,7 +1044,7 @@ def test_a_block_passed_in_an_iterator_is_freed_before_the_final_qr():
 
 
 def _reference_fold(plan, model, values):
-    """The baseline's fold loop as it ran before ``sampled_factor``: 3M + 1
+    """The baseline's fold loop as it ran before the shared ``fold``: 3M + 1
     buffer rows, folded whenever the next tick would not fit."""
     m, k = model.size, plan.observable_indices.size
     block = np.empty((m + 1 + 2 * m, m + 1))
@@ -1060,7 +1081,8 @@ def test_tick_blocks_keep_the_reference_fold_bytes(case):
     values = rng.normal(size=plan.sample_count)
     if case == "tall":
         assert plan.sample_count > 3 * (3 * spec.size + 1)
-    r_a, r_y = sampled_factor(operator_rows(plan, model), values)
+    r_a, r_y = fold(zip(operator_rows(plan, model),
+                        values.reshape(plan.tau, -1)))
     ref_a, ref_y = _reference_fold(plan, model, values)
     assert np.array_equal(r_a, ref_a) and np.array_equal(r_y, ref_y)
 
@@ -1077,7 +1099,7 @@ def test_a_block_of_right_hand_columns_gives_the_stacked_r(lengths, columns):
     m = 6
     blocks = [rng.normal(size=(k, m)) for k in lengths]
     rhs = rng.normal(size=(sum(lengths), columns))
-    r_a, r_b = sampled_factor(iter(blocks), rhs)
+    r_a, r_b = fold(zip(blocks, np.split(rhs, np.cumsum(lengths)[:-1])))
     assert r_a.shape == r_b.shape[:1] + (m,) and r_b.shape[1] == columns
     ref = np.linalg.qr(np.hstack([np.vstack(blocks), rhs]), mode="r")
     got = np.hstack([r_a, r_b])
