@@ -19,13 +19,13 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import trajectory_from_csv, trajectory_to_csv
-from .experiments import (ExperimentConfig, _budget, _trial_data, _trial_seeds,
-                          emit, run_linearization_sweep, run_sampling_sweep)
-from .koopman import (assemble_training, build_theta, fit, load_model,
-                      save_model)
+from .experiments import (ExperimentConfig, _budget, _select, _trial_data,
+                          _trial_seeds, emit, run_linearization_sweep,
+                          run_sampling_sweep)
+from .koopman import assemble_training, fit, load_model, save_model
 from .observables import build_spec
 from .recovery import recover_initial_state, save_result, take_samples
-from .sampling import SelectionConfig, greedy_select, load_plan, save_plan
+from .sampling import load_plan, save_plan
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -75,11 +75,8 @@ def _cmd_select(args) -> int:
     config = ExperimentConfig.from_json(args.config)
     out = _out_dir(args)
     model = load_model(args.model)
-    theta = build_theta(model, config.sampling_ticks)
-    max_nodes = _budget(config.selection_rate, model.spec.n)
-    plan = greedy_select(theta, model.spec,
-                         SelectionConfig(gamma=config.gamma, max_nodes=max_nodes),
-                         config.optimizer().fill_value)
+    plan = _select(model, config,
+                   _budget(max(config.sampling_rates), model.spec.n))
     path = save_plan(plan, out / "plan.json")
     print(f"wrote {path} (nodes {list(plan.nodes)}, score {plan.score:.6g})")
     return 0

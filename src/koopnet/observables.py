@@ -349,8 +349,13 @@ def spec_to_dict(spec: ObservableSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ObservableSpec:
-    """Rebuild a spec from its parameters; a ``terms`` list, which older
-    files carry, is ignored."""
+    """Rebuild a spec from its parameters, each the value its kind holds; a
+    ``terms`` list, which older files carry, is ignored."""
     check_fields(d, ObservableSpec, "dictionary")
-    return build_spec(d["kind"], d["n"], d["scale"], tuple(d["log_powers"]),
+    spec = build_spec(d["kind"], d["n"], d["scale"], tuple(d["log_powers"]),
                       d["poly_max_power"])
+    for name, value in spec_to_dict(spec).items():
+        if value != (list(d[name]) if name == "log_powers" else d[name]):
+            raise ValueError(f"{name}: {d[name]!r} is not the {spec.kind} "
+                             f"dictionary's {value!r}")
+    return spec

@@ -29,7 +29,7 @@ CONFIG = {
     "training_trajectories": 30,
     "training_ticks": 30,
     "sampling_ticks": 12,
-    "selection_rate": 0.5,
+    "sampling_rates": [0.5],
     "dictionary": "log",
     "refine_trajectories": 0,
 }
@@ -87,8 +87,9 @@ def test_simulate_writes_the_sweeps_trial_0_truth(chain):
 
 @pytest.mark.parametrize("dynamics", ["biochemical", "regulatory"])
 def test_cli_chain_is_the_sweeps_trial_0(tmp_path, dynamics):
+    # select runs the sweep's greedy pass to the budget of its largest rate
     cfg = _write_config(tmp_path, dynamics=dynamics, n_values=[8], seed=3,
-                        trials=1, sampling_rates=[CONFIG["selection_rate"]],
+                        trials=1, sampling_rates=[0.25, 0.5, 0.75],
                         baselines=[])
     out = tmp_path / "out"
     base = ["--config", str(cfg), "--out-dir", str(out)]
@@ -99,8 +100,10 @@ def test_cli_chain_is_the_sweeps_trial_0(tmp_path, dynamics):
                  "--plan", str(out / "plan.json"),
                  "--trajectory", str(out / "trajectory.csv")] + base) == 0
     report = run_sampling_sweep(ExperimentConfig.from_json(cfg))
-    [record] = report.records
+    *_, record = report.records
     assert record.method == "log-koopman" and record.error is None
+    assert record.rate == 0.75
+    assert len(load_plan(out / "plan.json").nodes) == record.budget == 6
     payload = json.loads((out / "recovery.json").read_text())
     assert payload["nrmse"] == record.nrmse
 

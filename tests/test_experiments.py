@@ -89,8 +89,6 @@ def test_config_rejects_unknown_keys():
     ({"log_powers": ()}, "bad26"),
     ({"log_power_grid": ((0,),)}, "bad28"),
     ({"poly_power_grid": (0,)}, "bad29"),
-    ({"selection_rate": 2.0}, "bad30"),
-    ({"selection_rate": 0.0}, "bad31"),
     ({"dictionary": "nope"}, "bad32"),
     ({"flow_in": -5.0}, "bad33"),
     # integer settings that are not integers
@@ -105,7 +103,6 @@ def test_config_rejects_unknown_keys():
     # float settings that are not real numbers
     ({"sampling_rates": (True,)}, "sampling_rates=[True]"),
     ({"flow_in": True}, "flow_in=True"),
-    ({"selection_rate": True}, "selection_rate=True"),
     ({"scale": True}, "scale=True"),
     ({"scale": "500"}, "scale='500'"),
     ({"gamma": "5"}, "gamma='5'"),
@@ -135,7 +132,7 @@ def test_number_checks_name_the_key():
     for bad in ({"n_values": (4.0,)}, {"seed": 0.5}, {"seed": True},
                 {"trials": 1.5}, {"log_power_grid": ((1.5,),)},
                 {"sampling_rates": (True,)}, {"flow_in": True},
-                {"selection_rate": True}, {"scale": True}, {"scale": "500"},
+                {"scale": True}, {"scale": "500"},
                 {"gamma": "5"}, {"er_probability": None},
                 {"include_dmd": "no"}, {"include_dmd": None},
                 {"include_dmd": 1}, {"n_values": 20}, {"n_values": "20"},
@@ -156,7 +153,7 @@ CONFIG_KINDS = {
     "sampling_ticks": "int", "scale": "float", "log_powers": "ints",
     "include_dmd": "bool", "log_power_grid": "int lists",
     "poly_power_grid": "ints", "sampling_rates": "floats",
-    "gamma": "float or null", "selection_rate": "float", "dictionary": "str",
+    "gamma": "float or null", "dictionary": "str",
     "trials": "int", "refine_trajectories": "int", "baselines": "strs",
     "workers": "int"}
 WRONG_KINDS = {
@@ -230,19 +227,13 @@ def test_config_must_be_a_json_object(config, type_name):
 REMOVED_KEYS = {"decay": 1.0, "coupling": 1.0, "dt": 0.01,
                 "steps_per_sample": 10, "poly_max_power": 2,
                 "recovery_max_iterations": 500, "recovery_gradient_tol": 1e-8,
-                "recovery_multistarts": 3}
+                "recovery_multistarts": 3, "selection_rate": 0.5}
 
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_config_rejects_removed_keys(key):
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({key: REMOVED_KEYS[key]})
-
-
-def test_config_rejects_a_null_selection_rate():
-    # null once meant "every node", the budget a rate of 1.0 gives
-    with pytest.raises(ValueError, match=r"selection_rate must lie in \(0, 1\]"):
-        ExperimentConfig.from_dict({"selection_rate": None})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -749,15 +740,21 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
 
 def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
     # the baseline, the recovery and verify_rank read their rows off K, so
-    # the one stack of powers a trial builds is the log model's, for greedy
-    # selection; experiments is the one module that imports build_theta
-    builds = []
+    # the one stack of powers a trial builds is the log model's, for its one
+    # greedy pass; both go through the names experiments imports, which are
+    # the ones the benchmark's tracer wraps
+    builds, picks = [], []
 
     def spy(model, tau):
         builds.append((experiments.__name__, model.spec.kind))
         return build_theta(model, tau)
 
+    def pick(*args, **kwargs):
+        picks.append(args[1].kind)
+        return sampling.greedy_select(*args, **kwargs)
+
     monkeypatch.setattr(experiments, "build_theta", spy)
+    monkeypatch.setattr(experiments, "greedy_select", pick)
     assert not hasattr(sampling, "build_theta")
     assert not hasattr(recovery, "build_theta")
     assert not hasattr(recovery, "selected_rows")
@@ -770,6 +767,7 @@ def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
     assert all(r.error is None for r in report.records)
     assert len([r for r in report.records if r.method == POLY_GRAMIAN]) == 4
     assert builds == [("koopnet.experiments", LOG)] * cfg.trials
+    assert picks == [LOG] * cfg.trials
 
 
 def test_sweep_passes_the_recovery_config_by_keyword(monkeypatch):

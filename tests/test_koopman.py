@@ -5,6 +5,7 @@ most oracles here are either hand-computed (scalars, permutations) or checked
 against an independently constructed ground-truth operator.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -709,6 +710,18 @@ def test_model_file_names_the_field_of_each_wrong_kind(field, value):
     d[field] = value
     with pytest.raises(ValueError, match=f"^{field}: "):
         model_from_dict(d)
+
+
+def test_model_file_with_a_field_its_dictionary_does_not_hold_is_rejected(
+        tmp_path):
+    # a log dictionary with poly_max_power 3 once loaded with 0
+    d = {"operator": np.eye(4).tolist(),
+         "spec": {**spec_to_dict(log_spec(1)), "poly_max_power": 3},
+         "residual": 0.0}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="^poly_max_power: 3 is not the log "):
+        load_model(path)
 
 
 def test_model_operator_must_match_its_dictionary():

@@ -336,6 +336,22 @@ def test_spec_from_dict_takes_numpy_integers_and_an_integer_scale():
                            "poly_max_power": np.int64(2)}) == poly_spec(3)
 
 
+@pytest.mark.parametrize("spec, fields, message", [
+    (poly_spec(3), {"scale": 7.0, "log_powers": [1, 2]},
+     "scale: 7.0 is not the poly dictionary's 1.0"),
+    (identity_spec(3), {"scale": 9.0, "log_powers": [5], "poly_max_power": 4},
+     "scale: 9.0 is not the identity dictionary's 1.0"),
+    (log_spec(3), {"poly_max_power": 3},
+     "poly_max_power: 3 is not the log dictionary's 0"),
+], ids=["poly", "identity", "log"])
+def test_spec_from_dict_rejects_a_field_its_kind_does_not_hold(
+        spec, fields, message):
+    # each once loaded as its kind's own values: the file's were dropped
+    with pytest.raises(ValueError) as info:
+        spec_from_dict({**spec_to_dict(spec), **fields})
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: log_spec(4.7), "n: 4.7 is not an integer"),
     (lambda: log_spec(4, scale="500"), "scale: '500' is not a real number"),
