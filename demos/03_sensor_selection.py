@@ -7,7 +7,9 @@ the rows a node set S can read turns "which nodes do we sample?" into a
 singular-value question.  Recovery solves for the N node states, so the kept
 rows are multiplied by the lift's Jacobian J at a reference state (every node
 at the recovery's fill value): the selection is sound once Theta_S J has rank
-N, and its conditioning is the quotient sigma_1 / sigma_N.  Short of rank N
+N, and its conditioning is the quotient sigma_1 / sigma_N.  The product
+Theta J = [J; K J; ...; K^(tau-1) J] is rolled forward from J itself, so the
+powers of K are never formed.  Short of rank N
 the greedy pass adds whichever node raises the rank most (then the largest
 log-volume); after that, whichever gives the best quotient.  It stops at the
 budget (or once the quotient clears a threshold gamma).
@@ -31,15 +33,15 @@ graph = generate_er_graph(n, 0.5, seed=5)
 x1s = random_initial_states(n, 100, low, high, seed=6)
 model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 50),
                               log_spec(n)))
-theta = build_theta(model, tau)
 spec = model.spec
+fill = config.optimizer().fill_value
+theta_j = build_theta(model, tau, lift_jacobian(spec, np.full(n, fill)))
 
 # 1. run the greedy pass through every node (gamma=None disables the early
 #    stop).  Each step takes the best remaining candidate; note the quotient
 #    itself is not monotone, because adding rows grows sigma_1 as well as
 #    sigma_N.
-fill = config.optimizer().fill_value
-plan = greedy_select(theta, spec, SelectionConfig(gamma=None), fill)
+plan = greedy_select(theta_j, spec, SelectionConfig(gamma=None))
 print(f"greedy pass over {n} nodes (tau = {tau}, dictionary M = {spec.size}):")
 print(f"{'step':>4} {'node':>5} {'score sigma1/sigmaN of Theta_S J':>33}")
 for step, score in enumerate(plan.score_trace):
@@ -48,12 +50,10 @@ for step, score in enumerate(plan.score_trace):
 
 # 2. how small can the sensor set be and still see everything?
 for budget in range(1, n + 1):
-    candidate = greedy_select(theta, spec, SelectionConfig(max_nodes=budget),
-                              fill)
+    candidate = greedy_select(theta_j, spec, SelectionConfig(max_nodes=budget))
     if verify_rank(candidate, model, fill):
         # the matrix verify_rank reads: Theta_S J at the fill value
-        rows = selected_rows(candidate, theta) @ lift_jacobian(
-            spec, np.full(n, fill))
+        rows = selected_rows(candidate, theta_j)
         rank = sigma_quotient(rows, n)[2]
         print(f"\nfirst full-rank set: {budget} sensor(s) "
               f"{list(candidate.nodes)} -> {rows.shape[0]} rows, "
@@ -63,7 +63,7 @@ for budget in range(1, n + 1):
 # 3. the eigen-energy baseline ranks nodes by leading-mode weight instead
 half = max(1, n // 2)
 nodes = gramian_nodes_for_budget(model, half)
-greedy_half = greedy_select(theta, spec,
-                            SelectionConfig(gamma=None, max_nodes=half), fill)
+greedy_half = greedy_select(theta_j, spec,
+                            SelectionConfig(gamma=None, max_nodes=half))
 print(f"\nobservability-gramian pick at budget {half}: {sorted(nodes)}")
 print(f"greedy pick at the same budget:          {sorted(greedy_half.nodes)}")

@@ -12,8 +12,8 @@ import numpy as np
 
 from koopnet import (ExperimentConfig, OptimizerConfig, SelectionConfig,
                      assemble_training, build_theta, default_initial_range,
-                     fit, generate_er_graph, greedy_select, nrmse,
-                     per_tick_nrmse, random_initial_states,
+                     fit, generate_er_graph, greedy_select, lift_jacobian,
+                     nrmse, per_tick_nrmse, random_initial_states,
                      recover_initial_state, refine_with_samples,
                      simulate_ensemble, take_samples, log_spec)
 
@@ -33,8 +33,11 @@ spec = log_spec(n)
 training = assemble_training(train, spec)
 model = fit(training)
 
-# choose 5 of 10 sensors and take their readings
-plan = greedy_select(build_theta(model, tau), spec,
+# choose 5 of 10 sensors, scored on K^t J rolled out of the lift's Jacobian
+# at the unsampled nodes' start, and take their readings
+fill = 0.5 * (low + high)
+theta_j = build_theta(model, tau, lift_jacobian(spec, np.full(n, fill)))
+plan = greedy_select(theta_j, spec,
                      SelectionConfig(gamma=None, max_nodes=n // 2))
 samples = take_samples(truth, plan)
 print(f"sampling nodes {sorted(plan.nodes)}: "
@@ -48,7 +51,7 @@ refined, _ = refine_with_samples(training, plan.nodes,
 
 # the recovery reads the plan's rows off the refined K, one tick at a time
 result = recover_initial_state(samples, refined,
-                               OptimizerConfig(fill_value=0.5 * (low + high)))
+                               OptimizerConfig(fill_value=fill))
 print(f"optimizer: {result.iterations} iterations, converged "
       f"{result.converged}, objective {result.objective:.3e}")
 

@@ -29,8 +29,8 @@ from .dynamics import (BIOCHEMICAL, DynamicsParams, default_initial_range,
 from .koopman import (assemble_training, build_theta, fit, linearization_nrmse,
                       refine_with_samples)
 from .metrics import nrmse
-from .observables import (build_spec, check_fields, identity_spec, log_spec,
-                          poly_spec)
+from .observables import (build_spec, check_fields, identity_spec,
+                          lift_jacobian, log_spec, poly_spec)
 from .recovery import OptimizerConfig, recover_initial_state, take_samples
 from .sampling import SelectionConfig, gamma_map, greedy_select
 
@@ -388,11 +388,12 @@ def _log_koopman(config, seeds, spec, graph, train_trajs, truth):
 
 def _select(model, config: ExperimentConfig, max_nodes: int):
     """The proposed method's greedy pass to ``max_nodes`` sensors, once per
-    sweep trial and in ``koopnet select``, through the names of this module
-    that the benchmark's tracer wraps."""
-    return greedy_select(build_theta(model, config.sampling_ticks), model.spec,
-                         SelectionConfig(gamma=config.gamma, max_nodes=max_nodes),
-                         config.optimizer().fill_value)
+    sweep trial and in ``koopnet select``, on K**t J at the recovery's fill
+    value, through this module's names, which the benchmark's tracer wraps."""
+    spec = model.spec
+    jac = lift_jacobian(spec, np.full(spec.n, config.optimizer().fill_value))
+    return greedy_select(build_theta(model, config.sampling_ticks, jac), spec,
+                         SelectionConfig(gamma=config.gamma, max_nodes=max_nodes))
 
 
 def _poly_gramian(config, seeds, spec, graph, train_trajs, truth):

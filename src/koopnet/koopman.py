@@ -15,8 +15,8 @@ memory from 59.1 to 54.1 MB, while poly fits at 841 and 1,861 observables
 (M/P = 0.17 and 0.38) took 25% longer, so they keep the snapshot SVD and
 their bytes.
 ``rollout`` is the one forward recurrence: it pushes lifted vectors through
-K tick by tick (both recoveries' paths), and ``build_theta`` rolls out the
-identity to get the powers ``K^0 .. K^(tau-1)`` that greedy selection scores.
+K tick by tick (both recoveries' paths); ``build_theta`` rolls out the
+lift's Jacobian J for the ``K^t J`` greedy selection scores, or I.
 """
 
 from __future__ import annotations
@@ -226,8 +226,8 @@ def _solve(svd, y: np.ndarray, spec: ObservableSpec,
 def rollout(model: KoopmanModel, z1: np.ndarray, tau: int) -> np.ndarray:
     """All lifted states ``K**t z1`` for t = 0..tau-1, time first.
 
-    ``z1`` is one lifted vector (the result is tau x M), an M x d block of
-    them (tau x M x d), or the M x M identity (the stack of powers), pushed
+    ``z1`` is one lifted vector (the result is tau x M) or an M x d block
+    (tau x M x d: states, the lift's Jacobian or the identity), pushed
     forward together by one ``K @`` product per tick; index 0 is ``z1``.
     """
     if tau < 1:
@@ -258,9 +258,10 @@ def linearization_nrmse(model: KoopmanModel,
     return float(np.mean(errors))
 
 
-def build_theta(model: KoopmanModel, tau: int) -> np.ndarray:
-    """The stack of powers, tau x M x M with ``K**t`` at index t; index 0 is I."""
-    return rollout(model, np.eye(model.size), tau)
+def build_theta(model: KoopmanModel, tau: int,
+                basis: np.ndarray | None = None) -> np.ndarray:
+    """``rollout`` of the M x k ``basis``; the default, I, gives the powers."""
+    return rollout(model, np.eye(model.size) if basis is None else basis, tau)
 
 
 def refine_with_samples(training: TrainingSet, sampled_nodes,

@@ -4,21 +4,22 @@ Sampling a node set S makes observable exactly the dictionary entries whose
 owner nodes all lie in S (the constant entry is always available).  Those
 entries, read at every tick t, select the rows of each operator power K**t;
 stacked time-major, they form the row submatrix Theta_S.  This module is the
-one reader of those rows: off the stack of powers for greedy selection, or
-off K alone, a tick at a time, for ``verify_rank`` and both recoveries.
+one reader of those rows: off a rolled-out stack (``selected_rows``), or off
+K alone, a tick at a time, for ``verify_rank`` and both recoveries.
 
 Recovery solves for the n-entry state, so a node set is scored on the
 n-column matrix Theta_S J(x_ref): the sampled rows times the lift's Jacobian
 at the reference state x_ref, every node at the recovery's ``fill_value``
 (the DFP base start before any sample is read).  Local observability of the
 state is read off that matrix (Hermann & Krener 1977); for the identity
-dictionary J = I.  Singular values at or below ``SCORE_TOL`` (1e-8) times
-the largest count as zero.  While the numerical rank is short of n, sets
-rank by that rank, then by the log-volume (the sum of log sigma above the
-floor), then by the lowest node; at full rank by the quotient
-sigma_1/sigma_n, then the larger sigma_n, then the lowest node.  Nodes are
-added greedily until the quotient clears a threshold or a sensor budget is
-exhausted.
+dictionary J = I.  Greedy reads K**t J rolled out of J: the powers times J
+lose digits where K**t grows and K**t J stays small, on some fits enough to
+change a pick.  Singular values at or below ``SCORE_TOL`` (1e-8) times the
+largest count as zero.  While the numerical rank is short of n, sets rank by
+that rank, then by the log-volume (the sum of log sigma above the floor),
+then by the lowest node; at full rank by the quotient sigma_1/sigma_n, then
+the larger sigma_n, then the lowest node.  Nodes are added greedily until
+the quotient clears a threshold or a sensor budget is exhausted.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
 
 
 def selected_rows(plan: SamplingPlan, theta: np.ndarray) -> np.ndarray:
-    """The plan's rows of the tau x M x M stack of powers: every sampled
-    entry at tick 1, then at tick 2, and so on, each tick in ascending
-    dictionary order."""
+    """The plan's rows of a stack rolled out by ``build_theta`` (the powers,
+    tau x M x M, or K**t J, tau x M x n): every sampled entry at tick 1,
+    then at tick 2, and so on, each tick in ascending dictionary order."""
     if plan.tau != theta.shape[0]:
         raise ValueError("plan and evolution stack disagree on tau")
     if plan.spec.size != theta.shape[1]:
@@ -137,8 +138,8 @@ def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarra
     identity rows; it is the left-hand twin of ``rollout``'s ``K @`` and
     builds neither the stack of powers nor all tau*|obs| rows at once.
     Stacked, the blocks equal ``selected_rows(plan, build_theta(model,
-    plan.tau))`` up to rounding, in the same time-major order.  The
-    dictionary check runs on the first ``next``.
+    plan.tau))`` up to rounding, in the same time-major order (times J,
+    greedy's rows).  The dictionary check runs on the first ``next``.
     """
     plan.check_dictionary(model.spec)
     obs = plan.observable_indices
@@ -180,36 +181,33 @@ def pick_key(score: tuple[float, float, int, float], cand: int) -> tuple:
     return 1, -rank, -log_volume, cand
 
 
-def greedy_select(theta: np.ndarray, spec: ObservableSpec,
-                  config: SelectionConfig | None = None,
-                  fill_value: float = 0.5) -> SamplingPlan:
+def greedy_select(theta_j: np.ndarray, spec: ObservableSpec,
+                  config: SelectionConfig | None = None) -> SamplingPlan:
     """Grow a node set one node at a time, always taking the candidate first
-    in ``pick_key``'s order, scored on its sampled rows times the lift's
-    Jacobian at ``fill_value`` on every node (pass the recovery's
-    ``OptimizerConfig.fill_value``; 0.5 is that class's default).
+    in ``pick_key``'s order, scored on its rows of ``theta_j``: the tau x M
+    x n stack K**t J that ``build_theta(model, tau, J)`` rolls out of the
+    lift's Jacobian at the reference state.
 
     Stops when the score reaches ``config.gamma`` or the node budget is hit.
     The returned plan is flagged ``rank_deficient`` when no finite score was
     reached within the budget.
 
-    The rows already selected are carried as the triangular QR factor of
-    their product with J (at most n x n), which has the same singular
-    values, so each candidate is scored on that factor plus only the rows it
-    adds: one ``sigma_quotient`` call per candidate and pick.  Scores agree
-    with scoring the whole product up to rounding.  A stack holding NaN or
-    +-inf is rejected up front.
+    The rows already selected are carried as their triangular QR factor (at
+    most n x n), which has the same singular values, so each candidate is
+    scored on that factor plus only the rows it adds: one ``sigma_quotient``
+    call per candidate and pick.  Scores agree with scoring all the rows up
+    to rounding.  A stack not of shape (tau, M, n), such as the stack of
+    powers, or one holding NaN or +-inf is rejected up front.
     """
-    tau, size = theta.shape[:2]
-    if size != spec.size:
-        raise ValueError(f"evolution stack has dictionary size {size}, "
-                         f"the spec has size {spec.size}")
-    if not np.isfinite(theta).all():
-        raise ValueError("evolution stack holds a non-finite entry "
-                         "(NaN or +-inf)")
+    shape = np.shape(theta_j)
+    if shape != (need := shape[:1] + (spec.size, spec.n)):
+        raise ValueError(f"Theta J has shape {shape}; the {spec.kind} "
+                         f"dictionary on {spec.n} nodes needs {need}")
+    if not np.isfinite(theta_j).all():
+        raise ValueError("Theta J holds a non-finite entry (NaN or +-inf)")
+    tau, n = len(theta_j), spec.n
     config = config or SelectionConfig()
-    n = spec.n
     budget = min(config.max_nodes or n, n)
-    theta_j = theta @ lift_jacobian(spec, np.full(n, float(fill_value)))
     # each node's dictionary entries, ascending; a candidate adds those whose
     # other owners are all selected already
     owned: list[list[int]] = [[] for _ in range(n)]
@@ -247,8 +245,8 @@ def verify_rank(plan: SamplingPlan, model: KoopmanModel,
                 fill_value: float = 0.5) -> bool:
     """True when the plan's rows of ``model``'s powers times the lift's
     Jacobian at ``fill_value`` on every node have rank n: the matrix and
-    floor ``greedy_select`` scores, so its plan passes exactly when it is
-    not ``rank_deficient``.  The rows are read by ``operator_rows``, a
+    floor ``greedy_select`` scores with J there, so its plan passes exactly
+    when it is not ``rank_deficient``.  ``operator_rows`` reads the rows a
     tick at a time, so no stack of powers is built."""
     n = plan.spec.n
     jac = lift_jacobian(plan.spec, np.full(n, float(fill_value)))

@@ -42,7 +42,7 @@ from koopnet import (
     verify_rank,
 )
 from koopnet.experiments import LINEAR_GFT, POLY_GRAMIAN, PROPOSED, _child_seed
-from koopnet.observables import lift_trajectory
+from koopnet.observables import lift_jacobian, lift_trajectory
 from koopnet.recovery import _objective_pair
 
 
@@ -321,7 +321,9 @@ def test_criterion_6_property_battery(acceptance_log):
     model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 30),
                                   spec6))
     theta = build_theta(model, tau=12)
-    full_plan = greedy_select(theta, spec6, SelectionConfig())
+    jac = lift_jacobian(spec6, np.full(6, 0.5))
+    full_plan = greedy_select(build_theta(model, 12, jac), spec6,
+                              SelectionConfig())
     sigmas = []
     for k in range(1, len(full_plan.nodes) + 1):
         rows = selected_rows(gamma_map(full_plan.nodes[:k], spec6, 12), theta)

@@ -23,6 +23,7 @@ from koopnet import (
     fit,
     generate_er_graph,
     identity_spec,
+    lift_jacobian,
     lift_trajectory,
     linearization_nrmse,
     load_model,
@@ -398,6 +399,18 @@ def test_build_theta_is_the_explicit_power_loop(spec, n):
     for tau in (1, 2, 12):
         assert np.array_equal(build_theta(model, tau),
                               _powers_loop(model, tau))
+
+
+@pytest.mark.parametrize("spec, n", _ROLLOUT_SPECS, ids=["log", "poly"])
+def test_build_theta_rolls_out_a_basis(spec, n):
+    # K**t J for the lift's Jacobian J: the rollout of J itself, bit for
+    # bit, tau x M x n with J exactly at index 0
+    model, _ = _fitted(spec, n, seed=46)
+    jac = lift_jacobian(spec, np.full(n, 0.5))
+    theta_j = build_theta(model, 12, jac)
+    assert theta_j.shape == (12, spec.size, n)
+    assert np.array_equal(theta_j, rollout(model, jac, 12))
+    assert np.array_equal(theta_j[0], jac)
 
 
 def test_build_theta_identity_and_powers():

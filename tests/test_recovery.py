@@ -25,6 +25,7 @@ from koopnet import (
     generate_er_graph,
     greedy_select,
     identity_spec,
+    lift_jacobian,
     lift_trajectory,
     linear_observable_recover,
     log_spec,
@@ -505,7 +506,9 @@ def small_pipeline():
 
 def test_nonlinear_recovery_smoke(small_pipeline):
     spec, model, theta, truth = small_pipeline
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=None, max_nodes=3))
+    jac = lift_jacobian(spec, np.full(6, 0.5))
+    plan = greedy_select(build_theta(model, 15, jac), spec,
+                         SelectionConfig(gamma=None, max_nodes=3))
     samples = take_samples(truth, plan)
     result = recover_initial_state(
         samples, model, OptimizerConfig(fill_value=0.5))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from koopnet import (
+    ExperimentConfig,
     KoopmanModel,
     SamplingPlan,
     SelectionConfig,
@@ -47,6 +48,14 @@ def _model(op, spec=None):
 
 def _stack(op, tau):
     return build_theta(_model(op), tau)
+
+
+def _theta_j(model, tau, fill_value=0.5):
+    """K**t J rolled out of the lift's Jacobian at ``fill_value`` on every
+    node: the tau x M x n stack greedy selection scores."""
+    spec = model.spec
+    return build_theta(model, tau, lift_jacobian(spec, np.full(spec.n,
+                                                                fill_value)))
 
 
 def selection_score(nodes, theta, spec):
@@ -292,8 +301,8 @@ def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
     for fill_value in (0.5, 0.5, 0.5, 40.0):
         op = rng.normal(size=(spec.size, spec.size))
         op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
-        theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0),
-                            tau)
+        model = KoopmanModel(operator=op, spec=spec, residual=0.0)
+        theta = build_theta(model, tau)
         nodes, trace = _full_stack_greedy(theta, spec, None, spec.n,
                                           fill_value)
         gamma = None
@@ -304,8 +313,8 @@ def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
             nodes, trace = _full_stack_greedy(theta, spec, gamma, spec.n,
                                               fill_value)
             assert len(nodes) < spec.n
-        plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma),
-                             fill_value)
+        plan = greedy_select(_theta_j(model, tau, fill_value), spec,
+                             SelectionConfig(gamma=gamma))
         assert plan.nodes == nodes
         assert [math.isfinite(s) for s in plan.score_trace] == \
             [math.isfinite(s) for s in trace]
@@ -322,15 +331,15 @@ def test_the_reference_state_is_the_fill_value():
     rng = np.random.default_rng(9)
     op = rng.normal(size=(spec.size, spec.size))
     op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
-    theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0), 4)
+    model = KoopmanModel(operator=op, spec=spec, residual=0.0)
     config = SelectionConfig(gamma=None)
-    at_default = greedy_select(theta, spec, config)
-    assert at_default == greedy_select(theta, spec, config, 0.5)
+    at_default = greedy_select(_theta_j(model, 4), spec, config)
     assert at_default.score_trace != \
-        greedy_select(theta, spec, config, 300.0).score_trace
-    theta = _stack(rng.normal(size=(6, 6)), tau=3)
-    assert greedy_select(theta, identity_spec(6), config) == \
-        greedy_select(theta, identity_spec(6), config, 300.0)
+        greedy_select(_theta_j(model, 4, 300.0), spec, config).score_trace
+    model = _model(rng.normal(size=(6, 6)))
+    assert np.array_equal(_theta_j(model, 3, 300.0), _stack(model.operator, 3))
+    assert greedy_select(_theta_j(model, 3), identity_spec(6), config) == \
+        greedy_select(_theta_j(model, 3, 300.0), identity_spec(6), config)
 
 
 def _first_pick(rows_per_node):
@@ -418,13 +427,14 @@ def test_every_candidate_is_scored_once_per_pick(monkeypatch):
     assert counted.calls == sum(range(1, 8))
 
 
-def _every_candidate_greedy(theta, spec, gamma, budget, reverse_order=False):
+def _every_candidate_greedy(theta_j, spec, gamma, budget,
+                            reverse_order=False):
     """Reference greedy: every candidate scored by SVD on the carried QR
-    factor of the chosen rows times J plus the rows it adds, found afresh
-    from ``gamma_map``, with greedy_select's key; candidates are visited in
-    ascending node order, or descending with ``reverse_order``."""
-    tau, size = theta.shape[:2]
-    theta_j = theta @ lift_jacobian(spec, np.full(spec.n, 0.5))
+    factor of its chosen rows of ``theta_j`` (K**t J) plus the rows it adds,
+    found afresh from ``gamma_map``, with greedy_select's key; candidates
+    are visited in ascending node order, or descending with
+    ``reverse_order``."""
+    tau = theta_j.shape[0]
     selected, trace = [], []
     obs = gamma_map([], spec, tau).observable_indices
     r_s = np.linalg.qr(np.take(theta_j, obs, axis=1).reshape(-1, spec.n),
@@ -473,18 +483,18 @@ def test_pruned_greedy_is_bit_identical_to_scoring_every_candidate(
     for _ in range(3):
         op = rng.normal(size=(spec.size, spec.size))
         op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
-        theta = build_theta(KoopmanModel(operator=op, spec=spec, residual=0.0),
-                            tau)
+        theta_j = _theta_j(KoopmanModel(operator=op, spec=spec, residual=0.0),
+                           tau)
         gamma = None
-        nodes, trace = _every_candidate_greedy(theta, spec, None, spec.n,
+        nodes, trace = _every_candidate_greedy(theta_j, spec, None, spec.n,
                                                reverse_order)
         if finite_gamma:
             finite = [s for s in trace if math.isfinite(s)]
             gamma = finite[len(finite) // 2] * (1.0 + 1e-6)
-            nodes, trace = _every_candidate_greedy(theta, spec, gamma, spec.n,
-                                                   reverse_order)
+            nodes, trace = _every_candidate_greedy(theta_j, spec, gamma,
+                                                   spec.n, reverse_order)
         counted.calls = 0
-        plan = greedy_select(theta, spec, SelectionConfig(gamma=gamma))
+        plan = greedy_select(theta_j, spec, SelectionConfig(gamma=gamma))
         assert plan.nodes == nodes
         assert plan.score_trace == trace
         assert counted.calls == sum(spec.n - k for k in range(len(nodes)))
@@ -566,14 +576,14 @@ def test_pruning_on_the_bio_n40_instance(monkeypatch):
     # with no pruning, all 765 candidates of the 30 picks are scored, and
     # picks and trace equal the every-candidate reference bit for bit
     config, spec, model, budget = _bio_n40_instance()
-    theta = build_theta(model, config.sampling_ticks)
     assert config.optimizer().fill_value == 0.5
-    nodes, trace = _every_candidate_greedy(theta, spec, config.gamma, budget)
+    theta_j = _theta_j(model, config.sampling_ticks)
+    nodes, trace = _every_candidate_greedy(theta_j, spec, config.gamma, budget)
     assert len(nodes) == budget
     counted = _CountedScores()
     monkeypatch.setattr("koopnet.sampling.sigma_quotient", counted)
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=config.gamma,
-                                                      max_nodes=budget))
+    plan = greedy_select(theta_j, spec, SelectionConfig(gamma=config.gamma,
+                                                        max_nodes=budget))
     assert plan.nodes == nodes
     assert plan.score_trace == trace
     assert counted.calls == sum(40 - k for k in range(budget)) == 765
@@ -589,8 +599,8 @@ def test_bio_n40_picks_survive_a_rounding_level_change_of_k():
 
     def order(operator):
         perturbed = dataclasses.replace(model, operator=operator)
-        theta = build_theta(perturbed, config.sampling_ticks)
-        return greedy_select(theta, spec, select, fill).nodes
+        theta_j = _theta_j(perturbed, config.sampling_ticks, fill)
+        return greedy_select(theta_j, spec, select).nodes
 
     base = order(model.operator)
     assert len(base) == budget
@@ -599,14 +609,42 @@ def test_bio_n40_picks_survive_a_rounding_level_change_of_k():
         assert order(model.operator * (1.0 + 1e-10 * noise)) == base
 
 
+def test_greedy_scores_agree_with_the_rows_read_off_k():
+    # the default biochemical config at n = 10, config seed 0, trial 0,
+    # where K**t grows to about 1e4 while K**t J stays small: the sweep's
+    # selection must score each prefix as the rows operator_rows reads off
+    # K, times J, score; the powers formed first and multiplied by J after
+    # read 129,706.5 for node 1, whose quotient is 134,669, and picked it
+    from koopnet.experiments import _select, _trial_data, _trial_seeds
+    from koopnet.koopman import assemble_training, fit
+
+    n = 10
+    config = ExperimentConfig(seed=0, trials=1, n_values=(n,))
+    seeds = _trial_seeds(config, n, 0)
+    _, train, _ = _trial_data(config, n, seeds, 1, config.sampling_ticks)
+    spec = log_spec(n, scale=config.scale, powers=config.log_powers)
+    model = fit(assemble_training(train, spec))
+    plan = _select(model, config, n)
+    jac = lift_jacobian(spec, np.full(n, config.optimizer().fill_value))
+    assert len(plan.score_trace) == n
+    for k in range(1, n + 1):
+        prefix = gamma_map(plan.nodes[:k], spec, plan.tau)
+        rows = np.vstack([rows @ jac for rows in operator_rows(prefix, model)])
+        want = sigma_quotient(rows, n)[0]
+        got = plan.score_trace[k - 1]
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-5)
+        else:
+            assert got == math.inf
+
+
 def test_bio_n40_verify_rank_agrees_with_the_rank_flag_at_every_budget():
     # the instance where verify_rank once passed the budget-2 and -3 plans
     # that greedy flags rank_deficient
     config, spec, model, budget = _bio_n40_instance()
-    theta = build_theta(model, config.sampling_ticks)
     fill = config.optimizer().fill_value
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=None,
-                                                      max_nodes=budget), fill)
+    plan = greedy_select(_theta_j(model, config.sampling_ticks, fill), spec,
+                         SelectionConfig(gamma=None, max_nodes=budget))
     flags = []
     for k in range(1, budget + 1):
         prefix = dataclasses.replace(gamma_map(plan.nodes[:k], spec, plan.tau),
@@ -661,6 +699,26 @@ def test_a_non_finite_stack_is_rejected(where, value):
     theta[where] = value
     with pytest.raises(ValueError, match="non-finite"):
         greedy_select(theta, identity_spec(6), SelectionConfig(gamma=None))
+
+
+@pytest.mark.parametrize("spec, shape", [
+    pytest.param(log_spec(4), (3, 13, 13), id="log-stack-of-powers"),
+    pytest.param(poly_spec(3, max_power=2), (3, 10, 10),
+                 id="poly-stack-of-powers"),
+    pytest.param(log_spec(4), (3, 4, 13), id="log-transposed"),
+    pytest.param(identity_spec(4), (3, 4, 5), id="identity-wrong-n"),
+    pytest.param(identity_spec(4), (12, 4), id="identity-flattened"),
+])
+def test_a_stack_of_another_shape_is_rejected(spec, shape):
+    # greedy takes K**t J, tau x M x n; the stack of powers (tau x M x M) of
+    # a log or poly model fails loudly instead of being scored as if it were
+    # the product, and the message names both shapes
+    theta = np.random.default_rng(0).normal(size=shape)
+    need = (shape[0], spec.size, spec.n)
+    with pytest.raises(ValueError) as info:
+        greedy_select(theta, spec, SelectionConfig(gamma=None))
+    assert f"shape {shape};" in str(info.value)
+    assert str(info.value).endswith(f"needs {need}")
 
 
 def test_sigma_n_never_drops_as_nodes_are_added():
@@ -726,7 +784,8 @@ def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
     spec = log_spec(2)
     model = _model(np.eye(spec.size), spec)
     theta = build_theta(model, 3)
-    plan = greedy_select(theta, spec, SelectionConfig(gamma=None, max_nodes=1))
+    plan = greedy_select(_theta_j(model, 3), spec,
+                         SelectionConfig(gamma=None, max_nodes=1))
     assert plan.rank_deficient
     assert np.linalg.matrix_rank(selected_rows(plan, theta)) >= spec.n
     assert not verify_rank(plan, model)
@@ -971,7 +1030,7 @@ def test_selected_rows_rejects_a_plan_of_another_dictionary():
     with pytest.raises(ValueError, match="size 19.*85"):
         selected_rows(log_plan, theta)
     # the same crossing when selecting: the log spec on the poly stack
-    with pytest.raises(ValueError, match="size 85.*19"):
+    with pytest.raises(ValueError, match=r"\(3, 85, 85\).*\(3, 19, 6\)"):
         greedy_select(theta, log_spec(6), SelectionConfig(gamma=None,
                                                           max_nodes=3))
 
