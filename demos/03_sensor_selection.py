@@ -8,20 +8,20 @@ singular-value question.  Recovery solves for the N node states, so the kept
 rows are multiplied by the lift's Jacobian J at a reference state (every node
 at the recovery's fill value): the selection is sound once Theta_S J has rank
 N, and its conditioning is the quotient sigma_1 / sigma_N.  The product
-Theta J = [J; K J; ...; K^(tau-1) J] is rolled forward from J itself, so the
-powers of K are never formed.  Short of rank N
-the greedy pass adds whichever node raises the rank most (then the largest
-log-volume); after that, whichever gives the best quotient.  It stops at the
-budget (or once the quotient clears a threshold gamma).
+Theta J = [J; K J; ...; K^(tau-1) J] is rolled forward from J itself by
+``rollout``, so the powers of K are never formed; greedy selection and
+``verify_rank`` both read it.  Short of rank N the greedy pass adds
+whichever node raises the rank most (then the largest log-volume); after
+that, whichever gives the best quotient.  It stops at the budget (or once
+the quotient clears a threshold gamma).
 """
 
 import numpy as np
 
 from koopnet import (ExperimentConfig, SelectionConfig, assemble_training,
-                     build_theta, default_initial_range, fit,
-                     generate_er_graph, gramian_nodes_for_budget,
-                     greedy_select, lift_jacobian, log_spec,
-                     random_initial_states, selected_rows, sigma_quotient,
+                     default_initial_range, fit, generate_er_graph,
+                     gramian_nodes_for_budget, greedy_select, lift_jacobian,
+                     log_spec, random_initial_states, rollout, sigma_quotient,
                      simulate_ensemble, verify_rank)
 
 # fit a log-dictionary operator for a 10-node biochemical network
@@ -35,7 +35,7 @@ model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 50),
                               log_spec(n)))
 spec = model.spec
 fill = config.optimizer().fill_value
-theta_j = build_theta(model, tau, lift_jacobian(spec, np.full(n, fill)))
+theta_j = rollout(model, lift_jacobian(spec, np.full(n, fill)), tau)
 
 # 1. run the greedy pass through every node (gamma=None disables the early
 #    stop).  Each step takes the best remaining candidate; note the quotient
@@ -52,8 +52,10 @@ for step, score in enumerate(plan.score_trace):
 for budget in range(1, n + 1):
     candidate = greedy_select(theta_j, spec, SelectionConfig(max_nodes=budget))
     if verify_rank(candidate, model, fill):
-        # the matrix verify_rank reads: Theta_S J at the fill value
-        rows = selected_rows(candidate, theta_j)
+        # the matrix verify_rank reads: the plan's rows of Theta J, tick by
+        # tick, at the fill value
+        obs = candidate.observable_indices
+        rows = np.take(theta_j, obs, axis=1).reshape(-1, n)
         rank = sigma_quotient(rows, n)[2]
         print(f"\nfirst full-rank set: {budget} sensor(s) "
               f"{list(candidate.nodes)} -> {rows.shape[0]} rows, "

@@ -11,10 +11,10 @@ roll the linear model forward.  The unsampled nodes come along for free.
 import numpy as np
 
 from koopnet import (ExperimentConfig, OptimizerConfig, SelectionConfig,
-                     assemble_training, build_theta, default_initial_range,
-                     fit, generate_er_graph, greedy_select, lift_jacobian,
-                     nrmse, per_tick_nrmse, random_initial_states,
-                     recover_initial_state, refine_with_samples,
+                     assemble_training, default_initial_range, fit,
+                     generate_er_graph, greedy_select, lift_jacobian, nrmse,
+                     per_tick_nrmse, random_initial_states,
+                     recover_initial_state, refine_with_samples, rollout,
                      simulate_ensemble, take_samples, log_spec)
 
 n, tau = 10, 20
@@ -36,7 +36,7 @@ model = fit(training)
 # choose 5 of 10 sensors, scored on K^t J rolled out of the lift's Jacobian
 # at the unsampled nodes' start, and take their readings
 fill = 0.5 * (low + high)
-theta_j = build_theta(model, tau, lift_jacobian(spec, np.full(n, fill)))
+theta_j = rollout(model, lift_jacobian(spec, np.full(n, fill)), tau)
 plan = greedy_select(theta_j, spec,
                      SelectionConfig(gamma=None, max_nodes=n // 2))
 samples = take_samples(truth, plan)

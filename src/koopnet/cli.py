@@ -23,6 +23,7 @@ from .experiments import (ExperimentConfig, _budget, _select, _trial_data,
                           _trial_seeds, emit, run_linearization_sweep,
                           run_sampling_sweep)
 from .koopman import assemble_training, fit, load_model, save_model
+from .metrics import nrmse
 from .observables import build_spec
 from .recovery import recover_initial_state, save_result, take_samples
 from .sampling import load_plan, save_plan
@@ -91,8 +92,8 @@ def _cmd_recover(args) -> int:
     samples = take_samples(trajectory, plan)
     result = recover_initial_state(samples, model, config.optimizer())
     path = save_result(result, out / "recovery.json", truth=trajectory.states)
-    payload = json.loads(path.read_text())
-    print(f"wrote {path} (N-RMSE {payload['nrmse']:.6g}, "
+    print(f"wrote {path} (N-RMSE "
+          f"{nrmse(result.trajectory, trajectory.states):.6g}, "
           f"converged {result.converged})")
     return 0
 

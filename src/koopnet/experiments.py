@@ -388,8 +388,10 @@ def _log_koopman(config, seeds, spec, graph, train_trajs, truth):
 
 def _select(model, config: ExperimentConfig, max_nodes: int):
     """The proposed method's greedy pass to ``max_nodes`` sensors, once per
-    sweep trial and in ``koopnet select``, on K**t J at the recovery's fill
-    value, through this module's names, which the benchmark's tracer wraps."""
+    sweep trial and in ``koopnet select``, on K**t J rolled out of J at the
+    recovery's fill value, the matrix ``verify_rank`` reads.  It calls
+    ``build_theta`` and ``greedy_select`` through this module's names, which
+    the benchmark's tracer wraps."""
     spec = model.spec
     jac = lift_jacobian(spec, np.full(spec.n, config.optimizer().fill_value))
     return greedy_select(build_theta(model, config.sampling_ticks, jac), spec,

@@ -15,8 +15,10 @@ memory from 59.1 to 54.1 MB, while poly fits at 841 and 1,861 observables
 (M/P = 0.17 and 0.38) took 25% longer, so they keep the snapshot SVD and
 their bytes.
 ``rollout`` is the one forward recurrence: it pushes lifted vectors through
-K tick by tick (both recoveries' paths); ``build_theta`` rolls out the
-lift's Jacobian J for the ``K^t J`` greedy selection scores, or I.
+K tick by tick, for both recoveries' paths and for the ``K^t J``, rolled
+out of the lift's Jacobian J, that greedy selection and ``verify_rank``
+score.  ``build_theta`` is that rollout under the name the sweep's selection
+calls.
 """
 
 from __future__ import annotations
@@ -259,9 +261,12 @@ def linearization_nrmse(model: KoopmanModel,
 
 
 def build_theta(model: KoopmanModel, tau: int,
-                basis: np.ndarray | None = None) -> np.ndarray:
-    """``rollout`` of the M x k ``basis``; the default, I, gives the powers."""
-    return rollout(model, np.eye(model.size) if basis is None else basis, tau)
+                basis: np.ndarray) -> np.ndarray:
+    """``rollout(model, basis, tau)`` of an M x k ``basis``: the sweep's
+    selection (``experiments._select``) rolls out the lift's Jacobian
+    through this name, which the benchmark's tracer times as
+    ``koopman.build_theta``."""
+    return rollout(model, basis, tau)
 
 
 def refine_with_samples(training: TrainingSet, sampled_nodes,

@@ -1,25 +1,26 @@
-"""Greedy sensor-node selection on the stacked evolution operator.
+"""Greedy sensor-node selection on the sampled evolution of the lift.
 
 Sampling a node set S makes observable exactly the dictionary entries whose
 owner nodes all lie in S (the constant entry is always available).  Those
 entries, read at every tick t, select the rows of each operator power K**t;
-stacked time-major, they form the row submatrix Theta_S.  This module is the
-one reader of those rows: off a rolled-out stack (``selected_rows``), or off
-K alone, a tick at a time, for ``verify_rank`` and both recoveries.
+stacked time-major, they form the row submatrix Theta_S.  This module reads
+those rows two ways: gathered off a rollout (``_rows``), or off K alone, a
+tick at a time (``operator_rows``), for both recoveries.
 
 Recovery solves for the n-entry state, so a node set is scored on the
 n-column matrix Theta_S J(x_ref): the sampled rows times the lift's Jacobian
 at the reference state x_ref, every node at the recovery's ``fill_value``
 (the DFP base start before any sample is read).  Local observability of the
 state is read off that matrix (Hermann & Krener 1977); for the identity
-dictionary J = I.  Greedy reads K**t J rolled out of J: the powers times J
-lose digits where K**t grows and K**t J stays small, on some fits enough to
-change a pick.  Singular values at or below ``SCORE_TOL`` (1e-8) times the
-largest count as zero.  While the numerical rank is short of n, sets rank by
-that rank, then by the log-volume (the sum of log sigma above the floor),
-then by the lowest node; at full rank by the quotient sigma_1/sigma_n, then
-the larger sigma_n, then the lowest node.  Nodes are added greedily until
-the quotient clears a threshold or a sensor budget is exhausted.
+dictionary J = I.  Greedy and ``verify_rank`` both read it off K**t J
+rolled out of J: the powers times J lose digits where K**t grows and K**t J
+stays small, on some fits enough to change a pick.  Singular values at or
+below ``SCORE_TOL`` (1e-8) times the largest count as zero.  While the
+numerical rank is short of n, sets rank by that rank, then by the
+log-volume (the sum of log sigma above the floor), then by the lowest node;
+at full rank by the quotient sigma_1/sigma_n, then the larger sigma_n, then
+the lowest node.  Nodes are added greedily until the quotient clears a
+threshold or a sensor budget is exhausted.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .koopman import KoopmanModel
+from .koopman import KoopmanModel, rollout
 from .observables import (ObservableSpec, as_int, as_nodes, as_real,
                           check_fields, lift_jacobian, spec_from_dict,
                           spec_to_dict)
@@ -111,22 +112,10 @@ def gamma_map(nodes, spec: ObservableSpec, tau: int) -> SamplingPlan:
     return SamplingPlan(tuple(nodes), spec, tau, score_trace=())
 
 
-def _rows(powers: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Rows ``obs`` of each power, time-major, as one C-contiguous gather."""
-    return np.take(powers, obs, axis=1).reshape(-1, powers.shape[2])
-
-
-def selected_rows(plan: SamplingPlan, theta: np.ndarray) -> np.ndarray:
-    """The plan's rows of a stack rolled out by ``build_theta`` (the powers,
-    tau x M x M, or K**t J, tau x M x n): every sampled entry at tick 1,
-    then at tick 2, and so on, each tick in ascending dictionary order."""
-    if plan.tau != theta.shape[0]:
-        raise ValueError("plan and evolution stack disagree on tau")
-    if plan.spec.size != theta.shape[1]:
-        raise ValueError(f"plan was selected on a dictionary of size "
-                         f"{plan.spec.size}, the evolution stack has size "
-                         f"{theta.shape[1]}")
-    return _rows(theta, plan.observable_indices)
+def _rows(theta: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Rows ``obs`` of every tick of a rollout (tau x M x k), time-major and
+    each tick in ascending dictionary order, as one C-contiguous gather."""
+    return np.take(theta, obs, axis=1).reshape(-1, theta.shape[2])
 
 
 def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarray]:
@@ -137,9 +126,9 @@ def operator_rows(plan: SamplingPlan, model: KoopmanModel) -> Iterator[np.ndarra
     recurrence ``rows_t = rows_(t-1) @ K`` runs from the observables'
     identity rows; it is the left-hand twin of ``rollout``'s ``K @`` and
     builds neither the stack of powers nor all tau*|obs| rows at once.
-    Stacked, the blocks equal ``selected_rows(plan, build_theta(model,
-    plan.tau))`` up to rounding, in the same time-major order (times J,
-    greedy's rows).  The dictionary check runs on the first ``next``.
+    Stacked, the blocks equal the plan's rows of the rollout of the identity
+    up to rounding, in the same time-major order.  The dictionary check runs
+    on the first ``next``.
     """
     plan.check_dictionary(model.spec)
     obs = plan.observable_indices
@@ -185,8 +174,8 @@ def greedy_select(theta_j: np.ndarray, spec: ObservableSpec,
                   config: SelectionConfig | None = None) -> SamplingPlan:
     """Grow a node set one node at a time, always taking the candidate first
     in ``pick_key``'s order, scored on its rows of ``theta_j``: the tau x M
-    x n stack K**t J that ``build_theta(model, tau, J)`` rolls out of the
-    lift's Jacobian at the reference state.
+    x n stack K**t J that ``rollout(model, J, tau)`` rolls out of the lift's
+    Jacobian J at the reference state.
 
     Stops when the score reaches ``config.gamma`` or the node budget is hit.
     The returned plan is flagged ``rank_deficient`` when no finite score was
@@ -243,14 +232,16 @@ def greedy_select(theta_j: np.ndarray, spec: ObservableSpec,
 
 def verify_rank(plan: SamplingPlan, model: KoopmanModel,
                 fill_value: float = 0.5) -> bool:
-    """True when the plan's rows of ``model``'s powers times the lift's
-    Jacobian at ``fill_value`` on every node have rank n: the matrix and
-    floor ``greedy_select`` scores with J there, so its plan passes exactly
-    when it is not ``rank_deficient``.  ``operator_rows`` reads the rows a
-    tick at a time, so no stack of powers is built."""
+    """True when the plan's rows of K**t J, J the lift's Jacobian at
+    ``fill_value`` on every node, have rank n at ``greedy_select``'s floor.
+    The rows are gathered off ``rollout(model, J, plan.tau)`` as greedy
+    gathers them, so a plan greedy selected at that ``fill_value`` passes
+    exactly when it is not ``rank_deficient``.  A plan mapped on another
+    dictionary than the model's is rejected."""
+    plan.check_dictionary(model.spec)
     n = plan.spec.n
     jac = lift_jacobian(plan.spec, np.full(n, float(fill_value)))
-    rows_j = np.vstack([rows @ jac for rows in operator_rows(plan, model)])
+    rows_j = _rows(rollout(model, jac, plan.tau), plan.observable_indices)
     return sigma_quotient(rows_j, n)[2] == n
 
 

@@ -18,7 +18,6 @@ from koopnet import (
     SelectionConfig,
     Trajectory,
     assemble_training,
-    build_theta,
     default_initial_range,
     emit,
     fit,
@@ -33,9 +32,9 @@ from koopnet import (
     poly_spec,
     random_initial_states,
     recover_initial_state,
+    rollout,
     run_linearization_sweep,
     run_sampling_sweep,
-    selected_rows,
     simulate_ensemble,
     take_samples,
     unlift_trajectory,
@@ -221,7 +220,7 @@ def test_criterion_5_exact_model_oracles(acceptance_log):
     # (b) a cyclic-shift operator is observable from a single sensor
     shift = np.roll(np.eye(4), 1, axis=0)
     shift_model = KoopmanModel(operator=shift, spec=spec4, residual=0.0)
-    theta = build_theta(shift_model, tau=4)
+    theta = rollout(shift_model, np.eye(4), 4)
     plan = greedy_select(theta, spec4, SelectionConfig(gamma=1.01))
     single = len(plan.nodes) == 1 and verify_rank(plan, shift_model)
 
@@ -238,11 +237,13 @@ def test_criterion_5_exact_model_oracles(acceptance_log):
     for seed in range(3):
         op = _stable_matrix(4, seed=10 + seed)
         op_model = KoopmanModel(operator=op, spec=spec4, residual=0.0)
-        th = build_theta(op_model, tau=4)
+        th = rollout(op_model, np.eye(4), 4)
         for budget in range(1, 5):
             p = greedy_select(th, spec4, SelectionConfig(max_nodes=budget))
             if verify_rank(p, op_model):
-                rank = np.linalg.matrix_rank(selected_rows(p, th))
+                obs = p.observable_indices
+                rank = np.linalg.matrix_rank(
+                    np.take(th, obs, axis=1).reshape(-1, 4))
                 feasible_confirmed &= rank == 4
         full = greedy_select(th, spec4, SelectionConfig(max_nodes=4))
         feasible_confirmed &= verify_rank(full, op_model)
@@ -320,13 +321,14 @@ def test_criterion_6_property_battery(acceptance_log):
     spec6 = log_spec(6)
     model = fit(assemble_training(simulate_ensemble(graph, params, x1s, 30),
                                   spec6))
-    theta = build_theta(model, tau=12)
+    theta = rollout(model, np.eye(spec6.size), 12)
     jac = lift_jacobian(spec6, np.full(6, 0.5))
-    full_plan = greedy_select(build_theta(model, 12, jac), spec6,
+    full_plan = greedy_select(rollout(model, jac, 12), spec6,
                               SelectionConfig())
     sigmas = []
     for k in range(1, len(full_plan.nodes) + 1):
-        rows = selected_rows(gamma_map(full_plan.nodes[:k], spec6, 12), theta)
+        obs = gamma_map(full_plan.nodes[:k], spec6, 12).observable_indices
+        rows = np.take(theta, obs, axis=1).reshape(-1, spec6.size)
         svals = np.linalg.svd(rows, compute_uv=False)
         sigmas.append(svals[5] if svals.size >= 6 else 0.0)
     checks["sigma-monotone"] = bool(np.all(np.diff(sigmas) >= -1e-12))

@@ -14,7 +14,6 @@ from koopnet import (
     Graph,
     KoopmanModel,
     build_laplacian_basis,
-    build_theta,
     gamma_map,
     generate_er_graph,
     gramian_nodes_for_budget,
@@ -26,13 +25,12 @@ from koopnet import (
     log_spec,
     poly_spec,
     rollout,
-    selected_rows,
     take_samples,
     unlift_trajectory,
 )
 from koopnet import baselines
 from koopnet.recovery import SampleMatrix
-from koopnet.sampling import RANK_TOL, operator_rows
+from koopnet.sampling import RANK_TOL, _rows, operator_rows
 
 
 def _model(op, spec=None):
@@ -310,9 +308,9 @@ def test_linear_observable_recovery_minimizes_the_residual():
 
 def _stack_recover(samples, model, spec):
     """The recovery on the stack of operator powers: rows and path both
-    read off ``build_theta``."""
-    theta = build_theta(model, samples.plan.tau)
-    a = selected_rows(samples.plan, theta)
+    read off the rollout of the identity."""
+    theta = rollout(model, np.eye(model.size), samples.plan.tau)
+    a = _rows(theta, samples.plan.observable_indices)
     z1, *_ = np.linalg.lstsq(a, samples.values, rcond=RANK_TOL)
     residual = a @ z1 - samples.values
     return (unlift_trajectory(spec, (theta @ z1).T),

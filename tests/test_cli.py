@@ -7,6 +7,7 @@ and the sweep commands get their own small runs.
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -129,6 +130,22 @@ def test_recover_artifact(chain):
     assert len(payload["x1"]) == 6
     assert len(payload["trajectory"]) == 6
     assert len(payload["trajectory"][0]) == CONFIG["sampling_ticks"]
+
+
+def test_recover_prints_the_nrmse_it_wrote(chain, tmp_path, capsys):
+    out = chain["out"]
+    rc = main(["recover", "--config", str(chain["config"]),
+               "--out-dir", str(tmp_path), "--model", str(out / "model.json"),
+               "--plan", str(out / "plan.json"),
+               "--trajectory", str(out / "trajectory.csv")])
+    printed = capsys.readouterr().out
+    assert rc == 0
+    path = tmp_path / "recovery.json"
+    payload = json.loads(path.read_text())
+    assert printed == (f"wrote {path} (N-RMSE {payload['nrmse']:.6g}, "
+                       f"converged {payload['converged']})\n")
+    shown = float(re.search(r"N-RMSE (\S+),", printed).group(1))
+    assert shown == pytest.approx(payload["nrmse"], rel=1e-5)
 
 
 def test_select_prints_summary(chain, capsys):

@@ -740,13 +740,13 @@ def test_shared_step_failure_fails_every_rate_of_its_method(monkeypatch):
 
 
 def test_poly_gramian_baseline_builds_no_stack_of_poly_powers(monkeypatch):
-    # the baseline, the recovery and verify_rank read their rows off K, so
-    # the one stack of powers a trial builds is the log model's, for its one
-    # greedy pass; both go through the names experiments imports, which are
-    # the ones the benchmark's tracer wraps
+    # the baseline and the recovery read their rows off K, so the one
+    # rollout a trial builds is the log model's K**t J, for its one greedy
+    # pass; both go through the names experiments imports, which are the
+    # ones the benchmark's tracer wraps
     builds, picks = [], []
 
-    def spy(model, tau, basis=None):
+    def spy(model, tau, basis):
         theta_j = build_theta(model, tau, basis)
         assert theta_j.shape == (tau, model.size, model.spec.n)
         builds.append((experiments.__name__, model.spec.kind))

@@ -18,7 +18,6 @@ from koopnet import (
     TrainingSet,
     Trajectory,
     assemble_training,
-    build_theta,
     default_initial_range,
     fit,
     generate_er_graph,
@@ -37,8 +36,8 @@ from koopnet import (
     simulate_ensemble,
     unlift_trajectory,
 )
-from koopnet.koopman import (FACTOR_PAIRS, SV_CUTOFF, model_from_dict,
-                             model_to_dict)
+from koopnet.koopman import (FACTOR_PAIRS, SV_CUTOFF, build_theta,
+                             model_from_dict, model_to_dict)
 from koopnet.observables import spec_to_dict
 
 BIOCHEMICAL = DynamicsParams(kind="biochemical", flow_in=10.0)
@@ -397,7 +396,7 @@ def test_time_first_rollout_is_the_time_last_loop(spec, n):
 def test_build_theta_is_the_explicit_power_loop(spec, n):
     model, _ = _fitted(spec, n, seed=46)
     for tau in (1, 2, 12):
-        assert np.array_equal(build_theta(model, tau),
+        assert np.array_equal(build_theta(model, tau, np.eye(model.size)),
                               _powers_loop(model, tau))
 
 
@@ -416,23 +415,26 @@ def test_build_theta_rolls_out_a_basis(spec, n):
 def test_build_theta_identity_and_powers():
     model = KoopmanModel(operator=np.eye(3), spec=identity_spec(3),
                          residual=0.0)
-    stack = build_theta(model, 3)
+    stack = build_theta(model, 3, np.eye(3))
     assert stack.shape == (3, 3, 3)
     assert stack.shape[:2] == (3, 3)
     for t in range(3):
         assert np.array_equal(stack[t], np.eye(3))
 
-    single = build_theta(model, 1)
+    single = build_theta(model, 1, np.eye(3))
     assert np.array_equal(single, np.eye(3)[None])
 
-    doubling = build_theta(_scalar_model(2.0), 4)
+    doubling = build_theta(_scalar_model(2.0), 4, np.eye(1))
     assert np.allclose(doubling, [[[1.0]], [[2.0]], [[4.0]], [[8.0]]])
     # the power at index 0 is exactly the identity, no rounding
     assert np.array_equal(doubling[0], np.eye(1))
     with pytest.raises(IndexError):
         doubling[4]
     with pytest.raises(ValueError):
-        build_theta(model, 0)
+        build_theta(model, 0, np.eye(3))
+    # no default basis: the stack of powers is never built implicitly
+    with pytest.raises(TypeError):
+        build_theta(model, 3)
 
 
 @pytest.mark.parametrize("spec", [log_spec(6), poly_spec(6)],
@@ -444,7 +446,7 @@ def test_stack_path_is_blockwise_bit_for_bit(spec):
     x1s = random_initial_states(6, 40, 0.0, 1.0, seed=32)
     model = fit(assemble_training(
         simulate_ensemble(graph, BIOCHEMICAL, x1s, 12), spec))
-    theta = build_theta(model, 12)
+    theta = rollout(model, np.eye(spec.size), 12)
     rng = np.random.default_rng(33)
     for _ in range(5):
         z1 = lift_trajectory(spec, rng.uniform(0.0, 1.0, 6))

@@ -19,7 +19,6 @@ from koopnet import (
     OptimizerConfig,
     SelectionConfig,
     assemble_training,
-    build_theta,
     fit,
     gamma_map,
     generate_er_graph,
@@ -37,7 +36,6 @@ from koopnet import (
     result_to_dict,
     rollout,
     save_result,
-    selected_rows,
     simulate_ensemble,
     take_samples,
     unlift_trajectory,
@@ -46,7 +44,7 @@ from koopnet import recovery
 from koopnet.recovery import (SampleMatrix, _linear_warm_start, _objective_pair,
                               initial_guess)
 from koopnet.koopman import fold
-from koopnet.sampling import operator_rows
+from koopnet.sampling import _rows, operator_rows
 
 
 # =========================================================================
@@ -114,13 +112,13 @@ def test_samples_match_the_stacked_system_rows():
     spec = identity_spec(n)
     op = rng.normal(size=(n, n)) * 0.5
     model = KoopmanModel(operator=op, spec=spec, residual=0.0)
-    theta = build_theta(model, tau)
+    theta = rollout(model, np.eye(n), tau)
     x1 = rng.uniform(1.0, 2.0, n)
     states = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                               for t in range(tau)])
     plan = gamma_map([0, 2], spec, tau)
     samples = take_samples(states, plan)
-    stacked = selected_rows(plan, theta) @ x1
+    stacked = _rows(theta, plan.observable_indices) @ x1
     assert np.allclose(samples.values, stacked, atol=1e-10)
 
 
@@ -180,7 +178,7 @@ def _exact_linear_setup(n=4, tau=6, seed=2, nodes=(0, 1)):
     op = rng.normal(size=(n, n))
     op *= 0.8 / max(np.abs(np.linalg.eigvals(op)))
     model = KoopmanModel(operator=op, spec=spec, residual=0.0)
-    theta = build_theta(model, tau)
+    theta = rollout(model, np.eye(n), tau)
     x1 = rng.uniform(0.5, 2.0, n)
     states = np.column_stack([np.linalg.matrix_power(op, t) @ x1
                               for t in range(tau)])
@@ -191,7 +189,7 @@ def _exact_linear_setup(n=4, tau=6, seed=2, nodes=(0, 1)):
 
 def test_objective_vanishes_at_the_truth():
     spec, model, theta, x1, states, plan, samples = _exact_linear_setup()
-    a = selected_rows(plan, theta)
+    a = _rows(theta, plan.observable_indices)
     objective, gradient = _objective_pair(a, samples.values, spec)
     assert objective(x1) < 1e-20
     assert np.linalg.norm(gradient(x1)) < 1e-10
@@ -257,7 +255,7 @@ def test_full_sampling_recovers_the_initial_state():
 
 def test_partial_sampling_recovers_when_rank_allows():
     spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
-    score_rows = selected_rows(plan, theta)
+    score_rows = _rows(theta, plan.observable_indices)
     assert np.linalg.matrix_rank(score_rows, tol=1e-10) == 4  # identifiable
     result = recover_initial_state(samples, model,
                                    OptimizerConfig(fill_value=1.0))
@@ -280,7 +278,7 @@ def test_recovery_starts_at_truth_when_every_node_is_sampled():
 
 def test_warm_start_lands_on_the_truth_for_exact_data():
     spec, model, theta, x1, states, plan, samples = _exact_linear_setup(nodes=(0, 1))
-    a = selected_rows(plan, theta)
+    a = _rows(theta, plan.observable_indices)
     warm = _linear_warm_start(a, samples.values, spec)
     assert warm is not None
     assert np.abs(warm - x1).max() < 1e-8
@@ -500,14 +498,13 @@ def small_pipeline():
         simulate_ensemble(graph, params, x1s, 25), spec))
     (truth,) = simulate_ensemble(
         graph, params, random_initial_states(6, 1, 0.0, 1.0, seed=22), 15)
-    theta = build_theta(model, 15)
-    return spec, model, theta, truth
+    return spec, model, truth
 
 
 def test_nonlinear_recovery_smoke(small_pipeline):
-    spec, model, theta, truth = small_pipeline
+    spec, model, truth = small_pipeline
     jac = lift_jacobian(spec, np.full(6, 0.5))
-    plan = greedy_select(build_theta(model, 15, jac), spec,
+    plan = greedy_select(rollout(model, jac, 15), spec,
                          SelectionConfig(gamma=None, max_nodes=3))
     samples = take_samples(truth, plan)
     result = recover_initial_state(
@@ -522,7 +519,7 @@ def test_nonlinear_recovery_smoke(small_pipeline):
 def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
     # the search runs on the R factor of [A | y], whose last row keeps the
     # residual no state removes, so the objective is still ||A psi - y||^2
-    spec, model, theta, truth = small_pipeline
+    spec, model, truth = small_pipeline
     plan = gamma_map([0, 2, 4], spec, 15)
     samples = take_samples(truth, plan)
     result = recover_initial_state(samples, model,
@@ -535,7 +532,7 @@ def test_recovery_objective_is_the_full_sample_mismatch(small_pipeline):
 
 
 def test_result_serialization(tmp_path, small_pipeline):
-    spec, model, theta, truth = small_pipeline
+    spec, model, truth = small_pipeline
     plan = gamma_map(list(range(6)), spec, 15)
     samples = take_samples(truth, plan)
     result = recover_initial_state(samples, model,

@@ -1,4 +1,4 @@
-"""Sensor-node selection from the stacked operator powers.
+"""Sensor-node selection from the sampled rows of K's rollouts.
 
 Small hand-checkable operators (diagonal, cyclic shift, identity) pin the
 bookkeeping; stochastic cases check the greedy loop's invariants against
@@ -20,7 +20,6 @@ from koopnet import (
     KoopmanModel,
     SamplingPlan,
     SelectionConfig,
-    build_theta,
     gamma_map,
     greedy_select,
     identity_spec,
@@ -29,6 +28,7 @@ from koopnet import (
     load_plan,
     log_spec,
     poly_spec,
+    rollout,
     save_plan,
     sigma_quotient,
     take_samples,
@@ -36,8 +36,8 @@ from koopnet import (
 )
 from koopnet import sampling
 from koopnet.koopman import fold
-from koopnet.sampling import (operator_rows, pick_key,
-                              plan_from_dict, plan_to_dict, selected_rows)
+from koopnet.sampling import (_rows, operator_rows, pick_key,
+                              plan_from_dict, plan_to_dict)
 
 
 def _model(op, spec=None):
@@ -47,21 +47,23 @@ def _model(op, spec=None):
 
 
 def _stack(op, tau):
-    return build_theta(_model(op), tau)
+    """The stack of powers of ``op``: the rollout of the identity."""
+    model = _model(op)
+    return rollout(model, np.eye(model.size), tau)
 
 
 def _theta_j(model, tau, fill_value=0.5):
     """K**t J rolled out of the lift's Jacobian at ``fill_value`` on every
     node: the tau x M x n stack greedy selection scores."""
     spec = model.spec
-    return build_theta(model, tau, lift_jacobian(spec, np.full(spec.n,
-                                                                fill_value)))
+    return rollout(model, lift_jacobian(spec, np.full(spec.n, fill_value)),
+                   tau)
 
 
 def selection_score(nodes, theta, spec):
     """Conditioning score of a node set: sigma_1/sigma_N of its sampled rows."""
     plan = gamma_map(nodes, spec, theta.shape[0])
-    return sigma_quotient(selected_rows(plan, theta), spec.n)[0]
+    return sigma_quotient(_rows(theta, plan.observable_indices), spec.n)[0]
 
 
 # =========================================================================
@@ -97,7 +99,7 @@ def test_row_indices_are_time_major():
     z = lift_trajectory(spec, states)
     powers = np.random.default_rng(1).normal(size=(2, m, m))
     powers[:, :, 0] = z.T
-    rows = selected_rows(plan, powers)
+    rows = _rows(powers, obs)
     values = take_samples(states, plan).values
     assert np.array_equal(rows[:, 0], values)
     for t in range(2):
@@ -143,7 +145,7 @@ def test_cyclic_shift_gives_a_perfect_single_node_score():
     theta = _stack(shift, tau=3)
     spec = identity_spec(3)
     assert selection_score([0], theta, spec) == pytest.approx(1.0)
-    rows = selected_rows(gamma_map([0], spec, 3), theta)
+    rows = _rows(theta, gamma_map([0], spec, 3).observable_indices)
     assert np.array_equal(rows, np.array([[1, 0, 0],
                                           [0, 0, 1],
                                           [0, 1, 0]], dtype=float))
@@ -275,8 +277,9 @@ def _full_stack_greedy(theta, spec, gamma, budget, fill_value):
         for cand in range(spec.n):
             if cand in selected:
                 continue
-            rows = selected_rows(gamma_map(selected + [cand], spec,
-                                           theta.shape[0]), theta) @ jac
+            obs = gamma_map(selected + [cand], spec,
+                            theta.shape[0]).observable_indices
+            rows = _rows(theta, obs) @ jac
             score = sigma_quotient(rows, spec.n)
             if best is None or pick_key(score, cand) < best[0]:
                 best = pick_key(score, cand), score[0]
@@ -302,7 +305,7 @@ def test_greedy_matches_the_full_stack_reference(spec, tau, finite_gamma):
         op = rng.normal(size=(spec.size, spec.size))
         op *= 0.9 / max(np.abs(np.linalg.eigvals(op)))
         model = KoopmanModel(operator=op, spec=spec, residual=0.0)
-        theta = build_theta(model, tau)
+        theta = rollout(model, np.eye(spec.size), tau)
         nodes, trace = _full_stack_greedy(theta, spec, None, spec.n,
                                           fill_value)
         gamma = None
@@ -655,10 +658,38 @@ def test_bio_n40_verify_rank_agrees_with_the_rank_flag_at_every_budget():
     assert flags[1] and flags[2] and not flags[-1]
 
 
+def test_poly_verify_rank_agrees_with_the_rank_flag_at_every_prefix():
+    # a fitted poly model (n = 8, M = 45, biochemical, config seed 0, trial
+    # 0), selected as koopnet select selects on it, through every node; at
+    # two ticks one node reads 2 x 3 rows, short of rank 8, so the flag is
+    # raised on the first prefix and cleared by the last
+    from koopnet.experiments import _select, _trial_data, _trial_seeds
+    from koopnet.koopman import assemble_training, fit
+
+    n = 8
+    config = ExperimentConfig(seed=0, trials=1, n_values=(n,), gamma=None,
+                              sampling_ticks=2, dictionary="poly",
+                              baselines=())
+    seeds = _trial_seeds(config, n, 0)
+    _, train, _ = _trial_data(config, n, seeds, 1, config.sampling_ticks)
+    model = fit(assemble_training(train, poly_spec(n)))
+    fill = config.optimizer().fill_value
+    plan = _select(model, config, n)
+    flags = []
+    for k in range(1, n + 1):
+        prefix = dataclasses.replace(gamma_map(plan.nodes[:k], model.spec,
+                                               plan.tau),
+                                     score_trace=plan.score_trace[:k])
+        flags.append(prefix.rank_deficient)
+        assert verify_rank(prefix, model, fill) == \
+            (not prefix.rank_deficient)
+    assert flags[0] and not flags[-1]
+
+
 @pytest.mark.parametrize("budget", [3, 6, 8])
 def test_verify_rank_never_holds_the_stack_of_powers(budget):
-    # verify_rank reads the plan's rows off K a tick at a time: its traced
-    # peak stays below one tau x M x M stack of powers
+    # verify_rank rolls out the lift's Jacobian (tau x M x n), not the
+    # identity: its traced peak stays below one tau x M x M stack of powers
     spec = poly_spec(8, max_power=2)
     rng = np.random.default_rng(7)
     op = rng.normal(size=(spec.size, spec.size))
@@ -729,7 +760,8 @@ def test_sigma_n_never_drops_as_nodes_are_added():
     plan = greedy_select(theta, spec, SelectionConfig(gamma=None))
     last = 0.0
     for k in range(1, len(plan.nodes) + 1):
-        rows = selected_rows(gamma_map(plan.nodes[:k], spec, 3), theta)
+        rows = _rows(theta, gamma_map(plan.nodes[:k], spec,
+                                      3).observable_indices)
         svals = np.linalg.svd(rows, compute_uv=False)
         sigma_n = svals[spec.n - 1] if svals.size >= spec.n else 0.0
         assert sigma_n >= last - 1e-12   # adding rows cannot shrink sigma_N
@@ -747,13 +779,14 @@ def test_greedy_sets_are_rank_feasible_small_n():
             op = rng.normal(size=(n, n))
             theta = _stack(op, tau)
             plan = greedy_select(theta, spec, SelectionConfig(gamma=1e6))
-            rows = selected_rows(plan, theta)
+            rows = _rows(theta, plan.observable_indices)
             feasible = np.linalg.matrix_rank(rows, tol=1e-10) == n
             assert verify_rank(plan, _model(op)) == feasible
             k = len(plan.nodes)
             any_feasible = any(
                 np.linalg.matrix_rank(
-                    selected_rows(gamma_map(list(combo), spec, tau), theta),
+                    _rows(theta, gamma_map(list(combo), spec,
+                                           tau).observable_indices),
                     tol=1e-10) == n
                 for combo in itertools.combinations(range(n), k))
             if any_feasible:
@@ -765,7 +798,7 @@ def test_verify_rank_matches_score_finiteness():
     spec = identity_spec(4)
     for _ in range(10):
         model = _model(rng.normal(size=(4, 4)))
-        theta = build_theta(model, 3)
+        theta = _stack(model.operator, 3)
         nodes = sorted(rng.choice(4, size=rng.integers(1, 5), replace=False))
         plan = gamma_map([int(v) for v in nodes], spec, 3)
         finite = math.isfinite(selection_score(plan.nodes, theta, spec))
@@ -783,11 +816,12 @@ def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
     # Theta_S J has rank 1 and node 1's state is not determined
     spec = log_spec(2)
     model = _model(np.eye(spec.size), spec)
-    theta = build_theta(model, 3)
+    theta = rollout(model, np.eye(spec.size), 3)
     plan = greedy_select(_theta_j(model, 3), spec,
                          SelectionConfig(gamma=None, max_nodes=1))
     assert plan.rank_deficient
-    assert np.linalg.matrix_rank(selected_rows(plan, theta)) >= spec.n
+    assert np.linalg.matrix_rank(_rows(theta, plan.observable_indices)) >= \
+        spec.n
     assert not verify_rank(plan, model)
 
 
@@ -1018,18 +1052,14 @@ def test_verify_rank_rejects_a_plan_of_another_dictionary():
         verify_rank(plan, _model(np.eye(4), log_spec(1)))
 
 
-def test_selected_rows_rejects_a_plan_of_another_dictionary():
-    # a log plan (n = 6, M = 19) on a poly stack (n = 6, M = 85)
-    log_plan = gamma_map([0, 2, 4], log_spec(6), tau=3)
+def test_greedy_rejects_the_stack_of_another_dictionary():
+    # the log spec (n = 6, M = 19) on a poly model's stack of powers
+    # (n = 6, M = 85)
     pspec = poly_spec(6, max_power=2)
     rng = np.random.default_rng(3)
     model = KoopmanModel(operator=rng.normal(size=(pspec.size,) * 2) * 0.1,
                          spec=pspec, residual=0.0)
-    theta = build_theta(model, 3)
-    assert (log_plan.spec.size, theta.shape[1]) == (19, 85)
-    with pytest.raises(ValueError, match="size 19.*85"):
-        selected_rows(log_plan, theta)
-    # the same crossing when selecting: the log spec on the poly stack
+    theta = rollout(model, np.eye(pspec.size), 3)
     with pytest.raises(ValueError, match=r"\(3, 85, 85\).*\(3, 19, 6\)"):
         greedy_select(theta, log_spec(6), SelectionConfig(gamma=None,
                                                           max_nodes=3))
@@ -1050,7 +1080,8 @@ def test_operator_rows_match_the_stack_rows(spec, nodes, tau):
     assert all(block.shape == (plan.observable_indices.size, spec.size)
                for block in ticks)
     rows = np.vstack(ticks)
-    reference = selected_rows(plan, build_theta(model, tau))
+    reference = _rows(rollout(model, np.eye(spec.size), tau),
+                      plan.observable_indices)
     assert rows.shape == reference.shape == (plan.sample_count, spec.size)
     # tick 0 reads the identity rows exactly
     assert np.array_equal(rows[:plan.observable_indices.size],
