@@ -9,8 +9,8 @@ from the sampled nodes with a quasi-Newton solve through the lift.
 """
 
 from .baselines import (build_laplacian_basis, gramian_nodes_for_budget,
-                        gramian_select, linear_gft_recover_trajectory,
-                        linear_gft_select, linear_observable_recover)
+                        linear_gft_recover_trajectory, linear_gft_select,
+                        linear_observable_recover)
 from .dynamics import (DynamicsParams, Graph, Trajectory, default_initial_range,
                        generate_er_graph, random_initial_states,
                        simulate_ensemble, trajectory_from_csv,

@@ -1,21 +1,19 @@
 """Reference schemes the log-dictionary pipeline is compared against.
 
 * Observability-gramian selection on a (typically polynomial) lifted
-  operator: eigendecompose K, keep the k modes with the largest eigenvalue
-  moduli, and read sensor nodes off the significant entries of the matching
-  rows of V^-1.  Recovery then treats the initial lifted vector as a free
-  vector, solves the sampled rows of the operator powers (read off K tick
-  by tick and folded into the triangular factor both recoveries solve on)
-  by pseudo-inverse, and rolls K forward from the solution, ignoring the
-  nonlinear structure tying lifted entries to states.
+  operator: eigendecompose K, walk the rows of V^-1 by descending
+  |eigenvalue|, and let nodes enter by their largest significant weight in
+  each row until the budget is met.  Recovery then treats the initial
+  lifted vector as a free vector, solves the sampled rows of the operator
+  powers (read off K tick by tick and folded into the triangular factor
+  both recoveries solve on) by pseudo-inverse, and rolls K forward from the
+  solution, ignoring the nonlinear structure tying lifted entries to states.
 * Classic bandlimited graph-signal sampling: an r-dimensional Laplacian
   eigenbasis, greedy row selection until the sampled basis has rank r, and
   per-tick least-squares recovery of the basis coefficients.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +25,6 @@ from .sampling import RANK_TOL, pick_key, sigma_quotient
 
 _COND_LIMIT = 1e12     # on the 1-norm condition number of the eigenvectors
 _WEIGHT_TOL = 1e-8     # eigen-row weights at or below this reach no node
-
-
-@dataclass(frozen=True)
-class GramianSelector:
-    """Leading eigenmodes of the lifted operator, ordered by |eigenvalue|."""
-
-    k: int
-    w_h: np.ndarray            # k x M, real report matrix
-    eigenvalues: np.ndarray    # all M eigenvalues, sorted by descending modulus
-    v_inv: np.ndarray          # M x M, rows aligned with ``eigenvalues``
 
 
 def _sorted_eigensystem(operator: np.ndarray):
@@ -59,36 +47,6 @@ def _sorted_eigensystem(operator: np.ndarray):
     return lam[order], v_inv[order]
 
 
-def _is_complex(value: complex) -> bool:
-    return abs(value.imag) > 1e-12 * max(1.0, abs(value))
-
-
-def _extend_past_pair(lam: np.ndarray, k: int) -> int:
-    """Grow the cut so a conjugate eigenvalue pair is never split."""
-    m = lam.size
-    k = min(k, m)
-    if k < m and _is_complex(lam[k - 1]) and abs(lam[k] - np.conj(lam[k - 1])) <= \
-            1e-8 * max(1.0, abs(lam[k - 1])):
-        k += 1
-    return k
-
-
-def _real_report_rows(lam: np.ndarray, v_inv: np.ndarray, k: int) -> np.ndarray:
-    """Real-valued report matrix: real rows pass through, conjugate pairs
-    contribute their real and imaginary parts."""
-    rows = []
-    i = 0
-    while i < k:
-        if _is_complex(lam[i]):
-            rows.append(np.real(v_inv[i]))
-            rows.append(np.imag(v_inv[i]))
-            i += 2
-        else:
-            rows.append(np.real(v_inv[i]))
-            i += 1
-    return np.vstack(rows)
-
-
 def _node_weights(spec: ObservableSpec, row: np.ndarray) -> dict[int, float]:
     """Each node's largest |weight| in one eigen-row among the observables it
     owns, counting only weights above ``_WEIGHT_TOL``."""
@@ -98,21 +56,6 @@ def _node_weights(spec: ObservableSpec, row: np.ndarray) -> dict[int, float]:
         for node in spec.owners[m]:
             weights[node] = max(weights.get(node, 0.0), float(w[m]))
     return weights
-
-
-def gramian_select(model: KoopmanModel, k: int) -> tuple[list[int], GramianSelector]:
-    """Nodes owning any observable with significant weight in the k leading
-    eigenrows of the lifted operator."""
-    if not 1 <= k <= model.size:
-        raise ValueError(f"k must lie in 1..{model.size}")
-    lam, v_inv = _sorted_eigensystem(model.operator)
-    k = _extend_past_pair(lam, k)
-    nodes: set[int] = set()
-    for row in v_inv[:k]:
-        nodes.update(_node_weights(model.spec, row))
-    selector = GramianSelector(k=k, w_h=_real_report_rows(lam, v_inv, k),
-                               eigenvalues=lam, v_inv=v_inv)
-    return sorted(nodes), selector
 
 
 def gramian_nodes_for_budget(model: KoopmanModel, budget: int) -> list[int]:

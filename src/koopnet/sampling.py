@@ -231,13 +231,14 @@ def greedy_select(theta_j: np.ndarray, spec: ObservableSpec,
 
 
 def verify_rank(plan: SamplingPlan, model: KoopmanModel,
-                fill_value: float = 0.5) -> bool:
+                fill_value: float) -> bool:
     """True when the plan's rows of K**t J, J the lift's Jacobian at
     ``fill_value`` on every node, have rank n at ``greedy_select``'s floor.
     The rows are gathered off ``rollout(model, J, plan.tau)`` as greedy
     gathers them, so a plan greedy selected at that ``fill_value`` passes
-    exactly when it is not ``rank_deficient``.  A plan mapped on another
-    dictionary than the model's is rejected."""
+    exactly when it is not ``rank_deficient``; the fill has no default, as
+    each dynamics scores J at its own (``ExperimentConfig.optimizer()``).
+    A plan mapped on another dictionary than the model's is rejected."""
     plan.check_dictionary(model.spec)
     n = plan.spec.n
     jac = lift_jacobian(plan.spec, np.full(n, float(fill_value)))

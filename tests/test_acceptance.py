@@ -23,7 +23,6 @@ from koopnet import (
     fit,
     gamma_map,
     generate_er_graph,
-    gramian_select,
     greedy_select,
     identity_spec,
     linearization_nrmse,
@@ -40,6 +39,7 @@ from koopnet import (
     unlift_trajectory,
     verify_rank,
 )
+from koopnet import baselines
 from koopnet.experiments import LINEAR_GFT, POLY_GRAMIAN, PROPOSED, _child_seed
 from koopnet.observables import lift_jacobian, lift_trajectory
 from koopnet.recovery import _objective_pair
@@ -222,7 +222,8 @@ def test_criterion_5_exact_model_oracles(acceptance_log):
     shift_model = KoopmanModel(operator=shift, spec=spec4, residual=0.0)
     theta = rollout(shift_model, np.eye(4), 4)
     plan = greedy_select(theta, spec4, SelectionConfig(gamma=1.01))
-    single = len(plan.nodes) == 1 and verify_rank(plan, shift_model)
+    # J = I on the identity dictionary, so any fill gives the same verdict
+    single = len(plan.nodes) == 1 and verify_rank(plan, shift_model, 0.5)
 
     # (c) recovery of the initial state from two sensors, six ticks
     sys_model = KoopmanModel(operator=a, spec=spec4, residual=0.0)
@@ -240,13 +241,13 @@ def test_criterion_5_exact_model_oracles(acceptance_log):
         th = rollout(op_model, np.eye(4), 4)
         for budget in range(1, 5):
             p = greedy_select(th, spec4, SelectionConfig(max_nodes=budget))
-            if verify_rank(p, op_model):
+            if verify_rank(p, op_model, 0.5):
                 obs = p.observable_indices
                 rank = np.linalg.matrix_rank(
                     np.take(th, obs, axis=1).reshape(-1, 4))
                 feasible_confirmed &= rank == 4
         full = greedy_select(th, spec4, SelectionConfig(max_nodes=4))
-        feasible_confirmed &= verify_rank(full, op_model)
+        feasible_confirmed &= verify_rank(full, op_model, 0.5)
 
     ok = fit_err < 1e-8 and single and rec_err < 1e-6 and feasible_confirmed
     acceptance_log(f"criterion 5 {'PASS' if ok else 'FAIL'} — exact-model "
@@ -337,14 +338,16 @@ def test_criterion_6_property_battery(acceptance_log):
     lam = rng.uniform(-0.9, 0.9, 6)
     v = rng.normal(size=(6, 6)) + 2.0 * np.eye(6)
     op = v @ np.diag(lam) @ np.linalg.inv(v)
-    _, sel = gramian_select(KoopmanModel(operator=op, spec=identity_spec(6),
-                                         residual=0.0), k=3)
+    # W_h: the three leading rows of V^-1, as the poly-gramian baseline's
+    # budget walk visits them
+    eigenvalues, v_inv = baselines._sorted_eigensystem(op)
+    w_h = v_inv[:3]
     z1 = rng.normal(size=6)
-    z_tilde = sel.v_inv @ z1
+    z_tilde = v_inv @ z1
     lhs = sum(float(np.linalg.norm(
-        sel.w_h @ np.linalg.matrix_power(op, t) @ z1) ** 2) for t in range(7))
-    rhs = sum(abs(sel.eigenvalues[i]) ** (2 * t) * abs(z_tilde[i]) ** 2
-              for t in range(7) for i in range(sel.k))
+        w_h @ np.linalg.matrix_power(op, t) @ z1) ** 2) for t in range(7))
+    rhs = sum(abs(eigenvalues[i]) ** (2 * t) * abs(z_tilde[i]) ** 2
+              for t in range(7) for i in range(3))
     checks["energy-identity"] = abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     ok = all(checks.values())

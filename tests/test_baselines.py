@@ -17,7 +17,6 @@ from koopnet import (
     gamma_map,
     generate_er_graph,
     gramian_nodes_for_budget,
-    gramian_select,
     identity_spec,
     linear_gft_recover_trajectory,
     linear_gft_select,
@@ -46,28 +45,18 @@ def _model(op, spec=None):
 
 def test_diagonal_operator_keeps_leading_eigenrows():
     model = _model(np.diag([3.0, 2.0, 1.0]))
-    nodes, sel = gramian_select(model, k=2)
-    assert sel.k == 2
-    assert np.allclose(np.abs(sel.w_h), np.eye(3)[:2])   # rows e1, e2
-    assert nodes == [0, 1]
-    assert np.allclose(sel.eigenvalues, [3.0, 2.0, 1.0])
-
-
-def test_full_k_reports_the_whole_inverse_eigenbasis():
-    model = _model(np.diag([3.0, 2.0, 1.0]))
-    nodes, sel = gramian_select(model, k=3)
-    assert nodes == [0, 1, 2]
-    assert sel.w_h.shape == (3, 3)
-    assert np.allclose(np.abs(sel.w_h), np.eye(3))
+    eigenvalues, v_inv = baselines._sorted_eigensystem(model.operator)
+    assert np.allclose(eigenvalues, [3.0, 2.0, 1.0])
+    assert np.allclose(np.abs(v_inv[:2]), np.eye(3)[:2])   # rows e1, e2
+    assert gramian_nodes_for_budget(model, 2) == [0, 1]
 
 
 def test_eigenvalues_are_sorted_by_modulus():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     lam = np.array([0.1, -0.9, 0.5, 0.3, -0.2])
-    model = _model(q @ np.diag(lam) @ q.T)
-    _, sel = gramian_select(model, k=5)
-    mods = np.abs(sel.eigenvalues)
+    eigenvalues, _ = baselines._sorted_eigensystem(q @ np.diag(lam) @ q.T)
+    mods = np.abs(eigenvalues)
     assert np.all(np.diff(mods) <= 1e-12)
     assert mods[0] == pytest.approx(0.9)
 
@@ -75,33 +64,35 @@ def test_eigenvalues_are_sorted_by_modulus():
 def test_defective_operator_is_rejected():
     jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(RuntimeError, match="defective spectrum"):
-        gramian_select(_model(jordan), k=1)
+        gramian_nodes_for_budget(_model(jordan), 1)
 
 
-def test_complex_pairs_are_never_split():
-    # a scaled rotation has one conjugate pair; asking for one row must
-    # extend to two, and the report matrix stays real
+def test_a_conjugate_pair_gives_a_node_order_of_the_requested_length():
+    # a scaled rotation has one conjugate pair, whose two rows of V^-1 are
+    # conjugate and weigh both nodes alike
     rot = 0.9 * np.array([[np.cos(1.0), -np.sin(1.0)],
                           [np.sin(1.0), np.cos(1.0)]])
     model = _model(rot)
-    nodes, sel = gramian_select(model, k=1)
-    assert sel.k == 2
-    assert np.isrealobj(sel.w_h)
-    assert sel.w_h.shape == (2, 2)
+    assert len(gramian_nodes_for_budget(model, 1)) == 1
+    assert sorted(gramian_nodes_for_budget(model, 2)) == [0, 1]
 
 
 def test_energy_ranking_beats_every_other_selection():
     # for z1 = V @ 1 all eigencoordinates have unit weight, so stacking
     # energy over t favors exactly the largest-|lambda| rows; enumerate all
-    # selections at M = 4 to confirm the chosen one is maximal
+    # selections at M = 4 to confirm the leading rows of the sorted
+    # eigensystem, the rows the budget walk visits first, are maximal
     rng = np.random.default_rng(1)
     lam = np.array([0.95, 0.7, 0.4, 0.1])
     v = rng.normal(size=(4, 4)) + np.eye(4)
     op = v @ np.diag(lam) @ np.linalg.inv(v)
-    model = _model(op)
     tau = 5
     z1 = v @ np.ones(4)
     z_tilde = np.linalg.solve(v, z1)         # all-ones eigenvector weights
+    eigenvalues, _ = baselines._sorted_eigensystem(op)
+    # each sorted eigenvalue's index in lam
+    leading = [int(np.argmin(np.abs(lam - e))) for e in eigenvalues]
+    assert sorted(leading) == [0, 1, 2, 3]
 
     def energy(rows):
         # sum_t sum_{i in rows} |lam_i|^(2t) |z_i|^2
@@ -109,30 +100,28 @@ def test_energy_ranking_beats_every_other_selection():
                    for t in range(tau) for i in rows)
 
     for k in (1, 2, 3):
-        _, sel = gramian_select(model, k=k)
-        # the selector's rows are the first k after modulus sorting
-        chosen = energy(range(k))
+        chosen = energy(leading[:k])
         for combo in itertools.combinations(range(4), k):
             assert chosen >= energy(combo) - 1e-12
 
 
 def test_energy_identity_in_eigencoordinates():
     # sum_t ||W_h K^t z||^2 equals the eigencoordinate form when the
-    # spectrum is real: checked directly at M = 6
+    # spectrum is real, W_h the leading rows of V^-1: checked at M = 6
     rng = np.random.default_rng(2)
     lam = rng.uniform(-0.9, 0.9, 6)
     v = rng.normal(size=(6, 6)) + 2.0 * np.eye(6)
     op = v @ np.diag(lam) @ np.linalg.inv(v)
-    model = _model(op)
     k, tau = 3, 7
-    _, sel = gramian_select(model, k=k)
+    eigenvalues, v_inv = baselines._sorted_eigensystem(op)
+    w_h = v_inv[:k]
     z1 = rng.normal(size=6)
-    z_tilde = sel.v_inv @ z1
-    lhs = sum(float(np.linalg.norm(sel.w_h @
+    z_tilde = v_inv @ z1
+    lhs = sum(float(np.linalg.norm(w_h @
                                    np.linalg.matrix_power(op, t) @ z1) ** 2)
               for t in range(tau))
-    rhs = sum(abs(sel.eigenvalues[i]) ** (2 * t) * abs(z_tilde[i]) ** 2
-              for t in range(tau) for i in range(sel.k))
+    rhs = sum(abs(eigenvalues[i]) ** (2 * t) * abs(z_tilde[i]) ** 2
+              for t in range(tau) for i in range(k))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -258,8 +247,6 @@ def test_singular_eigenvectors_are_rejected(monkeypatch):
     model = _model(np.diag([1.0, 0.5]))
     with pytest.raises(RuntimeError, match="defective spectrum"):
         gramian_nodes_for_budget(model, 1)
-    with pytest.raises(RuntimeError, match="defective spectrum"):
-        gramian_select(model, k=1)
 
 
 # =========================================================================

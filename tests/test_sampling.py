@@ -193,7 +193,7 @@ def test_greedy_stops_at_one_node_on_the_cycle():
     assert plan.nodes == (0,)
     assert plan.score == pytest.approx(1.0)
     assert not plan.rank_deficient
-    assert verify_rank(plan, _model(shift))
+    assert verify_rank(plan, _model(shift), 0.5)
 
 
 def test_greedy_needs_every_node_when_dynamics_are_static():
@@ -213,7 +213,7 @@ def test_greedy_respects_the_node_budget():
     plan = greedy_select(theta, spec, SelectionConfig(gamma=1e6, max_nodes=1))
     assert len(plan.nodes) == 1
     assert plan.rank_deficient
-    assert not verify_rank(plan, _model(np.eye(4)))
+    assert not verify_rank(plan, _model(np.eye(4)), 0.5)
 
 
 def test_greedy_is_deterministic():
@@ -686,6 +686,39 @@ def test_poly_verify_rank_agrees_with_the_rank_flag_at_every_prefix():
     assert flags[0] and not flags[-1]
 
 
+def test_regulatory_verify_rank_agrees_with_the_rank_flag_at_every_prefix():
+    # a fitted log model (n = 12, regulatory, config seed 0, trial 0, 40
+    # training trajectories), selected as koopnet select selects on it,
+    # through every node; greedy scores J at the config's fill, 50.0, where
+    # one node is already full rank, and J at the biochemical midpoint 0.5,
+    # once verify_rank's default, reads that first pick rank-deficient
+    from koopnet.experiments import _select, _trial_data, _trial_seeds
+    from koopnet.koopman import assemble_training, fit
+
+    n = 12
+    config = ExperimentConfig(seed=0, trials=1, n_values=(n,),
+                              dynamics="regulatory", training_trajectories=40,
+                              gamma=None, baselines=())
+    seeds = _trial_seeds(config, n, 0)
+    _, train, _ = _trial_data(config, n, seeds, 1, config.sampling_ticks)
+    spec = log_spec(n, scale=config.scale, powers=config.log_powers)
+    model = fit(assemble_training(train, spec))
+    fill = config.optimizer().fill_value
+    assert fill == 50.0
+    plan = _select(model, config, n)
+    assert len(plan.nodes) == n
+    for k in range(1, n + 1):
+        prefix = dataclasses.replace(gamma_map(plan.nodes[:k], spec, plan.tau),
+                                     score_trace=plan.score_trace[:k])
+        assert verify_rank(prefix, model, fill) == \
+            (not prefix.rank_deficient)
+    first = gamma_map(plan.nodes[:1], spec, plan.tau)
+    assert verify_rank(first, model, fill)
+    assert not verify_rank(first, model, 0.5)
+    with pytest.raises(TypeError):
+        verify_rank(plan, model)
+
+
 @pytest.mark.parametrize("budget", [3, 6, 8])
 def test_verify_rank_never_holds_the_stack_of_powers(budget):
     # verify_rank rolls out the lift's Jacobian (tau x M x n), not the
@@ -699,7 +732,7 @@ def test_verify_rank_never_holds_the_stack_of_powers(budget):
     stack_bytes = plan.tau * spec.size * spec.size * 8
     tracemalloc.start()
     try:
-        full = verify_rank(plan, model)
+        full = verify_rank(plan, model, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -781,7 +814,7 @@ def test_greedy_sets_are_rank_feasible_small_n():
             plan = greedy_select(theta, spec, SelectionConfig(gamma=1e6))
             rows = _rows(theta, plan.observable_indices)
             feasible = np.linalg.matrix_rank(rows, tol=1e-10) == n
-            assert verify_rank(plan, _model(op)) == feasible
+            assert verify_rank(plan, _model(op), 0.5) == feasible
             k = len(plan.nodes)
             any_feasible = any(
                 np.linalg.matrix_rank(
@@ -802,12 +835,12 @@ def test_verify_rank_matches_score_finiteness():
         nodes = sorted(rng.choice(4, size=rng.integers(1, 5), replace=False))
         plan = gamma_map([int(v) for v in nodes], spec, 3)
         finite = math.isfinite(selection_score(plan.nodes, theta, spec))
-        assert verify_rank(plan, model) == finite
+        assert verify_rank(plan, model, 0.5) == finite
 
 
 def test_verify_rank_rejects_an_empty_plan():
     plan = gamma_map([], identity_spec(3), 2)
-    assert not verify_rank(plan, _model(np.eye(3)))
+    assert not verify_rank(plan, _model(np.eye(3)), 0.5)
 
 
 def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
@@ -822,7 +855,7 @@ def test_verify_rank_reads_the_jacobian_stack_not_the_lifted_rows():
     assert plan.rank_deficient
     assert np.linalg.matrix_rank(_rows(theta, plan.observable_indices)) >= \
         spec.n
-    assert not verify_rank(plan, model)
+    assert not verify_rank(plan, model, 0.5)
 
 
 def test_selection_config_validation():
@@ -1047,9 +1080,9 @@ def test_verify_rank_rejects_a_plan_of_another_dictionary():
     # an identity plan of size 4 beside a log model of the same size, whose
     # stack of powers it would read in the wrong rows
     plan = gamma_map([0, 1, 2, 3], identity_spec(4), tau=2)
-    assert verify_rank(plan, _model(np.eye(4)))
+    assert verify_rank(plan, _model(np.eye(4)), 0.5)
     with pytest.raises(ValueError, match="log dictionary of size 4"):
-        verify_rank(plan, _model(np.eye(4), log_spec(1)))
+        verify_rank(plan, _model(np.eye(4), log_spec(1)), 0.5)
 
 
 def test_greedy_rejects_the_stack_of_another_dictionary():
